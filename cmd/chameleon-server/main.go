@@ -39,9 +39,7 @@ func main() {
 		logMB       = flag.Int64("log-mb", 256, "write-ahead log budget (MB)")
 		maxConns    = flag.Int("max-conns", 1024, "max concurrent client connections (<0: unlimited)")
 		pipeline    = flag.Int("max-pipeline", 128, "max commands decoded per batch")
-		commitDelay = flag.Duration("commit-delay", 200*time.Microsecond, "group-commit coalescing window")
-		commitSize  = flag.Int("commit-size", 64, "group-commit size threshold")
-		asyncAck    = flag.Bool("async-ack", false, "acknowledge writes before group commit (faster, weaker)")
+		asyncAck    = flag.Bool("async-ack", false, "acknowledge writes without flushing them (faster, weaker)")
 		replyRetain = flag.Int("reply-retain", 0, "per-connection reply buffer bytes kept across batches (0: default 1MiB)")
 		readTO      = flag.Duration("read-timeout", 5*time.Minute, "idle connection timeout (<0: none)")
 		writeTO     = flag.Duration("write-timeout", time.Minute, "per-write socket deadline (<0: none)")
@@ -144,8 +142,6 @@ func main() {
 		MaxPipeline:      *pipeline,
 		ReadTimeout:      *readTO,
 		WriteTimeout:     *writeTO,
-		GroupCommitDelay: *commitDelay,
-		GroupCommitSize:  *commitSize,
 		AsyncAck:         *asyncAck,
 		ReplyRetainBytes: *replyRetain,
 	}

@@ -165,9 +165,7 @@ func runAllocsWire(opt Options) ([][]string, error) {
 		return nil, err
 	}
 
-	// No coalescing window: the single benchmark connection would only wait
-	// the delay out, and the point here is allocation counting, not latency.
-	srv := server.New(s, server.Config{Addr: "127.0.0.1:0", GroupCommitDelay: -1})
+	srv := server.New(s, server.Config{Addr: "127.0.0.1:0"})
 	if err := srv.Listen(); err != nil {
 		return nil, err
 	}

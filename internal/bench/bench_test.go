@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -134,5 +135,35 @@ func TestOptionsDefaults(t *testing.T) {
 	o = Options{Keys: 5}.withDefaults()
 	if o.Keys != 5 || o.Threads != d.Threads {
 		t.Fatalf("partial defaults broken: %+v", o)
+	}
+}
+
+// TestVirtualTimeGolden pins the paper-side ground truth: the fig6 and scan
+// reports are functions of virtual time only, so their text must not move by
+// a byte when the log, the persist path or the scanner change (the goldens
+// are `chameleon-bench -experiment <id> -keys 40000 -ops 40000 -threads 4`
+// from before reservations became whole lines). A change that means to move
+// virtual time regenerates them and says so.
+func TestVirtualTimeGolden(t *testing.T) {
+	for _, id := range []string{"fig6", "scan"} {
+		e, ok := Lookup(id)
+		if !ok {
+			t.Fatalf("%s not registered", id)
+		}
+		reports, err := e.Run(tinyOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		for _, r := range reports {
+			r.Print(&sb)
+		}
+		want, err := os.ReadFile("testdata/golden_" + id + ".txt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sb.String() != string(want) {
+			t.Errorf("%s output moved:\n--- got\n%s--- want\n%s", id, sb.String(), want)
+		}
 	}
 }

@@ -94,3 +94,51 @@ func TestAllocsPutBatch(t *testing.T) {
 		t.Fatalf("PutBatch(4) allocates %v per call, want amortized < 1", n)
 	}
 }
+
+// TestAllocsDurableWindow is the engine's share of a durable wire ack — the
+// server's PutBatch of a pipelined window followed by the handler's own Flush
+// — on both backends, with the maintenance pool on so Flush walks its dirty
+// shard list. Steady state allocates nothing: the window's hash/done scratch,
+// the dirty list and the log reservation are all reused, and a reservation
+// inside a mapped segment touches no metadata.
+func TestAllocsDurableWindow(t *testing.T) {
+	cfg := TestConfig()
+	cfg.Shards = 4
+	cfg.MemTableSlots = 4096 // no freeze, so no background job allocates meanwhile
+	cfg.MaintenanceWorkers = 2
+	backends := map[string]func() (*Store, error){
+		"sim": func() (*Store, error) { return Open(cfg) },
+		"file": func() (*Store, error) {
+			s, _, err := OpenFile(cfg, t.TempDir())
+			return s, err
+		},
+	}
+	for name, open := range backends {
+		t.Run(name, func(t *testing.T) {
+			s, err := open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			se := s.NewSession(simclock.New(0)).(*Session)
+			keys, vals := make([][]byte, 16), make([][]byte, 16)
+			for i := range keys {
+				keys[i] = []byte{'w', 'k', byte('a' + i)}
+				vals[i] = []byte("window-value")
+			}
+			window := func() {
+				if err := se.PutBatch(keys, vals); err != nil {
+					t.Fatal(err)
+				}
+				if err := se.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			window() // warm the scratch, map the first segment
+			window() // first line-sized reservation
+			if n := testing.AllocsPerRun(100, window); n != 0 {
+				t.Fatalf("PutBatch(16)+Flush allocates %v per window, want 0", n)
+			}
+		})
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"chameleondb/internal/simclock"
 )
@@ -99,6 +100,234 @@ func TestOpenFileRestartDurability(t *testing.T) {
 		if err != nil || !ok || !bytes.Equal(got, v) {
 			t.Fatalf("key %s after second restart: got %q ok=%v err=%v", k, got, ok, err)
 		}
+	}
+}
+
+// TestFlushSpacing pins the file backend's flush pacing: a session gets
+// flushBurst flushes of credit and one more per flushSpacing after that, on
+// the file backend only. The bound is a lower one, so a slow host cannot fail
+// it.
+func TestFlushSpacing(t *testing.T) {
+	sim, err := Open(fileTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sim.Close()
+	if sim.spaceFlushes {
+		t.Fatal("the simulated backend spaces flushes")
+	}
+	s, _, err := OpenFile(fileTestConfig(), t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if !s.spaceFlushes {
+		t.Fatal("the file backend does not space flushes")
+	}
+	se := s.NewSession(simclock.New(0)).(*Session)
+	const n = 3 * flushBurst
+	t0 := time.Now()
+	for i := 0; i < n; i++ {
+		if err := se.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, min := time.Since(t0), (n-flushBurst-1)*flushSpacing; got < min {
+		t.Fatalf("%d flushes took %v, spacing allows no less than %v", n, got, min)
+	}
+	// A session that has been idle holds flushBurst slots of credit, no more.
+	time.Sleep(2 * flushBurst * flushSpacing)
+	t0 = time.Now()
+	for i := 0; i < n; i++ {
+		se.Flush()
+	}
+	if got, min := time.Since(t0), (n-flushBurst-1)*flushSpacing; got < min {
+		t.Fatalf("after an idle period %d flushes took %v, spacing allows no less than %v", n, got, min)
+	}
+}
+
+// TestOpenFileReopenPastLastRecord is the reopen-safety test for a host
+// metadata record that is rewritten only when the segment directory changes:
+// writes acknowledged in chunks reserved after the last record must all be
+// found after a kill, the reopened log must resume above every one of them,
+// and a clean Close must still hand the next open the exact tail.
+func TestOpenFileReopenPastLastRecord(t *testing.T) {
+	cfg := fileTestConfig()
+	dir := t.TempDir()
+	s, _, err := OpenFile(cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metaSyncs := func(s *Store) int64 { return s.Registry().Snapshot().Counters["filedev_meta_syncs"] }
+	want := make(map[string][]byte)
+	sessions := []*Session{s.NewSession(simclock.New(0)).(*Session), s.NewSession(simclock.New(0)).(*Session)}
+	ack := func(s *Store, se *Session, round int) {
+		t.Helper()
+		for j := 0; j < 3; j++ {
+			k := []byte(fmt.Sprintf("rk-%03d-%d", round, j))
+			v := bytes.Repeat([]byte{byte(round)}, round%24+1)
+			if err := se.Put(k, v); err != nil {
+				t.Fatalf("put round %d: %v", round, err)
+			}
+			want[string(k)] = v
+		}
+		if err := se.Flush(); err != nil {
+			t.Fatalf("flush round %d: %v", round, err)
+		}
+	}
+	ack(s, sessions[0], 0) // maps the first segment: the last record for a while
+	records := metaSyncs(s)
+	for round := 1; round <= 40; round++ {
+		ack(s, sessions[round%2], round)
+	}
+	if got := metaSyncs(s); got != records {
+		t.Fatalf("host metadata rewritten %d times by 40 acks inside one segment", got-records)
+	}
+	if got := s.Registry().Snapshot().Histograms["filedev_sync_us"].Count; got < 41 {
+		t.Fatalf("filedev_sync_us holds %d samples after 41 flushes", got)
+	}
+	oldTail := s.log.Tail() // every acknowledged LSN lies below it
+	// No Close: the process "dies" with a record that predates 40 flushes.
+
+	s2, existing, err := OpenFile(cfg, dir)
+	if err != nil || !existing {
+		t.Fatalf("reopen: existing=%v err=%v", existing, err)
+	}
+	if got := s2.log.Tail(); got < oldTail || got%s2.log.SegmentSize() != 0 {
+		t.Fatalf("reopened tail %d, want the end of the highest mapped segment (>= %d)", got, oldTail)
+	}
+	if err := s2.Recover(simclock.New(0)); err != nil {
+		t.Fatal(err)
+	}
+	check := func(s *Store, when string) {
+		t.Helper()
+		se := s.NewSession(simclock.New(0))
+		for k, v := range want {
+			got, ok, err := se.Get([]byte(k))
+			if err != nil || !ok || !bytes.Equal(got, v) {
+				t.Fatalf("key %s %s: got %q ok=%v err=%v, want %q", k, when, got, ok, err, v)
+			}
+		}
+	}
+	check(s2, "after kill")
+	// The first append of the new generation must land above everything the
+	// old one acknowledged.
+	se2 := s2.NewSession(simclock.New(0)).(*Session)
+	first := []byte("first-after-reopen")
+	if err := se2.Put(first, []byte("g2")); err != nil {
+		t.Fatal(err)
+	}
+	want[string(first)] = []byte("g2")
+	if lsn := s2.shardFor(s2.hashFn(first)).memMaxLSN; lsn < oldTail {
+		t.Fatalf("first post-reopen append got LSN %d, below the old tail %d", lsn, oldTail)
+	}
+	if err := se2.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ack(s2, se2, 41)
+	closedTail := s2.log.Tail()
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s3, existing, err := OpenFile(cfg, dir)
+	if err != nil || !existing {
+		t.Fatalf("third open: existing=%v err=%v", existing, err)
+	}
+	defer s3.Close()
+	if got := s3.log.Tail(); got != closedTail {
+		t.Fatalf("tail after clean Close = %d, want the exact tail %d", got, closedTail)
+	}
+	if err := s3.Recover(simclock.New(0)); err != nil {
+		t.Fatal(err)
+	}
+	check(s3, "after clean restart")
+}
+
+// TestOpenFileKillAfterCleanReopen: a clean Close leaves the one record that
+// carries the exact, mid-segment tail. The generation that reopens from it
+// acknowledges writes inside the same segment — reservations that do not run
+// the meta hook — so Recover must have replaced that record with a bound
+// before any of them: after a kill, every one of those writes is found and the
+// next generation appends above them.
+func TestOpenFileKillAfterCleanReopen(t *testing.T) {
+	cfg := fileTestConfig()
+	dir := t.TempDir()
+	want := make(map[string][]byte)
+	ack := func(s *Store, gen, n int) {
+		t.Helper()
+		se := s.NewSession(simclock.New(0))
+		for i := 0; i < n; i++ {
+			k, v := []byte(fmt.Sprintf("g%d-%02d", gen, i)), []byte(fmt.Sprintf("val-%d-%d", gen, i))
+			if err := se.Put(k, v); err != nil {
+				t.Fatalf("gen %d put %d: %v", gen, i, err)
+			}
+			if err := se.Flush(); err != nil {
+				t.Fatalf("gen %d flush %d: %v", gen, i, err)
+			}
+			want[string(k)] = v
+		}
+	}
+	check := func(s *Store, when string) {
+		t.Helper()
+		se := s.NewSession(simclock.New(0))
+		for k, v := range want {
+			got, ok, err := se.Get([]byte(k))
+			if err != nil || !ok || !bytes.Equal(got, v) {
+				t.Fatalf("key %s %s: got %q ok=%v err=%v, want %q", k, when, got, ok, err, v)
+			}
+		}
+	}
+
+	s1, _, err := OpenFile(cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack(s1, 1, 5)
+	closedTail := s1.log.Tail()
+	if closedTail%s1.log.SegmentSize() == 0 {
+		t.Fatalf("closed tail %d is segment-aligned: the test needs a mid-segment tail", closedTail)
+	}
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, existing, err := OpenFile(cfg, dir)
+	if err != nil || !existing {
+		t.Fatalf("reopen: existing=%v err=%v", existing, err)
+	}
+	if err := s2.Recover(simclock.New(0)); err != nil {
+		t.Fatal(err)
+	}
+	if got := s2.log.Tail(); got != closedTail {
+		t.Fatalf("tail after clean reopen = %d, want to resume at %d", got, closedTail)
+	}
+	ack(s2, 2, 5)
+	killedTail := s2.log.Tail()
+	if killedTail/s2.log.SegmentSize() != closedTail/s2.log.SegmentSize() {
+		t.Fatalf("second generation left the segment (%d -> %d): no reservation went unrecorded", closedTail, killedTail)
+	}
+	// No Close: killed.
+
+	s3, existing, err := OpenFile(cfg, dir)
+	if err != nil || !existing {
+		t.Fatalf("reopen after kill: existing=%v err=%v", existing, err)
+	}
+	defer s3.Close()
+	if got := s3.log.Tail(); got < killedTail {
+		t.Fatalf("tail after kill = %d, below acknowledged LSNs (< %d)", got, killedTail)
+	}
+	if err := s3.Recover(simclock.New(0)); err != nil {
+		t.Fatal(err)
+	}
+	check(s3, "after clean close, reopen, ack, kill")
+	se := s3.NewSession(simclock.New(0))
+	first := []byte("g3-first")
+	if err := se.Put(first, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if lsn := s3.shardFor(s3.hashFn(first)).memMaxLSN; lsn < killedTail {
+		t.Fatalf("first append of the third generation got LSN %d, below the killed tail %d", lsn, killedTail)
 	}
 }
 

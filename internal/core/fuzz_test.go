@@ -9,7 +9,9 @@ import (
 )
 
 // fuzzStore opens a small store with a little flushed data, so manifests and
-// tables exist for the fuzzed input to collide with.
+// tables exist for the fuzzed input to collide with. The log holds one bulk
+// chunk and then two sessions' flush-sized reservations, shrinking to single
+// lines: the shape acknowledged wire traffic leaves.
 func fuzzStore(t testing.TB) *Store {
 	t.Helper()
 	s, err := Open(sweepConfig())
@@ -24,6 +26,19 @@ func fuzzStore(t testing.TB) *Store {
 	}
 	if err := se.Flush(); err != nil {
 		t.Fatal(err)
+	}
+	se2 := s.NewSession(simclock.New(0))
+	for i := 0; i < 8; i++ {
+		w := se
+		if i%2 == 1 {
+			w = se2
+		}
+		if err := w.Put([]byte(fmt.Sprintf("fz-%04d", i)), []byte(fmt.Sprintf("acked-%04d", i))); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return s
 }
@@ -84,6 +99,18 @@ func FuzzRecover(f *testing.F) {
 	f.Add(int64(0), []byte{0xff})
 	f.Add(int64(4096), []byte{0x00, 0x00, 0x00, 0x00})
 	f.Add(int64(128<<10), []byte("garbage-garbage-garbage"))
+	// Aimed at the log, whose first segment holds the bulk chunk and, behind
+	// it, reservations of whole lines with zero gaps between their entries:
+	// smash an entry header in the chunk, plant header-shaped lies past it (a
+	// plausible meta with a wrong sum, an impossible size), zero a stretch.
+	_, _, segs := fuzzStore(f).log.SegmentSnapshot()
+	seg := segs[1]
+	lie := binary.LittleEndian.AppendUint64(nil, 0xfeed)
+	lie = binary.LittleEndian.AppendUint64(lie, 7|10<<16)
+	f.Add(seg+8, []byte{0xff, 0xff})
+	f.Add(seg+4096+3*256+64, binary.LittleEndian.AppendUint64(lie, 1))
+	f.Add(seg+4096+5*256+128, binary.LittleEndian.AppendUint64(nil, 1<<40))
+	f.Add(seg+4096+2*256+24, make([]byte, 16))
 
 	f.Fuzz(func(t *testing.T, off int64, junk []byte) {
 		if len(junk) == 0 || len(junk) > 4096 {

@@ -14,7 +14,9 @@ import (
 // file backend persists it as the medium's host-metadata record (see
 // pmem.Medium.WriteMeta) at every point where losing it would lose
 // acknowledged data: whenever the log's segment directory changes, at boot,
-// and at clean Close.
+// and at clean Close. Every record is written by the wlog meta hook, under
+// the log's metadata mutex, so records are durable in the order of the
+// directories they carry.
 //
 // Everything else recovery needs — shard manifests, tables, log entries — is
 // already in the arena's durable image and is found from here: the manifest
@@ -29,7 +31,11 @@ type hostState struct {
 	ArenaNext int64
 
 	// Log segment directory: GC head, tail, and segment-index -> arena-offset
-	// map, exactly wlog.SegmentSnapshot.
+	// map. The record is rewritten when the directory changes, not when the
+	// tail moves, so LogNext is the tail only in the record a clean Close
+	// writes; in every other record it is the end of the highest mapped
+	// segment. A reopen resumes from it either way: recovery scans every LSN
+	// that could have been acknowledged, and no new append lands on an old one.
 	LogHead int64
 	LogNext int64
 	Segs    map[int64]int64
@@ -219,25 +225,11 @@ func decodeHostState(b []byte) (hostState, error) {
 // logMetaHook is installed as the wlog meta hook on file-backed stores: it
 // runs under the log's metadata mutex immediately after every segment-map
 // change, so the durable segment directory always covers every LSN a session
-// could have been acknowledged against.
+// could have been acknowledged against. It is also the only writer of the
+// host-metadata record: boot, SetReplState and Close ask the log to run it
+// (SyncMeta, CloseMeta) instead of taking their own snapshot, which could
+// reach the medium after — and so replace — a newer directory.
 func (s *Store) logMetaHook(head, next int64, segs map[int64]int64) {
-	s.persistHostMetaWith(head, next, segs)
-}
-
-// persistHostMeta snapshots the log and persists the host-metadata record —
-// the boot- and Close-time entry point. No-op on the simulated backend.
-func (s *Store) persistHostMeta() {
-	if s.arena.Medium() == nil {
-		return
-	}
-	head, next, segs := s.log.SegmentSnapshot()
-	s.persistHostMetaWith(head, next, segs)
-}
-
-func (s *Store) persistHostMetaWith(head, next int64, segs map[int64]int64) {
-	if s.arena.Medium() == nil {
-		return
-	}
 	hs := hostState{
 		fp:                fingerprintOf(s.cfg),
 		ArenaNext:         s.arena.InUse(),

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"chameleondb/internal/device/filedev"
 	"chameleondb/internal/histogram"
 	"chameleondb/internal/obs"
 )
@@ -45,6 +46,9 @@ func (s *Store) buildRegistry() {
 	r.CounterFunc("inline_maintenance", st.InlineMaintenance.Load)
 	obs.RegisterDevice(r, s.dev)
 	obs.RegisterLog(r, s.log)
+	if fd, ok := s.arena.Medium().(*filedev.Dev); ok {
+		fd.Register(r)
+	}
 	r.GaugeFunc("gpm_active", func() int64 {
 		if s.gpmActive.Load() {
 			return 1

@@ -91,6 +91,14 @@ func (s *Store) Recover(c *simclock.Clock) error {
 		sh.persistManifest(c)
 		sh.mu.Unlock()
 	}
+	// A store reopened after a clean Close runs on the one host-metadata
+	// record that carries the exact tail, and reservations inside an already
+	// mapped segment do not rewrite it: replace it with a bound record before
+	// the first session can append, or a kill would restart below everything
+	// acknowledged from here to the segment's end. A record that fails to
+	// reach the backend fails every session operation (readable), so nothing
+	// is acknowledged on the old one. The simulated backend has no hook.
+	s.log.SyncMeta()
 	s.crashed.Store(false)
 	s.lastRecoverReadyNs = c.Now() - start
 	s.trace.Emit(c.Now(), obs.EvRecoverReady, -1, s.lastRecoverReadyNs)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"strconv"
+	"time"
 
 	"chameleondb/internal/device"
 	"chameleondb/internal/hashtable"
@@ -39,11 +40,17 @@ type Session struct {
 	ap    *wlog.Appender
 	slot  *readerSlot
 
-	// dirty tracks the shards this session has written since its last Flush.
-	// With maintenance workers enabled, Flush drains exactly these shards'
-	// pending jobs — the barrier that preserves the server's group-commit
-	// durable-ack contract. Lazily allocated; nil while the pool is off.
-	dirty map[int]struct{}
+	// dirtyIDs lists the shards this session has written since its last
+	// Flush, each once (isDirty is the membership test). With maintenance
+	// workers enabled, Flush drains exactly these shards' pending jobs — the
+	// barrier that preserves the server's durable-ack contract. Both are
+	// reused across flushes; nil while the pool is off.
+	dirtyIDs []int
+	isDirty  []bool
+
+	// nextFlush is the earliest start of this session's next Flush on the
+	// file backend; see flushSpacing.
+	nextFlush time.Time
 
 	// PutBatch scratch, reused across calls so a steady stream of batches
 	// allocates nothing.
@@ -243,10 +250,14 @@ func (se *Session) admitWrite(sh *shard) error {
 	if err := se.throttle(sh); err != nil {
 		return err
 	}
-	if se.dirty == nil {
-		se.dirty = make(map[int]struct{})
+	if se.isDirty == nil {
+		se.isDirty = make([]bool, len(se.store.shards))
+		se.dirtyIDs = make([]int, 0, len(se.store.shards))
 	}
-	se.dirty[sh.id] = struct{}{}
+	if !se.isDirty[sh.id] {
+		se.isDirty[sh.id] = true
+		se.dirtyIDs = append(se.dirtyIDs, sh.id)
+	}
 	return nil
 }
 
@@ -500,24 +511,46 @@ func (se *Session) Flush() error {
 	// seal a session's acknowledged batch even if the store was marked closed
 	// while the connection was unwinding. Sealing only persists to the heap
 	// arena, which outlives Close.
+	if se.store.spaceFlushes {
+		se.spaceFlush()
+	}
 	if err := se.ap.Flush(se.clock); err != nil {
+		return err
+	}
+	// The seal's write or fdatasync may have failed: what this Flush was asked
+	// to make durable then is not, and saying otherwise would let the caller
+	// acknowledge it.
+	if err := se.store.mediumErr(); err != nil {
 		return err
 	}
 	// Barrier: drain the maintenance jobs of every shard this session has
 	// dirtied, so the frozen MemTables holding its acknowledged writes are
 	// persisted (or spilled with their log entries synced) before Flush
 	// returns. Other sessions' shards are not waited on.
-	if se.store.maint != nil && len(se.dirty) > 0 {
-		ids := make([]int, 0, len(se.dirty))
-		for id := range se.dirty {
-			ids = append(ids, id)
-		}
-		if err := se.store.maint.drain(ids); err != nil {
+	if se.store.maint != nil && len(se.dirtyIDs) > 0 {
+		if err := se.store.maint.drain(se.dirtyIDs); err != nil {
 			return err
 		}
-		clear(se.dirty)
+		for _, id := range se.dirtyIDs {
+			se.isDirty[id] = false
+		}
+		se.dirtyIDs = se.dirtyIDs[:0]
 	}
 	return nil
+}
+
+// spaceFlush holds the session to one Flush per flushSpacing on average: each
+// Flush books the slot flushSpacing after the previous one and waits for it,
+// and a session that ran late keeps at most flushBurst slots of credit.
+func (se *Session) spaceFlush() {
+	now := time.Now()
+	se.nextFlush = se.nextFlush.Add(flushSpacing)
+	if floor := now.Add(-flushBurst * flushSpacing); se.nextFlush.Before(floor) {
+		se.nextFlush = floor
+	}
+	if wait := se.nextFlush.Sub(now); wait > 0 {
+		sleepFor(wait)
+	}
 }
 
 // Release detaches the session's appender and reader slot so a retired

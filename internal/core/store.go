@@ -23,6 +23,10 @@ type Store struct {
 	arena *pmem.Arena
 	log   *wlog.Log
 
+	// spaceFlushes is set on the file backend: sessions keep flushSpacing
+	// between their durable flushes (see filestore.go).
+	spaceFlushes bool
+
 	shards     []*shard
 	shardShift uint
 
@@ -297,14 +301,15 @@ func (s *Store) Close() error {
 	if med == nil || !first {
 		return nil
 	}
-	// File-backed store: write a final host-metadata record (the freshest
-	// allocator mark shortens the next replay) and release the backend, which
-	// syncs the manifest and the directory entries on the way out. After a
-	// simulated power failure or a backend I/O error the durable state must
+	// File-backed store: write a final host-metadata record — the only one
+	// that carries the log's exact tail, so the next open appends where this
+	// one stopped instead of at the next segment — and release the backend,
+	// which syncs the manifest and the directory entries on the way out. After
+	// a simulated power failure or a backend I/O error the durable state must
 	// stay exactly as the failure left it, so only the record write is
 	// skipped — Close still releases the descriptors.
 	if !s.crashed.Load() && !s.dev.PowerFailed() && s.arena.MediumErr() == nil {
-		s.persistHostMeta()
+		s.log.CloseMeta()
 	}
 	return med.Close()
 }
@@ -317,10 +322,14 @@ func (s *Store) readable() error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
+	return s.mediumErr()
+}
+
+// mediumErr reports a persist that failed to reach the backing store: some
+// write may not be durable, so the store fails stop rather than acknowledging
+// it or anything after it.
+func (s *Store) mediumErr() error {
 	if err := s.arena.MediumErr(); err != nil {
-		// A persist failed to reach the backing store: some acknowledged
-		// write may not be durable, so the store fails stop rather than
-		// acknowledging more.
 		return fmt.Errorf("core: persistence backend failed: %w", err)
 	}
 	return nil
@@ -354,7 +363,7 @@ func (s *Store) SetReplState(id string, epoch, applied int64) {
 	s.replEpoch.Store(epoch)
 	s.replApplied.Store(applied)
 	if !s.crashed.Load() && !s.closed.Load() {
-		s.persistHostMeta()
+		s.log.SyncMeta()
 	}
 }
 

@@ -95,7 +95,10 @@ func (a *Arena) failMedium(err error) {
 	if err == nil {
 		return
 	}
-	a.medErr.CompareAndSwap(nil, &err)
+	// Latch a copy: taking the parameter's address would move it to the heap
+	// on every call, the nil ones on the persist path included.
+	latched := err
+	a.medErr.CompareAndSwap(nil, &latched)
 }
 
 // RestoreAllocator positions the bump allocator at next, used when the arena

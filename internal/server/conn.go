@@ -13,7 +13,7 @@ import (
 )
 
 // pendingCmd tracks one decoded command until its reply reaches the socket,
-// so wire latency includes execution, the group-commit wait, and the write.
+// so wire latency includes execution, the commit, and the write.
 type pendingCmd struct {
 	kind cmdKind
 	t0   time.Time
@@ -37,9 +37,9 @@ type mgetSpan struct {
 type argSpan struct{ off, n int }
 
 // conn is one client connection: one goroutine, one session, one RESP
-// reader/writer pair. The writer buffers replies until the batch's group
-// commit has completed, so an ack can never reach the wire before the write
-// it acknowledges is durable.
+// reader/writer pair. The writer buffers replies until the batch's commit —
+// the handler's own Session.Flush — has completed, so an ack can never reach
+// the wire before the write it acknowledges is durable.
 //
 // The hot path is allocation-free in steady state: decoded args are spans of
 // the reader's reused buffer and flow into the engine without copies (Put
@@ -54,7 +54,6 @@ type conn struct {
 	r    *resp.Reader
 	w    *resp.Writer
 	se   kvstore.Session
-	done chan error // group-commit ack channel, reused across batches
 	pend []pendingCmd
 
 	// Optional engine capabilities, type-asserted once at accept time instead
@@ -102,12 +101,11 @@ type queuedCmd struct {
 
 func newConn(s *Server, nc net.Conn) *conn {
 	c := &conn{
-		srv:  s,
-		nc:   nc,
-		r:    resp.NewReaderLimits(nc, s.cfg.Limits),
-		w:    resp.NewWriter(nc),
-		se:   s.newSession(),
-		done: make(chan error, 1),
+		srv: s,
+		nc:  nc,
+		r:   resp.NewReaderLimits(nc, s.cfg.Limits),
+		w:   resp.NewWriter(nc),
+		se:  s.newSession(),
 	}
 	if s.cfg.ReplyRetainBytes > 0 {
 		c.w.SetMaxRetain(s.cfg.ReplyRetainBytes)
@@ -187,9 +185,16 @@ func (c *conn) serve() {
 		c.dispatchRun(&dirty)
 		c.r.Release()
 		// Durability before acknowledgment: the buffered replies do not move
-		// until every write in the batch has been group-committed.
+		// until every write in the batch is durable. The handler flushes its
+		// own session — one log persist, on the file backend one fdatasync —
+		// so nothing waits for a timer or another goroutine, and concurrent
+		// connections' syncs overlap in the kernel.
 		if dirty && !c.srv.cfg.AsyncAck {
-			if err := c.srv.batch.commit(c.se, c.done); err != nil {
+			t0 := time.Now()
+			err := c.se.Flush()
+			m.CommitUs.Record(time.Since(t0).Microseconds())
+			m.GroupCommits.Add(1)
+			if err != nil {
 				// The writes are not durable; acking them would lie. Drop the
 				// buffered acks, report the failure, and hang up.
 				m.StoreErrors.Add(1)
@@ -502,7 +507,7 @@ func (c *conn) execute(kind cmdKind, args [][]byte, dirty, quit *bool) {
 		// MSET is atomic — here a failed MSET may leave an applied subset,
 		// where the sequential fallback leaves an applied prefix), but the
 		// reply is still a single canonical -ERR frame and dirty stays set,
-		// so whatever applied is group-committed like any other write.
+		// so whatever applied is committed like any other write.
 		if c.bw != nil {
 			keys := c.runKeys[:0]
 			vals := c.runVals[:0]
@@ -718,7 +723,7 @@ func (c *conn) execute(kind cmdKind, args [][]byte, dirty, quit *bool) {
 		}
 		// The queued commands run back to back on this connection's session;
 		// their replies land inside one array, and their writes ride the same
-		// group commit as any pipelined batch — every ack in the array is
+		// commit as any pipelined batch — every ack in the array is
 		// durable when it reaches the wire. Commands from other connections
 		// may interleave at the engine (documented deviation from Redis's
 		// single-threaded isolation). Args materialize from the txnBuf arena;

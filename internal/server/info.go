@@ -64,7 +64,6 @@ func (s *Server) infoText(section []byte) []byte {
 		b = fmt.Appendf(b, "protocol_errors:%d\r\n", m.ProtocolErrors.Load())
 		b = fmt.Appendf(b, "store_errors:%d\r\n", m.StoreErrors.Load())
 		b = fmt.Appendf(b, "group_commits:%d\r\n", m.GroupCommits.Load())
-		b = fmt.Appendf(b, "group_commit_flushes:%d\r\n", m.GroupCommitFlushes.Load())
 		b = fmt.Appendf(b, "dram_footprint_bytes:%d\r\n", s.store.DRAMFootprint())
 		b = append(b, "\r\n"...)
 	}
@@ -126,6 +125,23 @@ func (s *Server) infoText(section []byte) []byte {
 			}
 			b = append(b, "\r\n"...)
 		}
+	}
+	if want("persistence") {
+		// What a durable acknowledgement costs, outside in and under the
+		// registry's own names: the ack-path Session.Flush, and — on the file
+		// backend, whose registry carries them — the data fdatasync under it
+		// and the host-metadata syncs.
+		b = append(b, "# Persistence\r\n"...)
+		snap := s.reg.Snapshot()
+		for _, name := range [...]string{"server_commit_us", "filedev_sync_us"} {
+			if h, ok := snap.Histograms[name]; ok {
+				b = fmt.Appendf(b, "%s:count=%d,p50=%d,p99=%d,max=%d\r\n", name, h.Count, h.P50, h.P99, h.Max)
+			}
+		}
+		if n, ok := snap.Counters["filedev_meta_syncs"]; ok {
+			b = fmt.Appendf(b, "filedev_meta_syncs:%d\r\n", n)
+		}
+		b = append(b, "\r\n"...)
 	}
 	if want("commandstats") {
 		b = append(b, "# Commandstats\r\n"...)

@@ -143,7 +143,7 @@ func commandKind(name []byte) cmdKind {
 }
 
 // wireHist buckets the per-command latency histograms: the mutating commands
-// and gets get their own tails (group commit shows up only on writes), the
+// and gets get their own tails (the commit shows up only on writes), the
 // rest share one.
 func wireHistIndex(k cmdKind) int {
 	switch k {
@@ -176,21 +176,23 @@ type Metrics struct {
 	ProtocolErrors atomic.Int64
 	StoreErrors    atomic.Int64 // engine errors surfaced as -ERR replies
 
-	GroupCommits       atomic.Int64 // batcher flush rounds
-	GroupCommitFlushes atomic.Int64 // sessions flushed across all rounds
+	// GroupCommits counts ack-path commits. A connection commits by flushing
+	// its own session, so commits and session flushes are one count; it stays
+	// registered under both of its old names for readers that divide them.
+	GroupCommits atomic.Int64
 
 	PerCmd [numCmdKinds]atomic.Int64
 
 	// Wire is wall-clock latency from command decode to its reply reaching
-	// the socket, including any group-commit wait — what a loopback client
-	// observes minus its own RTT share.
+	// the socket, including the commit — what a loopback client observes
+	// minus its own RTT share.
 	Wire [5]histogram.Histogram
 	// PipelineDepth is the observed commands-per-batch distribution, the
 	// direct measure of how much pipelining clients actually achieve.
 	PipelineDepth histogram.Histogram
-	// CommitBatch is the sessions-per-group-commit distribution, the direct
-	// measure of cross-connection flush coalescing.
-	CommitBatch histogram.Histogram
+	// CommitUs is the wall-clock time of the ack-path Session.Flush, in
+	// microseconds: what durability adds to a batch with a write.
+	CommitUs histogram.Histogram
 }
 
 // Register wires every metric into r under server_-prefixed names.
@@ -202,7 +204,7 @@ func (m *Metrics) Register(r *obs.Registry) {
 	r.CounterFunc("server_protocol_errors", m.ProtocolErrors.Load)
 	r.CounterFunc("server_store_errors", m.StoreErrors.Load)
 	r.CounterFunc("server_group_commits", m.GroupCommits.Load)
-	r.CounterFunc("server_group_commit_flushes", m.GroupCommitFlushes.Load)
+	r.CounterFunc("server_group_commit_flushes", m.GroupCommits.Load)
 	for k := cmdKind(0); k < numCmdKinds; k++ {
 		r.CounterFunc("server_cmd_"+k.String(), m.PerCmd[k].Load)
 	}
@@ -212,5 +214,5 @@ func (m *Metrics) Register(r *obs.Registry) {
 		r.Histogram("server_wire_ns_"+wireHistNames[i], &m.Wire[i])
 	}
 	r.Histogram("server_pipeline_depth", &m.PipelineDepth)
-	r.Histogram("server_commit_batch", &m.CommitBatch)
+	r.Histogram("server_commit_us", &m.CommitUs)
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -108,6 +109,14 @@ func restartValue(i int) []byte {
 // directory. Every SET the client saw acknowledged must be readable after the
 // restart; in-flight unacknowledged SETs may have landed or not, but a key
 // that is present must carry the value that was written.
+//
+// The host-metadata record is rewritten when the log maps a segment, not per
+// acknowledged batch, so nearly every ack here lands in a chunk reserved after
+// the last record: the test asserts that (INFO's filedev_meta_syncs), and then
+// that the restarted server's own appends — which resume from a tail derived
+// from the segment directory — did not land on any of them, by restarting once
+// more and reading everything back. A last round covers the record a clean
+// shutdown leaves: SIGTERM, restart, acks, SIGKILL, restart, read.
 func TestServerRestartDurability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs a server binary")
@@ -198,6 +207,11 @@ func TestServerRestartDurability(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	// 600 acks of ~100 B fit the log's first 1 MiB segment: one record at
+	// boot, one when that segment was mapped, none for the acks.
+	if n := metaSyncs(t, p.addr); n < 1 || n > 3 {
+		t.Fatalf("filedev_meta_syncs = %d after %d acked SETs, want the boot record plus one per mapped segment", n, ackTarget)
+	}
 	if err := p.cmd.Process.Kill(); err != nil { // SIGKILL: no shutdown path runs
 		t.Fatal(err)
 	}
@@ -231,32 +245,39 @@ func TestServerRestartDurability(t *testing.T) {
 	if len(ackedKeys) == 0 {
 		t.Fatal("no acked keys recorded")
 	}
-	for _, k := range ackedKeys {
-		got, ok, err := c.Get([]byte(fmt.Sprintf("rk-%05d", k)))
-		if err != nil {
-			t.Fatalf("GET rk-%05d after restart: %v", k, err)
+	verify := func(c *resp.Client, when string) {
+		t.Helper()
+		for _, k := range ackedKeys {
+			got, ok, err := c.Get([]byte(fmt.Sprintf("rk-%05d", k)))
+			if err != nil {
+				t.Fatalf("GET rk-%05d %s: %v", k, when, err)
+			}
+			if !ok {
+				t.Fatalf("acknowledged key rk-%05d lost %s", k, when)
+			}
+			if !bytes.Equal(got, restartValue(k)) {
+				t.Fatalf("key rk-%05d corrupted %s: got %q want %q", k, when, got, restartValue(k))
+			}
 		}
-		if !ok {
-			t.Fatalf("acknowledged key rk-%05d lost across SIGKILL restart", k)
-		}
-		if !bytes.Equal(got, restartValue(k)) {
-			t.Fatalf("key rk-%05d corrupted: got %q want %q", k, got, restartValue(k))
+		for _, k := range unacked {
+			got, ok, err := c.Get([]byte(fmt.Sprintf("rk-%05d", k)))
+			if err != nil {
+				t.Fatalf("GET unacked rk-%05d %s: %v", k, when, err)
+			}
+			if ok && !bytes.Equal(got, restartValue(k)) {
+				t.Fatalf("unacked key rk-%05d present with wrong value %q %s", k, got, when)
+			}
 		}
 	}
-	for _, k := range unacked {
-		got, ok, err := c.Get([]byte(fmt.Sprintf("rk-%05d", k)))
-		if err != nil {
-			t.Fatalf("GET unacked rk-%05d: %v", k, err)
-		}
-		if ok && !bytes.Equal(got, restartValue(k)) {
-			t.Fatalf("unacked key rk-%05d present with wrong value %q", k, got)
-		}
-	}
+	verify(c, "across SIGKILL restart")
 	t.Logf("verified %d acked keys (+%d in-flight) across SIGKILL restart", len(ackedKeys), len(unacked))
 
 	// The restarted server must still accept writes and shut down cleanly.
-	if err := c.Set([]byte("post-restart"), []byte("ok")); err != nil {
-		t.Fatalf("SET after restart: %v", err)
+	const postKeys = 64
+	for i := 0; i < postKeys; i++ {
+		if err := c.Set([]byte(fmt.Sprintf("post-restart-%02d", i)), restartValue(i)); err != nil {
+			t.Fatalf("SET after restart: %v", err)
+		}
 	}
 	if err := p2.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
@@ -264,4 +285,79 @@ func TestServerRestartDurability(t *testing.T) {
 	if err := p2.cmd.Wait(); err != nil {
 		t.Fatalf("graceful shutdown after restart: %v\nstderr:\n%s", err, p2.out.String())
 	}
+
+	// Third generation, after a clean Close: the post-restart appends went
+	// above every LSN the first process acknowledged, so nothing acked before
+	// the SIGKILL was overwritten, and they are durable themselves.
+	p3 := startServerProc(t, bin, dataDir)
+	c3, err := resp.Dial(p3.addr, 5*time.Second)
+	if err != nil {
+		t.Fatalf("dial third server: %v\nstderr:\n%s", err, p3.out.String())
+	}
+	defer c3.Close()
+	c3.SetDeadline(time.Now().Add(2 * time.Minute))
+	verify(c3, "after the restarted server's own writes")
+	for i := 0; i < postKeys; i++ {
+		got, ok, err := c3.Get([]byte(fmt.Sprintf("post-restart-%02d", i)))
+		if err != nil || !ok || !bytes.Equal(got, restartValue(i)) {
+			t.Fatalf("post-restart-%02d after clean restart: %q ok=%v err=%v", i, got, ok, err)
+		}
+	}
+
+	// SIGTERM then SIGKILL: the third generation reopened from the clean
+	// Close's exact-tail record and acknowledges inside the segment that tail
+	// lies in. Killed, its acks must still be below the tail the fourth
+	// generation recovers to.
+	for i := 0; i < postKeys; i++ {
+		if err := c3.Set([]byte(fmt.Sprintf("post-clean-%02d", i)), restartValue(i)); err != nil {
+			t.Fatalf("SET after clean restart: %v", err)
+		}
+	}
+	if err := p3.cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	p3.cmd.Wait()
+	p4 := startServerProc(t, bin, dataDir)
+	c4, err := resp.Dial(p4.addr, 5*time.Second)
+	if err != nil {
+		t.Fatalf("dial fourth server: %v\nstderr:\n%s", err, p4.out.String())
+	}
+	defer c4.Close()
+	c4.SetDeadline(time.Now().Add(2 * time.Minute))
+	verify(c4, "after SIGTERM, restart, SIGKILL")
+	for _, prefix := range []string{"post-restart", "post-clean"} {
+		for i := 0; i < postKeys; i++ {
+			key := fmt.Sprintf("%s-%02d", prefix, i)
+			got, ok, err := c4.Get([]byte(key))
+			if err != nil || !ok || !bytes.Equal(got, restartValue(i)) {
+				t.Fatalf("%s after SIGTERM, restart, SIGKILL: %q ok=%v err=%v", key, got, ok, err)
+			}
+		}
+	}
+}
+
+// metaSyncs reads filedev_meta_syncs from a live server's INFO.
+func metaSyncs(t *testing.T, addr string) int {
+	t.Helper()
+	c, err := resp.Dial(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(30 * time.Second))
+	rep, err := c.DoStrings("INFO", "persistence")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(rep.Text(), "\r\n") {
+		if v, ok := strings.CutPrefix(line, "filedev_meta_syncs:"); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("INFO persistence: %q", line)
+			}
+			return n
+		}
+	}
+	t.Fatalf("INFO persistence carries no filedev_meta_syncs:\n%s", rep.Text())
+	return 0
 }

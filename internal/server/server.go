@@ -12,15 +12,16 @@
 // buffered on the connection (up to Config.MaxPipeline), executes them in
 // order into a reply buffer, and only then touches the socket again. Writes
 // are acknowledged durably by default: a batch that contains a SET/DEL holds
-// its replies until the group-commit batcher (batcher.go) has flushed the
-// session, coalescing flushes across connections within a time/size window.
+// its replies until the handler has flushed its own session — one log persist
+// for everything the batch wrote. There is no commit window and no shared
+// committer: concurrent connections' persists overlap in the medium.
 //
 // Backpressure is structural: a connection gets no new commands parsed while
 // its previous batch is executing (one goroutine), the reply buffer caps at
 // MaxPipeline commands per round, and the listener refuses connections past
 // MaxConns. Shutdown drains: the listener closes first (late dials are
 // refused), live connections finish the batch they are executing — including
-// its group commit — and then unwind.
+// its commit — and then unwind.
 package server
 
 import (
@@ -53,13 +54,7 @@ type Config struct {
 	ReadTimeout time.Duration
 	// WriteTimeout bounds one reply-buffer write to the socket. <0 disables.
 	WriteTimeout time.Duration
-	// GroupCommitDelay is how long the batcher waits for more sessions to
-	// join a flush round; GroupCommitSize flushes the round early when that
-	// many have joined. Delay <0 disables the wait (still coalesces whatever
-	// is queued).
-	GroupCommitDelay time.Duration
-	GroupCommitSize  int
-	// AsyncAck, when set, acknowledges writes before their group commit
+	// AsyncAck, when set, acknowledges writes without flushing the session
 	// (replies do not wait for durability — the engine's default in-process
 	// contract). The default, false, is durable acks.
 	AsyncAck bool
@@ -97,14 +92,12 @@ type Replicator interface {
 // DefaultConfig returns production-leaning defaults.
 func DefaultConfig() Config {
 	return Config{
-		Addr:             "127.0.0.1:6379",
-		MaxConns:         1024,
-		MaxPipeline:      128,
-		ReadTimeout:      5 * time.Minute,
-		WriteTimeout:     time.Minute,
-		GroupCommitDelay: 200 * time.Microsecond,
-		GroupCommitSize:  64,
-		Limits:           resp.DefaultLimits(),
+		Addr:         "127.0.0.1:6379",
+		MaxConns:     1024,
+		MaxPipeline:  128,
+		ReadTimeout:  5 * time.Minute,
+		WriteTimeout: time.Minute,
+		Limits:       resp.DefaultLimits(),
 	}
 }
 
@@ -125,12 +118,6 @@ func (c Config) withDefaults() Config {
 	if c.WriteTimeout == 0 {
 		c.WriteTimeout = d.WriteTimeout
 	}
-	if c.GroupCommitDelay == 0 {
-		c.GroupCommitDelay = d.GroupCommitDelay
-	}
-	if c.GroupCommitSize <= 0 {
-		c.GroupCommitSize = d.GroupCommitSize
-	}
 	return c
 }
 
@@ -141,7 +128,6 @@ type Server struct {
 	cache   *hotcache.Cache
 	metrics *Metrics
 	reg     *obs.Registry
-	batch   *batcher
 	start   time.Time
 
 	mu       sync.Mutex
@@ -151,8 +137,6 @@ type Server struct {
 
 	wg      sync.WaitGroup // live connection handlers
 	serveWg sync.WaitGroup // accept loop
-	downMu  sync.Mutex     // serializes Shutdown's teardown
-	down    bool
 }
 
 // New creates a server over store. When the store exposes an obs registry
@@ -180,7 +164,6 @@ func New(store kvstore.Store, cfg Config) *Server {
 	}
 	s.metrics.Register(s.reg)
 	s.cache.Register(s.reg)
-	s.batch = newBatcher(s.metrics, cfg.GroupCommitDelay, cfg.GroupCommitSize)
 	return s
 }
 
@@ -231,7 +214,6 @@ func (s *Server) Serve() error {
 	if ln == nil {
 		return fmt.Errorf("server: Serve before Listen")
 	}
-	s.batch.start()
 	s.serveWg.Add(1)
 	defer s.serveWg.Done()
 	for {
@@ -290,11 +272,11 @@ func (s *Server) isDraining() bool {
 }
 
 // Shutdown drains the server: the listener closes first so late dials are
-// refused, every live connection finishes the pipelined batch it is
-// executing (including its group commit) and unwinds, and the batcher stops
-// after the last handler exits. Connections idle in a read are unblocked by
-// an immediate read deadline. If ctx expires first, remaining connections
-// are closed forcibly and ctx.Err is returned. Safe to call more than once.
+// refused, and every live connection finishes the pipelined batch it is
+// executing (including its commit) and unwinds. Connections idle in a read
+// are unblocked by an immediate read deadline. If ctx expires first,
+// remaining connections are closed forcibly and ctx.Err is returned. Safe to
+// call more than once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	first := !s.draining
@@ -333,13 +315,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		<-done
 	}
 	s.serveWg.Wait()
-
-	s.downMu.Lock()
-	if !s.down {
-		s.down = true
-		s.batch.stopAndDrain()
-	}
-	s.downMu.Unlock()
 	return err
 }
 

@@ -64,7 +64,7 @@ func dialT(t testing.TB, addr string) *resp.Client {
 // predictable — any cross-connection interference shows up as a wrong reply,
 // not just as a race report.
 func TestServerE2EPipelinedRace(t *testing.T) {
-	s, addr := startServer(t, nil, Config{GroupCommitDelay: 100 * time.Microsecond})
+	s, addr := startServer(t, nil, Config{})
 	const (
 		clients = 32
 		rounds  = 20
@@ -117,11 +117,19 @@ func TestServerE2EPipelinedRace(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+	// A handler counts its batch after the replies are on the wire, so the
+	// last clients can get here first.
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Metrics().CmdsProcessed.Load() < clients*rounds*5 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
 	if got := s.Metrics().CmdsProcessed.Load(); got < clients*rounds*5 {
 		t.Errorf("CmdsProcessed = %d, want >= %d", got, clients*rounds*5)
 	}
-	if s.Metrics().GroupCommits.Load() == 0 {
-		t.Error("no group commits recorded for a write-heavy workload")
+	// Every round carries a SET and a DEL of a live key, so every round is at
+	// least one batch that had to commit before its replies moved.
+	if got := s.Metrics().GroupCommits.Load(); got < clients*rounds {
+		t.Errorf("GroupCommits = %d, want >= %d", got, clients*rounds)
 	}
 }
 
@@ -289,11 +297,16 @@ func TestMaxConns(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCoalescing: concurrent single-SET clients must share flush
-// rounds — strictly more sessions flushed than batcher wakeups.
-func TestGroupCommitCoalescing(t *testing.T) {
-	s, addr := startServer(t, nil, Config{GroupCommitDelay: 2 * time.Millisecond})
-	const writers = 16
+// TestCommitPerDirtyBatch: a connection commits by flushing its own session,
+// once per batch that wrote and never for one that only read — there is no
+// shared committer for concurrent writers to queue behind, so commits equal
+// acknowledged write batches exactly, and every one is timed.
+func TestCommitPerDirtyBatch(t *testing.T) {
+	s, addr := startServer(t, nil, Config{})
+	const (
+		writers = 16
+		sets    = 25
+	)
 	var wg sync.WaitGroup
 	for id := 0; id < writers; id++ {
 		wg.Add(1)
@@ -306,8 +319,13 @@ func TestGroupCommitCoalescing(t *testing.T) {
 			}
 			defer c.Close()
 			c.SetDeadline(time.Now().Add(30 * time.Second))
-			for r := 0; r < 25; r++ {
-				if err := c.Set(fmt.Appendf(nil, "g%d-%d", id, r), []byte("v")); err != nil {
+			for r := 0; r < sets; r++ {
+				key := fmt.Appendf(nil, "g%d-%d", id, r)
+				if err := c.Set(key, []byte("v")); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, _, err := c.Get(key); err != nil {
 					t.Error(err)
 					return
 				}
@@ -315,16 +333,16 @@ func TestGroupCommitCoalescing(t *testing.T) {
 		}(id)
 	}
 	wg.Wait()
-	commits := s.Metrics().GroupCommits.Load()
-	flushes := s.Metrics().GroupCommitFlushes.Load()
-	if commits == 0 || flushes == 0 {
-		t.Fatalf("no group commit activity: commits=%d flushes=%d", commits, flushes)
+	if got := s.Metrics().GroupCommits.Load(); got != writers*sets {
+		t.Errorf("GroupCommits = %d, want %d (one per depth-1 SET, none per GET)", got, writers*sets)
 	}
-	if flushes <= commits {
-		t.Errorf("no coalescing: %d flushes over %d rounds", flushes, commits)
+	snap := s.Registry().Snapshot()
+	if got := snap.Counters["server_group_commit_flushes"]; got != writers*sets {
+		t.Errorf("server_group_commit_flushes = %d, want %d", got, writers*sets)
 	}
-	t.Logf("group commit: %d sessions over %d rounds (%.1fx coalescing)",
-		flushes, commits, float64(flushes)/float64(commits))
+	if got := snap.Histograms["server_commit_us"].Count; got != writers*sets {
+		t.Errorf("server_commit_us holds %d samples, want %d", got, writers*sets)
+	}
 }
 
 // TestPipelineOrder: replies come back in command order within a batch even

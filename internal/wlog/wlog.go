@@ -19,15 +19,33 @@
 // device commits 256 B lines, so a batch persist interrupted by power failure
 // can leave a durable prefix of its lines: entries beyond the cut have their
 // payload (or header) missing, and the checksum is what lets recovery detect
-// the torn tail instead of replaying corrupted values. A zero meta word marks
-// the end of the used portion of a batch chunk; the scanner skips to the next
-// chunk boundary. Chunks never span segments.
+// the torn tail instead of replaying corrupted values.
+//
+// An appender writes into a private reservation: a whole number of 256 B
+// lines, line-aligned, at most one 4 KB chunk (whole chunks for an entry
+// larger than one), never spanning segments. Until an appender has flushed,
+// and for everything it appends beyond its first reservation after a Flush,
+// the reservation is a full chunk — the paper's batch. The first reservation
+// after a Flush is sized to the largest of the appender's last four
+// flush-to-flush volumes, so a caller that flushes per acknowledgement spends
+// the lines it writes instead of a chunk per ack. Flush and a full
+// reservation seal it: persist, then detach, so the unused lines are never
+// written.
+//
+// The scanner believes a position only if the entry there checks out. A zero
+// meta word (the unused rest of a reservation), a size reaching past the
+// segment, or a failed checksum (a torn persist) sends it to the next line,
+// where the next reservation may start. It charges one sequential read per
+// 4 KB block it enters (the rest of the block from where it entered) and one
+// chunk for an entry larger than a chunk — on a log of full chunks exactly
+// the reads of a scanner that skips chunk to chunk.
 package wlog
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -46,7 +64,14 @@ const DefaultChunkSize = 4096
 // from the arena on demand and freed whole by garbage collection.
 const DefaultSegmentSize = 1 << 20
 
+// lineSize is the unit reservations are made of and aligned to: the 256 B
+// access granularity of the Optane media, which is also the unit a torn
+// persist is cut at.
+const lineSize = 256
+
 const headerSize = 24
+
+func roundUp(v, unit int64) int64 { return (v + unit - 1) / unit * unit }
 
 // ErrLogFull is returned when the log's live segments exceed its capacity.
 // Reclaim space with garbage collection (core.CompactLog) or size the region
@@ -74,6 +99,10 @@ func entrySum(hash, meta uint64, key, value []byte) uint64 {
 // collection already freed.
 var ErrReclaimed = errors.New("wlog: entry's segment was reclaimed")
 
+// ErrClosed is returned by an append that needs a new reservation after
+// CloseMeta recorded the log's final tail.
+var ErrClosed = errors.New("wlog: log is closed")
+
 // Log is a shared append-only value log over arena-backed segments.
 //
 // The metadata is split for the lock-free read path: writers (reserveChunk,
@@ -97,13 +126,17 @@ type Log struct {
 	apMu      sync.Mutex
 	appenders []*Appender
 
-	// metaHook, when set, runs under mu after every segment-map change
-	// (reserveChunk, FreeBefore), receiving the fresh snapshot. The
-	// file-backed store uses it to persist its host metadata — the segment
-	// directory and allocator marks — before any data in a fresh segment can
-	// be written, let alone acknowledged. The hook must not call back into
-	// Log methods that take the metadata mutex.
+	// metaHook, when set, runs under mu after every segment-map change (a
+	// reservation that maps a new segment, FreeBefore), receiving the fresh
+	// snapshot. The file-backed store uses it to persist its host metadata —
+	// the segment directory and allocator marks — before any data in a fresh
+	// segment can be written, let alone acknowledged. Reservations inside an
+	// already mapped segment do not run it, so the tail it receives is not
+	// the tail but its bound: the end of the highest mapped segment, which
+	// every reservation made before the next call stays below. The hook must
+	// not call back into Log methods that take the metadata mutex.
 	metaHook func(head, next int64, segs map[int64]int64)
+	closed   bool // CloseMeta ran: no further reservations (under mu)
 
 	// holds maps a holder id (one per connected replica) to the lowest LSN
 	// that holder still needs. FreeBefore never reclaims a segment at or
@@ -163,6 +196,42 @@ func New(arena *pmem.Arena, capacity int64) (*Log, error) {
 func (l *Log) SetMetaHook(fn func(head, next int64, segs map[int64]int64)) {
 	l.mu.Lock()
 	l.metaHook = fn
+	l.mu.Unlock()
+}
+
+// runMetaHookLocked hands the hook the segment directory with the tail bound:
+// a process that dies before the next call restarts from a record whose tail
+// no acknowledged entry can lie above and no new append can land below.
+// Caller holds mu.
+func (l *Log) runMetaHookLocked() {
+	if l.metaHook == nil {
+		return
+	}
+	head, next, segs := l.snapshotLocked()
+	l.metaHook(head, roundUp(next, l.segSize), segs)
+}
+
+// SyncMeta runs the meta hook on the current segment directory. Callers with
+// other state in the same durable record (the store's replication identity)
+// refresh it this way: the snapshot is taken and handed over under the
+// metadata mutex, so records reach the hook in the order of the states they
+// describe and a stale directory can never overwrite a newer one.
+func (l *Log) SyncMeta() {
+	l.mu.Lock()
+	l.runMetaHookLocked()
+	l.mu.Unlock()
+}
+
+// CloseMeta runs the meta hook with the exact tail and refuses every later
+// reservation, so a clean shutdown resumes appending where it stopped instead
+// of at the next segment. Appends into chunks reserved earlier still succeed:
+// they lie below the recorded tail.
+func (l *Log) CloseMeta() {
+	l.mu.Lock()
+	l.closed = true
+	if l.metaHook != nil {
+		l.metaHook(l.snapshotLocked())
+	}
 	l.mu.Unlock()
 }
 
@@ -299,9 +368,9 @@ func (l *Log) phys(v int64) (int64, bool) {
 	return off.(int64) + v%l.segSize, true
 }
 
-// reserveChunk hands out the next chunk-aligned virtual region of at least
-// size bytes (rounded up to whole chunks), allocating segments as needed.
-// Chunks never span segments; oversized reservations take whole segments.
+// reserveChunk hands out the next line-aligned virtual region of n bytes (a
+// whole number of lines), allocating segments as needed. Reservations never
+// span segments unless they are larger than one.
 //
 // The reserving appender's nextLSN floor is published (under l.mu, before the
 // tail advances) rather than by the caller afterwards: MinNextLSN reads the
@@ -310,10 +379,12 @@ func (l *Log) phys(v int64) (int64, bool) {
 // tail would open a window where the watermark covers a reserved-but-empty
 // chunk — a concurrent shipper or checkpoint would skip it and the entries
 // later appended into it would sit below a cursor that never revisits them.
-func (l *Log) reserveChunk(a *Appender, size int64) (int64, int64, error) {
-	n := (size + l.chunkSize - 1) / l.chunkSize * l.chunkSize
+func (l *Log) reserveChunk(a *Appender, n int64) (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.closed {
+		return 0, ErrClosed
+	}
 	next := l.next.Load()
 	// Pad to the next segment if the chunk would straddle a boundary.
 	if next%l.segSize+n > l.segSize {
@@ -321,31 +392,34 @@ func (l *Log) reserveChunk(a *Appender, size int64) (int64, int64, error) {
 	}
 	start := next
 	end := start + n
+	mapped := false
 	for seg := start / l.segSize; seg <= (end-1)/l.segSize; seg++ {
 		if _, ok := l.segments.Load(seg); ok {
 			continue
 		}
 		if (l.segCount.Load()+1)*l.segSize > l.capacity {
-			return 0, 0, fmt.Errorf("%w: %d live segments of %d bytes", ErrLogFull, l.segCount.Load(), l.segSize)
+			return 0, fmt.Errorf("%w: %d live segments of %d bytes", ErrLogFull, l.segCount.Load(), l.segSize)
 		}
 		off, err := l.arena.Alloc(l.segSize)
 		if err != nil {
-			return 0, 0, fmt.Errorf("wlog: segment allocation: %w", err)
+			return 0, fmt.Errorf("wlog: segment allocation: %w", err)
 		}
 		// Publish the mapping before the tail below: a reader that sees the
 		// advanced tail must be able to resolve every LSN under it.
 		l.segments.Store(seg, off)
 		l.segCount.Add(1)
+		mapped = true
 	}
 	a.nextLSN.Store(start)
 	l.next.Store(end)
-	if l.metaHook != nil {
+	if mapped {
 		// Persist the updated segment directory before the reservation is
-		// used: no entry in this chunk can be written — and so none can be
-		// acknowledged — until the mapping that recovers it is durable.
-		l.metaHook(l.snapshotLocked())
+		// used: no entry in a fresh segment can be written — and so none can
+		// be acknowledged — until the mapping that recovers it is durable.
+		// Later reservations in the segment are covered by the same record.
+		l.runMetaHookLocked()
 	}
-	return start, n, nil
+	return start, nil
 }
 
 // FreeBefore releases every whole segment strictly below LSN v back to the
@@ -383,11 +457,11 @@ func (l *Log) FreeBefore(v int64) (freedBytes int64) {
 	if h := lastSeg * l.segSize; h > l.head.Load() {
 		l.head.Store(h)
 	}
-	if freedBytes > 0 && l.metaHook != nil {
+	if freedBytes > 0 {
 		// Drop the freed segments from the durable directory so a restart
 		// does not resurrect mappings onto arena space the allocator may
 		// hand out again.
-		l.metaHook(l.snapshotLocked())
+		l.runMetaHookLocked()
 	}
 	return freedBytes
 }
@@ -406,6 +480,17 @@ type Appender struct {
 	used      int64 // bytes written into current chunk
 	persisted int64 // prefix of used already persisted
 
+	// wrote counts the bytes appended since the last Flush; afterFlush is the
+	// size of the first reservation after one: the lines of the largest of the
+	// appender's last few flush-to-flush volumes (windows, a ring), a full
+	// chunk until it has flushed. The largest rather than the last, because a
+	// window that outgrows its reservation pays a second persist and a whole
+	// chunk, while an oversized reservation only leaves lines unused.
+	wrote      int64
+	afterFlush int64
+	windows    [4]int64
+	windowIdx  int
+
 	// nextLSN is the smallest LSN any future Append by this appender can
 	// return (0 = no private chunk, so bounded by the log tail). It is read
 	// concurrently by MinNextLSN for recovery watermarks.
@@ -415,7 +500,7 @@ type Appender struct {
 // NewAppender creates an appender for one worker and registers it for
 // recovery-watermark accounting.
 func (l *Log) NewAppender() *Appender {
-	a := &Appender{log: l}
+	a := &Appender{log: l, afterFlush: l.chunkSize}
 	l.apMu.Lock()
 	l.appenders = append(l.appenders, a)
 	l.apMu.Unlock()
@@ -474,7 +559,21 @@ func (a *Appender) Append(c *simclock.Clock, hash uint64, key, value []byte, fla
 		if err := a.seal(c); err != nil {
 			return 0, err
 		}
-		off, n, err := a.log.reserveChunk(a, sz)
+		// The first reservation after a Flush covers the recent flush-to-flush
+		// volumes; an appender that outgrows it is batching, and gets chunks.
+		n := a.log.chunkSize
+		if a.wrote == 0 {
+			n = a.afterFlush
+		}
+		if sz > n {
+			// An entry larger than a chunk takes whole chunks, as it always
+			// has; a smaller one the lines it needs.
+			n = roundUp(sz, lineSize)
+			if sz > a.log.chunkSize {
+				n = roundUp(sz, a.log.chunkSize)
+			}
+		}
+		off, err := a.log.reserveChunk(a, n)
 		if err != nil {
 			return 0, err
 		}
@@ -494,6 +593,7 @@ func (a *Appender) Append(c *simclock.Clock, hash uint64, key, value []byte, fla
 	copy(buf[headerSize:], key)
 	copy(buf[headerSize+len(key):], value)
 	a.used += sz
+	a.wrote += sz
 	a.nextLSN.Store(a.chunkOff + a.used)
 	a.log.entries.Add(1)
 	a.log.bytes.Add(sz)
@@ -541,11 +641,17 @@ func (a *Appender) seal(c *simclock.Clock) error {
 	return nil
 }
 
-// Flush persists any buffered entries. Called on store Flush/Close and by
-// durability-sensitive tests.
+// Flush persists any buffered entries and detaches the chunk, abandoning its
+// unused lines. Called on store Flush/Close and by durability-sensitive tests.
 func (a *Appender) Flush(c *simclock.Clock) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if a.wrote > 0 {
+		a.windows[a.windowIdx] = min(roundUp(a.wrote, lineSize), a.log.chunkSize)
+		a.windowIdx = (a.windowIdx + 1) % len(a.windows)
+		a.afterFlush = slices.Max(a.windows[:])
+		a.wrote = 0
+	}
 	return a.seal(c)
 }
 
@@ -690,6 +796,13 @@ func (l *Log) Scan(c *simclock.Clock, from int64, fn func(Entry) bool) error {
 // atomics) before the watermark was read, and no future append can land
 // there. The replication shipper exports chunks this way while the store
 // serves writes.
+//
+// A position that holds no valid entry — a zero meta word, a size reaching
+// past the segment, a failed checksum — is the unused or torn end of some
+// reservation; the next reservation starts on a line, so the scan resumes at
+// the next line. (The lines of a torn entry that did reach the media are
+// value bytes read as a header; like any position, they are believed only
+// with a matching checksum.)
 func (l *Log) ScanRange(c *simclock.Clock, from, to int64, fn func(Entry) bool) error {
 	if from < l.segSize {
 		from = l.segSize
@@ -699,6 +812,7 @@ func (l *Log) ScanRange(c *simclock.Clock, from, to int64, fn func(Entry) bool) 
 		end = to
 	}
 	pos := from
+	charged := int64(-1) // chunk-sized block whose read was last charged
 	for pos < end {
 		phys, ok := l.phys(pos)
 		if !ok {
@@ -706,35 +820,38 @@ func (l *Log) ScanRange(c *simclock.Clock, from, to int64, fn func(Entry) bool) 
 			pos = (pos/l.segSize + 1) * l.segSize
 			continue
 		}
-		// Charge the chunk read once when entering a chunk.
-		if pos%l.chunkSize == 0 || pos == from {
+		// Charge a chunk-sized block's read once, on entering it — at its
+		// start, at the scan's start, or mid-block behind an entry that
+		// straddles two blocks of a line-aligned reservation.
+		if blk := pos / l.chunkSize; blk != charged {
+			charged = blk
 			n := l.chunkSize - pos%l.chunkSize
 			if pos+n > end {
 				n = end - pos
 			}
 			l.arena.ReadSeq(c, phys, n)
 		}
+		nextLine := (pos/lineSize + 1) * lineSize
 		segRem := l.segSize - pos%l.segSize
 		if segRem < headerSize {
 			// Not enough room for a header before the segment end: whatever
 			// is here is padding.
-			pos = (pos/l.chunkSize + 1) * l.chunkSize
+			pos = nextLine
 			continue
 		}
 		hdr := l.arena.Bytes(phys, headerSize)
 		meta := binary.LittleEndian.Uint64(hdr[8:16])
 		if meta == 0 {
-			// End of this chunk's used portion: skip to next chunk boundary.
-			pos = (pos/l.chunkSize + 1) * l.chunkSize
+			// End of this reservation's used portion.
+			pos = nextLine
 			continue
 		}
 		keyLen, valLen, flags := decodeMeta(meta)
 		sz := EntrySize(keyLen, valLen)
 		if sz > segRem {
 			// Entries never span segments, so a size reaching past the
-			// segment end means the header itself is torn garbage: the rest
-			// of this chunk never became durable.
-			pos = (pos/l.chunkSize + 1) * l.chunkSize
+			// segment end means the header itself is torn garbage.
+			pos = nextLine
 			continue
 		}
 		buf := l.arena.Bytes(phys, sz)
@@ -744,8 +861,8 @@ func (l *Log) ScanRange(c *simclock.Clock, from, to int64, fn func(Entry) bool) 
 		value := buf[headerSize+keyLen : headerSize+keyLen+valLen]
 		if entrySum(hash, meta, key, value) != sum {
 			// Torn batch persist: the entry's lines beyond the committed
-			// prefix are gone, and so is everything after it in the chunk.
-			pos = (pos/l.chunkSize + 1) * l.chunkSize
+			// prefix are gone, and so is the rest of its reservation.
+			pos = nextLine
 			continue
 		}
 		e := Entry{
@@ -759,6 +876,12 @@ func (l *Log) ScanRange(c *simclock.Clock, from, to int64, fn func(Entry) bool) 
 			return nil
 		}
 		pos += sz
+		if sz > l.chunkSize {
+			// An entry larger than a chunk was reserved whole chunks and is
+			// charged one chunk read, at its start, as it always was: the
+			// block it ends in counts as read.
+			charged = (pos - 1) / l.chunkSize
+		}
 	}
 	return nil
 }

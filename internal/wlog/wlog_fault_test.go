@@ -3,6 +3,7 @@ package wlog
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"chameleondb/internal/device"
@@ -139,5 +140,74 @@ func TestFreeBeforeFrozenAfterPowerFailure(t *testing.T) {
 	arena.Crash()
 	if e, err := l.Read(c, first); err != nil || !bytes.Equal(e.Value, payload) {
 		t.Fatalf("entry lost to post-failure GC: %v", err)
+	}
+}
+
+// TestTornLineReservationKeepsNeighbour: once reservations are runs of lines,
+// one 4 KiB block can hold a reservation whose persist tore and, right after
+// it, another appender's reservation that was acknowledged. A scan that gave
+// up on the rest of the block at the torn entry would lose the neighbour; the
+// line-by-line rule finds it.
+func TestTornLineReservationKeepsNeighbour(t *testing.T) {
+	arena := pmem.NewArena(device.New(device.OptanePmem), 1<<21)
+	l, err := New(arena, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := simclock.New(0)
+	a, b := l.NewAppender(), l.NewAppender()
+	val := bytes.Repeat([]byte{0xA5}, 64)
+	put := func(ap *Appender, key string) int64 {
+		t.Helper()
+		lsn, err := ap.Append(c, xhash.Sum64([]byte(key)), []byte(key), val, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lsn
+	}
+	// First flushes size the next reservations: a wrote 6 entries of 96 B
+	// (three lines), b one (one line). Both drew from full chunks so far.
+	var want []int64
+	for i := 0; i < 6; i++ {
+		want = append(want, put(a, "a-warm"))
+	}
+	want = append(want, put(b, "b-warm"))
+	a.Flush(c)
+	b.Flush(c)
+
+	// a's window: six entries over three lines, not yet durable.
+	var window []int64
+	for i := 0; i < 6; i++ {
+		window = append(window, put(a, "a-torn"))
+	}
+	// b's entry lands on the line after a's reservation and is made durable:
+	// an acknowledged write.
+	neighbour := put(b, "b-acked")
+	b.Flush(c)
+	if neighbour != window[0]+3*lineSize || neighbour/DefaultChunkSize != window[0]/DefaultChunkSize {
+		t.Fatalf("neighbour at %d, torn window at %d: not adjacent reservations in one chunk", neighbour, window[0])
+	}
+
+	// Power fails on a's seal: only the first of its three lines commits.
+	arena.Device().InstallFaultPlan(&device.FaultPlan{CrashAtPersist: 1, Tear: device.TearFirstLine})
+	a.Flush(c)
+	arena.Device().InstallFaultPlan(nil)
+	arena.Crash()
+
+	// Entries 0 and 1 of the window lie inside the committed line; entry 2
+	// straddles the cut and everything after it is gone.
+	want = append(want, window[0], window[1], neighbour)
+	var got []int64
+	if err := l.Scan(c, l.Base(), func(e Entry) bool {
+		got = append(got, e.LSN)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("scan after torn line reservation = %v, want %v", got, want)
+	}
+	if _, err := l.Read(c, window[2]); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("entry across the cut read back: %v", err)
 	}
 }

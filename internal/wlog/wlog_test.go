@@ -2,7 +2,9 @@ package wlog
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -482,10 +484,9 @@ func TestConcurrentScanWatermarkLosesNothing(t *testing.T) {
 	l := newTestLog(t, 8<<20)
 	c := simclock.New(0)
 	// The file backend persists the segment directory from the meta hook, so
-	// a chunk reservation holds the metadata mutex across an fsync — tens of
-	// microseconds in which the tail already covers the new chunk. Model that
-	// width here; the original watermark race was all but guaranteed to ship
-	// a hole under it.
+	// a reservation that maps a segment holds the metadata mutex across an
+	// fsync — tens of microseconds in which the tail already covers the new
+	// chunk. Model that width here.
 	l.SetMetaHook(func(int64, int64, map[int64]int64) { time.Sleep(20 * time.Microsecond) })
 	const (
 		workers = 4
@@ -513,6 +514,11 @@ func TestConcurrentScanWatermarkLosesNothing(t *testing.T) {
 					break
 				}
 				appended.Add(1)
+				if i%64 == 63 {
+					// Pace the writers so the scanner's FreeBefore keeps the
+					// small log from filling.
+					time.Sleep(20 * time.Microsecond)
+				}
 			}
 			if err := ap.Flush(clk); err != nil {
 				t.Error(err)
@@ -559,5 +565,238 @@ func TestConcurrentScanWatermarkLosesNothing(t *testing.T) {
 	// freed, so every completed append must have been seen exactly once.
 	if scanned != appended.Load() {
 		t.Fatalf("incremental watermark scans saw %d of %d appended entries", scanned, appended.Load())
+	}
+}
+
+// TestReservationsAreLinesSizedByRecentFlushes pins the reservation policy: a
+// full chunk until the appender has flushed, then whole lines covering the
+// largest of its last four flush-to-flush volumes, and chunks again for
+// whatever outgrows that before the next flush. The gaps that leaves — the
+// zero rest of a line, unused lines, the abandoned rest of a chunk — are
+// skipped line by line, from any starting point.
+func TestReservationsAreLinesSizedByRecentFlushes(t *testing.T) {
+	l := newTestLog(t, 1<<20)
+	c := simclock.New(0)
+	a, b := l.NewAppender(), l.NewAppender()
+	var want []int64
+	put := func(ap *Appender, n int) (first int64) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			lsn, err := ap.Append(c, uint64(len(want)), []byte("k-000000"), []byte("v-000000"), 0) // 40 B
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				first = lsn
+			}
+			want = append(want, lsn)
+		}
+		return first
+	}
+	base := l.Tail()
+	// Never flushed: a full chunk each, as the paper batches.
+	if got := put(a, 1); got != base {
+		t.Fatalf("first reservation at %d, want %d", got, base)
+	}
+	if got := put(b, 1); got != base+DefaultChunkSize {
+		t.Fatalf("second appender's chunk at %d, want %d", got, base+DefaultChunkSize)
+	}
+	a.Flush(c)
+	b.Flush(c)
+	// Depth-1 traffic: one 40 B entry per flush costs one line, whichever
+	// appender is next.
+	next := base + 2*DefaultChunkSize
+	for i := 0; i < 6; i++ {
+		ap := a
+		if i%2 == 1 {
+			ap = b
+		}
+		if got := put(ap, 1); got != next {
+			t.Fatalf("depth-1 reservation %d at %d, want %d", i, got, next)
+		}
+		ap.Flush(c)
+		next += lineSize
+	}
+	// A window of 16 outgrows a's one line: the first 6 entries fill it, the
+	// rest go to a full chunk whose tail the flush abandons.
+	if got := put(a, 16); got != next {
+		t.Fatalf("window at %d, want %d", got, next)
+	}
+	if got, w := want[len(want)-10], next+lineSize; got != w {
+		t.Fatalf("overflow chunk at %d, want %d", got, w)
+	}
+	a.Flush(c)
+	next += lineSize + DefaultChunkSize
+	// The next window gets the three lines the last one needed, in one piece.
+	if got := put(a, 16); got != next || want[len(want)-1] != next+15*40 {
+		t.Fatalf("sized window at %d..%d, want %d..%d", got, want[len(want)-1], next, next+15*40)
+	}
+	a.Flush(c)
+	next += 3 * lineSize
+	if got := l.Tail(); got != next {
+		t.Fatalf("tail %d, want %d", got, next)
+	}
+	// Small windows between large ones do not shrink the reservation — a large
+	// window after a small one still fits in one piece — until four in a row
+	// have pushed the large ones out of the ring.
+	for i := 0; i < 2; i++ {
+		if got := put(a, 1); got != next {
+			t.Fatalf("small window %d at %d, want %d", i, got, next)
+		}
+		a.Flush(c)
+		next += 3 * lineSize
+	}
+	if got := put(a, 16); got != next || want[len(want)-1] != next+15*40 {
+		t.Fatalf("window after small ones at %d..%d, want %d..%d", got, want[len(want)-1], next, next+15*40)
+	}
+	a.Flush(c)
+	next += 3 * lineSize
+	for i := 0; i < 4; i++ {
+		put(a, 1)
+		a.Flush(c)
+		next += 3 * lineSize
+	}
+	if got := put(a, 1); got != next {
+		t.Fatalf("fifth small window at %d, want %d", got, next)
+	}
+	a.Flush(c)
+	if got, w := l.Tail(), next+lineSize; got != w {
+		t.Fatalf("tail %d after four small windows in a row, want one line past %d", got, next)
+	}
+
+	scan := func(from int64) (got []int64) {
+		if err := l.ScanRange(c, from, l.Tail(), func(e Entry) bool {
+			got = append(got, e.LSN)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if got := scan(l.Base()); !slices.Equal(got, want) {
+		t.Fatalf("scan = %v, want %v", got, want)
+	}
+	// From inside a zero gap: the rest of that line is skipped, nothing else.
+	if got := scan(want[3] + 40); !slices.Equal(got, want[4:]) {
+		t.Fatalf("scan from a gap = %v, want %v", got, want[4:])
+	}
+}
+
+// TestScanChargesOnFullChunkLogs pins the scanner's ReadSeq charges on a log
+// made of full chunks — no flush before the end — with entries larger than a
+// chunk in it: one read per 4 KiB block entered at its start or at the scan's
+// start, one chunk for an oversized entry whatever its length, nothing for
+// the rest of the block it ends in. The numbers are the chunk-skipping
+// scanner's (the parent's), which the line-skipping one must reproduce for
+// the virtual-time figures to stay where they were.
+func TestScanChargesOnFullChunkLogs(t *testing.T) {
+	l := newTestLog(t, 1<<20)
+	c := simclock.New(0)
+	a, b := l.NewAppender(), l.NewAppender()
+	small := func(ap *Appender, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := ap.Append(c, uint64(i), []byte("k-000000"), []byte("v-000000"), 0); err != nil { // 40 B
+				t.Fatal(err)
+			}
+		}
+	}
+	big := func(ap *Appender, valLen int) {
+		t.Helper()
+		if _, err := ap.Append(c, 99, []byte("k-big000"), bytes.Repeat([]byte{7}, valLen), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	small(a, 3)
+	big(a, 5000) // 5032 B in two chunks of its own; the next two entries follow it there
+	small(a, 2)
+	small(b, 1)
+	big(b, 8192-32) // exactly two chunks
+	small(b, 1)
+	big(a, 12000)
+	small(a, 200)
+	a.Flush(c)
+	b.Flush(c)
+	if got := l.Tail() - l.Base(); got != 12*DefaultChunkSize {
+		t.Fatalf("log spans %d B, want 12 chunks", got)
+	}
+	for _, tc := range []struct {
+		from             int64 // relative to Base
+		entries          int
+		readOps, readLen int64
+	}{
+		{0, 210, 8, 32768},
+		{DefaultChunkSize + 5032, 206, 7, 27904}, // right behind the first oversized entry
+		{DefaultChunkSize + 6000, 204, 7, 26880}, // in the zero rest of its reservation
+	} {
+		before := l.arena.Device().Stats()
+		n := 0
+		if err := l.ScanRange(simclock.New(0), l.Base()+tc.from, l.Tail(), func(Entry) bool { n++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		after := l.arena.Device().Stats()
+		if ops, read := after.ReadOps-before.ReadOps, after.MediaBytesRead-before.MediaBytesRead; n != tc.entries || ops != tc.readOps || read != tc.readLen {
+			t.Errorf("scan from +%d: %d entries, %d reads of %d B; want %d, %d, %d", tc.from, n, ops, read, tc.entries, tc.readOps, tc.readLen)
+		}
+	}
+}
+
+// TestMetaHookRunsOnSegmentMapChanges: the hook is the file backend's
+// manifest fdatasync, so it must run when a reservation maps a segment and
+// when FreeBefore unmaps one, not per reservation; the tail it is given
+// bounds every reservation made before its next run; and CloseMeta hands over
+// the exact tail and ends reservations.
+func TestMetaHookRunsOnSegmentMapChanges(t *testing.T) {
+	l := newTestLog(t, 1<<20) // four 256 KiB segments
+	c := simclock.New(0)
+	var calls int
+	var lastNext int64
+	var lastSegs int
+	l.SetMetaHook(func(head, next int64, segs map[int64]int64) {
+		calls++
+		lastNext, lastSegs = next, len(segs)
+	})
+	ap := l.NewAppender()
+	val := make([]byte, 1000)
+	var lsns []int64
+	for l.Tail() < 3*l.SegmentSize() { // fills segments 1 and 2
+		lsn, err := ap.Append(c, uint64(len(lsns)), []byte("12345678"), val, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lsns = append(lsns, lsn)
+		if lsn >= lastNext {
+			t.Fatalf("LSN %d handed out above the last recorded tail bound %d", lsn, lastNext)
+		}
+	}
+	if calls != 2 || lastSegs != 2 || lastNext != 3*l.SegmentSize() {
+		t.Fatalf("after mapping 2 segments: %d hook calls, %d segments, bound %d", calls, lastSegs, lastNext)
+	}
+	ap.Flush(c)
+	if l.FreeBefore(2*l.SegmentSize()) == 0 {
+		t.Fatal("nothing freed")
+	}
+	if calls != 3 || lastSegs != 1 {
+		t.Fatalf("after freeing a segment: %d hook calls, %d segments", calls, lastSegs)
+	}
+	l.SyncMeta()
+	if calls != 4 || lastNext != 3*l.SegmentSize() {
+		t.Fatalf("SyncMeta: %d hook calls, bound %d", calls, lastNext)
+	}
+
+	// An open chunk, then Close: the chunk stays usable, the tail is exact.
+	if _, err := ap.Append(c, 1, []byte("12345678"), val, 0); err != nil {
+		t.Fatal(err)
+	}
+	before := calls
+	l.CloseMeta()
+	if calls != before+1 || lastNext != l.Tail() || lastNext%l.SegmentSize() == 0 {
+		t.Fatalf("CloseMeta: %d hook calls, tail %d, log tail %d", calls, lastNext, l.Tail())
+	}
+	if _, err := ap.Append(c, 2, []byte("12345678"), val, 0); err != nil {
+		t.Fatalf("append into a chunk reserved before CloseMeta: %v", err)
+	}
+	if _, err := l.NewAppender().Append(c, 3, []byte("12345678"), val, 0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("reservation after CloseMeta = %v, want ErrClosed", err)
 	}
 }
