@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -287,6 +288,17 @@ func main() {
 			fmt.Printf("media: written=%.1fMB read=%.1fMB writeAmp=%.2f dram=%.1fMB\n",
 				float64(st.MediaBytesWritten)/(1<<20), float64(st.MediaBytesRead)/(1<<20),
 				st.WriteAmplification(), float64(st.DRAMFootprintBytes)/(1<<20))
+			by := db.MediaBytesByPurpose()
+			purposes := make([]string, 0, len(by))
+			for p := range by {
+				purposes = append(purposes, p)
+			}
+			sort.Strings(purposes)
+			fmt.Print("media written for:")
+			for _, p := range purposes {
+				fmt.Printf(" %s=%.1fMB", p, float64(by[p])/(1<<20))
+			}
+			fmt.Println()
 			fmt.Printf("maintenance: freezes=%d slowdowns=%d stalls=%d jobs(flush=%d spill=%d compact=%d last=%d)\n",
 				st.MemFreezes, st.PutSlowdowns, st.PutStalls,
 				st.MaintJobsFlush, st.MaintJobsSpill, st.MaintJobsCompact, st.MaintJobsLast)

@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"sync"
 
 	"chameleondb/internal/device"
 	"chameleondb/internal/hashtable"
@@ -18,8 +21,9 @@ func (sh *shard) flush(c *simclock.Clock) error {
 	}
 	flushed := int64(sh.mem.Len())
 	// If the ABI cannot absorb this MemTable, clear it with a last-level
-	// compaction first (geometry normally prevents this; dynamic last-level
-	// growth keeps it a safety valve, not the steady state).
+	// compaction first (geometry normally prevents this; the last level is
+	// sized to whatever it is handed, so this is a safety valve, not the
+	// steady state).
 	if sh.abi != nil && float64(sh.abi.Len()+sh.mem.Len()) >= sh.store.cfg.ABIFullFraction*float64(sh.abi.Cap()) {
 		if err := sh.lastLevelCompaction(c); err != nil {
 			return err
@@ -28,7 +32,7 @@ func (sh *shard) flush(c *simclock.Clock) error {
 	// The log must be at least as durable as the index that points into it:
 	// sync every worker's batch before persisting the table.
 	sh.store.log.SyncAll(c)
-	table, err := hashtable.BuildPmemTable(c, sh.store.arena, sh.store.cfg.MemTableSlots, sh.mem.Iterate)
+	table, err := sh.buildTable(c, mediaFlush, sh.store.cfg.MemTableSlots, sh.mem.Iterate)
 	if err != nil {
 		return err
 	}
@@ -81,7 +85,7 @@ func (sh *shard) flushFrozen(c *simclock.Clock) error {
 		}
 	}
 	sh.store.log.SyncAll(c)
-	table, err := hashtable.BuildPmemTable(c, sh.store.arena, sh.store.cfg.MemTableSlots, fm.mem.Iterate)
+	table, err := sh.buildTable(c, mediaFlush, sh.store.cfg.MemTableSlots, fm.mem.Iterate)
 	if err != nil {
 		return err
 	}
@@ -208,8 +212,11 @@ func (sh *shard) dumpABI(c *simclock.Clock) error {
 		return nil
 	}
 	sh.store.log.SyncAll(c)
-	capSlots := needCap(sh.abi.Len(), 0.85, 8)
-	table, err := hashtable.BuildPmemTable(c, sh.store.arena, capSlots, sh.abi.Iterate)
+	// A dump that fits a table no larger than the ABI itself keeps the power
+	// of two it always had; an ABI dumped fuller than fitFill — the normal
+	// Get-Protect case, at ABIFullFraction — is fitted instead of doubled.
+	designed := min(needCap(sh.abi.Len(), fitFill, 8), sh.abi.Cap())
+	table, err := sh.buildTable(c, mediaDump, fittedCap(sh.abi.Len(), designed), sh.abi.Iterate)
 	if err != nil {
 		return err
 	}
@@ -315,11 +322,7 @@ func (sh *shard) mergeTables(c *simclock.Clock, minCap int, sources []*hashtable
 		t.ChargeScan(c)
 		entries += t.Len()
 	}
-	capSlots := minCap
-	if need := needCap(entries, 0.99, 8); need > capSlots {
-		capSlots = need
-	}
-	return hashtable.BuildPmemTable(c, sh.store.arena, capSlots, func(yield func(hashtable.Slot) bool) {
+	return sh.buildTable(c, mediaUpper, needCap(entries, 0.99, minCap), func(yield func(hashtable.Slot) bool) {
 		// Stage the newest-wins merge in DRAM, then emit.
 		winners := hashtable.NewMem(needCap(entries, 0.85, 16))
 		for _, t := range sources {
@@ -346,46 +349,49 @@ func (sh *shard) mergeTables(c *simclock.Clock, minCap int, sources []*hashtable
 // watermark advances to the log frontier. Called with sh.mu held.
 func (sh *shard) lastLevelCompaction(c *simclock.Clock) error {
 	sh.store.log.SyncAll(c)
-	cfg := sh.store.cfg
-	bound := sh.mergedEntryBound()
-	winners := hashtable.NewMem(needCap(bound, 0.80, 16))
+	winners := getStaging(needCap(sh.mergedEntryBound(), 0.80, 16))
+	defer putStaging(winners)
+	// Sources are staged newest first, so the first version of a hash wins.
+	stage := func(s hashtable.Slot) bool {
+		c.Advance(device.CostCompactionPerSlot)
+		winners.InsertIfAbsent(s.Hash, s.Ref)
+		return true
+	}
+	if sh.abiBehind {
+		// Recovery replay: the upper tables are read beside a partial ABI
+		// and dumps that may hold spills newer than any of them, so no
+		// source order is version order. The LSN is.
+		stage = func(s hashtable.Slot) bool {
+			c.Advance(device.CostCompactionPerSlot)
+			if ref, _, ok := winners.Get(s.Hash); !ok || (hashtable.Slot{Ref: ref}).LSN() < s.LSN() {
+				winners.Insert(s.Hash, s.Ref)
+			}
+			return true
+		}
+	}
 
 	if sh.abi != nil {
 		// Upper-level entries come from DRAM (the ABI): no Pmem reads.
-		sh.abi.Iterate(func(s hashtable.Slot) bool {
-			c.Advance(device.CostCompactionPerSlot)
-			winners.InsertIfAbsent(s.Hash, s.Ref)
-			return true
-		})
-	} else {
-		// Ablation path: read the upper tables from Pmem, newest first.
+		sh.abi.Iterate(stage)
+	}
+	if sh.abi == nil || sh.abiBehind {
+		// Without an ABI (ablation), or with one that recovery has not
+		// rebuilt yet: read the upper tables from Pmem, newest first.
 		for lvl := 0; lvl < len(sh.levels); lvl++ {
 			tables := sh.levels[lvl]
 			for i := len(tables) - 1; i >= 0; i-- {
 				tables[i].t.ChargeScan(c)
-				tables[i].t.Iterate(func(s hashtable.Slot) bool {
-					c.Advance(device.CostCompactionPerSlot)
-					winners.InsertIfAbsent(s.Hash, s.Ref)
-					return true
-				})
+				tables[i].t.Iterate(stage)
 			}
 		}
 	}
 	for i := len(sh.dumped) - 1; i >= 0; i-- {
 		sh.dumped[i].t.ChargeScan(c)
-		sh.dumped[i].t.Iterate(func(s hashtable.Slot) bool {
-			c.Advance(device.CostCompactionPerSlot)
-			winners.InsertIfAbsent(s.Hash, s.Ref)
-			return true
-		})
+		sh.dumped[i].t.Iterate(stage)
 	}
 	if sh.last != nil {
 		sh.last.t.ChargeScan(c)
-		sh.last.t.Iterate(func(s hashtable.Slot) bool {
-			c.Advance(device.CostCompactionPerSlot)
-			winners.InsertIfAbsent(s.Hash, s.Ref)
-			return true
-		})
+		sh.last.t.Iterate(stage)
 	}
 
 	live := 0
@@ -395,13 +401,11 @@ func (sh *shard) lastLevelCompaction(c *simclock.Clock) error {
 		}
 		return true
 	})
-	capSlots := cfg.lastLevelSlots()
-	if need := needCap(live, 0.85, 8); need > capSlots {
-		// The designed capacity holds r^(l-1) MemTables; beyond that the
-		// last level grows by doubling (see DESIGN.md section 3).
-		capSlots = need
-	}
-	newLast, err := hashtable.BuildPmemTable(c, sh.store.arena, capSlots, func(yield func(hashtable.Slot) bool) {
+	// The designed capacity holds r^(l-1) MemTables (as a power of two); a
+	// last level that has outgrown it is written at the size its entries
+	// need (DESIGN.md section 3).
+	capSlots := fittedCap(live, needCap(0, 1, sh.store.cfg.lastLevelSlots()))
+	newLast, err := sh.buildTable(c, mediaLast, capSlots, func(yield func(hashtable.Slot) bool) {
 		winners.Iterate(func(s hashtable.Slot) bool {
 			if s.Tombstone() {
 				return true // the last level is the floor: drop tombstones
@@ -444,14 +448,58 @@ func (sh *shard) lastLevelCompaction(c *simclock.Clock) error {
 // needCap returns the smallest power-of-two capacity >= minCap that keeps n
 // entries at or below load factor f.
 func needCap(n int, f float64, minCap int) int {
-	c := minCap
-	for float64(n) > f*float64(c) {
+	c := 8
+	for c < minCap || float64(n) > f*float64(c) {
 		c <<= 1
 		if c <= 0 {
 			panic(fmt.Sprintf("core: capacity overflow for %d entries", n))
 		}
 	}
 	return c
+}
+
+// fitFill is the fill a table that has outgrown its design is written at:
+// the fill a designed table is accepted at just before it is outgrown.
+const fitFill = 0.85
+
+// fittedCap sizes the tables that may outgrow the configured geometry (the
+// last level, a Get-Protect dump): the designed power of two while n entries
+// fill it to at most fitFill, and past that the whole number of 256 B lines
+// that holds them at fitFill. Such a table is rewritten whole on every
+// compaction and costs its capacity in media bytes each time; rounding it up
+// to the next power of two would carry up to half a table of empty lines.
+func fittedCap(n, designed int) int {
+	if float64(n) <= fitFill*float64(designed) {
+		return designed
+	}
+	return hashtable.FitCapacity(int(math.Ceil(float64(n) / fitFill)))
+}
+
+// buildTable builds and persists one table and books the media bytes of its
+// persist under purpose. Called with sh.mu held.
+func (sh *shard) buildTable(c *simclock.Clock, purpose mediaPurpose, capSlots int, src func(yield func(hashtable.Slot) bool)) (*hashtable.PmemTable, error) {
+	t, media, err := hashtable.BuildPmemTable(c, sh.store.arena, capSlots, src)
+	sh.store.media[purpose].Add(media)
+	return t, err
+}
+
+// stagingPools recycles last-level compactions' DRAM staging tables, one pool
+// per power-of-two capacity (index log2): a grown shard stages half a
+// megabyte and more per compaction, several hundred times a second.
+var stagingPools [bits.UintSize]sync.Pool
+
+func getStaging(capSlots int) *hashtable.Mem {
+	if m, ok := stagingPools[bits.TrailingZeros(uint(capSlots))].Get().(*hashtable.Mem); ok {
+		return m
+	}
+	return hashtable.NewMem(capSlots)
+}
+
+// putStaging returns a staging table no reader ever saw, so a plain Clear
+// suffices.
+func putStaging(m *hashtable.Mem) {
+	m.Clear()
+	stagingPools[bits.TrailingZeros(uint(m.Cap()))].Put(m)
 }
 
 func pow(base, exp int) int {

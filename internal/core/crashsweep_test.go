@@ -87,6 +87,21 @@ func TestCrashSweepWriteIntensive(t *testing.T) {
 	}), sweepWorkload())
 }
 
+// TestCrashSweepWriteIntensiveWideKeys widens the keyset until keys are
+// routinely spilled into the ABI, dumped, and then crashed over while an
+// upper table still holds their previous version: the rebuilt ABI must not
+// shadow the dump with it.
+func TestCrashSweepWriteIntensiveWideKeys(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhaustive sweep")
+	}
+	wl := sweepWorkload()
+	wl.Keys = 216
+	storetest.RunCrashSweep(t, "ChameleonDB-WIM-Wide", sweepOpen(func(c *Config) {
+		c.WriteIntensive = true
+	}), wl)
+}
+
 // TestCrashSweepAsync runs the sweep with the background maintenance pool
 // enabled: flushes, spills, and compactions now race the script on worker
 // goroutines, so persist schedules are timing-dependent (AllowUntriggered)

@@ -9,12 +9,13 @@ import (
 )
 
 // fuzzStore opens a small store with a little flushed data, so manifests and
-// tables exist for the fuzzed input to collide with. The log holds one bulk
+// tables exist for the fuzzed input to collide with — at a geometry its 64
+// keys outgrow, so the last levels are fitted tables. The log holds one bulk
 // chunk and then two sessions' flush-sized reservations, shrinking to single
 // lines: the shape acknowledged wire traffic leaves.
 func fuzzStore(t testing.TB) *Store {
 	t.Helper()
-	s, err := Open(sweepConfig())
+	s, err := Open(grownConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +51,28 @@ func FuzzManifestDecode(f *testing.F) {
 	seedStore := fuzzStore(f)
 	for _, sh := range seedStore.shards {
 		sh.mu.Lock()
-		f.Add(sh.encodeManifest(sh.recoverLSN))
+		f.Add(sh.appendManifest(nil, sh.recoverLSN))
 		sh.mu.Unlock()
 	}
 	f.Add([]byte{})
 	f.Add(make([]byte, 7))
 	huge := binary.LittleEndian.AppendUint64(nil, 1<<40)
 	f.Add(append(huge, huge...))
+	// The last-level entry of a directory whose table is fitted (48 slots in
+	// a 64-slot block), with its capacity a line off either way, a slot off,
+	// at the block's power of two, overflowing, and with a count that no
+	// longer fits. The capacity is the fourth word, the count the fifth.
+	sh := seedStore.shards[0]
+	if sh.last == nil || sh.last.t.Cap() != 48 {
+		f.Fatalf("seed store's shard 0 has no 48-slot fitted last level")
+	}
+	for _, tweak := range []struct{ word, val uint64 }{
+		{3, 48 - 16}, {3, 48 + 16}, {3, 48 + 1}, {3, 64}, {3, 3 << 61}, {4, 49},
+	} {
+		m := sh.appendManifest(nil, sh.recoverLSN)
+		binary.LittleEndian.PutUint64(m[8*tweak.word:], tweak.val)
+		f.Add(m)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Open(sweepConfig())
@@ -76,8 +92,11 @@ func FuzzManifestDecode(f *testing.F) {
 			if p == nil {
 				return
 			}
-			if p.t.Offset() <= 0 || p.t.Offset()+p.t.SizeBytes() > s.arena.Capacity() {
-				t.Fatalf("decoded table [%d, +%d) outside arena", p.t.Offset(), p.t.SizeBytes())
+			if p.t.Offset() <= 0 || p.t.Offset()+p.t.BlockBytes() > s.arena.Capacity() {
+				t.Fatalf("decoded table's block [%d, +%d) outside arena", p.t.Offset(), p.t.BlockBytes())
+			}
+			if p.t.Len() > p.t.Cap() || p.t.SizeBytes() > p.t.BlockBytes() {
+				t.Fatalf("decoded table: %d entries in %d slots, %d B in a %d B block", p.t.Len(), p.t.Cap(), p.t.SizeBytes(), p.t.BlockBytes())
 			}
 		}
 		check(sh.last)
@@ -111,6 +130,20 @@ func FuzzRecover(f *testing.F) {
 	f.Add(seg+4096+3*256+64, binary.LittleEndian.AppendUint64(lie, 1))
 	f.Add(seg+4096+5*256+128, binary.LittleEndian.AppendUint64(nil, 1<<40))
 	f.Add(seg+4096+2*256+24, make([]byte, 16))
+	// Aimed at a fitted last level (48 slots persisted in a 64-slot block):
+	// its last line, the first line of the block's slack behind it, and its
+	// capacity and count words in both of the shard's manifest slots (which
+	// fail their checksum, or would reattach the table a line off).
+	seed := fuzzStore(f)
+	last := seed.shards[0].last.t
+	f.Add(last.Offset()+last.SizeBytes()-256, []byte("garbage in the table's last line"))
+	f.Add(last.Offset()+last.SizeBytes(), []byte("garbage in the block's slack"))
+	for slot := int64(0); slot < 2; slot++ {
+		capWord := seed.shards[0].manifest.off + slot*seed.shards[0].manifest.slotBytes + manifestHeader + 3*8
+		f.Add(capWord, binary.LittleEndian.AppendUint64(nil, 48+16))
+		f.Add(capWord, binary.LittleEndian.AppendUint64(nil, 48-16))
+		f.Add(capWord+8, binary.LittleEndian.AppendUint64(nil, 49))
+	}
 
 	f.Fuzz(func(t *testing.T, off int64, junk []byte) {
 		if len(junk) == 0 || len(junk) > 4096 {

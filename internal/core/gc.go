@@ -105,6 +105,7 @@ func (s *Store) CompactLog(c *simclock.Clock, reclaimBytes int64) (int64, error)
 	if err := ap.Release(c); err != nil {
 		return 0, err
 	}
+	s.media[mediaGC].Add(ap.MediaBytes())
 
 	// Relocation re-indexes through the MemTables, which may have frozen
 	// tables and enqueued flush jobs when the maintenance pool is active.

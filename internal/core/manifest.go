@@ -19,6 +19,7 @@ type manifestSlots struct {
 	off       int64 // two slots of slotBytes each
 	slotBytes int64
 	seq       uint64
+	buf       []byte // persistManifest's scratch: header + payload, reused
 }
 
 const manifestHeader = 24 // seq(8) + len(4) + pad(4) + checksum(8)
@@ -41,9 +42,8 @@ func (sh *shard) manifestAlloc() error {
 	return nil
 }
 
-// encodeManifest serializes the shard's table directory.
-func (sh *shard) encodeManifest(recoverLSN int64) []byte {
-	var buf []byte
+// appendManifest appends the shard's serialized table directory to buf.
+func (sh *shard) appendManifest(buf []byte, recoverLSN int64) []byte {
 	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
 	table := func(p *ptable) {
 		if p == nil {
@@ -97,21 +97,25 @@ func (sh *shard) persistManifest(c *simclock.Clock) {
 		w = rp
 	}
 	sh.recoverLSN = w
-	payload := sh.encodeManifest(w)
-	if int64(len(payload))+manifestHeader > sh.manifest.slotBytes {
+	// Header and payload share one scratch buffer, kept across calls: this
+	// runs after every flush and compaction.
+	if sh.manifest.buf == nil {
+		sh.manifest.buf = make([]byte, manifestHeader, sh.manifest.slotBytes)
+	}
+	rec := sh.appendManifest(sh.manifest.buf[:manifestHeader], w)
+	sh.manifest.buf = rec
+	if int64(len(rec)) > sh.manifest.slotBytes {
 		// Dumped-table overrun beyond the sized maximum cannot happen with a
 		// validated config; guard loudly in case geometry changes.
-		panic(fmt.Sprintf("core: manifest payload %d exceeds slot %d", len(payload), sh.manifest.slotBytes))
+		panic(fmt.Sprintf("core: manifest payload %d exceeds slot %d", len(rec)-manifestHeader, sh.manifest.slotBytes))
 	}
 	sh.manifest.seq++
 	slotOff := sh.manifest.off + int64(sh.manifest.seq%2)*sh.manifest.slotBytes
-	hdr := make([]byte, manifestHeader)
-	binary.LittleEndian.PutUint64(hdr[0:8], sh.manifest.seq)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(hdr[16:24], xhash.Sum64(payload))
-	sh.store.arena.Store(slotOff, hdr)
-	sh.store.arena.Store(slotOff+manifestHeader, payload)
-	sh.store.arena.Persist(c, slotOff, manifestHeader+int64(len(payload)))
+	payload := rec[manifestHeader:]
+	binary.LittleEndian.PutUint64(rec[0:8], sh.manifest.seq)
+	binary.LittleEndian.PutUint32(rec[8:12], uint32(len(payload)))
+	binary.LittleEndian.PutUint64(rec[16:24], xhash.Sum64(payload))
+	sh.store.media[mediaManifest].Add(sh.store.arena.StorePersist(c, slotOff, rec))
 }
 
 // readManifest loads the newest valid manifest slot and rebuilds the shard's
@@ -141,6 +145,7 @@ func (sh *shard) readManifest(c *simclock.Clock) error {
 		return fmt.Errorf("core: shard %d has no valid manifest", sh.id)
 	}
 	sh.manifest.seq = bestSeq
+	sh.abiBehind = sh.abi != nil
 	return sh.decodeManifest(bestPayload)
 }
 
@@ -187,7 +192,7 @@ func (sh *shard) decodeManifest(b []byte) error {
 		// manifest references; raise it past every referenced region so fresh
 		// allocations cannot land on recovered tables. No-op after an
 		// in-process crash (the mark never went backwards).
-		sh.store.arena.ReserveFloor(int64(off) + int64(capSlots)*hashtable.SlotSize)
+		sh.store.arena.ReserveFloor(t.Offset() + t.BlockBytes())
 		// Accelerators (bloom filters, pinned copies) are volatile; the
 		// recovery path rebuilds them after replay.
 		return &ptable{t: t}, nil

@@ -106,7 +106,10 @@ func (s *Store) Recover(c *simclock.Clock) error {
 	// Step 3: rebuild the ABIs from the upper levels, newest table first so
 	// the newest version of each key wins; entries replayed from the log
 	// into the ABI (WIM recovery) are newer still and are preserved by
-	// InsertIfAbsent.
+	// InsertIfAbsent. An upper-table entry that a dumped table supersedes
+	// stays out: the ABI is probed before the dumps, and a dump of an ABI
+	// that held spills (Write-Intensive / Get-Protect operation) is newer
+	// than tables those spills never reached.
 	if !s.cfg.DisableABI {
 		for _, sh := range s.shards {
 			sh.mu.Lock()
@@ -116,11 +119,14 @@ func (s *Store) Recover(c *simclock.Clock) error {
 					tables[i].t.ChargeScan(c)
 					tables[i].t.Iterate(func(slot hashtable.Slot) bool {
 						c.Advance(device.CostDRAMRandAccess)
-						sh.abi.InsertIfAbsent(slot.Hash, slot.Ref)
+						if !sh.dumpSupersedes(c, slot) {
+							sh.abi.InsertIfAbsent(slot.Hash, slot.Ref)
+						}
 						return true
 					})
 				}
 			}
+			sh.abiBehind = false
 			sh.mu.Unlock()
 		}
 	}
@@ -155,6 +161,17 @@ func (s *Store) Recover(c *simclock.Clock) error {
 		s.maint.resume()
 	}
 	return nil
+}
+
+// dumpSupersedes reports whether a dumped table holds a newer version of the
+// slot's hash than the slot. The newest dump that has the hash decides.
+func (sh *shard) dumpSupersedes(c *simclock.Clock, slot hashtable.Slot) bool {
+	for i := len(sh.dumped) - 1; i >= 0; i-- {
+		if d, ok := sh.dumped[i].t.Get(c, slot.Hash); ok {
+			return d.LSN() > slot.LSN()
+		}
+	}
+	return false
 }
 
 // supersededBy reports whether any persisted table already holds an entry

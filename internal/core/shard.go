@@ -68,6 +68,13 @@ type shard struct {
 	spillMaxLSN     int64
 	persistedMaxLSN int64
 
+	// abiBehind is set between readManifest reattaching upper tables and
+	// Recover's ABI rebuild: the post-crash ABI holds only what replay has
+	// flushed so far, not the reattached tables' entries, so a last-level
+	// compaction that replay triggers must read those tables from Pmem as
+	// well or it would merge them away unread.
+	abiBehind bool
+
 	manifest     manifestSlots
 	pendingMerge atomic.Bool
 
@@ -223,12 +230,14 @@ func (sh *shard) volatileWipe() {
 	sh.publishView()
 }
 
-// liveEntries counts entries that must fit in a last-level merge.
+// mergedEntryBound counts the entries a last-level merge stages, duplicates
+// included: an upper bound on what must fit in its staging table.
 func (sh *shard) mergedEntryBound() int {
 	n := 0
 	if sh.abi != nil {
 		n += sh.abi.Len()
-	} else {
+	}
+	if sh.abi == nil || sh.abiBehind {
 		for _, lvl := range sh.levels {
 			for _, p := range lvl {
 				n += p.t.Len()

@@ -51,6 +51,47 @@ type Stats struct {
 	InlineMaintenance  atomic.Int64
 }
 
+// mediaPurpose names what a persist was for. Every persist a store issues is
+// booked under exactly one purpose, so the purposes sum to the device's
+// MediaBytesWritten (TestMediaBytesByPurposeSumExactly).
+type mediaPurpose int
+
+const (
+	mediaLog      mediaPurpose = iota // client appends to the storage log
+	mediaFlush                        // MemTable flushes to L0 tables
+	mediaUpper                        // upper-level compactions
+	mediaLast                         // last-level compactions
+	mediaDump                         // Get-Protect ABI dumps
+	mediaManifest                     // shard manifests
+	mediaGC                           // log GC's relocation appends
+	numMediaPurposes
+)
+
+var mediaPurposeNames = [numMediaPurposes]string{
+	"log", "flush", "upper_compaction", "last_compaction", "abi_dump", "manifest", "gc_relocation",
+}
+
+// mediaBytes returns the media bytes written so far for one purpose. The log
+// counts its own persists, relocation included; GC books its appender's share
+// when it finishes, and the client share is the rest.
+func (s *Store) mediaBytes(p mediaPurpose) int64 {
+	if p == mediaLog {
+		return s.log.MediaBytes() - s.media[mediaGC].Load()
+	}
+	return s.media[p].Load()
+}
+
+// MediaBytesByPurpose splits DeviceStats().MediaBytesWritten by what the
+// bytes were written for: "log", "flush", "upper_compaction",
+// "last_compaction", "abi_dump", "manifest", "gc_relocation".
+func (s *Store) MediaBytesByPurpose() map[string]int64 {
+	out := make(map[string]int64, numMediaPurposes)
+	for p, name := range mediaPurposeNames {
+		out[name] = s.mediaBytes(mediaPurpose(p))
+	}
+	return out
+}
+
 func (st *Stats) countGet(src getSource) {
 	switch src {
 	case srcMemTable:

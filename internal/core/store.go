@@ -55,6 +55,10 @@ type Store struct {
 	writeIntensive atomic.Bool
 
 	stats Stats
+	// media counts media bytes written per purpose. The log counts its own
+	// persists, so the mediaLog entry stays zero and mediaGC holds the part
+	// of the log's count that was relocation (see mediaBytes).
+	media [numMediaPurposes]atomic.Int64
 	lat   latencies
 	reg   *obs.Registry
 	trace *obs.Trace

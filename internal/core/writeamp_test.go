@@ -14,8 +14,11 @@ import (
 // written once per size-tiered upper level ((l-1) times including L0) and r
 // times amortized by the leveled last level, inflated by the 1/f slack of
 // the fixed-size hash tables. The measured index traffic must sit in a band
-// around the formula (dynamic last-level growth and manifest/sync overhead
-// push it up; incomplete final cascades push it down).
+// around the formula: a last level that has outgrown its designed table is
+// rewritten at the size of its whole contents (r is then an underestimate of
+// its per-entry rewrites), and manifests and partial-line log syncs add
+// bytes; incomplete final cascades take some away. What a grown last level
+// may cost is gated separately (TestGrownLastLevelWriteAmp).
 func TestWriteAmplificationFormula(t *testing.T) {
 	cfg := TestConfig()
 	cfg.Shards = 16

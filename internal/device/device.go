@@ -187,11 +187,12 @@ func (d *Device) ReadSeq(c *simclock.Clock, off, size int64) {
 // the touched access units; if the range does not cover whole units, the
 // device performs a read-modify-write and the partial units are charged as
 // media reads as well. This is the mechanism behind the paper's Challenge 1.
-func (d *Device) WritePersist(c *simclock.Clock, off, size int64) {
+// It returns the media bytes written, so callers can attribute them.
+func (d *Device) WritePersist(c *simclock.Clock, off, size int64) (media int64) {
 	if size <= 0 {
-		return
+		return 0
 	}
-	media := d.mediaSpan(off, size)
+	media = d.mediaSpan(off, size)
 	d.stats.LogicalBytesWritten.Add(size)
 	d.stats.MediaBytesWritten.Add(media)
 	d.stats.WriteOps.Add(1)
@@ -210,6 +211,7 @@ func (d *Device) WritePersist(c *simclock.Clock, off, size int64) {
 	d.noteWrite(c.Now(), dur+d.prof.WriteLatency)
 	c.AdvanceTo(d.writePipe.ReserveWork(c.Now(), dur))
 	c.Advance(d.prof.WriteLatency)
+	return media
 }
 
 // Stats returns a snapshot of the device counters.

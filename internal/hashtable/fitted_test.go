@@ -1,0 +1,166 @@
+package hashtable
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"chameleondb/internal/device"
+	"chameleondb/internal/pmem"
+	"chameleondb/internal/simclock"
+	"chameleondb/internal/xhash"
+)
+
+// hashWithHome returns a hash whose probe in a line-granular table of the
+// given capacity starts at slot home; salt varies the bits the placement does
+// not look at, so distinct salts give distinct hashes with one home.
+func hashWithHome(capacity, home int, salt uint64) uint64 {
+	low := (uint64(home)<<32 + uint64(capacity) - 1) / uint64(capacity)
+	return salt<<32 | low
+}
+
+// TestFittedTableProperty builds tables of line-granular capacities at the
+// fill the engine writes them at and checks the table contract: everything
+// inserted is found, nothing else is, Iterate yields exactly Len() slots, and
+// of two entries with one hash the first (newest) wins.
+func TestFittedTableProperty(t *testing.T) {
+	for _, capacity := range []int{16, 48, 4112, 18384, 65552} {
+		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
+			a := pmem.NewArena(device.New(device.OptanePmem), 4<<20)
+			c := simclock.New(0)
+			n := capacity * 85 / 100
+			src := func(yield func(Slot) bool) {
+				for i := 0; i < n; i++ {
+					if !yield(Slot{Hash: xhash.Uint64(uint64(i)), Ref: MakeRef(int64(i)+1, false)}) {
+						return
+					}
+				}
+				// Older duplicates of every seventh hash: they must lose.
+				for i := 0; i < n; i += 7 {
+					if !yield(Slot{Hash: xhash.Uint64(uint64(i)), Ref: MakeRef(1<<40, false)}) {
+						return
+					}
+				}
+			}
+			tb, media, err := BuildPmemTable(c, a, capacity, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tb.Cap() != capacity || tb.Len() != n {
+				t.Fatalf("Cap, Len = %d, %d; want %d, %d", tb.Cap(), tb.Len(), capacity, n)
+			}
+			if want := int64(capacity) * SlotSize; tb.SizeBytes() != want || media != want {
+				t.Fatalf("persisted %d B (media %d), want the table's %d", tb.SizeBytes(), media, want)
+			}
+			for i := 0; i < n; i++ {
+				s, ok := tb.Get(c, xhash.Uint64(uint64(i)))
+				if !ok || s.LSN() != int64(i)+1 {
+					t.Fatalf("get %d = %+v, %v", i, s, ok)
+				}
+			}
+			for i := n; i < 2*n; i++ {
+				if _, ok := tb.Get(c, xhash.Uint64(uint64(i))); ok {
+					t.Fatalf("found absent hash %d", i)
+				}
+			}
+			seen := 0
+			tb.Iterate(func(Slot) bool { seen++; return true })
+			if seen != tb.Len() {
+				t.Fatalf("Iterate yielded %d slots, Len is %d", seen, tb.Len())
+			}
+		})
+	}
+}
+
+// TestFittedTableProbeWraps starts three probes in the last slot of a table
+// that is not a power of two: the second and third must land in slots 0 and
+// 1, not past the table's end in the slack of its block.
+func TestFittedTableProbeWraps(t *testing.T) {
+	const capacity = 48
+	a := newArena(t)
+	c := simclock.New(0)
+	var hs [3]uint64
+	for i := range hs {
+		hs[i] = hashWithHome(capacity, capacity-1, uint64(i)+1)
+	}
+	tb, _, err := BuildPmemTable(c, a, capacity, func(yield func(Slot) bool) {
+		for i, h := range hs {
+			yield(Slot{Hash: h, Ref: MakeRef(int64(i)+1, false)})
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, slot := range []int64{capacity - 1, 0, 1} {
+		got := decodeSlot(a.Bytes(tb.Offset()+slot*SlotSize, SlotSize))
+		if got.Hash != hs[i] {
+			t.Fatalf("slot %d holds hash %#x, want entry %d (%#x)", slot, got.Hash, i, hs[i])
+		}
+	}
+	for i, h := range hs {
+		if s, ok := tb.Get(c, h); !ok || s.LSN() != int64(i)+1 {
+			t.Fatalf("get of wrapped entry %d = %+v, %v", i, s, ok)
+		}
+	}
+	if slack := a.Bytes(tb.Offset()+tb.SizeBytes(), tb.BlockBytes()-tb.SizeBytes()); !bytes.Equal(slack, make([]byte, len(slack))) {
+		t.Fatal("build wrote past the table into its block's slack")
+	}
+}
+
+// TestPowerOfTwoLayoutUnchanged pins the placement of power-of-two tables —
+// every table at designed geometry — to home = hash & (cap-1) with linear
+// probing, slot for slot: the virtual-time figures depend on it.
+func TestPowerOfTwoLayoutUnchanged(t *testing.T) {
+	for _, capacity := range []int{8, 64, 1024} {
+		a := newArena(t)
+		c := simclock.New(0)
+		n := capacity * 3 / 4
+		want := make([]byte, capacity*SlotSize)
+		for i := 0; i < n; i++ {
+			s := Slot{Hash: xhash.Uint64(uint64(i)), Ref: MakeRef(int64(i)+1, false)}
+			idx := s.Hash & uint64(capacity-1)
+			for decodeSlot(want[idx*SlotSize:]).Ref != 0 {
+				idx = (idx + 1) & uint64(capacity-1)
+			}
+			encodeSlot(want[idx*SlotSize:], s)
+		}
+		tb, _, err := BuildPmemTable(c, a, capacity, func(yield func(Slot) bool) {
+			for i := 0; i < n; i++ {
+				yield(Slot{Hash: xhash.Uint64(uint64(i)), Ref: MakeRef(int64(i)+1, false)})
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tb.BlockBytes() != tb.SizeBytes() {
+			t.Fatalf("cap %d: block %d B, table %d B", capacity, tb.BlockBytes(), tb.SizeBytes())
+		}
+		if !bytes.Equal(a.Bytes(tb.Offset(), tb.SizeBytes()), want) {
+			t.Fatalf("cap %d: slot layout differs from hash & (cap-1) linear probing", capacity)
+		}
+	}
+}
+
+// TestFittedTableRecyclesItsBlock: a fitted table gives back the whole
+// power-of-two block it was carved from, so the next table of that size class
+// — fitted or not — reuses it and the arena does not grow.
+func TestFittedTableRecyclesItsBlock(t *testing.T) {
+	a := newArena(t)
+	first, err := NewPmemTable(a, 4112)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inUse := a.InUse()
+	for _, capacity := range []int{4128, 8192, 6000} {
+		first.Release()
+		next, err := NewPmemTable(a, capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next.Offset() != first.Offset() || a.InUse() != inUse {
+			t.Fatalf("cap %d: block not reused (offset %d vs %d, in use %d vs %d)",
+				capacity, next.Offset(), first.Offset(), a.InUse(), inUse)
+		}
+		first = next
+	}
+}

@@ -233,6 +233,15 @@ func (m *Mem) Reset() {
 	m.seq.Add(1) // even: quiescent
 }
 
+// Clear empties a table that no reader can reach — a compaction's staging
+// table between uses — with one plain memory clear, several times cheaper
+// than Reset's per-slot atomic stores. Tables shared with readers must go
+// through Reset.
+func (m *Mem) Clear() {
+	clear(m.slots)
+	m.count = 0
+}
+
 // Clone returns a deep copy, used by PinK-style DRAM pinning. Writer-side.
 func (m *Mem) Clone() *Mem {
 	c := &Mem{slots: make([]memSlot, len(m.slots)), mask: m.mask, count: m.count}

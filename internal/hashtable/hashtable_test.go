@@ -185,7 +185,7 @@ func TestPmemTableBuildAndGet(t *testing.T) {
 			}
 		}
 	}
-	tb, err := BuildPmemTable(c, a, 256, src)
+	tb, _, err := BuildPmemTable(c, a, 256, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestPmemTableNewestFirstDedup(t *testing.T) {
 		yield(Slot{Hash: 42, Ref: MakeRef(999, false)}) // newest
 		yield(Slot{Hash: 42, Ref: MakeRef(1, false)})   // older duplicate
 	}
-	tb, err := BuildPmemTable(c, a, 8, src)
+	tb, _, err := BuildPmemTable(c, a, 8, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestPmemTableBuildOverflow(t *testing.T) {
 			}
 		}
 	}
-	if _, err := BuildPmemTable(c, a, 8, src); err == nil {
+	if _, _, err := BuildPmemTable(c, a, 8, src); err == nil {
 		t.Fatal("expected overflow error")
 	}
 }
@@ -248,7 +248,7 @@ func TestPmemTableSurvivesCrash(t *testing.T) {
 			}
 		}
 	}
-	tb, err := BuildPmemTable(c, a, 128, src)
+	tb, _, err := BuildPmemTable(c, a, 128, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,9 +265,36 @@ func TestPmemTableSurvivesCrash(t *testing.T) {
 }
 
 func TestOpenPmemTableValidation(t *testing.T) {
-	a := newArena(t)
-	if _, err := OpenPmemTable(a, 256, 100, 5); err == nil {
-		t.Fatal("non-power-of-two capacity should be rejected")
+	a := newArena(t) // 4 MiB
+	for _, tc := range []struct {
+		name            string
+		off             int64
+		capacity, count int
+		ok              bool
+	}{
+		{"power of two", 256, 128, 5, true},
+		{"whole lines", 256, 48, 5, true},
+		{"whole lines, full", 256, 4112, 4112, true},
+		{"neither", 256, 100, 5, false},
+		{"one slot short of a line", 256, 47, 5, false},
+		{"one slot past a line", 256, 49, 5, false},
+		{"below the minimum", 256, 4, 1, false},
+		{"zero", 256, 0, 0, false},
+		{"negative", 256, -16, 0, false},
+		{"count above capacity", 256, 48, 49, false},
+		{"negative count", 256, 48, -1, false},
+		{"nil offset", 0, 48, 5, false},
+		// 4112 slots persist 65792 B but own a 128 KiB block: the prefix
+		// fits below the arena's end here, the block does not.
+		{"block past the arena", 4<<20 - 65792, 4112, 5, false},
+		{"block ends at the arena's end", 4<<20 - 128<<10, 4112, 5, true},
+		{"capacity that overflows the size", 256, 1 << 62, 5, false},
+	} {
+		_, err := OpenPmemTable(a, tc.off, tc.capacity, tc.count)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: OpenPmemTable(off %d, cap %d, count %d) err = %v, want ok = %v",
+				tc.name, tc.off, tc.capacity, tc.count, err, tc.ok)
+		}
 	}
 }
 
@@ -277,7 +304,7 @@ func TestPmemTableGetChargesLineReads(t *testing.T) {
 	src := func(yield func(Slot) bool) {
 		yield(Slot{Hash: 0, Ref: MakeRef(1, false)})
 	}
-	tb, err := BuildPmemTable(c, a, 64, src)
+	tb, _, err := BuildPmemTable(c, a, 64, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +329,7 @@ func TestPmemTableIterateAndRelease(t *testing.T) {
 			}
 		}
 	}
-	tb, err := BuildPmemTable(c, a, 64, src)
+	tb, _, err := BuildPmemTable(c, a, 64, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +371,7 @@ func TestPmemTableBuildProperty(t *testing.T) {
 				}
 			}
 		}
-		tb, err := BuildPmemTable(c, a, 1024, src)
+		tb, _, err := BuildPmemTable(c, a, 1024, src)
 		if err != nil {
 			return false
 		}

@@ -13,47 +13,91 @@ import (
 // shard. It is built once (a large, 256 B-aligned sequential write, the
 // access pattern Optane rewards) and then only read. Concurrent reads are
 // safe; tables are never mutated after Seal.
+//
+// The capacity is a power of two or any whole number of 256 B lines. A
+// power-of-two table places hash h at h & (cap-1); a line-granular one
+// reduces the low 32 hash bits onto [0, cap) with a multiply-shift (the shard
+// router consumes the hash from the top, so those bits are unspent). Either
+// way the probe wraps at cap. The table occupies — and Build persists — the
+// first cap slots of a power-of-two arena block: the arena recycles freed
+// blocks by exact size, and fitted block sizes would never match again.
 type PmemTable struct {
 	arena *pmem.Arena
 	off   int64
 	cap   int // slots
 	count int
-	mask  uint64
+	mask  uint64 // cap-1 when cap is a power of two, else 0
 }
 
 // slotsPerLine is how many 16-byte slots share one 256 B Optane access unit;
 // probes within a line after the first are cache hits.
 const slotsPerLine = 256 / SlotSize
 
-// NewPmemTable allocates an empty table of the given slot capacity (power of
-// two, minimum 8) in the arena.
-func NewPmemTable(arena *pmem.Arena, capacity int) (*PmemTable, error) {
-	c := 8
-	for c < capacity {
-		c <<= 1
+// minPmemSlots is the smallest table: half a line, as small stores' L0
+// tables are.
+const minPmemSlots = 8
+
+// FitCapacity returns the smallest legal table capacity of at least capacity
+// slots: 8, or a whole number of lines.
+func FitCapacity(capacity int) int {
+	if capacity <= minPmemSlots {
+		return minPmemSlots
 	}
-	off, err := arena.Alloc(int64(c) * SlotSize)
+	return (capacity + slotsPerLine - 1) / slotsPerLine * slotsPerLine
+}
+
+// validCapacity reports whether a table may have this many slots.
+func validCapacity(capacity int) bool {
+	return capacity >= minPmemSlots && (capacity&(capacity-1) == 0 || capacity%slotsPerLine == 0)
+}
+
+// blockSlots is the power-of-two arena block a table of the given capacity
+// lives in, in slots.
+func blockSlots(capacity int) int {
+	b := minPmemSlots
+	for b < capacity {
+		b <<= 1
+	}
+	return b
+}
+
+func newPmemTable(arena *pmem.Arena, off int64, capacity, count int) *PmemTable {
+	t := &PmemTable{arena: arena, off: off, cap: capacity, count: count}
+	if capacity&(capacity-1) == 0 {
+		t.mask = uint64(capacity - 1)
+	}
+	return t
+}
+
+// NewPmemTable allocates an empty table of FitCapacity(capacity) slots in the
+// arena.
+func NewPmemTable(arena *pmem.Arena, capacity int) (*PmemTable, error) {
+	c := FitCapacity(capacity)
+	off, err := arena.Alloc(int64(blockSlots(c)) * SlotSize)
 	if err != nil {
 		return nil, err
 	}
-	return &PmemTable{arena: arena, off: off, cap: c, mask: uint64(c - 1)}, nil
+	return newPmemTable(arena, off, c, 0), nil
 }
 
 // OpenPmemTable reattaches to a persisted table at a known offset (recovery
 // path). count is restored from the manifest. The geometry comes from durable
 // bytes that a torn manifest write could have corrupted, so every field is
-// validated before it can index the arena.
+// validated before it can index the arena — the whole block, since Release
+// hands all of it back.
 func OpenPmemTable(arena *pmem.Arena, off int64, capacity, count int) (*PmemTable, error) {
-	if capacity&(capacity-1) != 0 || capacity < 8 {
+	// Bounding the capacity by the arena first keeps the block arithmetic
+	// below from overflowing on a corrupt 2^62.
+	if !validCapacity(capacity) || int64(capacity) > arena.Capacity()/SlotSize {
 		return nil, fmt.Errorf("hashtable: invalid persisted capacity %d", capacity)
 	}
 	if count < 0 || count > capacity {
 		return nil, fmt.Errorf("hashtable: persisted count %d out of range for capacity %d", count, capacity)
 	}
-	if off <= 0 || off+int64(capacity)*SlotSize > arena.Capacity() {
+	if off <= 0 || off > arena.Capacity()-int64(blockSlots(capacity))*SlotSize {
 		return nil, fmt.Errorf("hashtable: persisted table [%d, +%d slots] outside arena", off, capacity)
 	}
-	return &PmemTable{arena: arena, off: off, cap: capacity, count: count, mask: uint64(capacity - 1)}, nil
+	return newPmemTable(arena, off, capacity, count), nil
 }
 
 // Cap returns the slot capacity.
@@ -65,13 +109,32 @@ func (t *PmemTable) Len() int { return t.count }
 // Offset returns the table's arena offset, recorded in shard manifests.
 func (t *PmemTable) Offset() int64 { return t.off }
 
-// SizeBytes returns the persisted size.
+// SizeBytes returns the persisted size: the slots, not the block.
 func (t *PmemTable) SizeBytes() int64 { return int64(t.cap) * SlotSize }
+
+// BlockBytes returns the size of the arena block the table was allocated in.
+func (t *PmemTable) BlockBytes() int64 { return int64(blockSlots(t.cap)) * SlotSize }
+
+// home returns the slot a probe for hash h starts at.
+func (t *PmemTable) home(h uint64) uint64 {
+	if t.mask != 0 {
+		return h & t.mask
+	}
+	return uint64(uint32(h)) * uint64(t.cap) >> 32
+}
+
+// next returns the slot a probe visits after idx.
+func (t *PmemTable) next(idx uint64) uint64 {
+	if idx++; idx == uint64(t.cap) {
+		return 0
+	}
+	return idx
+}
 
 // insertVolatile places a slot in the volatile image without timing charges;
 // Build batches the cost into one sequential persist, as a real flush does.
 func (t *PmemTable) insertVolatile(s Slot) bool {
-	idx := s.Hash & t.mask
+	idx := t.home(s.Hash)
 	for i := 0; i < t.cap; i++ {
 		b := t.arena.Bytes(t.off+int64(idx)*SlotSize, SlotSize)
 		cur := decodeSlot(b)
@@ -83,7 +146,7 @@ func (t *PmemTable) insertVolatile(s Slot) bool {
 		if cur.Hash == s.Hash {
 			return false // caller iterates newest-first; keep the newer entry
 		}
-		idx = (idx + 1) & t.mask
+		idx = t.next(idx)
 	}
 	return false
 }
@@ -93,11 +156,11 @@ func (t *PmemTable) insertVolatile(s Slot) bool {
 // occurrence of a hash wins. The build charges the DRAM-side staging cost
 // per slot and one sequential persist of the whole table — the 256 B-aligned
 // batched write that gives ChameleonDB write amplification 1/f per table
-// (Section 2.5).
-func BuildPmemTable(c *simclock.Clock, arena *pmem.Arena, capacity int, src func(yield func(Slot) bool)) (*PmemTable, error) {
-	t, err := NewPmemTable(arena, capacity)
+// (Section 2.5). media is what the device charged for that persist.
+func BuildPmemTable(c *simclock.Clock, arena *pmem.Arena, capacity int, src func(yield func(Slot) bool)) (t *PmemTable, media int64, err error) {
+	t, err = NewPmemTable(arena, capacity)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	overflow := false
 	src(func(s Slot) bool {
@@ -113,11 +176,10 @@ func BuildPmemTable(c *simclock.Clock, arena *pmem.Arena, capacity int, src func
 		return true
 	})
 	if overflow {
-		arena.Free(t.off, t.SizeBytes())
-		return nil, fmt.Errorf("hashtable: build overflow (cap %d)", t.cap)
+		t.Release()
+		return nil, 0, fmt.Errorf("hashtable: build overflow (cap %d)", t.cap)
 	}
-	arena.Persist(c, t.off, t.SizeBytes())
-	return t, nil
+	return t, arena.Persist(c, t.off, t.SizeBytes()), nil
 }
 
 // Get probes for hash h, charging one random pmem read per 256 B line
@@ -125,7 +187,7 @@ func BuildPmemTable(c *simclock.Clock, arena *pmem.Arena, capacity int, src func
 // cost model behind the paper's Figure 2 and the last-level latencies of
 // Figure 13.
 func (t *PmemTable) Get(c *simclock.Clock, h uint64) (Slot, bool) {
-	idx := h & t.mask
+	idx := t.home(h)
 	lastLine := int64(-1)
 	for i := 0; i < t.cap; i++ {
 		line := int64(idx) / slotsPerLine
@@ -142,7 +204,7 @@ func (t *PmemTable) Get(c *simclock.Clock, h uint64) (Slot, bool) {
 		if s.Hash == h {
 			return s, true
 		}
-		idx = (idx + 1) & t.mask
+		idx = t.next(idx)
 	}
 	return Slot{}, false
 }
@@ -167,7 +229,7 @@ func (t *PmemTable) ChargeScan(c *simclock.Clock) {
 	t.arena.ReadSeq(c, t.off, t.SizeBytes())
 }
 
-// Release returns the table's space to the arena.
+// Release returns the table's block to the arena.
 func (t *PmemTable) Release() {
-	t.arena.Free(t.off, t.SizeBytes())
+	t.arena.Free(t.off, t.BlockBytes())
 }

@@ -177,6 +177,12 @@ func (a *Arena) Alloc(size int64) (int64, error) {
 	}
 	off := a.next
 	a.next += size
+	// Fresh space is handed out zeroed, like recycled blocks (Free zeroes
+	// them). It already is unless the arena was reattached: the restored
+	// allocator mark can trail a table that was persisted just before the
+	// process died and that no manifest references, and a table built over
+	// those bytes would take them for its own entries.
+	clear(a.volatile[off : off+size])
 	return off, nil
 }
 
@@ -231,10 +237,12 @@ func (a *Arena) ReadSeq(c *simclock.Clock, off, size int64) []byte {
 
 // Persist flushes [off, off+size) from the volatile image to the durable
 // image (clwb + sfence). Partial-unit writes incur read-modify-write
-// charges in the device model.
-func (a *Arena) Persist(c *simclock.Clock, off, size int64) {
+// charges in the device model. It returns the media bytes the device charged
+// (whole access units; zero for a persist a power failure cut short), which
+// callers add to their per-purpose byte counters.
+func (a *Arena) Persist(c *simclock.Clock, off, size int64) int64 {
 	if size <= 0 {
-		return
+		return 0
 	}
 	if p := a.dev.FaultPlan(); p != nil {
 		keep, normal := p.NotePersist(a.dev.Profile().AccessUnit, off, size)
@@ -252,7 +260,7 @@ func (a *Arena) Persist(c *simclock.Clock, off, size int64) {
 					a.failMedium(a.med.WriteDurable(off, a.durable[off:off+keep], false))
 				}
 			}
-			return
+			return 0
 		}
 	}
 	a.crashMu.RLock()
@@ -262,7 +270,7 @@ func (a *Arena) Persist(c *simclock.Clock, off, size int64) {
 		// Write-through with sync: the persist point is the durability point.
 		a.failMedium(a.med.WriteDurable(off, a.durable[off:off+size], true))
 	}
-	a.dev.WritePersist(c, off, size)
+	return a.dev.WritePersist(c, off, size)
 }
 
 // PersistMeta durably replaces the engine's host-metadata record on the
@@ -301,10 +309,11 @@ func (a *Arena) Store(off int64, data []byte) {
 
 // StorePersist writes data and immediately persists it — the common
 // store+clwb+sfence (or ntstore+sfence) sequence for small in-place updates,
-// the access pattern that makes Pmem-Hash slow in the paper.
-func (a *Arena) StorePersist(c *simclock.Clock, off int64, data []byte) {
+// the access pattern that makes Pmem-Hash slow in the paper. Like Persist it
+// returns the media bytes charged.
+func (a *Arena) StorePersist(c *simclock.Clock, off int64, data []byte) int64 {
 	a.Store(off, data)
-	a.Persist(c, off, int64(len(data)))
+	return a.Persist(c, off, int64(len(data)))
 }
 
 // Crash simulates a power failure: the volatile image is replaced by the

@@ -18,8 +18,8 @@ func TestPersistTornKeepsExactPrefix(t *testing.T) {
 
 	a.Device().InstallFaultPlan(&device.FaultPlan{CrashAtPersist: 1, Tear: device.TearHalf})
 	before := a.Stats()
-	a.Persist(c, off, 1024) // 4 lines; TearHalf commits the first 2
-	if got := a.Stats(); got.MediaBytesWritten != before.MediaBytesWritten {
+	charged := a.Persist(c, off, 1024) // 4 lines; TearHalf commits the first 2
+	if got := a.Stats(); got.MediaBytesWritten != before.MediaBytesWritten || charged != 0 {
 		t.Fatal("crashing persist must not charge the device")
 	}
 	a.Device().InstallFaultPlan(nil)

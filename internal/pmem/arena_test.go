@@ -42,6 +42,26 @@ func TestAllocAlignmentAndReuse(t *testing.T) {
 	}
 }
 
+// TestAllocAfterRestoreIsZeroed: a reattached arena's allocator mark can sit
+// below bytes a dead process persisted and nothing references; whoever gets
+// that space next must not see them.
+func TestAllocAfterRestoreIsZeroed(t *testing.T) {
+	a := newTestArena(t)
+	c := simclock.New(0)
+	mark := a.InUse()
+	off, _ := a.Alloc(512)
+	a.StorePersist(c, off, bytes.Repeat([]byte{0xAB}, 512))
+	a.Crash() // volatile = durable: what a reopen loads
+	a.RestoreAllocator(mark)
+	again, err := a.Alloc(512)
+	if err != nil || again != off {
+		t.Fatalf("Alloc after restore = %d, %v; want the same space at %d", again, err, off)
+	}
+	if !bytes.Equal(a.Bytes(again, 512), make([]byte, 512)) {
+		t.Fatal("fresh allocation exposes a dead process's bytes")
+	}
+}
+
 func TestAllocExhaustion(t *testing.T) {
 	a := NewArena(device.New(device.OptanePmem), 1024)
 	if _, err := a.Alloc(2048); err == nil {
@@ -101,13 +121,22 @@ func TestStorePersistChargesDevice(t *testing.T) {
 	a := newTestArena(t)
 	c := simclock.New(0)
 	off, _ := a.Alloc(256)
-	a.StorePersist(c, off, make([]byte, 16))
+	charged := a.StorePersist(c, off, make([]byte, 16))
 	s := a.Stats()
-	if s.LogicalBytesWritten != 16 || s.MediaBytesWritten != 256 {
-		t.Fatalf("unexpected accounting: %+v", s)
+	if s.LogicalBytesWritten != 16 || s.MediaBytesWritten != 256 || charged != 256 {
+		t.Fatalf("unexpected accounting: %+v, returned %d", s, charged)
 	}
 	if c.Now() == 0 {
 		t.Fatal("persist did not charge time")
+	}
+	// What Persist returns is what the device counted, straddled lines and
+	// empty ranges included: callers split MediaBytesWritten by it.
+	off, _ = a.Alloc(1024)
+	for _, r := range [][2]int64{{off + 250, 12}, {off, 1024}, {off + 256, 300}, {off, 0}} {
+		before := a.Stats().MediaBytesWritten
+		if got, want := a.Persist(c, r[0], r[1]), a.Stats().MediaBytesWritten-before; got != want {
+			t.Fatalf("Persist(%d, %d) returned %d, device counted %d", r[0]-off, r[1], got, want)
+		}
 	}
 }
 

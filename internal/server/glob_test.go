@@ -50,8 +50,8 @@ func TestGlobMatch(t *testing.T) {
 		{"[^abc]", "a", false},
 		{"h[ae]llo", "hello", true},
 		{"h[ae]llo", "hillo", false},
-		{"[]", "x", false},   // empty class matches nothing
-		{"[abc", "b", true},  // unterminated class: rest of pattern is the class
+		{"[]", "x", false},  // empty class matches nothing
+		{"[abc", "b", true}, // unterminated class: rest of pattern is the class
 		{"[abc", "d", false},
 		{"[\\]]", "]", true}, // escaped ] inside class
 		{"\\*", "*", true},   // escaped star is literal

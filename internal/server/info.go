@@ -2,6 +2,8 @@ package server
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"time"
 
 	"chameleondb/internal/obs"
@@ -140,6 +142,18 @@ func (s *Server) infoText(section []byte) []byte {
 		}
 		if n, ok := snap.Counters["filedev_meta_syncs"]; ok {
 			b = fmt.Appendf(b, "filedev_meta_syncs:%d\r\n", n)
+		}
+		// What the media bytes were written for: the engine's per-purpose
+		// split of device_media_bytes_written.
+		var purposes []string
+		for name := range snap.Counters {
+			if strings.HasPrefix(name, "core_media_bytes_") {
+				purposes = append(purposes, name)
+			}
+		}
+		sort.Strings(purposes)
+		for _, name := range purposes {
+			b = fmt.Appendf(b, "%s:%d\r\n", name, snap.Counters[name])
 		}
 		b = append(b, "\r\n"...)
 	}

@@ -154,6 +154,7 @@ type Log struct {
 
 	entries atomic.Int64
 	bytes   atomic.Int64
+	media   atomic.Int64 // media bytes the device charged for log persists
 }
 
 // SegmentSizeFor returns the physical segment size New picks for a log of the
@@ -348,6 +349,11 @@ func (l *Log) LiveBytes() int64 { return l.segCount.Load() * l.segSize }
 // Entries returns the number of appended entries.
 func (l *Log) Entries() int64 { return l.entries.Load() }
 
+// MediaBytes returns the media bytes the device has charged for this log's
+// persists, every appender's included: whole 256 B lines, so at least
+// BytesAppended less what is still buffered.
+func (l *Log) MediaBytes() int64 { return l.media.Load() }
+
 // BytesAppended returns the logical bytes appended.
 func (l *Log) BytesAppended() int64 { return l.bytes.Load() }
 
@@ -479,6 +485,7 @@ type Appender struct {
 	chunkLen  int64
 	used      int64 // bytes written into current chunk
 	persisted int64 // prefix of used already persisted
+	media     int64 // this appender's share of Log.MediaBytes
 
 	// wrote counts the bytes appended since the last Flush; afterFlush is the
 	// size of the first reservation after one: the lines of the largest of the
@@ -616,21 +623,36 @@ func (a *Appender) AppendSync(c *simclock.Clock, hash uint64, key, value []byte,
 		return 0, err
 	}
 	a.mu.Lock()
-	if a.chunkOff != 0 && a.used > a.persisted {
-		a.log.arena.Persist(c, a.chunkPhys+a.persisted, a.used-a.persisted)
-		a.persisted = a.used
-	}
+	a.persistBuffered(c)
 	a.mu.Unlock()
 	return lsn, nil
+}
+
+// persistBuffered persists the part of the current chunk not yet persisted
+// and books the media bytes it cost. Caller holds a.mu.
+func (a *Appender) persistBuffered(c *simclock.Clock) {
+	if a.chunkOff == 0 || a.used == a.persisted {
+		return
+	}
+	n := a.log.arena.Persist(c, a.chunkPhys+a.persisted, a.used-a.persisted)
+	a.media += n
+	a.log.media.Add(n)
+	a.persisted = a.used
+}
+
+// MediaBytes returns the media bytes charged for this appender's persists.
+// Log GC reads it off its relocation appender to tell relocation traffic from
+// client appends.
+func (a *Appender) MediaBytes() int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.media
 }
 
 // seal persists the unpersisted part of the current chunk and detaches it.
 func (a *Appender) seal(c *simclock.Clock) error {
 	sealed := a.chunkOff != 0
-	if sealed && a.used > a.persisted {
-		a.log.arena.Persist(c, a.chunkPhys+a.persisted, a.used-a.persisted)
-		a.persisted = a.used
-	}
+	a.persistBuffered(c)
 	a.chunkOff, a.chunkPhys, a.chunkLen, a.used, a.persisted = 0, 0, 0, 0, 0
 	a.nextLSN.Store(0)
 	if sealed {
@@ -659,10 +681,7 @@ func (a *Appender) Flush(c *simclock.Clock) error {
 // so the owner keeps batching into the remainder.
 func (a *Appender) sync(c *simclock.Clock) {
 	a.mu.Lock()
-	if a.chunkOff != 0 && a.used > a.persisted {
-		a.log.arena.Persist(c, a.chunkPhys+a.persisted, a.used-a.persisted)
-		a.persisted = a.used
-	}
+	a.persistBuffered(c)
 	a.mu.Unlock()
 }
 

@@ -53,9 +53,9 @@ var Workloads = []Workload{Load, A, B, C, D, F}
 // Generator produces operations for one worker. Not safe for concurrent
 // use; give each worker its own (seeded differently).
 type Generator struct {
-	workload Workload
-	rng      *rand.Rand
-	zipf     *zipfian
+	workload   Workload
+	rng        *rand.Rand
+	zipf       *zipfian
 	inserted   int64 // keys already in the store (shared keyspace bound)
 	next       int64 // next key index this worker inserts
 	stride     int64
