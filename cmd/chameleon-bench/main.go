@@ -1,6 +1,7 @@
 // Command chameleon-bench regenerates the tables and figures of the
-// ChameleonDB paper's evaluation. Run a single experiment with
-// -experiment <id>, or every registered experiment with -experiment all.
+// ChameleonDB paper's evaluation in virtual time. Run a single experiment
+// with -experiment <id>, or every registered experiment with -experiment all.
+// Wall-clock questions belong to `go run ./benchmark` (benchmark/README.md).
 package main
 
 import (
@@ -14,14 +15,13 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "experiment id (fig1, fig2, fig3, fig6, fig10, fig11tab2, fig12, fig13tab3, tab4, fig14tab5, fig15, fig16, fig17, ablations) or 'all' or 'list'")
+		experiment = flag.String("experiment", "all", "experiment id (fig1, fig2, fig3, fig6, fig10, fig11tab2, fig12, fig13tab3, tab4, fig14tab5, fig15, fig16, fig17, ablations, gpmdumps, scan) or 'all' or 'list'")
 		keys       = flag.Int64("keys", 1_000_000, "dataset size (keys loaded)")
 		ops        = flag.Int64("ops", 1_000_000, "measured-phase operations")
 		threads    = flag.Int("threads", 16, "maximum worker count")
 		valueSize  = flag.Int("value-size", 8, "value size in bytes")
 		seed       = flag.Int64("seed", 1, "random seed")
 		asJSON     = flag.Bool("json", false, "emit reports as JSON (including the store's metrics snapshot) instead of text tables")
-		compare    = flag.String("compare", "", "baseline JSON file (a prior -json run); fail if a gated ratio (readscale/writescale/scan/netbench/ycsb/allocs) regresses vs it")
 	)
 	flag.Parse()
 
@@ -66,116 +66,4 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *compare != "" {
-		if err := compareScaling(*compare, all); err != nil {
-			fmt.Fprintf(os.Stderr, "regression gate: %v\n", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// compareScaling is the CI regression gate: for each gated experiment this
-// run produced (readscale for the lock-free get path, writescale for the
-// async write path, scan for the merging iterator's batch amortization,
-// netbench for the wire hot path's pipelining gain, ycsb for the hot-key
-// cache's hit ratio on the zipfian head), it compares the
-// experiment's headline ratio — speedup at the top worker count, ns/key
-// amortization at the top COUNT, or deep-pipeline throughput over depth-1 —
-// against the checked-in baseline. A ratio, not absolute time, is compared so
-// the gate holds across machine speeds; a >10% drop means the path
-// reintroduced serialization (or the iterator stopped amortizing its snapshot
-// captures, or a per-command cost crept back into the serving loop). The
-// allocs experiment is gated differently: allocations per op are
-// machine-independent, so wire_get_hit and wire_set get a hard ceiling plus a
-// no-regression check against the baseline's absolute numbers.
-func compareScaling(baselinePath string, reports []*bench.Report) error {
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return err
-	}
-	var baseline []*bench.Report
-	if err := json.Unmarshal(raw, &baseline); err != nil {
-		return fmt.Errorf("parse %s: %w", baselinePath, err)
-	}
-	find := func(rs []*bench.Report, id string) (*bench.Report, bool) {
-		for _, r := range rs {
-			if r.ID == id {
-				return r, true
-			}
-		}
-		return nil, false
-	}
-	gates := []struct {
-		id      string
-		extract func(*bench.Report) (int, float64, error)
-	}{
-		{"readscale", bench.ReadScaleSpeedup},
-		{"writescale", bench.WriteScaleSpeedup},
-		{"scan", bench.ScanAmortization},
-		{"netbench", bench.NetBenchPipelineGain},
-		{"ycsb", bench.YCSBCacheGain},
-	}
-	gated := false
-	for _, g := range gates {
-		cur, ok := find(reports, g.id)
-		if !ok {
-			continue
-		}
-		base, ok := find(baseline, g.id)
-		if !ok {
-			return fmt.Errorf("%s has no %s report to gate against", baselinePath, g.id)
-		}
-		bw, bs, err := g.extract(base)
-		if err != nil {
-			return fmt.Errorf("%s baseline: %w", g.id, err)
-		}
-		cw, cs, err := g.extract(cur)
-		if err != nil {
-			return fmt.Errorf("%s current run: %w", g.id, err)
-		}
-		if cw != bw {
-			return fmt.Errorf("%s sweep endpoints differ (baseline %d, current %d); rerun with matching flags", g.id, bw, cw)
-		}
-		const tolerance = 0.90
-		if cs < bs*tolerance {
-			return fmt.Errorf("%s ratio at endpoint %d regressed: %.2fx vs baseline %.2fx (>10%% drop)", g.id, cw, cs, bs)
-		}
-		fmt.Printf("%s gate ok: %.2fx at endpoint %d (baseline %.2fx, floor %.2fx)\n", g.id, cs, cw, bs, bs*tolerance)
-		gated = true
-	}
-	if cur, ok := find(reports, "allocs"); ok {
-		base, hasBase := find(baseline, "allocs")
-		// The ceiling is absolute: allocs/op does not depend on machine
-		// speed, so "at most 2 allocations per wire op" is enforceable
-		// everywhere. The baseline check catches smaller creep (a path going
-		// from 0 to 1.5 stays under the ceiling but is still a regression).
-		const ceiling = 2.0
-		const slack = 0.75
-		for _, name := range []string{"wire_get_hit", "wire_set"} {
-			cv, err := bench.AllocsPerOp(cur, name)
-			if err != nil {
-				return fmt.Errorf("allocs current run: %w", err)
-			}
-			if cv > ceiling {
-				return fmt.Errorf("allocs %s = %.3f allocs/op, over the hard ceiling %.1f", name, cv, ceiling)
-			}
-			if hasBase {
-				bv, err := bench.AllocsPerOp(base, name)
-				if err != nil {
-					return fmt.Errorf("allocs baseline: %w", err)
-				}
-				if cv > bv+slack {
-					return fmt.Errorf("allocs %s regressed: %.3f allocs/op vs baseline %.3f (>%.2f increase)", name, cv, bv, slack)
-				}
-				fmt.Printf("allocs gate ok: %s %.3f allocs/op (baseline %.3f, ceiling %.1f)\n", name, cv, bv, ceiling)
-			} else {
-				fmt.Printf("allocs gate ok: %s %.3f allocs/op (no baseline, ceiling %.1f)\n", name, cv, ceiling)
-			}
-		}
-		gated = true
-	}
-	if !gated {
-		return fmt.Errorf("this run produced no gated report (add -experiment readscale, writescale, scan, netbench, ycsb, or allocs)")
-	}
-	return nil
 }

@@ -5,11 +5,12 @@
 //	redis-cli -p 6379 SET k v
 //	redis-cli -p 6379 GET k
 //
-// Supported commands: GET, SET, DEL, EXISTS, PING, INFO, FLUSHALL (a
-// durability barrier, not a wipe — see DESIGN.md §7), QUIT, COMMAND. With
-// -stats-addr set, the engine's observability endpoints (/stats.json,
-// /metrics, /trace.json) are served over HTTP with the server's wire metrics
-// merged in under server_* names.
+// Supported commands: GET, SET, DEL, EXISTS, MGET, MSET, INCR, INCRBY, SCAN,
+// MULTI, EXEC, DISCARD, REPLICAOF, WAIT, PING, INFO, FLUSHALL (a durability
+// barrier, not a wipe), QUIT, COMMAND — DESIGN.md §7 has each one's semantics
+// and deviations from redis. With -stats-addr set, the engine's observability
+// endpoints (/stats.json, /metrics, /trace.jsonl) are served over HTTP with
+// the server's wire metrics merged in under server_* names.
 package main
 
 import (

@@ -1,7 +1,10 @@
 package bench
 
 import (
+	"go/parser"
+	"go/token"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -164,6 +167,40 @@ func TestVirtualTimeGolden(t *testing.T) {
 		}
 		if sb.String() != string(want) {
 			t.Errorf("%s output moved:\n--- got\n%s--- want\n%s", id, sb.String(), want)
+		}
+	}
+}
+
+// TestHarnessIsVirtualTimeOnly keeps "one question, one instrument"
+// structural: this package regenerates the paper's artefacts on virtual
+// clocks, so none of its files may import the wall clock or the serving
+// stack. A wall-clock question belongs to `go run ./benchmark`, a
+// machine-independent count to a `go test` assertion beside the code.
+func TestHarnessIsVirtualTimeOnly(t *testing.T) {
+	// Raw strings, so that grepping this directory for the quoted import
+	// finds offenders only.
+	banned := map[string]bool{
+		`time`:                          true,
+		`chameleondb/internal/server`:   true,
+		`chameleondb/internal/resp`:     true,
+		`chameleondb/internal/hotcache`: true,
+	}
+	files, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if !strings.HasSuffix(f.Name(), ".go") || strings.HasSuffix(f.Name(), "_test.go") {
+			continue
+		}
+		parsed, err := parser.ParseFile(token.NewFileSet(), f.Name(), nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range parsed.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); banned[path] {
+				t.Errorf("%s imports %q", f.Name(), path)
+			}
 		}
 	}
 }

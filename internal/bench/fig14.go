@@ -76,43 +76,6 @@ func runFig14(opt Options) ([]*Report, error) {
 	return []*Report{rep}, nil
 }
 
-// YCSBResult is one workload's measured throughput (used by the
-// chameleon-ycsb CLI).
-type YCSBResult struct {
-	Workload ycsb.Workload
-	Mops     float64
-}
-
-// RunYCSB loads a store of the given kind and runs the listed workloads in
-// order, returning virtual throughput for each.
-func RunYCSB(kind StoreKind, opt Options, workloads []ycsb.Workload) ([]YCSBResult, error) {
-	opt = opt.withDefaults()
-	s, err := OpenStore(kind, opt)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	loadDur, err := loadMeasured(s, opt, opt.Threads, nil)
-	if err != nil {
-		return nil, err
-	}
-	var out []YCSBResult
-	frontier := loadDur
-	for _, w := range workloads {
-		if w == ycsb.Load {
-			out = append(out, YCSBResult{Workload: w, Mops: mopsVal(opt.Keys, loadDur)})
-			continue
-		}
-		dur, err := runYCSBPhase(s, opt, w, frontier)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", w, err)
-		}
-		frontier += dur
-		out = append(out, YCSBResult{Workload: w, Mops: mopsVal(ycsbPhaseOps(opt, w), dur)})
-	}
-	return out, nil
-}
-
 // ycsbPhaseOps returns the operation count for a workload phase: YCSB_D is
 // a smaller burst of reads for the most recently inserted keys, as in the
 // paper (10K gets right after the load).

@@ -12,9 +12,8 @@ func init() {
 	register("scan", "Snapshot scan cost vs point gets (virtual time, batch amortization)", runScan)
 }
 
-// ScanBatchSizes is the COUNT sweep driven by the scan experiment and the CI
-// regression gate.
-var ScanBatchSizes = []int{10, 100, 1000}
+// scanBatchSizes is the COUNT sweep the scan experiment drives.
+var scanBatchSizes = []int{10, 100, 1000}
 
 // runScan measures the merging iterator against the point-get path on the
 // deterministic virtual clock. The store is loaded, flushed and dumped so the
@@ -23,11 +22,11 @@ var ScanBatchSizes = []int{10, 100, 1000}
 //
 // Each one-shot Scan call captures a lazy snapshot, so small COUNTs re-pay
 // the capture cost on every page while large COUNTs amortize it across many
-// keys. The gate metric is that amortization factor — virtual ns/key at the
-// smallest COUNT over ns/key at the largest. It is a ratio of deterministic
-// virtual-time measurements, so the checked-in BENCH_scanpath.json holds
-// across machines; a >10% drop means batching stopped amortizing (e.g. the
-// iterator re-captures per key or leaks per-page work into the page body).
+// keys. The amort column is that amortization factor — virtual ns/key at the
+// smallest COUNT over ns/key at this one. Every cell is deterministic virtual
+// time, pinned byte for byte by testdata/golden_scan.txt; a drop means
+// batching stopped amortizing (e.g. the iterator re-captures per key or leaks
+// per-page work into the page body).
 func runScan(opt Options) ([]*Report, error) {
 	opt = opt.withDefaults()
 	s, err := OpenStore(Chameleon, opt)
@@ -108,7 +107,7 @@ func runScan(opt Options) ([]*Report, error) {
 	rep.Rows = append(rep.Rows, []string{"get", "-", fmt.Sprintf("%d", gets), fmt.Sprintf("%.0f", nsPerGet), "-"})
 
 	var smallest float64
-	for _, batch := range ScanBatchSizes {
+	for _, batch := range scanBatchSizes {
 		clock := simclock.New(0)
 		se := s.NewSession(clock)
 		sc, ok := se.(kvstore.Scanner)
@@ -155,22 +154,11 @@ func runScan(opt Options) ([]*Report, error) {
 	return []*Report{rep}, nil
 }
 
-// ScanAmortization extracts the batch size and amortization factor of the
-// final scan row — the numbers the CI regression gate compares against the
-// checked-in baseline.
-func ScanAmortization(rep *Report) (batch int, amort float64, err error) {
-	if rep.ID != "scan" || len(rep.Rows) == 0 {
-		return 0, 0, fmt.Errorf("bench: not a scan report")
+// releaseSession drains a session's log reservation when the implementation
+// exposes one (core sessions do; the baselines' are no-ops).
+func releaseSession(se kvstore.Session) error {
+	if r, ok := se.(interface{ Release() error }); ok {
+		return r.Release()
 	}
-	last := rep.Rows[len(rep.Rows)-1]
-	if len(last) < 5 || last[0] != "scan" {
-		return 0, 0, fmt.Errorf("bench: malformed scan row %v", last)
-	}
-	if _, err := fmt.Sscanf(last[1], "%d", &batch); err != nil {
-		return 0, 0, err
-	}
-	if _, err := fmt.Sscanf(last[4], "%f", &amort); err != nil {
-		return 0, 0, err
-	}
-	return batch, amort, nil
+	return nil
 }

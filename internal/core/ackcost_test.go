@@ -43,8 +43,8 @@ func (m *countingMedium) WriteMeta(payload []byte, tear int64) error {
 func (m *countingMedium) Close() error { return nil }
 
 // serveOnMedium boots a store on a counting medium and a server over it, with
-// the server's shipped defaults (durable acks).
-func serveOnMedium(t *testing.T) (*core.Store, *countingMedium, *server.Server, string) {
+// the server's shipped defaults (durable acks) unless asyncAck is set.
+func serveOnMedium(t *testing.T, asyncAck bool) (*core.Store, *countingMedium, *server.Server, string) {
 	t.Helper()
 	med := &countingMedium{}
 	st, err := core.OpenOnMedium(core.TestConfig(), med)
@@ -52,7 +52,7 @@ func serveOnMedium(t *testing.T) (*core.Store, *countingMedium, *server.Server, 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	srv := server.New(st, server.Config{Addr: "127.0.0.1:0"})
+	srv := server.New(st, server.Config{Addr: "127.0.0.1:0", AsyncAck: asyncAck})
 	if err := srv.Listen(); err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func serveOnMedium(t *testing.T) (*core.Store, *countingMedium, *server.Server, 
 // keys cycle through a handful so no MemTable fills: every persist counted is
 // the log's.
 func TestDurableAckCostsOneSync(t *testing.T) {
-	st, med, _, addr := serveOnMedium(t)
+	st, med, _, addr := serveOnMedium(t, false)
 	c, err := resp.Dial(addr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestVaryingWindowsCostOneSyncEach(t *testing.T) {
 // handler's own flush doing its job — and each acked window cost at least
 // one synced write.
 func TestPipelinedConnsDurableAckOrClose(t *testing.T) {
-	st, med, srv, addr := serveOnMedium(t)
+	st, med, srv, addr := serveOnMedium(t, false)
 	const (
 		conns  = 32
 		window = 16
@@ -250,7 +250,7 @@ func TestPipelinedConnsDurableAckOrClose(t *testing.T) {
 // the session's Flush says so and the connection gets an error and a close,
 // never the +OK.
 func TestFailedSyncIsNotAcknowledged(t *testing.T) {
-	_, med, _, addr := serveOnMedium(t)
+	_, med, _, addr := serveOnMedium(t, false)
 	c, err := resp.Dial(addr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -270,5 +270,39 @@ func TestFailedSyncIsNotAcknowledged(t *testing.T) {
 	}
 	if _, err := c.DoStrings("PING"); err == nil {
 		t.Fatal("connection stayed open after a failed commit")
+	}
+}
+
+// TestFlushAllOverFailedSyncIsNotAcknowledged: FLUSHALL is the store-wide
+// durability barrier, so a write buffered in another connection's appender
+// (acknowledged early under AsyncAck) that fails to persist inside the
+// barrier must turn the reply into an error, never +OK.
+func TestFlushAllOverFailedSyncIsNotAcknowledged(t *testing.T) {
+	_, med, srv, addr := serveOnMedium(t, true)
+	dial := func() *resp.Client {
+		t.Helper()
+		c, err := resp.Dial(addr, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		c.SetDeadline(time.Now().Add(30 * time.Second))
+		return c
+	}
+	a, b := dial(), dial()
+	if err := a.Set([]byte("k"), []byte("buffered")); err != nil {
+		t.Fatal(err)
+	}
+	med.failing.Store(true)
+	errs0 := srv.Metrics().StoreErrors.Load()
+	rep, err := b.DoStrings("FLUSHALL")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Type != resp.TypeError {
+		t.Fatalf("FLUSHALL over a failing medium = %+v, want -ERR", rep)
+	}
+	if got := srv.Metrics().StoreErrors.Load() - errs0; got != 1 {
+		t.Errorf("StoreErrors moved by %d, want 1", got)
 	}
 }

@@ -28,7 +28,7 @@ func allocsStore(t *testing.T) *Store {
 // GET hit through GetInto with a reusable dst, and a GET miss, both do zero
 // allocations per op. This is the engine half of the tentpole's
 // "allocation-free from RESP frame to engine and back" contract — the server
-// half is covered by the wire allocs gate in internal/bench.
+// half is internal/server's TestAllocsWirePipelined.
 func TestAllocsGetInto(t *testing.T) {
 	s := allocsStore(t)
 	se := s.NewSession(simclock.New(0)).(*Session)

@@ -13,8 +13,7 @@ import (
 // real time on real goroutines, which is the only way lock contention shows
 // up. BenchmarkMixedParallel at -cpu 8 is the acceptance measurement for the
 // read-path work: against the pre-change (shard-mutex) tree it must show at
-// least 2x the get throughput (see BENCH_readpath.json for the recorded
-// before/after numbers).
+// least 2x the get throughput.
 
 func benchStore(b *testing.B, keys int) *Store {
 	return benchStoreWorkers(b, keys, 0)
@@ -75,8 +74,7 @@ func BenchmarkPut(b *testing.B) {
 }
 
 // BenchmarkGetParallel scales pure reads across GOMAXPROCS goroutines, each
-// with its own session — run with -cpu 1,2,4,8 to reproduce the readscale
-// curve inside the Go bench harness.
+// with its own session — run with -cpu 1,2,4,8 for the read-scaling curve.
 func BenchmarkGetParallel(b *testing.B) {
 	const keys = 4096
 	s := benchStore(b, keys)

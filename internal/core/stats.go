@@ -39,7 +39,7 @@ type Stats struct {
 	// Asynchronous maintenance pipeline: MemTable freezes handed to the
 	// worker pool, backpressure events on the put path, per-kind job counts,
 	// and maintenance that still ran inline (always zero while the pool is
-	// active — the writescale acceptance assertion depends on that).
+	// active — the async write-path tests and put benchmarks assert that).
 	MemFreezes         atomic.Int64
 	PutSlowdowns       atomic.Int64
 	PutStalls          atomic.Int64

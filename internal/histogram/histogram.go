@@ -191,56 +191,6 @@ func (h *Histogram) Reset() {
 	h.max.Store(0)
 }
 
-// Windowed tracks a sliding estimate of a percentile over recent samples,
-// used by ChameleonDB's dynamic Get-Protect Mode (Section 2.4) to detect
-// tail-latency spikes: it keeps a ring of recent samples and reports the
-// requested percentile over the current window.
-type Windowed struct {
-	ring    []int64
-	pos     int
-	full    bool
-	scratch []int64
-}
-
-// NewWindowed creates a window of n samples.
-func NewWindowed(n int) *Windowed {
-	if n < 8 {
-		n = 8
-	}
-	return &Windowed{ring: make([]int64, n), scratch: make([]int64, n)}
-}
-
-// Record adds a sample. Not safe for concurrent use; callers shard per
-// worker and merge, or guard externally.
-func (w *Windowed) Record(v int64) {
-	w.ring[w.pos] = v
-	w.pos++
-	if w.pos == len(w.ring) {
-		w.pos = 0
-		w.full = true
-	}
-}
-
-// Len returns the number of valid samples in the window.
-func (w *Windowed) Len() int {
-	if w.full {
-		return len(w.ring)
-	}
-	return w.pos
-}
-
-// Percentile returns quantile q in [0,100] over the window, or 0 if empty.
-func (w *Windowed) Percentile(q float64) int64 {
-	n := w.Len()
-	if n == 0 {
-		return 0
-	}
-	s := w.scratch[:n]
-	copy(s, w.ring[:n])
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return percentileOf(s, q)
-}
-
 func percentileOf(sorted []int64, q float64) int64 {
 	n := len(sorted)
 	rank := int(math.Ceil(q/100*float64(n))) - 1
@@ -253,12 +203,12 @@ func percentileOf(sorted []int64, q float64) int64 {
 	return sorted[rank]
 }
 
-// AtomicWindowed is the concurrent counterpart of Windowed: a lock-free
-// sliding window of recent samples shared by many recording goroutines.
-// Record is a fetch-add plus one atomic store, so it is safe on a lock-free
-// hot path (ChameleonDB's GPM latency sampling). Percentile copies the ring
-// and sorts; samples recorded concurrently with a Percentile may or may not
-// be included, which is fine for a spike detector.
+// AtomicWindowed tracks a percentile over recent samples — the spike
+// detector behind ChameleonDB's dynamic Get-Protect Mode (Section 2.4): a
+// lock-free ring shared by many recording goroutines. Record is a fetch-add
+// plus one atomic store, so it is safe on the lock-free get path. Percentile
+// copies the ring and sorts; samples recorded concurrently with a Percentile
+// may or may not be included, which is fine for a spike detector.
 type AtomicWindowed struct {
 	ring []atomic.Int64
 	n    atomic.Int64

@@ -177,7 +177,7 @@ func TestBucketRelativeError(t *testing.T) {
 }
 
 func TestWindowedPercentile(t *testing.T) {
-	w := NewWindowed(100)
+	w := NewAtomicWindowed(100)
 	if w.Percentile(99) != 0 {
 		t.Fatal("empty window should report 0")
 	}
@@ -203,7 +203,7 @@ func TestWindowedPercentile(t *testing.T) {
 }
 
 func TestWindowedMinSize(t *testing.T) {
-	w := NewWindowed(1)
+	w := NewAtomicWindowed(1)
 	for i := int64(0); i < 20; i++ {
 		w.Record(i)
 	}

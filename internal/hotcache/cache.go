@@ -392,8 +392,10 @@ func (c *Cache) Add(key, value []byte, token uint64) bool {
 		// gate held for both fills, so both values are current reads of an
 		// unchanged key; keep the resident one. A full-hash collision also
 		// lands here — the slot is taken, so the candidate is not cacheable.
+		// Compare under the lock: once it drops, an eviction can recycle e.
+		same := e.keyEqual(key)
 		sh.mu.Unlock()
-		return e.keyEqual(key)
+		return same
 	}
 	// Make room: the candidate competes with the probation tail. A candidate
 	// colder than the victim it must displace is rejected — TinyLFU's

@@ -107,14 +107,6 @@ func (w *Wrapped) Registry() *obs.Registry {
 	return nil
 }
 
-// RecoverTimes forwards the restart-time probe when present.
-func (w *Wrapped) RecoverTimes() (ready, full int64) {
-	if r, ok := w.inner.(interface{ RecoverTimes() (int64, int64) }); ok {
-		return r.RecoverTimes()
-	}
-	return 0, 0
-}
-
 // VerifyIntegrity forwards the sweep's integrity hook when present.
 func (w *Wrapped) VerifyIntegrity(c *simclock.Clock) error {
 	if v, ok := w.inner.(interface {

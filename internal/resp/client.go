@@ -10,9 +10,8 @@ import (
 //
 // The pipelining contract mirrors the server's: Send queues commands into the
 // write buffer, Flush puts the whole batch on the wire in one write, and
-// Receive reads replies back in order. Do is the depth-1 convenience. The
-// netbench harness drives servers at configurable depth with exactly this
-// Send×N / Flush / Receive×N loop.
+// Receive reads replies back in order. Do is the depth-1 convenience; a
+// depth-N driver is a Send×N / Flush / Receive×N loop.
 //
 // Not safe for concurrent use; open one Client per goroutine (they are cheap:
 // one connection, two buffers).

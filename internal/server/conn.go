@@ -424,18 +424,21 @@ func (c *conn) execute(kind cmdKind, args [][]byte, dirty, quit *bool) {
 		c.w.Bulk(c.srv.infoText(section))
 	case cmdFlushAll:
 		// The engine has no bulk delete; ChameleonDB's FLUSHALL is a
-		// store-wide durability barrier instead: seal this session's batch,
-		// then every appender's, so everything acknowledged anywhere is
-		// persistent when OK comes back. (Documented in DESIGN.md §7.)
-		if err := c.se.Flush(); err != nil {
-			m.StoreErrors.Add(1)
-			c.w.Error(respError(err))
-			return
-		}
+		// store-wide durability barrier instead: persist every appender's
+		// buffered entries, then seal this session's batch, so everything
+		// acknowledged anywhere is persistent when OK comes back. (Documented
+		// in DESIGN.md §7.) The Flush comes last because SyncAll reports
+		// nothing: a persist that failed in another connection's appender
+		// latches the medium error, and Flush is what returns it.
 		if lp, ok := c.srv.store.(interface{ Log() *wlog.Log }); ok {
 			if lg := lp.Log(); lg != nil {
 				lg.SyncAll(c.se.Clock())
 			}
+		}
+		if err := c.se.Flush(); err != nil {
+			m.StoreErrors.Add(1)
+			c.w.Error(respError(err))
+			return
 		}
 		// FLUSHALL is also the operator's "known state" point: drop the
 		// volatile cache so everything served afterwards is a fresh engine

@@ -5,8 +5,8 @@
 // goroutine and one kvstore.Session per connection over shared engine state.
 // The session gives each connection a private log appender (its DRAM write
 // batch) and a reader-epoch slot on the lock-free get path, so connections
-// scale the same way the readscale experiment's worker goroutines do — no
-// shared mutex anywhere on the GET path.
+// scale the same way BenchmarkGetParallel's worker goroutines do — no shared
+// mutex anywhere on the GET path.
 //
 // Requests are fully pipelined: the handler decodes every command already
 // buffered on the connection (up to Config.MaxPipeline), executes them in

@@ -60,9 +60,6 @@ type Generator struct {
 	next       int64 // next key index this worker inserts
 	stride     int64
 	ownInserts int64 // inserts this worker has issued (D's latest() frontier)
-
-	hot      *zipfian // flash-crowd rank chooser; nil in steady state
-	hotCache *zipfian // built once per span, kept across burst toggles
 }
 
 // NewGenerator creates a generator for the given workload over a store
@@ -148,35 +145,10 @@ func (g *Generator) update() Op { return Op{Kind: OpUpdate, Key: Key(g.existing(
 // 0's mass, but which key is pseudo-random). The remap is seedless: every
 // worker agrees on which keys are hot.
 func (g *Generator) existing() int64 {
-	z := g.zipf
-	if g.hot != nil {
-		z = g.hot
-	}
-	if z == nil {
+	if g.zipf == nil {
 		return 0
 	}
-	return int64(fnv64(uint64(z.next())) % uint64(g.inserted))
-}
-
-// SetHotFrac toggles flash-crowd mode: existing-key ranks are drawn from
-// only the hottest frac of the rank space. Because ranks are remapped by the
-// seedless scramble, the burst hammers exactly the keys that are already the
-// hottest in steady state — a traffic spike on the working set, not a new
-// working set. Any frac outside (0, 1) restores steady-state traffic; the
-// restricted chooser is cached across toggles.
-func (g *Generator) SetHotFrac(frac float64) {
-	if frac <= 0 || frac >= 1 || g.inserted <= 0 {
-		g.hot = nil
-		return
-	}
-	span := int64(frac * float64(g.inserted))
-	if span < 1 {
-		span = 1
-	}
-	if g.hotCache == nil || g.hotCache.n != span {
-		g.hotCache = newZipfian(span, 0.99, g.rng)
-	}
-	g.hot = g.hotCache
+	return int64(fnv64(uint64(g.zipf.next())) % uint64(g.inserted))
 }
 
 // fnv64 is YCSB's FNVhash64: FNV-1a folded over the integer's 8 low-order
