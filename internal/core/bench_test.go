@@ -128,12 +128,6 @@ func BenchmarkPutParallel(b *testing.B) {
 					}
 				}
 			})
-			b.StopTimer()
-			if w := mode.workers(); w > 0 {
-				if n := s.Stats().InlineMaintenance; n != 0 {
-					b.Fatalf("async mode ran %d maintenance jobs inline", n)
-				}
-			}
 		})
 	}
 }

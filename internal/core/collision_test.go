@@ -32,11 +32,7 @@ func collideKeys(s *Store, keys ...string) {
 func freezeShard(s *Store, h uint64) {
 	sh := s.shardFor(h)
 	sh.mu.Lock()
-	if sh.mem.Len() > 0 {
-		sh.frozen = append(sh.frozen, &frozenMem{mem: sh.mem, minLSN: sh.memMinLSN, maxLSN: sh.memMaxLSN})
-		sh.rotateMem()
-		sh.publishView()
-	}
+	sh.freezeMem()
 	sh.mu.Unlock()
 }
 

@@ -12,78 +12,24 @@ import (
 	"chameleondb/internal/simclock"
 )
 
-// flush persists the MemTable as a new immutable L0 table, mirrors its
-// entries into the ABI (Figure 7), advances the recovery watermark, and runs
-// whatever compaction the level occupancy demands. Called with sh.mu held.
-func (sh *shard) flush(c *simclock.Clock) error {
-	if sh.mem.Len() == 0 {
-		return nil
-	}
-	flushed := int64(sh.mem.Len())
+// flushFrozen persists the oldest frozen MemTable as a new immutable L0
+// table, mirrors its entries into the ABI (Figure 7), advances the recovery
+// watermark, and schedules whatever compaction the level occupancy demands.
+// Called with sh.mu held.
+func (sh *shard) flushFrozen(c *simclock.Clock) error {
+	fm := sh.frozen[0]
+	flushed := int64(fm.mem.Len())
 	// If the ABI cannot absorb this MemTable, clear it with a last-level
 	// compaction first (geometry normally prevents this; the last level is
 	// sized to whatever it is handed, so this is a safety valve, not the
 	// steady state).
-	if sh.abi != nil && float64(sh.abi.Len()+sh.mem.Len()) >= sh.store.cfg.ABIFullFraction*float64(sh.abi.Cap()) {
+	if sh.abiFull(fm.mem.Len()) {
 		if err := sh.lastLevelCompaction(c); err != nil {
 			return err
 		}
 	}
 	// The log must be at least as durable as the index that points into it:
 	// sync every worker's batch before persisting the table.
-	sh.store.log.SyncAll(c)
-	table, err := sh.buildTable(c, mediaFlush, sh.store.cfg.MemTableSlots, sh.mem.Iterate)
-	if err != nil {
-		return err
-	}
-	if sh.abi != nil {
-		sh.mem.Iterate(func(s hashtable.Slot) bool {
-			probes, _ := sh.abi.Insert(s.Hash, s.Ref)
-			c.Advance(device.DRAMProbeCost(probes))
-			return true
-		})
-	}
-	sh.levels[0] = append(sh.levels[0], sh.wrapUpper(c, table))
-	if sh.memMaxLSN > sh.persistedMaxLSN {
-		sh.persistedMaxLSN = sh.memMaxLSN
-	}
-	// Swap in a fresh MemTable rather than resetting in place: a reader
-	// holding the previous view keeps a frozen MemTable that still contains
-	// the flushed entries, which its view's level list does not yet cover.
-	sh.rotateMem()
-	sh.publishView()
-	sh.store.stats.Flushes.Add(1)
-	sh.store.trace.Emit(c.Now(), obs.EvFlush, sh.id, flushed)
-	sh.persistManifest(c)
-
-	if len(sh.levels[0]) >= sh.store.cfg.Ratio {
-		if sh.store.cfg.CompactionMode == LevelByLevel {
-			return sh.compactLevelByLevel(c)
-		}
-		return sh.compactDirect(c)
-	}
-	return nil
-}
-
-// flushFrozen is the background-job variant of flush: it persists the oldest
-// frozen MemTable as an L0 table and mirrors it into the ABI, leaving the
-// live MemTable untouched (the put path already rotated it). A full L0 is
-// not cascaded inline — a separate compaction job is enqueued, so the shard
-// lock is released between the flush and the merge and puts can slip in.
-// Called with sh.mu held by a maintenance worker.
-func (sh *shard) flushFrozen(c *simclock.Clock) error {
-	fm := sh.frozen[0]
-	if fm.mem.Len() == 0 {
-		sh.frozen = sh.frozen[1:]
-		sh.publishView()
-		return nil
-	}
-	flushed := int64(fm.mem.Len())
-	if sh.abi != nil && float64(sh.abi.Len()+fm.mem.Len()) >= sh.store.cfg.ABIFullFraction*float64(sh.abi.Cap()) {
-		if err := sh.lastLevelCompaction(c); err != nil {
-			return err
-		}
-	}
 	sh.store.log.SyncAll(c)
 	table, err := sh.buildTable(c, mediaFlush, sh.store.cfg.MemTableSlots, fm.mem.Iterate)
 	if err != nil {
@@ -111,65 +57,18 @@ func (sh *shard) flushFrozen(c *simclock.Clock) error {
 	sh.store.trace.Emit(c.Now(), obs.EvFlush, sh.id, flushed)
 	sh.persistManifest(c)
 	if len(sh.levels[0]) >= sh.store.cfg.Ratio {
-		sh.store.maint.enqueue(sh.id, maintCompact)
+		return sh.schedule(c, maintCompact)
 	}
 	return nil
 }
 
-// spillFrozen is the background-job variant of spillToABI: the oldest frozen
-// MemTable moves into the ABI without persisting an L0 table (Write-Intensive
-// / Get-Protect operation), leaving the storage log as its entries' only
-// persistent copy. Called with sh.mu held by a maintenance worker.
-func (sh *shard) spillFrozen(c *simclock.Clock) error {
-	if sh.abi == nil {
-		return sh.flushFrozen(c)
-	}
-	fm := sh.frozen[0]
-	if fm.mem.Len() == 0 {
-		sh.frozen = sh.frozen[1:]
-		sh.publishView()
-		return nil
-	}
-	if float64(sh.abi.Len()+fm.mem.Len()) >= sh.store.cfg.ABIFullFraction*float64(sh.abi.Cap()) {
-		if sh.store.gpmActive.Load() && len(sh.dumped) < sh.store.cfg.GetProtect.MaxDumps {
-			if err := sh.dumpABI(c); err != nil {
-				return err
-			}
-		} else {
-			if err := sh.lastLevelCompaction(c); err != nil {
-				return err
-			}
-		}
-	}
-	if sh.spillMinLSN == 0 || (fm.minLSN != 0 && fm.minLSN < sh.spillMinLSN) {
-		sh.spillMinLSN = fm.minLSN
-	}
-	if fm.maxLSN > sh.spillMaxLSN {
-		sh.spillMaxLSN = fm.maxLSN
-	}
-	spilled := int64(fm.mem.Len())
-	fm.mem.Iterate(func(s hashtable.Slot) bool {
-		probes, _ := sh.abi.Insert(s.Hash, s.Ref)
-		c.Advance(device.DRAMProbeCost(probes))
-		return true
-	})
-	sh.frozen = sh.frozen[1:]
-	sh.publishView()
-	sh.store.stats.Spills.Add(1)
-	sh.store.trace.Emit(c.Now(), obs.EvSpill, sh.id, spilled)
-	return nil
-}
-
-// spillToABI is the Write-Intensive / Get-Protect path (Sections 2.3, 2.4):
-// the full MemTable moves into the ABI without persisting an L0 table, so
-// the only persistent copy of these entries is the storage log — the
+// spillFrozen is the Write-Intensive / Get-Protect path (Sections 2.3, 2.4):
+// the oldest frozen MemTable moves into the ABI without persisting an L0
+// table, so the only persistent copy of its entries is the storage log — the
 // recovery watermark stays behind them. Called with sh.mu held.
-func (sh *shard) spillToABI(c *simclock.Clock) error {
-	if sh.abi == nil {
-		// ABI disabled: Write-Intensive Mode is meaningless, flush normally.
-		return sh.flush(c)
-	}
-	if float64(sh.abi.Len()+sh.mem.Len()) >= sh.store.cfg.ABIFullFraction*float64(sh.abi.Cap()) {
+func (sh *shard) spillFrozen(c *simclock.Clock) error {
+	fm := sh.frozen[0]
+	if sh.abiFull(fm.mem.Len()) {
 		if sh.store.gpmActive.Load() && len(sh.dumped) < sh.store.cfg.GetProtect.MaxDumps {
 			if err := sh.dumpABI(c); err != nil {
 				return err
@@ -182,26 +81,32 @@ func (sh *shard) spillToABI(c *simclock.Clock) error {
 			}
 		}
 	}
-	if sh.spillMinLSN == 0 || (sh.memMinLSN != 0 && sh.memMinLSN < sh.spillMinLSN) {
-		sh.spillMinLSN = sh.memMinLSN
+	if sh.spillMinLSN == 0 || (fm.minLSN != 0 && fm.minLSN < sh.spillMinLSN) {
+		sh.spillMinLSN = fm.minLSN
 	}
-	if sh.memMaxLSN > sh.spillMaxLSN {
-		sh.spillMaxLSN = sh.memMaxLSN
+	if fm.maxLSN > sh.spillMaxLSN {
+		sh.spillMaxLSN = fm.maxLSN
 	}
-	spilled := int64(sh.mem.Len())
+	spilled := int64(fm.mem.Len())
 	// The ABI gains the spilled entries in place — old-view readers probe it
 	// after their (still complete) frozen MemTable, so the duplicates are
-	// harmless — then the MemTable is swapped fresh and the view republished.
-	sh.mem.Iterate(func(s hashtable.Slot) bool {
+	// harmless — then the frozen table is popped and the view republished.
+	fm.mem.Iterate(func(s hashtable.Slot) bool {
 		probes, _ := sh.abi.Insert(s.Hash, s.Ref)
 		c.Advance(device.DRAMProbeCost(probes))
 		return true
 	})
-	sh.rotateMem()
+	sh.frozen = sh.frozen[1:]
 	sh.publishView()
 	sh.store.stats.Spills.Add(1)
 	sh.store.trace.Emit(c.Now(), obs.EvSpill, sh.id, spilled)
 	return nil
+}
+
+// abiFull reports whether n more entries would fill the ABI past
+// abiFullFraction, forcing it to be cleared first. False without an ABI.
+func (sh *shard) abiFull(n int) bool {
+	return sh.abi != nil && float64(sh.abi.Len()+n) >= abiFullFraction*float64(sh.abi.Cap())
 }
 
 // dumpABI writes the ABI verbatim to the Pmem as a new dumped table without
@@ -214,7 +119,7 @@ func (sh *shard) dumpABI(c *simclock.Clock) error {
 	sh.store.log.SyncAll(c)
 	// A dump that fits a table no larger than the ABI itself keeps the power
 	// of two it always had; an ABI dumped fuller than fitFill — the normal
-	// Get-Protect case, at ABIFullFraction — is fitted instead of doubled.
+	// Get-Protect case, at abiFullFraction — is fitted instead of doubled.
 	designed := min(needCap(sh.abi.Len(), fitFill, 8), sh.abi.Cap())
 	table, err := sh.buildTable(c, mediaDump, fittedCap(sh.abi.Len(), designed), sh.abi.Iterate)
 	if err != nil {

@@ -73,9 +73,6 @@ type Config struct {
 	// Table 1: 512 KB per shard = 32768 slots. Zero derives it from the
 	// upper-level geometry.
 	ABISlots int
-	// ABIFullFraction is the ABI load factor that forces a last-level
-	// compaction in Write-Intensive / Get-Protect operation.
-	ABIFullFraction float64
 
 	// ArenaBytes sizes the simulated pmem arena; LogBytes the value-log
 	// region inside it.
@@ -111,23 +108,11 @@ type Config struct {
 	// concurrent writers already saturates Optane write bandwidth). With
 	// workers, a put that fills its MemTable freezes the table and enqueues
 	// the flush/spill/compaction as a background job instead of running the
-	// merge inline under the shard lock. Zero (the default) preserves the
-	// synchronous behaviour bit-for-bit, which the deterministic virtual-time
+	// merge inline under the shard lock. Zero (the default) runs the same
+	// jobs inline on the writer's clock, which the deterministic virtual-time
 	// experiments rely on. Use DefaultMaintenanceWorkers for a serving-shaped
 	// default.
 	MaintenanceWorkers int
-
-	// Write backpressure (only meaningful with MaintenanceWorkers > 0),
-	// RocksDB-style: a put first observes the shard's debt — frozen MemTables
-	// not yet flushed plus L0 tables not yet compacted — and is delayed
-	// (slowdown) or blocked (stall) when the pool is behind, so writers
-	// cannot outrun maintenance without bound. Zero values are defaulted by
-	// validate when workers are enabled.
-	SlowdownFrozenTables int   // frozen tables per shard that trigger the put delay
-	StallFrozenTables    int   // frozen tables per shard that block puts
-	SlowdownL0Tables     int   // L0 tables per shard that trigger the put delay
-	StallL0Tables        int   // L0 tables per shard that block puts
-	SlowdownDelayNs      int64 // wall-clock delay injected per put under slowdown
 
 	// TraceEvents is the capacity of the in-DRAM structured event trace ring
 	// (flushes, spills, compactions, GPM transitions, GC, crash/recovery).
@@ -143,17 +128,16 @@ type Config struct {
 // to fit a development machine.
 func DefaultConfig() Config {
 	return Config{
-		Shards:          16384,
-		MemTableSlots:   512, // 8 KB
-		Levels:          4,
-		Ratio:           4,
-		LoadFactorMin:   0.65,
-		LoadFactorMax:   0.85,
-		ABISlots:        32768, // 512 KB
-		ABIFullFraction: 0.90,
-		ArenaBytes:      64 << 30,
-		LogBytes:        48 << 30,
-		CompactionMode:  DirectCompaction,
+		Shards:         16384,
+		MemTableSlots:  512, // 8 KB
+		Levels:         4,
+		Ratio:          4,
+		LoadFactorMin:  0.65,
+		LoadFactorMax:  0.85,
+		ABISlots:       32768, // 512 KB
+		ArenaBytes:     64 << 30,
+		LogBytes:       48 << 30,
+		CompactionMode: DirectCompaction,
 		GetProtect: GPMConfig{
 			EnterThresholdNs: 2000,
 			MaxDumps:         1,
@@ -198,6 +182,11 @@ func TestConfig() Config {
 	return cfg
 }
 
+// abiFullFraction is the ABI load factor at which a flush or spill first
+// clears the ABI: by a last-level compaction, or a dump under Get-Protect
+// Mode.
+const abiFullFraction = 0.90
+
 // upperCapacitySlots returns the total slot capacity of all upper levels of
 // one shard: r tables at L0 plus (r-1) tables at each of L1..L(l-2).
 func (c Config) upperCapacitySlots() int {
@@ -236,13 +225,10 @@ func (c *Config) validate() error {
 	if c.LoadFactorMin <= 0 || c.LoadFactorMax > 1 || c.LoadFactorMin > c.LoadFactorMax {
 		return fmt.Errorf("core: invalid load factor range [%v, %v]", c.LoadFactorMin, c.LoadFactorMax)
 	}
-	if c.ABIFullFraction <= 0 || c.ABIFullFraction > 1 {
-		c.ABIFullFraction = 0.90
-	}
 	if c.ABISlots == 0 {
 		// Size the ABI to hold the full upper levels at max load factor,
 		// rounded to a power of two, as Table 1's geometry does.
-		need := int(float64(c.upperCapacitySlots()) * c.LoadFactorMax / c.ABIFullFraction)
+		need := int(float64(c.upperCapacitySlots()) * c.LoadFactorMax / abiFullFraction)
 		p := 8
 		for p < need {
 			p <<= 1
@@ -277,27 +263,6 @@ func (c *Config) validate() error {
 	}
 	if c.MaintenanceWorkers < 0 {
 		return fmt.Errorf("core: MaintenanceWorkers must be >= 0, got %d", c.MaintenanceWorkers)
-	}
-	if c.MaintenanceWorkers > 0 {
-		if c.SlowdownFrozenTables <= 0 {
-			c.SlowdownFrozenTables = 4
-		}
-		if c.StallFrozenTables <= 0 {
-			c.StallFrozenTables = 2 * c.SlowdownFrozenTables
-		}
-		if c.SlowdownL0Tables <= 0 {
-			c.SlowdownL0Tables = 2 * c.Ratio
-		}
-		if c.StallL0Tables <= 0 {
-			c.StallL0Tables = 2 * c.SlowdownL0Tables
-		}
-		if c.SlowdownDelayNs <= 0 {
-			c.SlowdownDelayNs = 50_000
-		}
-		if c.StallFrozenTables < c.SlowdownFrozenTables || c.StallL0Tables < c.SlowdownL0Tables {
-			return fmt.Errorf("core: stall thresholds (%d frozen / %d L0) must not be below slowdown thresholds (%d / %d)",
-				c.StallFrozenTables, c.StallL0Tables, c.SlowdownFrozenTables, c.SlowdownL0Tables)
-		}
 	}
 	if c.ArenaBytes < 1<<20 || c.LogBytes < 1<<16 || c.LogBytes >= c.ArenaBytes {
 		return fmt.Errorf("core: invalid arena/log sizing (%d / %d)", c.ArenaBytes, c.LogBytes)

@@ -293,7 +293,7 @@ func TestDefaultConfigGeometry(t *testing.T) {
 	}
 	// ABI (512 KB = 32768 slots) holds the full upper levels at max load.
 	maxUpper := float64(cfg.upperCapacitySlots()) * cfg.LoadFactorMax
-	if maxUpper > float64(cfg.ABISlots)*cfg.ABIFullFraction {
+	if maxUpper > float64(cfg.ABISlots)*abiFullFraction {
 		t.Fatalf("ABI (%d slots) cannot cover upper levels (%.0f entries)", cfg.ABISlots, maxUpper)
 	}
 }

@@ -122,6 +122,39 @@ func TestCrashSweepAsync(t *testing.T) {
 	}), wl)
 }
 
+// TestCrashSweepAsyncWriteIntensive is the async sweep in Write-Intensive
+// Mode: the pool's spill path, where a crash can land with spilled entries
+// held only by the log and frozen tables still queued.
+func TestCrashSweepAsyncWriteIntensive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhaustive sweep")
+	}
+	wl := sweepWorkload()
+	wl.Stride = 3
+	wl.AllowUntriggered = true
+	storetest.RunCrashSweep(t, "ChameleonDB-Async-WIM", sweepOpen(func(c *Config) {
+		c.MaintenanceWorkers = 2
+		c.WriteIntensive = true
+	}), wl)
+}
+
+// TestCrashSweepAsyncWriteIntensiveWideKeys runs the async WIM sweep at a
+// keyset the geometry outgrows, so the pool's spills force dumps and
+// last-level compactions mid-script.
+func TestCrashSweepAsyncWriteIntensiveWideKeys(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhaustive sweep")
+	}
+	wl := sweepWorkload()
+	wl.Keys = 216
+	wl.Stride = 3
+	wl.AllowUntriggered = true
+	storetest.RunCrashSweep(t, "ChameleonDB-Async-WIM-Wide", sweepOpen(func(c *Config) {
+		c.MaintenanceWorkers = 2
+		c.WriteIntensive = true
+	}), wl)
+}
+
 // TestCrashSweepBatchedPuts replays the Direct-mode sweep with runs of
 // consecutive puts grouped through PutBatch — the path the server's
 // shard-affine SET dispatch uses. Batched writes must replay exactly like

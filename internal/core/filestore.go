@@ -158,7 +158,7 @@ func attachStore(cfg Config, dev *device.Device, arena *pmem.Arena, med *filedev
 	s.replEpoch.Store(hs.ReplEpoch)
 	s.replApplied.Store(hs.ReplApplied)
 	// The store reattaches in the crashed state: sessions are rejected and
-	// maintenance stays synchronous until Recover replays the log and clears
+	// maintenance jobs run inline until Recover replays the log and clears
 	// the flag — a restart is a crash whose volatile half is a new process.
 	s.crashed.Store(true)
 	s.log.SetMetaHook(s.logMetaHook)

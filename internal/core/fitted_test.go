@@ -49,7 +49,7 @@ func TestFittedCap(t *testing.T) {
 		{3482, 4096, 4112},   // ceil(3482/0.85) = 4097 -> 257 lines
 		{15625, 4096, 18384}, // the repo benchmark's shard: 1 M keys over 64 shards
 		{27852, 32768, 32768},
-		{29491, 32768, 34704}, // an ABI dumped at ABIFullFraction
+		{29491, 32768, 34704}, // an ABI dumped at abiFullFraction
 		{7, 8, 16},            // smallest outgrown table: one line
 	} {
 		if got := fittedCap(tc.n, tc.designed); got != tc.want {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"chameleondb/internal/device"
-	"chameleondb/internal/hashtable"
 	"chameleondb/internal/obs"
 	"chameleondb/internal/simclock"
 	"chameleondb/internal/wlog"
@@ -85,13 +84,7 @@ func (s *Store) CompactLog(c *simclock.Clock, reclaimBytes int64) (int64, error)
 			sh.mu.Unlock()
 			return false
 		}
-		if sh.memMinLSN == 0 || newLSN < sh.memMinLSN {
-			sh.memMinLSN = newLSN
-		}
-		if newLSN > sh.memMaxLSN {
-			sh.memMaxLSN = newLSN
-		}
-		relocErr = sh.insertMem(c, e.Hash, hashtable.MakeRef(newLSN, false))
+		relocErr = sh.insertMem(c, e.Hash, newLSN, false)
 		relocated++
 		sh.mu.Unlock()
 		return relocErr == nil
@@ -122,21 +115,11 @@ func (s *Store) CompactLog(c *simclock.Clock, reclaimBytes int64) (int64, error)
 	// segments.
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		var err error
-		// Frozen tables are older than the live MemTable and must persist
-		// first (L0 version order); normally the drain above has already
-		// emptied the list, but a flush job could legally have been dropped
-		// by a concurrent error latch.
-		for err == nil && len(sh.frozen) > 0 {
-			err = sh.flushFrozen(c)
-		}
-		if err == nil {
-			err = sh.flush(c)
-		}
+		err := sh.flushAll(c)
 		if err == nil && sh.recoverLSN < target {
 			sh.persistManifest(c)
 		}
-		ok := sh.recoverLSN >= target || (sh.mem.Len() == 0 && len(sh.frozen) == 0 && sh.spillMinLSN == 0)
+		ok := sh.recoverLSN >= target || sh.spillMinLSN == 0
 		sh.mu.Unlock()
 		if err != nil {
 			return 0, fmt.Errorf("core: log GC checkpoint: %w", err)

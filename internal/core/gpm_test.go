@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"chameleondb/internal/simclock"
 )
@@ -171,5 +172,82 @@ func TestGPMCrashRecovery(t *testing.T) {
 		if !ok || string(got) != string(val(i)) {
 			t.Fatalf("key %d lost across GPM crash", i)
 		}
+	}
+}
+
+// TestGPMMergeRunsOnThePool pins where the postponed merge runs on a store
+// with a maintenance pool: the first put after a Get-Protect exit schedules
+// it as a last-level job and returns without merging, and the pool merges the
+// dump back before the session's Flush barrier returns. Both workers are
+// wedged while the put runs, so a merge that happened anyway ran inline.
+func TestGPMMergeRunsOnThePool(t *testing.T) {
+	cfg := TestConfig()
+	cfg.MaintenanceWorkers = 2
+	cfg.GetProtect = GPMConfig{Enabled: true, EnterThresholdNs: 1 << 60, MaxDumps: 1, WindowSize: 256, SampleEvery: 1}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const target = 2
+	se := s.NewSession(simclock.New(0)).(*Session)
+	defer se.Release()
+	keys := shardKeys(s, target, 201)
+	for _, k := range keys[:200] {
+		if err := se.Put(k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := se.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	c := simclock.New(0)
+	if err := s.DumpABIs(c); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.shards[target].dumped) == 0 {
+		t.Fatal("no dump to merge back; geometry changed?")
+	}
+	// Engage Get-Protect Mode, then let sampled gets cancel it: every shard
+	// is marked for the postponed merge.
+	s.gpmActive.Store(true)
+	for i := 0; s.stats.GPMExits.Load() == 0; i++ {
+		if i == 10000 {
+			t.Fatal("Get-Protect Mode never exited")
+		}
+		if _, _, err := se.Get(keys[i%200]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Wedge both workers on shards the put does not touch.
+	for _, id := range []int{0, 1} {
+		s.shards[id].mu.Lock()
+		s.maint.enqueue(id, maintFlush)
+	}
+	for start := time.Now(); s.maint.busy.Load() < 2; time.Sleep(time.Millisecond) {
+		if time.Since(start) > 10*time.Second {
+			t.Fatal("workers never picked up the wedge jobs")
+		}
+	}
+	last0 := s.stats.LastCompactions.Load()
+	err = se.Put(keys[200], []byte("v"))
+	inline := s.stats.LastCompactions.Load() - last0
+	s.shards[0].mu.Unlock()
+	s.shards[1].mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inline != 0 {
+		t.Fatalf("the put after a Get-Protect exit merged inline (%d last-level compactions)", inline)
+	}
+	if err := se.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.stats.MaintJobsLastLevel.Load(); n < 1 {
+		t.Fatalf("MaintJobsLastLevel = %d after Flush, want >= 1", n)
+	}
+	if n := len(s.shards[target].view.Load().dumped); n != 0 {
+		t.Fatalf("%d dumped tables left after the pool's merge", n)
 	}
 }

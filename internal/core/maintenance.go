@@ -8,15 +8,18 @@ import (
 	"chameleondb/internal/simclock"
 )
 
-// Background maintenance pipeline (Config.MaintenanceWorkers > 0).
+// Maintenance: MemTable flushes and spills, upper-level compactions and the
+// postponed Get-Protect merge.
 //
 // The paper pairs every put thread with a dedicated compaction thread
 // (Section 3.3) so foreground writes never wait behind index maintenance.
-// This file is the store-level version of that pairing: when a put fills its
-// MemTable, the table is frozen (rotated out exactly as destructive
-// boundaries already rotate tables for readers), the new view is published,
-// and the flush/spill/compaction runs later on a bounded worker pool instead
-// of inline under the shard lock. The put path never executes a merge.
+// There is one mechanism for it: a put that fills its MemTable freezes the
+// table (rotated out exactly as destructive boundaries already rotate tables
+// for readers), publishes the new view, and hands the job that flushes or
+// spills it to schedule. With Config.MaintenanceWorkers > 0 schedule queues
+// the job on a bounded worker pool and the put path never executes a merge;
+// with none (and during recovery replay) it runs the same job inline, on the
+// caller's clock, inside the caller's sh.async bracket.
 //
 // Ordering invariants:
 //
@@ -68,12 +71,15 @@ type maintKind int
 
 const (
 	// maintFlush handles one frozen MemTable: flush to L0 or spill to the
-	// ABI, per the mode (WIM/GPM) in force when the job runs.
+	// ABI, per the mode (WIM/GPM) in force when the job runs. Scheduled by
+	// the put that fills a MemTable.
 	maintFlush maintKind = iota
 	// maintCompact cascades a full L0 (Direct or LevelByLevel per config).
+	// Scheduled by the flush that fills L0.
 	maintCompact
 	// maintLastLevel merges dumped ABI tables back after a Get-Protect
-	// burst ends (the postponed merge of Section 2.4).
+	// burst ends (the postponed merge of Section 2.4). Scheduled by a
+	// shard's first put after the monitor cancels Get-Protect Mode.
 	maintLastLevel
 )
 
@@ -246,64 +252,96 @@ func (p *maintPool) stop() {
 	})
 }
 
-// runMaintJob executes one job, holding the shard's mutex for the duration.
-// The shard's timeline is not reserved: maintenance runs on its own worker
-// clock, off every session's critical path — which is the whole point.
+// runMaintJob executes one job on a worker, holding the shard's mutex for
+// the duration. The shard's timeline is not reserved: maintenance runs on its
+// own worker clock, off every session's critical path — which is the whole
+// point.
 func (s *Store) runMaintJob(c *simclock.Clock, sh *shard, kind maintKind) error {
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	switch kind {
-	case maintFlush:
-		if len(sh.frozen) == 0 {
-			s.stats.MaintJobsSkipped.Add(1)
-			return nil
-		}
-		if s.writeIntensive.Load() || s.gpmActive.Load() {
-			s.stats.MaintJobsSpill.Add(1)
-			return sh.spillFrozen(c)
-		}
-		s.stats.MaintJobsFlush.Add(1)
-		return sh.flushFrozen(c)
-	case maintCompact:
-		if len(sh.levels[0]) < s.cfg.Ratio {
-			s.stats.MaintJobsSkipped.Add(1)
-			return nil
-		}
-		s.stats.MaintJobsCompact.Add(1)
-		if s.cfg.CompactionMode == LevelByLevel {
-			return sh.compactLevelByLevel(c)
-		}
-		return sh.compactDirect(c)
-	case maintLastLevel:
-		if len(sh.dumped) == 0 {
-			s.stats.MaintJobsSkipped.Add(1)
-			return nil
-		}
-		s.stats.MaintJobsLastLevel.Add(1)
-		return sh.lastLevelCompaction(c)
+	counter, err := sh.runJob(c, kind)
+	sh.mu.Unlock()
+	counter.Add(1)
+	return err
+}
+
+// schedule is the one place a maintenance job is dispatched: queued for the
+// pool when one is active, otherwise run here, on c, inside the caller's
+// sh.async bracket. Called with sh.mu held.
+func (sh *shard) schedule(c *simclock.Clock, kind maintKind) error {
+	if !sh.store.maintActive() {
+		_, err := sh.runJob(c, kind)
+		return err
 	}
+	if kind == maintFlush {
+		sh.store.stats.MemFreezes.Add(1)
+	}
+	sh.store.maint.enqueue(sh.id, kind)
 	return nil
 }
 
+// runJob executes one job with sh.mu held: the one function that chooses
+// flush, spill or compaction, for pool workers and inline stores alike. Each
+// kind re-checks its trigger first. It returns the counter the pool books the
+// job under — MaintJobsSkipped when the trigger no longer holds.
+func (sh *shard) runJob(c *simclock.Clock, kind maintKind) (*atomic.Int64, error) {
+	s := sh.store
+	switch kind {
+	case maintFlush:
+		if len(sh.frozen) == 0 {
+			break
+		}
+		// Get-Protect or Write-Intensive Mode: spill into the ABI without
+		// persisting an L0 table (Sections 2.3, 2.4). Without an ABI the mode
+		// is meaningless and the table flushes normally.
+		if sh.abi != nil && (s.writeIntensive.Load() || s.gpmActive.Load()) {
+			return &s.stats.MaintJobsSpill, sh.spillFrozen(c)
+		}
+		return &s.stats.MaintJobsFlush, sh.flushFrozen(c)
+	case maintCompact:
+		if len(sh.levels[0]) < s.cfg.Ratio {
+			break
+		}
+		if s.cfg.CompactionMode == LevelByLevel {
+			return &s.stats.MaintJobsCompact, sh.compactLevelByLevel(c)
+		}
+		return &s.stats.MaintJobsCompact, sh.compactDirect(c)
+	case maintLastLevel:
+		if len(sh.dumped) > 0 {
+			return &s.stats.MaintJobsLastLevel, sh.lastLevelCompaction(c)
+		}
+	}
+	return &s.stats.MaintJobsSkipped, nil
+}
+
+// Write backpressure (MaintenanceWorkers > 0), RocksDB-style: a put first
+// observes its shard's debt — frozen MemTables not yet flushed, L0 tables not
+// yet compacted — and is delayed past the slowdown thresholds or blocked past
+// the stall thresholds, so writers cannot outrun the pool without bound. The
+// L0 thresholds are 2r and 4r tables.
+const (
+	slowdownFrozenTables = 4
+	stallFrozenTables    = 8
+	slowdownDelay        = 50 * time.Microsecond
+)
+
 // throttle applies write backpressure before a put touches its shard: when
-// the shard's published debt (frozen MemTables awaiting flush, L0 tables
-// awaiting compaction) crosses the slowdown threshold the put sleeps briefly;
-// past the stall threshold it blocks until the pool catches up. Thresholds
-// are checked against the lock-free view, so an un-throttled put pays one
-// atomic load and no lock.
+// the shard's published debt crosses the slowdown threshold the put sleeps
+// briefly; past the stall threshold it blocks until the pool catches up.
+// Thresholds are checked against the lock-free view, so an un-throttled put
+// pays one atomic load and no lock.
 func (se *Session) throttle(sh *shard) error {
 	p := se.store.maint
 	if p == nil {
 		return nil
 	}
-	cfg := &se.store.cfg
+	slowdownL0, stallL0 := 2*se.store.cfg.Ratio, 4*se.store.cfg.Ratio
 	v := sh.view.Load()
 	frozen, l0 := len(v.frozen), len(v.levels[0])
-	if frozen < cfg.SlowdownFrozenTables && l0 < cfg.SlowdownL0Tables {
+	if frozen < slowdownFrozenTables && l0 < slowdownL0 {
 		return nil
 	}
 	start := time.Now()
-	if frozen >= cfg.StallFrozenTables || l0 >= cfg.StallL0Tables {
+	if frozen >= stallFrozenTables || l0 >= stallL0 {
 		se.store.stats.PutStalls.Add(1)
 		p.mu.Lock()
 		for {
@@ -319,7 +357,7 @@ func (se *Session) throttle(sh *shard) error {
 				return err
 			}
 			v = sh.view.Load()
-			if len(v.frozen) < cfg.StallFrozenTables && len(v.levels[0]) < cfg.StallL0Tables {
+			if len(v.frozen) < stallFrozenTables && len(v.levels[0]) < stallL0 {
 				break
 			}
 			p.cond.Wait()
@@ -327,16 +365,16 @@ func (se *Session) throttle(sh *shard) error {
 		p.mu.Unlock()
 	} else {
 		se.store.stats.PutSlowdowns.Add(1)
-		time.Sleep(time.Duration(cfg.SlowdownDelayNs))
+		time.Sleep(slowdownDelay)
 	}
 	se.store.lat.putStall.Record(time.Since(start).Nanoseconds())
 	return nil
 }
 
-// maintActive reports whether the put path should freeze-and-enqueue rather
-// than run maintenance inline. Recovery replay (crashed still set) always
-// takes the synchronous path: replay is a single-threaded quiesced scan whose
-// watermark bookkeeping expects immediate flushes.
+// maintActive reports whether schedule should queue jobs for the pool rather
+// than run them inline. Recovery replay (crashed still set) always runs them
+// inline: replay is a single-threaded quiesced scan whose watermark
+// bookkeeping expects immediate flushes.
 func (s *Store) maintActive() bool {
 	return s.maint != nil && !s.crashed.Load()
 }

@@ -43,7 +43,6 @@ func (s *Store) buildRegistry() {
 	r.CounterFunc("maint_jobs_compact", st.MaintJobsCompact.Load)
 	r.CounterFunc("maint_jobs_last_level", st.MaintJobsLastLevel.Load)
 	r.CounterFunc("maint_jobs_skipped", st.MaintJobsSkipped.Load)
-	r.CounterFunc("inline_maintenance", st.InlineMaintenance.Load)
 	for p, name := range mediaPurposeNames {
 		r.CounterFunc("core_media_bytes_"+name, func() int64 { return s.mediaBytes(mediaPurpose(p)) })
 	}

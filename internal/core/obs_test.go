@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"chameleondb/internal/hashtable"
 	"chameleondb/internal/obs"
 	"chameleondb/internal/simclock"
 	"chameleondb/internal/xhash"
@@ -69,7 +68,7 @@ func TestHashMismatchCountsAsMiss(t *testing.T) {
 	}
 	shB := s.shardFor(hB)
 	shB.mu.Lock()
-	err := shB.insertMem(c, hB, hashtable.MakeRef(slot.LSN(), false))
+	err := shB.insertMem(c, hB, slot.LSN(), false)
 	shB.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)

@@ -66,16 +66,8 @@ func (s *Store) Recover(c *simclock.Clock) error {
 		if e.LSN <= sh.persistedMaxLSN && sh.supersededBy(c, e.Hash, e.LSN) {
 			return true
 		}
-		if sh.memMinLSN == 0 || e.LSN < sh.memMinLSN {
-			sh.memMinLSN = e.LSN
-		}
-		if e.LSN > sh.memMaxLSN {
-			sh.memMaxLSN = e.LSN
-		}
-		if replayErr = sh.insertMem(c, e.Hash, hashtable.MakeRef(e.LSN, e.Tombstone())); replayErr != nil {
-			return false
-		}
-		return true
+		replayErr = sh.insertMem(c, e.Hash, e.LSN, e.Tombstone())
+		return replayErr == nil
 	})
 	if err == nil {
 		err = replayErr
@@ -154,7 +146,7 @@ func (s *Store) Recover(c *simclock.Clock) error {
 	}
 	s.lastRecoverFullNs = c.Now() - start
 	s.trace.Emit(c.Now(), obs.EvRecoverFull, -1, s.lastRecoverFullNs)
-	// Reopen the maintenance pool last: replay above ran synchronously
+	// Reopen the maintenance pool last: replay above ran its jobs inline
 	// (crashed was still set when entries were inserted), and the rebuild
 	// loops must not race background merges.
 	if s.maint != nil {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"chameleondb/internal/device"
-	"chameleondb/internal/hashtable"
 	"chameleondb/internal/kvstore"
 	"chameleondb/internal/simclock"
 	"chameleondb/internal/wlog"
@@ -116,39 +115,7 @@ func (se *Session) write(key, value []byte, flags uint16) error {
 	c.Advance(int64(float64(wlog.EntrySize(len(key), len(value))) * device.CostDRAMSeqPerByte))
 
 	sh := se.store.shardFor(h)
-	if err := se.admitWrite(sh); err != nil {
-		return err
-	}
-	sh.mu.Lock()
-	opStart := c.Now()
-	sh.asyncNs = 0
-	lsn, err := se.ap.Append(c, h, key, value, flags)
-	if err != nil {
-		sh.mu.Unlock()
-		return err
-	}
-	if sh.memMinLSN == 0 || lsn < sh.memMinLSN {
-		sh.memMinLSN = lsn
-	}
-	if lsn > sh.memMaxLSN {
-		sh.memMaxLSN = lsn
-	}
-	err = sh.insertMem(c, h, hashtable.MakeRef(lsn, flags&wlog.FlagTombstone != 0))
-	if err == nil && sh.pendingMerge.Load() && !se.store.gpmActive.Load() {
-		// A postponed Get-Protect dump is merged back once the burst is
-		// over (Section 2.4).
-		sh.pendingMerge.Store(false)
-		if len(sh.dumped) > 0 {
-			err = sh.async(c, func() error { return sh.lastLevelCompaction(c) })
-		}
-	}
-	// Background flush/compaction time stalls this worker (its core hosts
-	// the compaction thread) but does not extend the shard's critical
-	// section for other workers.
-	dur := c.Now() - opStart - sh.asyncNs
-	sh.mu.Unlock()
-	c.AdvanceTo(sh.tl.Reserve(opStart, dur))
-	if err != nil {
+	if err := se.critical(sh, func() error { return se.appendLocked(sh, h, key, value, flags) }); err != nil {
 		return err
 	}
 	// Tombstones are deletes, not puts: keeping the two apart lets reports
@@ -205,27 +172,20 @@ func (se *Session) PutBatch(keys, values [][]byte) error {
 			continue
 		}
 		sh := se.store.shardFor(se.bhash[i])
-		if err := se.admitWrite(sh); err != nil {
-			return err
-		}
-		sh.mu.Lock()
-		opStart := c.Now()
-		sh.asyncNs = 0
-		var err error
 		applied := int64(0)
-		for j := i; j < len(keys); j++ {
-			if se.bdone[j] || se.store.shardFor(se.bhash[j]) != sh {
-				continue
+		err := se.critical(sh, func() error {
+			for j := i; j < len(keys); j++ {
+				if se.bdone[j] || se.store.shardFor(se.bhash[j]) != sh {
+					continue
+				}
+				if err := se.appendLocked(sh, se.bhash[j], keys[j], values[j], 0); err != nil {
+					return err
+				}
+				se.bdone[j] = true
+				applied++
 			}
-			if err = se.appendLocked(sh, c, se.bhash[j], keys[j], values[j], 0); err != nil {
-				break
-			}
-			se.bdone[j] = true
-			applied++
-		}
-		dur := c.Now() - opStart - sh.asyncNs
-		sh.mu.Unlock()
-		c.AdvanceTo(sh.tl.Reserve(opStart, dur))
+			return nil
+		})
 		se.store.stats.Puts.Add(applied)
 		if err != nil {
 			return err
@@ -238,6 +198,28 @@ func (se *Session) PutBatch(keys, values [][]byte) error {
 		se.store.lat.put.Record(end - arrive)
 	}
 	return nil
+}
+
+// critical runs fn as one write critical section on sh: under sh.mu, with
+// the lock hold time — minus the background flush/compaction time fn
+// bracketed in sh.asyncNs — booked on the shard's timeline. Every write path
+// goes through here.
+func (se *Session) critical(sh *shard, fn func() error) error {
+	if err := se.admitWrite(sh); err != nil {
+		return err
+	}
+	c := se.clock
+	sh.mu.Lock()
+	opStart := c.Now()
+	sh.asyncNs = 0
+	err := fn()
+	// Background flush/compaction time stalls this worker (its core hosts
+	// the compaction thread) but does not extend the shard's critical
+	// section for other workers.
+	dur := c.Now() - opStart - sh.asyncNs
+	sh.mu.Unlock()
+	c.AdvanceTo(sh.tl.Reserve(opStart, dur))
+	return err
 }
 
 // admitWrite applies write-path backpressure and dirty-shard tracking before
@@ -286,41 +268,45 @@ func (se *Session) GetInto(key, dst []byte) ([]byte, bool, error) {
 	h := se.store.hashFn(key)
 
 	sh := se.store.shardFor(h)
+	// Lock-free probe: pin a reader epoch so no compaction recycles the tables
+	// the published view references mid-probe, load the view, probe, unpin.
+	// No mutex is acquired anywhere on this path — MemTable and ABI probes
+	// are seqlock-validated, the persisted tables are immutable, and the log
+	// read resolves segments through atomics.
+	se.slot.pin(se.store.em)
+	e, src, live, err := sh.resolve(c, sh.view.Load(), h, key)
+	se.slot.unpin()
+	if live {
+		dst = append(dst, e.Value...)
+	}
 	// The source is counted once the outcome is known, so the per-source
 	// counters (and their latency histograms) always sum consistently with
 	// what callers observed. A tombstone is a definitive answer from its
 	// structure and counts there even though the get reports absence.
-	finish := func(src getSource) {
-		se.store.stats.countGet(src)
-		now := c.Now()
-		se.store.lat.get[src].Record(now - arrive)
-		se.store.recordGetLatency(now, now-arrive)
-	}
-	// Collision fallback: a 64-bit hash match does not prove key identity, so
-	// a candidate whose full key (read from the log) differs is stepped past
-	// and the probe resumes at older tiers. skip > 0 passes only ever run
-	// with engineered collisions — the real mixer makes them a 2^-64 event —
-	// so the common case is exactly one pass.
-	for skip := 0; ; skip++ {
-		opStart := c.Now()
-		// Lock-free index probe: pin a reader epoch so no compaction recycles
-		// the tables the published view references mid-probe, load the view,
-		// probe, unpin. No mutex is acquired anywhere on this path — MemTable
-		// and ABI probes are seqlock-validated, the persisted tables are
-		// immutable, and the log read below resolves segments through atomics.
-		se.slot.pin(se.store.em)
-		slot, src, ok := sh.lookupView(c, sh.view.Load(), h, skip)
-		se.slot.unpin()
-		// Readers share the shard timeline: unlike a writer's exclusive
-		// Reserve, a shared reservation never queues, it only records the
-		// reader's completion so the modeled timeline knows when gets drained.
-		c.AdvanceTo(sh.tl.ReserveShared(opStart, c.Now()-opStart))
+	se.store.stats.countGet(src)
+	now := c.Now()
+	se.store.lat.get[src].Record(now - arrive)
+	se.store.recordGetLatency(now, now-arrive)
+	return dst, live, err
+}
 
+// resolve returns key's current log entry as view v indexes it, the structure
+// that answered, and whether the key is live (present and not tombstoned).
+// Get and the read-modify-write ops (under sh.mu) share it. The caller owns
+// v's lifetime (epoch pin or sh.mu).
+//
+// Collision fallback: a 64-bit hash match does not prove key identity, so a
+// candidate whose full key (read from the log) differs is stepped past and
+// the probe resumes at older tiers. skip > 0 passes only ever run with
+// engineered collisions — the real mixer makes them a 2^-64 event — so the
+// common case is exactly one pass.
+func (sh *shard) resolve(c *simclock.Clock, v *shardView, h uint64, key []byte) (wlog.Entry, getSource, bool, error) {
+	for skip := 0; ; skip++ {
+		slot, src, ok := sh.lookupView(c, v, h, skip)
 		if !ok {
-			finish(src)
-			return dst, false, nil
+			return wlog.Entry{}, src, false, nil
 		}
-		e, err := se.store.log.Read(c, slot.LSN())
+		e, err := sh.store.log.Read(c, slot.LSN())
 		if err != nil {
 			if slot.Tombstone() {
 				// Log GC drops settled tombstone entries while their index
@@ -328,82 +314,43 @@ func (se *Session) GetInto(key, dst []byte) ([]byte, bool, error) {
 				// GC only settles a tombstone that is the live version of its
 				// hash — no older version survives below it — so the slot
 				// stays authoritative: the key is deleted.
-				finish(src)
-				return dst, false, nil
+				return wlog.Entry{}, src, false, nil
 			}
-			finish(src)
-			return dst, false, err
+			return wlog.Entry{}, src, false, err
 		}
 		if !bytes.Equal(e.Key, key) {
 			// A full 64-bit hash collision between distinct keys: this
 			// candidate belongs to someone else, but an older tier may still
 			// hold the probed key — retry past it.
-			se.store.stats.HashMismatches.Add(1)
-			continue
-		}
-		if slot.Tombstone() {
-			finish(src)
-			return dst, false, nil
-		}
-		val := append(dst, e.Value...)
-		finish(src)
-		return val, true, nil
-	}
-}
-
-// probeEntry resolves key's current log entry under sh.mu, walking the same
-// collision fallback as Get. live reports the key is present and not
-// tombstoned. The read-modify-write session ops (DeleteIfPresent, IncrBy)
-// call it with the shard lock held so probe and subsequent append are atomic
-// with respect to every other writer.
-func (sh *shard) probeEntry(c *simclock.Clock, h uint64, key []byte) (e wlog.Entry, live bool, err error) {
-	v := sh.view.Load()
-	for skip := 0; ; skip++ {
-		slot, _, ok := sh.lookupView(c, v, h, skip)
-		if !ok {
-			return wlog.Entry{}, false, nil
-		}
-		e, err := sh.store.log.Read(c, slot.LSN())
-		if err != nil {
-			if slot.Tombstone() {
-				// Settled tombstone whose log bytes GC reclaimed: authoritative
-				// absence (see Session.Get).
-				return wlog.Entry{}, false, nil
-			}
-			return wlog.Entry{}, false, err
-		}
-		if !bytes.Equal(e.Key, key) {
 			sh.store.stats.HashMismatches.Add(1)
 			continue
 		}
-		return e, !slot.Tombstone(), nil
+		return e, src, !slot.Tombstone(), nil
 	}
 }
 
 // appendLocked appends one entry to the session's log batch and indexes it in
-// the MemTable. Called with sh.mu held; the caller has already charged the
-// DRAM batch-copy cost and runs inside an opStart/Reserve bracket.
-func (se *Session) appendLocked(sh *shard, c *simclock.Clock, h uint64, key, value []byte, flags uint16) error {
+// the MemTable, then runs a postponed Get-Protect merge if one is due. Called
+// inside critical; the caller has already charged the DRAM batch-copy cost.
+func (se *Session) appendLocked(sh *shard, h uint64, key, value []byte, flags uint16) error {
+	c := se.clock
 	lsn, err := se.ap.Append(c, h, key, value, flags)
 	if err != nil {
 		return err
 	}
-	if sh.memMinLSN == 0 || lsn < sh.memMinLSN {
-		sh.memMinLSN = lsn
+	if err := sh.insertMem(c, h, lsn, flags&wlog.FlagTombstone != 0); err != nil {
+		return err
 	}
-	if lsn > sh.memMaxLSN {
-		sh.memMaxLSN = lsn
-	}
-	err = sh.insertMem(c, h, hashtable.MakeRef(lsn, flags&wlog.FlagTombstone != 0))
-	if err == nil && sh.pendingMerge.Load() && !se.store.gpmActive.Load() {
+	if sh.pendingMerge.Load() && !se.store.gpmActive.Load() {
 		// A postponed Get-Protect dump is merged back once the burst is
-		// over (Section 2.4).
+		// over (Section 2.4): the shard's first put after it schedules the
+		// merge.
 		sh.pendingMerge.Store(false)
 		if len(sh.dumped) > 0 {
-			err = sh.async(c, func() error { return sh.lastLevelCompaction(c) })
+			return sh.async(c, func() error { return sh.schedule(c, maintLastLevel) })
 		}
 	}
-	return err
+	return nil
 }
 
 // DeleteIfPresent implements kvstore.ConditionalDeleter: probe and tombstone
@@ -424,19 +371,14 @@ func (se *Session) DeleteIfPresent(key []byte) (bool, error) {
 	c.Advance(int64(float64(wlog.EntrySize(len(key), 0)) * device.CostDRAMSeqPerByte))
 
 	sh := se.store.shardFor(h)
-	if err := se.admitWrite(sh); err != nil {
-		return false, err
-	}
-	sh.mu.Lock()
-	opStart := c.Now()
-	sh.asyncNs = 0
-	_, existed, err := sh.probeEntry(c, h, key)
-	if err == nil && existed {
-		err = se.appendLocked(sh, c, h, key, nil, wlog.FlagTombstone)
-	}
-	dur := c.Now() - opStart - sh.asyncNs
-	sh.mu.Unlock()
-	c.AdvanceTo(sh.tl.Reserve(opStart, dur))
+	var existed bool
+	err := se.critical(sh, func() error {
+		var err error
+		if _, _, existed, err = sh.resolve(c, sh.view.Load(), h, key); err != nil || !existed {
+			return err
+		}
+		return se.appendLocked(sh, h, key, nil, wlog.FlagTombstone)
+	})
 	if err != nil {
 		return false, err
 	}
@@ -464,35 +406,26 @@ func (se *Session) IncrBy(key []byte, delta int64) (int64, error) {
 	h := se.store.hashFn(key)
 
 	sh := se.store.shardFor(h)
-	if err := se.admitWrite(sh); err != nil {
-		return 0, err
-	}
-	sh.mu.Lock()
-	opStart := c.Now()
-	sh.asyncNs = 0
-	e, live, err := sh.probeEntry(c, h, key)
 	var next int64
-	if err == nil {
+	err := se.critical(sh, func() error {
+		e, _, live, err := sh.resolve(c, sh.view.Load(), h, key)
+		if err != nil {
+			return err
+		}
 		var old int64
 		if live {
-			old, err = strconv.ParseInt(string(e.Value), 10, 64)
-			if err != nil {
-				err = ErrNotInteger
+			if old, err = strconv.ParseInt(string(e.Value), 10, 64); err != nil {
+				return ErrNotInteger
 			}
 		}
-		if err == nil && ((delta > 0 && old > math.MaxInt64-delta) || (delta < 0 && old < math.MinInt64-delta)) {
-			err = ErrNotInteger
+		if (delta > 0 && old > math.MaxInt64-delta) || (delta < 0 && old < math.MinInt64-delta) {
+			return ErrNotInteger
 		}
-		if err == nil {
-			next = old + delta
-			value := strconv.AppendInt(nil, next, 10)
-			c.Advance(int64(float64(wlog.EntrySize(len(key), len(value))) * device.CostDRAMSeqPerByte))
-			err = se.appendLocked(sh, c, h, key, value, 0)
-		}
-	}
-	dur := c.Now() - opStart - sh.asyncNs
-	sh.mu.Unlock()
-	c.AdvanceTo(sh.tl.Reserve(opStart, dur))
+		next = old + delta
+		value := strconv.AppendInt(nil, next, 10)
+		c.Advance(int64(float64(wlog.EntrySize(len(key), len(value))) * device.CostDRAMSeqPerByte))
+		return se.appendLocked(sh, h, key, value, 0)
+	})
 	if err != nil {
 		return 0, err
 	}

@@ -31,11 +31,11 @@ type shard struct {
 	last   *ptable     // nil until first last-level compaction
 	dumped []*ptable   // GPM ABI dumps, oldest first
 
-	// frozen holds MemTables rotated out by the async put path, oldest
-	// first, each awaiting a background flush/spill job. Always empty when
-	// MaintenanceWorkers == 0 (the synchronous path flushes in place) and
-	// after a drain barrier. Purely volatile: a crash wipes it, and recovery
-	// replays its entries from the log like any other MemTable content.
+	// frozen holds full MemTables rotated out of the put path, oldest first,
+	// each awaiting its flush/spill job. Empty between operations when the
+	// jobs run inline (MaintenanceWorkers == 0) and after a drain barrier.
+	// Purely volatile: a crash wipes it, and recovery replays its entries
+	// from the log like any other MemTable content.
 	frozen []*frozenMem
 
 	// view is the atomically published read snapshot of the fields above.
@@ -105,10 +105,9 @@ type shardView struct {
 	dumped []*ptable
 }
 
-// frozenMem is a MemTable the async put path rotated out, with the LSN range
-// its entries cover: minLSN holds the recovery watermark back until the
-// table's background flush persists it, maxLSN advances persistedMaxLSN when
-// it does. The table itself is immutable once frozen (only the single writer
+// frozenMem is a MemTable the put path rotated out, with the LSN range its
+// entries cover: minLSN holds the recovery watermark back until the table's
+// flush persists it, maxLSN advances persistedMaxLSN when it does. The table itself is immutable once frozen (only the single writer
 // under sh.mu ever inserted into it, and it was rotated away under the same
 // lock), so readers probe it without seqlock retries ever failing.
 type frozenMem struct {
@@ -164,7 +163,9 @@ func (sh *shard) rotateABI() {
 
 // async brackets background work: it runs fn (charging c as usual) and
 // moves the elapsed time into sh.asyncNs so the session excludes it from the
-// critical-section reservation. Called with sh.mu held.
+// critical-section reservation. Brackets never nest — a job run inline opens
+// none of its own — or the time would be excluded twice. Called with sh.mu
+// held.
 func (sh *shard) async(c *simclock.Clock, fn func() error) error {
 	t0 := c.Now()
 	err := fn()
@@ -253,10 +254,18 @@ func (sh *shard) mergedEntryBound() int {
 	return n
 }
 
-// insertMem puts one entry into the MemTable, charging DRAM probe costs, and
-// flushes / spills when the randomized load-factor threshold is reached.
-// Called with sh.mu held; the caller has already appended to the log.
-func (sh *shard) insertMem(c *simclock.Clock, h uint64, ref uint64) error {
+// insertMem indexes one log entry in the MemTable, charging DRAM probe
+// costs, and freezes the table when the randomized load-factor threshold is
+// reached. Called with sh.mu held; the caller has already appended to the
+// log.
+func (sh *shard) insertMem(c *simclock.Clock, h uint64, lsn int64, tombstone bool) error {
+	if sh.memMinLSN == 0 || lsn < sh.memMinLSN {
+		sh.memMinLSN = lsn
+	}
+	if lsn > sh.memMaxLSN {
+		sh.memMaxLSN = lsn
+	}
+	ref := hashtable.MakeRef(lsn, tombstone)
 	probes, ok := sh.mem.Insert(h, ref)
 	c.Advance(device.DRAMProbeCost(probes))
 	if !ok {
@@ -274,35 +283,18 @@ func (sh *shard) insertMem(c *simclock.Clock, h uint64, ref uint64) error {
 	return nil
 }
 
-// memTableFull handles a full MemTable. With an active maintenance pool the
-// table is frozen and its flush/spill enqueued as a background job — the put
-// path executes no merge. Otherwise (MaintenanceWorkers == 0, or recovery
-// replay) the synchronous paths run inline, according to the current mode:
-//   - Get-Protect Mode or Write-Intensive Mode: spill into the ABI without
-//     persisting an L0 table (Sections 2.3, 2.4).
-//   - Normal: flush to L0 (Figure 7) and run compactions as needed.
+// memTableFull freezes the full MemTable and schedules the job that flushes
+// or spills it: on the pool when one is active, otherwise inline under this
+// bracket. Called with sh.mu held.
 func (sh *shard) memTableFull(c *simclock.Clock) error {
-	if sh.store.maintActive() {
-		sh.freezeMem()
-		return nil
-	}
-	// Tripwire for the async acceptance criterion: with a live pool this
-	// branch is unreachable (maintActive routed to freezeMem above), so the
-	// counter stays zero unless a regression re-inlines maintenance.
-	// Synchronous stores and recovery replay do not count.
-	if sh.store.maint != nil && !sh.store.crashed.Load() {
-		sh.store.stats.InlineMaintenance.Add(1)
-	}
-	if sh.store.writeIntensive.Load() || sh.store.gpmActive.Load() {
-		return sh.async(c, func() error { return sh.spillToABI(c) })
-	}
-	return sh.async(c, func() error { return sh.flush(c) })
+	sh.freezeMem()
+	return sh.async(c, func() error { return sh.schedule(c, maintFlush) })
 }
 
-// freezeMem rotates the full MemTable into the frozen list, publishes the
+// freezeMem rotates the live MemTable into the frozen list and publishes the
 // new view (an empty MemTable in front of the frozen one — readers see every
-// entry exactly where version order expects it), and enqueues the background
-// job that will flush or spill it. Called with sh.mu held.
+// entry exactly where version order expects it). An empty MemTable is not
+// frozen. Called with sh.mu held.
 func (sh *shard) freezeMem() {
 	if sh.mem.Len() == 0 {
 		return
@@ -310,8 +302,19 @@ func (sh *shard) freezeMem() {
 	sh.frozen = append(sh.frozen, &frozenMem{mem: sh.mem, minLSN: sh.memMinLSN, maxLSN: sh.memMaxLSN})
 	sh.rotateMem()
 	sh.publishView()
-	sh.store.stats.MemFreezes.Add(1)
-	sh.store.maint.enqueue(sh.id, maintFlush)
+}
+
+// flushAll freezes the live MemTable and flushes every frozen table to L0,
+// oldest first, whatever the mode: the checkpoint FlushAll and log GC take.
+// Called with sh.mu held.
+func (sh *shard) flushAll(c *simclock.Clock) error {
+	sh.freezeMem()
+	for len(sh.frozen) > 0 {
+		if err := sh.flushFrozen(c); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // lookup performs the index lookup against the shard's published view,

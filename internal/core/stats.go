@@ -36,10 +36,9 @@ type Stats struct {
 	GetLast     atomic.Int64
 	GetMiss     atomic.Int64
 
-	// Asynchronous maintenance pipeline: MemTable freezes handed to the
-	// worker pool, backpressure events on the put path, per-kind job counts,
-	// and maintenance that still ran inline (always zero while the pool is
-	// active — the async write-path tests and put benchmarks assert that).
+	// Maintenance pool: MemTable freezes handed to the workers, backpressure
+	// events on the put path, and per-kind counts of the jobs the workers ran
+	// (jobs run inline on a store without a pool are not counted).
 	MemFreezes         atomic.Int64
 	PutSlowdowns       atomic.Int64
 	PutStalls          atomic.Int64
@@ -48,7 +47,6 @@ type Stats struct {
 	MaintJobsCompact   atomic.Int64
 	MaintJobsLastLevel atomic.Int64
 	MaintJobsSkipped   atomic.Int64
-	InlineMaintenance  atomic.Int64
 }
 
 // mediaPurpose names what a persist was for. Every persist a store issues is
@@ -158,7 +156,6 @@ type StatsSnapshot struct {
 	MaintJobsCompact   int64
 	MaintJobsLastLevel int64
 	MaintJobsSkipped   int64
-	InlineMaintenance  int64
 }
 
 // Stats returns a snapshot of the operation counters.
@@ -195,7 +192,6 @@ func (s *Store) Stats() StatsSnapshot {
 		MaintJobsCompact:   s.stats.MaintJobsCompact.Load(),
 		MaintJobsLastLevel: s.stats.MaintJobsLastLevel.Load(),
 		MaintJobsSkipped:   s.stats.MaintJobsSkipped.Load(),
-		InlineMaintenance:  s.stats.InlineMaintenance.Load(),
 	}
 }
 

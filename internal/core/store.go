@@ -64,8 +64,8 @@ type Store struct {
 	trace *obs.Trace
 
 	// maint is the background maintenance pool (nil when
-	// Config.MaintenanceWorkers == 0, which preserves the fully synchronous
-	// put path bit-for-bit for the virtual-time figure experiments).
+	// Config.MaintenanceWorkers == 0: jobs then run inline on the writer's
+	// clock, as the virtual-time figure experiments need).
 	maint *maintPool
 
 	crashed atomic.Bool

@@ -8,7 +8,7 @@ import (
 )
 
 // FlushAll forces every shard to flush its MemTable to a persisted L0 table
-// (running whatever compactions the level occupancy then demands). It is a
+// (scheduling whatever compactions the level occupancy then demands). It is a
 // maintenance entry point for the crash-consistency harness and benchmarks;
 // quiesce concurrent writers first, and note that sessions' unsealed log
 // batches still need their own Flush to become durable.
@@ -16,9 +16,8 @@ func (s *Store) FlushAll(c *simclock.Clock) error {
 	if s.crashed.Load() {
 		return ErrCrashed
 	}
-	// Settle the background pipeline first: flushing the live MemTable while
-	// an older frozen table is still queued would persist L0 tables out of
-	// version order.
+	// Settle the background pipeline first, so a latched job error surfaces
+	// here instead of after the checkpoint.
 	if s.maint != nil {
 		if err := s.maint.drainAll(); err != nil {
 			return err
@@ -26,14 +25,7 @@ func (s *Store) FlushAll(c *simclock.Clock) error {
 	}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		err := sh.async(c, func() error {
-			for len(sh.frozen) > 0 {
-				if err := sh.flushFrozen(c); err != nil {
-					return err
-				}
-			}
-			return sh.flush(c)
-		})
+		err := sh.async(c, func() error { return sh.flushAll(c) })
 		sh.mu.Unlock()
 		if err != nil {
 			return err

@@ -50,11 +50,6 @@ func (c *Clock) AdvanceTo(t int64) {
 // Timeline is safe for concurrent use.
 type Timeline struct {
 	busy atomic.Int64
-	// shared is the completion frontier of shared (reader) reservations.
-	// Shared reservations overlap each other and never queue behind busy;
-	// the frontier exists so quiescence points can observe the latest
-	// reader completion time.
-	shared atomic.Int64
 }
 
 // Reserve books dur nanoseconds on the timeline no earlier than virtual time
@@ -103,42 +98,14 @@ func (t *Timeline) ReserveWork(at, dur int64) (end int64) {
 	}
 }
 
-// ReserveShared books dur nanoseconds of shared (reader) work arriving at
-// virtual time at. Shared reservations model lock-free readers on the
-// resource: they overlap one another and do not queue behind the exclusive
-// frontier, so the reservation always completes at at+dur regardless of
-// concurrent writers. The timeline records only the latest shared completion
-// time (SharedFrontier) so quiescence points — crash, GC, phase barriers —
-// can tell when the last reader drained. This is the timeline-model half of
-// ChameleonDB's lock-free get path: writers keep exclusive Reserve on the
-// shard timeline, while concurrent gets overlap freely.
-func (t *Timeline) ReserveShared(at, dur int64) (end int64) {
-	if dur < 0 {
-		dur = 0
-	}
-	end = at + dur
-	for {
-		s := t.shared.Load()
-		if s >= end || t.shared.CompareAndSwap(s, end) {
-			return end
-		}
-	}
-}
-
-// SharedFrontier returns the completion time of the latest shared
-// reservation.
-func (t *Timeline) SharedFrontier() int64 { return t.shared.Load() }
-
-// Peek returns the time at which the timeline becomes free of exclusive
-// reservations.
+// Peek returns the time at which the timeline becomes free.
 func (t *Timeline) Peek() int64 { return t.busy.Load() }
 
-// Reset clears both frontiers back to time zero. Only safe when no
+// Reset clears the frontier back to time zero. Only safe when no
 // reservations are in flight; used by the benchmark harness between
 // experiments and by crash simulation.
 func (t *Timeline) Reset() {
 	t.busy.Store(0)
-	t.shared.Store(0)
 }
 
 // Group tracks a set of worker clocks so the harness can compute the
