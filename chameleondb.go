@@ -70,8 +70,9 @@ type Options struct {
 	// thresholds (paper Section 2.5).
 	LoadFactorMin float64
 	LoadFactorMax float64
-	// ABISlots sizes each shard's Auxiliary Bypass Index (0 = derive from
-	// the level geometry).
+	// ABISlots is the capacity each shard's Auxiliary Bypass Index grows to
+	// (Table 1: 512 KB); it starts at one MemTable's worth (0 = derive the
+	// cap from the level geometry).
 	ABISlots int
 	// ArenaBytes sizes the simulated persistent memory; LogBytes the value
 	// log region inside it.
@@ -125,7 +126,8 @@ func DefaultOptions() Options {
 }
 
 // PaperOptions returns the paper's Table 1 configuration: 16384 shards,
-// 8 KB MemTables, 512 KB ABIs (8 GB of DRAM for ABIs alone), a 64 GB arena.
+// 8 KB MemTables, ABIs growing to 512 KB (8 GB of DRAM for ABIs alone at
+// design load), a 64 GB arena.
 func PaperOptions() Options {
 	c := core.DefaultConfig()
 	return Options{
@@ -395,6 +397,11 @@ func (db *DB) Stats() Stats {
 // written for: "log", "flush", "upper_compaction", "last_compaction",
 // "abi_dump", "manifest", "gc_relocation". The purposes sum to the total.
 func (db *DB) MediaBytesByPurpose() map[string]int64 { return db.store.MediaBytesByPurpose() }
+
+// DRAMBytesByPurpose splits the engine's share of Stats().DRAMFootprintBytes
+// (all of it without a hot cache) by what the bytes are held for:
+// "memtable", "frozen", "abi", "accelerators", "gpm_window".
+func (db *DB) DRAMBytesByPurpose() map[string]int64 { return db.store.DRAMBytesByPurpose() }
 
 // WriteAmplification returns media bytes written per logical byte.
 func (s Stats) WriteAmplification() float64 {

@@ -158,6 +158,20 @@ func crashSweepCmd(args []string) {
 		*mode, *seed, res, time.Since(start).Seconds())
 }
 
+// printByPurpose prints one line of byte counts in MB, purposes sorted.
+func printByPurpose(label string, by map[string]int64) {
+	purposes := make([]string, 0, len(by))
+	for p := range by {
+		purposes = append(purposes, p)
+	}
+	sort.Strings(purposes)
+	fmt.Print(label)
+	for _, p := range purposes {
+		fmt.Printf(" %s=%.1fMB", p, float64(by[p])/(1<<20))
+	}
+	fmt.Println()
+}
+
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "crashsweep" {
 		crashSweepCmd(os.Args[2:])
@@ -288,17 +302,8 @@ func main() {
 			fmt.Printf("media: written=%.1fMB read=%.1fMB writeAmp=%.2f dram=%.1fMB\n",
 				float64(st.MediaBytesWritten)/(1<<20), float64(st.MediaBytesRead)/(1<<20),
 				st.WriteAmplification(), float64(st.DRAMFootprintBytes)/(1<<20))
-			by := db.MediaBytesByPurpose()
-			purposes := make([]string, 0, len(by))
-			for p := range by {
-				purposes = append(purposes, p)
-			}
-			sort.Strings(purposes)
-			fmt.Print("media written for:")
-			for _, p := range purposes {
-				fmt.Printf(" %s=%.1fMB", p, float64(by[p])/(1<<20))
-			}
-			fmt.Println()
+			printByPurpose("media written for:", db.MediaBytesByPurpose())
+			printByPurpose("dram held for:", db.DRAMBytesByPurpose())
 			fmt.Printf("maintenance: freezes=%d slowdowns=%d stalls=%d jobs(flush=%d spill=%d compact=%d last=%d)\n",
 				st.MemFreezes, st.PutSlowdowns, st.PutStalls,
 				st.MaintJobsFlush, st.MaintJobsSpill, st.MaintJobsCompact, st.MaintJobsLast)

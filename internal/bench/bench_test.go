@@ -144,9 +144,9 @@ func TestOptionsDefaults(t *testing.T) {
 // TestVirtualTimeGolden pins the paper-side ground truth: the fig6 and scan
 // reports are functions of virtual time only, so their text must not move by
 // a byte when the log, the persist path or the scanner change (the goldens
-// are `chameleon-bench -experiment <id> -keys 40000 -ops 40000 -threads 4`
-// from before reservations became whole lines). A change that means to move
-// virtual time regenerates them and says so.
+// are `chameleon-bench -experiment <id> -keys 40000 -ops 40000 -threads 4`,
+// last re-taken when the ABIs became sized to what they hold). A change that
+// means to move virtual time regenerates them and says so.
 func TestVirtualTimeGolden(t *testing.T) {
 	for _, id := range []string{"fig6", "scan"} {
 		e, ok := Lookup(id)

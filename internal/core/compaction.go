@@ -39,11 +39,9 @@ func (sh *shard) flushFrozen(c *simclock.Clock) error {
 		// Mirror into the ABI. Version order holds because frozen tables are
 		// flushed oldest-first: everything newer than fm still sits in the
 		// MemTable or a younger frozen table, both probed before the ABI.
-		fm.mem.Iterate(func(s hashtable.Slot) bool {
-			probes, _ := sh.abi.Insert(s.Hash, s.Ref)
-			c.Advance(device.DRAMProbeCost(probes))
-			return true
-		})
+		if err := sh.abiAbsorb(c, fm.mem); err != nil {
+			return err
+		}
 	}
 	sh.levels[0] = append(sh.levels[0], sh.wrapUpper(c, table))
 	if fm.maxLSN > sh.persistedMaxLSN {
@@ -88,14 +86,13 @@ func (sh *shard) spillFrozen(c *simclock.Clock) error {
 		sh.spillMaxLSN = fm.maxLSN
 	}
 	spilled := int64(fm.mem.Len())
-	// The ABI gains the spilled entries in place — old-view readers probe it
-	// after their (still complete) frozen MemTable, so the duplicates are
-	// harmless — then the frozen table is popped and the view republished.
-	fm.mem.Iterate(func(s hashtable.Slot) bool {
-		probes, _ := sh.abi.Insert(s.Hash, s.Ref)
-		c.Advance(device.DRAMProbeCost(probes))
-		return true
-	})
+	// The ABI gains the spilled entries in place (or in a grown copy):
+	// old-view readers probe it after their still complete frozen MemTable,
+	// so the duplicates are harmless. Then the frozen table is popped and the
+	// view republished.
+	if err := sh.abiAbsorb(c, fm.mem); err != nil {
+		return err
+	}
 	sh.frozen = sh.frozen[1:]
 	sh.publishView()
 	sh.store.stats.Spills.Add(1)
@@ -104,9 +101,10 @@ func (sh *shard) spillFrozen(c *simclock.Clock) error {
 }
 
 // abiFull reports whether n more entries would fill the ABI past
-// abiFullFraction, forcing it to be cleared first. False without an ABI.
+// abiFullFraction of the capacity it grows to, forcing it to be cleared
+// first. False without an ABI.
 func (sh *shard) abiFull(n int) bool {
-	return sh.abi != nil && float64(sh.abi.Len()+n) >= abiFullFraction*float64(sh.abi.Cap())
+	return sh.abi != nil && float64(sh.abi.Len()+n) >= abiFullFraction*float64(sh.store.cfg.ABISlots)
 }
 
 // dumpABI writes the ABI verbatim to the Pmem as a new dumped table without
@@ -117,10 +115,10 @@ func (sh *shard) dumpABI(c *simclock.Clock) error {
 		return nil
 	}
 	sh.store.log.SyncAll(c)
-	// A dump that fits a table no larger than the ABI itself keeps the power
+	// A dump that fits a table no larger than the ABI's cap keeps the power
 	// of two it always had; an ABI dumped fuller than fitFill — the normal
 	// Get-Protect case, at abiFullFraction — is fitted instead of doubled.
-	designed := min(needCap(sh.abi.Len(), fitFill, 8), sh.abi.Cap())
+	designed := min(needCap(sh.abi.Len(), fitFill, 8), sh.store.cfg.ABISlots)
 	table, err := sh.buildTable(c, mediaDump, fittedCap(sh.abi.Len(), designed), sh.abi.Iterate)
 	if err != nil {
 		return err

@@ -69,9 +69,10 @@ type Config struct {
 	// thresholds (Section 2.5). Table 1: 0.65–0.85.
 	LoadFactorMin float64
 	LoadFactorMax float64
-	// ABISlots is each shard's Auxiliary Bypass Index capacity in slots.
-	// Table 1: 512 KB per shard = 32768 slots. Zero derives it from the
-	// upper-level geometry.
+	// ABISlots is the capacity in slots each shard's Auxiliary Bypass Index
+	// grows to (Table 1: 512 KB = 32768 slots). An ABI starts at one
+	// MemTable's worth and doubles as it fills, never shrinking. Zero derives
+	// the cap from the upper-level geometry.
 	ABISlots int
 
 	// ArenaBytes sizes the simulated pmem arena; LogBytes the value-log
@@ -123,9 +124,9 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig returns the paper's Table 1 configuration. It needs ~8 GB of
-// simulated DRAM for the ABIs alone — use ScaledConfig for anything that has
-// to fit a development machine.
+// DefaultConfig returns the paper's Table 1 configuration. Loaded to its
+// design, its ABIs alone grow to ~8 GB of DRAM — use ScaledConfig for
+// anything that has to fit a development machine.
 func DefaultConfig() Config {
 	return Config{
 		Shards:         16384,
@@ -186,6 +187,10 @@ func TestConfig() Config {
 // clears the ABI: by a last-level compaction, or a dump under Get-Protect
 // Mode.
 const abiFullFraction = 0.90
+
+// abiStartSlots is the capacity a fresh ABI starts at: one MemTable's worth,
+// or the cap when that is smaller.
+func (c Config) abiStartSlots() int { return min(c.MemTableSlots, c.ABISlots) }
 
 // upperCapacitySlots returns the total slot capacity of all upper levels of
 // one shard: r tables at L0 plus (r-1) tables at each of L1..L(l-2).

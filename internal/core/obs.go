@@ -64,6 +64,20 @@ func (s *Store) buildRegistry() {
 		return 0
 	})
 	r.GaugeFunc("dram_footprint_bytes", s.DRAMFootprint)
+	for p, name := range dramPurposeNames {
+		r.GaugeFunc("core_dram_bytes_"+name, func() int64 { return s.dramBytes()[p] })
+	}
+	// The ABIs' summed capacity: each grows with what it holds, up to
+	// Config.ABISlots.
+	r.GaugeFunc("core_abi_slots", func() int64 {
+		var n int64
+		for _, sh := range s.shards {
+			if abi := sh.view.Load().abi; abi != nil {
+				n += int64(abi.Cap())
+			}
+		}
+		return n
+	})
 	// Maintenance-pool gauges read the pool's atomic mirrors; with
 	// MaintenanceWorkers == 0 they are constant zero (the pool is nil — but
 	// buildRegistry runs before the pool exists, so the closures re-check).

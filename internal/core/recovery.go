@@ -35,9 +35,7 @@ func (s *Store) Recover(c *simclock.Clock) error {
 		err := sh.readManifest(c)
 		if err == nil {
 			// The reattached table directory replaces the post-crash empty
-			// view; replay and the ABI rebuild then mutate the same mem/abi
-			// tables in place, so no further publish is needed until the
-			// store is serving again.
+			// view; replay and the ABI rebuild publish whatever they change.
 			sh.publishView()
 			sh.replayFilter = sh.recoverLSN
 			if sh.recoverLSN < minLSN {
@@ -98,28 +96,18 @@ func (s *Store) Recover(c *simclock.Clock) error {
 	// Step 3: rebuild the ABIs from the upper levels, newest table first so
 	// the newest version of each key wins; entries replayed from the log
 	// into the ABI (WIM recovery) are newer still and are preserved by
-	// InsertIfAbsent. An upper-table entry that a dumped table supersedes
-	// stays out: the ABI is probed before the dumps, and a dump of an ABI
-	// that held spills (Write-Intensive / Get-Protect operation) is newer
-	// than tables those spills never reached.
+	// inserting only absent hashes. An upper-table entry that a dumped table
+	// supersedes stays out: the ABI is probed before the dumps, and a dump of
+	// an ABI that held spills (Write-Intensive / Get-Protect operation) is
+	// newer than tables those spills never reached.
 	if !s.cfg.DisableABI {
 		for _, sh := range s.shards {
 			sh.mu.Lock()
-			for lvl := 0; lvl < len(sh.levels); lvl++ {
-				tables := sh.levels[lvl]
-				for i := len(tables) - 1; i >= 0; i-- {
-					tables[i].t.ChargeScan(c)
-					tables[i].t.Iterate(func(slot hashtable.Slot) bool {
-						c.Advance(device.CostDRAMRandAccess)
-						if !sh.dumpSupersedes(c, slot) {
-							sh.abi.InsertIfAbsent(slot.Hash, slot.Ref)
-						}
-						return true
-					})
-				}
-			}
-			sh.abiBehind = false
+			err := sh.rebuildABI(c)
 			sh.mu.Unlock()
+			if err != nil {
+				return err
+			}
 		}
 	}
 	// The Pmem-LSM variants' volatile accelerators are likewise rebuilt
@@ -153,6 +141,29 @@ func (s *Store) Recover(c *simclock.Clock) error {
 		s.maint.resume()
 	}
 	return nil
+}
+
+// rebuildABI is one shard's step 3 of Recover. The ABI grows before each
+// table as a flush grows it, so the rebuild publishes the result. Called with
+// sh.mu held.
+func (sh *shard) rebuildABI(c *simclock.Clock) error {
+	var err error
+	for lvl := 0; lvl < len(sh.levels); lvl++ {
+		tables := sh.levels[lvl]
+		for i := len(tables) - 1; i >= 0 && err == nil; i-- {
+			tables[i].t.ChargeScan(c)
+			sh.growABI(c, tables[i].t.Len())
+			tables[i].t.Iterate(func(slot hashtable.Slot) bool {
+				if !sh.dumpSupersedes(c, slot) {
+					err = sh.abiInsert(c, slot, true)
+				}
+				return err == nil
+			})
+		}
+	}
+	sh.abiBehind = false
+	sh.publishView()
+	return err
 }
 
 // dumpSupersedes reports whether a dumped table holds a newer version of the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -154,11 +155,70 @@ func (sh *shard) rotateMem() {
 // rotateABI swaps in an empty ABI after a dump or last-level compaction
 // cleared it, freezing the old table for prior views (an in-place Reset would
 // make entries vanish from a view whose dump list does not yet cover them).
-// Called with sh.mu held; the caller publishes the view.
+// The new table keeps the old one's capacity: an ABI's size is the high-water
+// mark of what it held. Called with sh.mu held; the caller publishes the
+// view.
 func (sh *shard) rotateABI() {
 	if sh.abi != nil {
-		sh.abi = hashtable.NewMem(sh.store.cfg.ABISlots)
+		sh.abi = hashtable.NewMem(sh.abi.Cap())
 	}
+}
+
+// growABI makes room for n more ABI entries: while they would fill the ABI
+// past half, it doubles, up to cfg.ABISlots. The entries move into a fresh
+// table, charged as a sequential read of the old bytes and write of the new;
+// views published before keep the old table, which is never written again,
+// and the caller publishes the new one. Called with sh.mu held.
+func (sh *shard) growABI(c *simclock.Clock, n int) {
+	old := sh.abi
+	if old == nil {
+		return
+	}
+	capSlots := old.Cap()
+	for old.Len()+n > capSlots/2 && capSlots < sh.store.cfg.ABISlots {
+		capSlots <<= 1
+	}
+	if capSlots == old.Cap() {
+		return
+	}
+	sh.abi = hashtable.NewMem(capSlots)
+	old.Iterate(func(s hashtable.Slot) bool {
+		sh.abi.Insert(s.Hash, s.Ref)
+		return true
+	})
+	c.Advance(int64(float64(old.DRAMFootprint()+sh.abi.DRAMFootprint()) * device.CostDRAMSeqPerByte))
+}
+
+// abiInsert indexes one entry in the ABI, charging its DRAM probes: the entry
+// replaces an older version of its hash, or with ifAbsent (the recovery
+// rebuild, which meets newer versions first) yields to one. The ABI grows
+// first if the entry would fill it past half (a no-op after growABI sized it
+// for the batch); an ABI full at its cap is an error, never a dropped entry.
+// Called with sh.mu held.
+func (sh *shard) abiInsert(c *simclock.Clock, s hashtable.Slot, ifAbsent bool) error {
+	sh.growABI(c, 1)
+	insert := sh.abi.Insert
+	if ifAbsent {
+		insert = sh.abi.InsertIfAbsent
+	}
+	probes, ok := insert(s.Hash, s.Ref)
+	c.Advance(device.DRAMProbeCost(probes))
+	if !ok {
+		return fmt.Errorf("core: shard %d: ABI full at its %d-slot cap", sh.id, sh.abi.Cap())
+	}
+	return nil
+}
+
+// abiAbsorb indexes every entry of a frozen MemTable in the ABI, growing it
+// first to hold them. Called with sh.mu held; the caller publishes the view.
+func (sh *shard) abiAbsorb(c *simclock.Clock, m *hashtable.Mem) error {
+	sh.growABI(c, m.Len())
+	var err error
+	m.Iterate(func(s hashtable.Slot) bool {
+		err = sh.abiInsert(c, s, false)
+		return err == nil
+	})
+	return err
 }
 
 // async brackets background work: it runs fn (charging c as usual) and
@@ -206,16 +266,17 @@ func bareShard(s *Store, id int) *shard {
 		recoverLSN:  s.log.Base(),
 	}
 	if !s.cfg.DisableABI {
-		sh.abi = hashtable.NewMem(s.cfg.ABISlots)
+		sh.abi = hashtable.NewMem(s.cfg.abiStartSlots())
 	}
 	return sh
 }
 
-// volatileWipe models the loss of DRAM state at a crash.
+// volatileWipe models the loss of DRAM state at a crash; the ABI starts
+// small again.
 func (sh *shard) volatileWipe() {
 	sh.mem = hashtable.NewMem(sh.store.cfg.MemTableSlots)
 	if !sh.store.cfg.DisableABI {
-		sh.abi = hashtable.NewMem(sh.store.cfg.ABISlots)
+		sh.abi = hashtable.NewMem(sh.store.cfg.abiStartSlots())
 	}
 	for i := range sh.levels {
 		sh.levels[i] = nil

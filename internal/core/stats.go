@@ -90,6 +90,34 @@ func (s *Store) MediaBytesByPurpose() map[string]int64 {
 	return out
 }
 
+// dramPurpose names what a byte of DRAMFootprint is held for; the purposes
+// sum to it exactly (TestDRAMBytesByPurposeSumExactly).
+type dramPurpose int
+
+const (
+	dramMemTable     dramPurpose = iota // live MemTables
+	dramFrozen                          // frozen MemTables awaiting flush or spill
+	dramABI                             // Auxiliary Bypass Indexes
+	dramAccelerators                    // Pmem-LSM variants' bloom filters and pinned tables
+	dramGPMWindow                       // Get-Protect monitor's sample window
+	numDRAMPurposes
+)
+
+var dramPurposeNames = [numDRAMPurposes]string{
+	"memtable", "frozen", "abi", "accelerators", "gpm_window",
+}
+
+// DRAMBytesByPurpose splits DRAMFootprint by what the bytes are held for:
+// "memtable", "frozen", "abi", "accelerators", "gpm_window".
+func (s *Store) DRAMBytesByPurpose() map[string]int64 {
+	by := s.dramBytes()
+	out := make(map[string]int64, numDRAMPurposes)
+	for p, name := range dramPurposeNames {
+		out[name] = by[p]
+	}
+	return out
+}
+
 func (st *Stats) countGet(src getSource) {
 	switch src {
 	case srcMemTable:

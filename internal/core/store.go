@@ -217,38 +217,47 @@ func (s *Store) shardFor(h uint64) *shard {
 // DeviceStats implements kvstore.Store.
 func (s *Store) DeviceStats() device.Stats { return s.dev.Stats() }
 
-// DRAMFootprint implements kvstore.Store: MemTables + ABIs + GPM monitor.
-// It reads each shard's published view instead of taking shard locks, so a
-// /stats.json scrape under load never stalls writers or queues behind a
-// compaction. The totals are a consistent per-shard snapshot; table sizes
-// and accelerator footprints are immutable once published.
+// DRAMFootprint implements kvstore.Store: the sum of DRAMBytesByPurpose —
+// MemTables, frozen MemTables, ABIs, table accelerators and the GPM monitor.
 func (s *Store) DRAMFootprint() int64 {
 	var total int64
+	for _, b := range s.dramBytes() {
+		total += b
+	}
+	return total
+}
+
+// dramBytes sizes the store's DRAM by purpose. It reads each shard's
+// published view instead of taking shard locks, so a /stats.json scrape
+// under load never stalls writers or queues behind a compaction. The totals
+// are a consistent per-shard snapshot; table sizes and accelerator
+// footprints are immutable once published.
+func (s *Store) dramBytes() (by [numDRAMPurposes]int64) {
 	for _, sh := range s.shards {
 		v := sh.view.Load()
-		total += v.mem.DRAMFootprint()
+		by[dramMemTable] += v.mem.DRAMFootprint()
 		for _, fm := range v.frozen {
-			total += fm.mem.DRAMFootprint()
+			by[dramFrozen] += fm.mem.DRAMFootprint()
 		}
 		if v.abi != nil {
-			total += v.abi.DRAMFootprint()
+			by[dramABI] += v.abi.DRAMFootprint()
 		}
 		for _, lvl := range v.levels {
 			for _, p := range lvl {
-				total += p.dramFootprint()
+				by[dramAccelerators] += p.dramFootprint()
 			}
 		}
 		for _, p := range v.dumped {
-			total += p.dramFootprint()
+			by[dramAccelerators] += p.dramFootprint()
 		}
 		if v.last != nil {
-			total += v.last.dramFootprint()
+			by[dramAccelerators] += v.last.dramFootprint()
 		}
 	}
 	if s.gpmWindow != nil {
-		total += int64(s.cfg.GetProtect.WindowSize) * 8
+		by[dramGPMWindow] = int64(s.cfg.GetProtect.WindowSize) * 8
 	}
-	return total
+	return by
 }
 
 // Crash implements kvstore.Store: power loss. All sessions must be quiesced.

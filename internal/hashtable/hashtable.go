@@ -6,7 +6,9 @@
 //
 // Tables are deliberately not extendable: ChameleonDB avoids rehashing by
 // bounding each table's load factor at build time (Randomized Load Factors,
-// Section 2.5) and relying on compaction, not expansion, to make room.
+// Section 2.5) and relying on compaction, not expansion, to make room. The
+// one table that grows, the ABI, is copied by its owner into a fresh, larger
+// Mem; none is resized in place.
 package hashtable
 
 import (
@@ -131,25 +133,27 @@ func (m *Mem) Insert(h uint64, ref uint64) (probes int, ok bool) {
 	return probes, false
 }
 
-// InsertIfAbsent places the entry only if hash h is not already present.
-// It returns true if the entry was inserted. Used by merges that iterate
-// newest-first so newer versions win. Writer-side.
-func (m *Mem) InsertIfAbsent(h uint64, ref uint64) bool {
+// InsertIfAbsent places the entry only if hash h is not already present, so
+// merges that iterate newest-first keep the newer version. Like Insert, it
+// returns the slots probed, and ok is false only when h is absent and the
+// table is completely full. Writer-side.
+func (m *Mem) InsertIfAbsent(h uint64, ref uint64) (probes int, ok bool) {
 	idx := h & m.mask
 	for i := 0; i <= int(m.mask); i++ {
+		probes++
 		s := &m.slots[idx]
 		if s.ref.Load() == 0 {
 			s.hash.Store(h)
 			s.ref.Store(ref)
 			m.count++
-			return true
+			return probes, true
 		}
 		if s.hash.Load() == h {
-			return false
+			return probes, true
 		}
 		idx = (idx + 1) & m.mask
 	}
-	return false
+	return probes, false
 }
 
 // getSpinBudget bounds how many failed seqlock rounds Get spins through

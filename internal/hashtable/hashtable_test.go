@@ -58,15 +58,25 @@ func TestMemBasic(t *testing.T) {
 
 func TestMemInsertIfAbsent(t *testing.T) {
 	m := NewMem(8)
-	if !m.InsertIfAbsent(5, MakeRef(1, false)) {
+	if _, ok := m.InsertIfAbsent(5, MakeRef(1, false)); !ok {
 		t.Fatal("first insert should succeed")
 	}
-	if m.InsertIfAbsent(5, MakeRef(2, false)) {
-		t.Fatal("second insert of same hash should be rejected")
+	if _, ok := m.InsertIfAbsent(5, MakeRef(2, false)); !ok || m.Len() != 1 {
+		t.Fatalf("second insert of same hash: ok=%v len=%d, want a no-op", ok, m.Len())
 	}
 	ref, _, _ := m.Get(5)
 	if (Slot{Ref: ref}).LSN() != 1 {
 		t.Fatal("InsertIfAbsent overwrote existing entry")
+	}
+	// Full: a present hash is still a no-op, an absent one is refused.
+	for h := uint64(6); m.Len() < m.Cap(); h++ {
+		m.InsertIfAbsent(h, MakeRef(int64(h), false))
+	}
+	if _, ok := m.InsertIfAbsent(5, MakeRef(3, false)); !ok {
+		t.Fatal("present hash refused by a full table")
+	}
+	if _, ok := m.InsertIfAbsent(100, MakeRef(4, false)); ok {
+		t.Fatal("absent hash accepted by a full table")
 	}
 }
 

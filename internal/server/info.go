@@ -32,6 +32,22 @@ func asciiEqualFold(b []byte, s string) bool {
 	return true
 }
 
+// appendPrefixed appends the "name:value" lines of the metrics whose names
+// start with prefix, sorted by name.
+func appendPrefixed(b []byte, metrics map[string]int64, prefix string) []byte {
+	var names []string
+	for name := range metrics {
+		if strings.HasPrefix(name, prefix) {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		b = fmt.Appendf(b, "%s:%d\r\n", name, metrics[name])
+	}
+	return b
+}
+
 // infoText renders the INFO reply: redis-style "# Section\nkey:value" lines,
 // restricted to one section when the client names one (section aliases the
 // RESP arg buffer; it is read, never retained). The numbers are the same
@@ -145,16 +161,16 @@ func (s *Server) infoText(section []byte) []byte {
 		}
 		// What the media bytes were written for: the engine's per-purpose
 		// split of device_media_bytes_written.
-		var purposes []string
-		for name := range snap.Counters {
-			if strings.HasPrefix(name, "core_media_bytes_") {
-				purposes = append(purposes, name)
-			}
-		}
-		sort.Strings(purposes)
-		for _, name := range purposes {
-			b = fmt.Appendf(b, "%s:%d\r\n", name, snap.Counters[name])
-		}
+		b = appendPrefixed(b, snap.Counters, "core_media_bytes_")
+		b = append(b, "\r\n"...)
+	}
+	if want("memory") {
+		// What the DRAM is held for: the engine's per-purpose split of
+		// dram_footprint_bytes, and the ABIs' summed capacity.
+		b = append(b, "# Memory\r\n"...)
+		snap := s.reg.Snapshot()
+		b = appendPrefixed(b, snap.Gauges, "core_dram_bytes_")
+		b = appendPrefixed(b, snap.Gauges, "core_abi_slots")
 		b = append(b, "\r\n"...)
 	}
 	if want("commandstats") {

@@ -467,9 +467,11 @@ func TestCommands(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The persistence section splits the media bytes by purpose; the SET and
-	// FLUSHALL above were too few for a last-level compaction.
+	// FLUSHALL above were too few for a last-level compaction. The memory
+	// section splits the DRAM the same way.
 	for _, want := range []string{"# Server", "store:", "# Stats", "total_commands_processed:",
-		"# Persistence", "core_media_bytes_log:", "core_media_bytes_last_compaction:0"} {
+		"# Persistence", "core_media_bytes_log:", "core_media_bytes_last_compaction:0",
+		"# Memory", "core_dram_bytes_abi:", "core_dram_bytes_memtable:", "core_abi_slots:"} {
 		if !strings.Contains(info, want) {
 			t.Errorf("INFO missing %q:\n%s", want, info)
 		}
