@@ -87,8 +87,8 @@ type Options struct {
 	GetProtect GetProtectOptions
 	// MaintenanceWorkers sizes the background maintenance pool that runs
 	// MemTable flushes, ABI spills, and compactions off the put path
-	// (DESIGN.md §5.3). 0 keeps maintenance inline on the writing
-	// goroutine — the pre-pipeline behaviour.
+	// (DESIGN.md §5.3). 0 runs no pool: the same jobs run inline on the
+	// writing goroutine.
 	MaintenanceWorkers int
 	// HotCacheBytes enables a DRAM hot-key read cache of this capacity in
 	// front of the engine (DESIGN.md §9): reads fill it under TinyLFU
@@ -178,7 +178,6 @@ func (o Options) coreConfig() core.Config {
 type DB struct {
 	store *core.Store
 	kv    kvstore.Store // store, behind the hot cache when one is configured
-	cache *hotcache.Cache
 	pool  sync.Pool
 }
 
@@ -188,8 +187,7 @@ func Open(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	cache := hotcache.New(opts.HotCacheBytes)
-	db := &DB{store: s, kv: hotcache.Wrap(s, cache), cache: cache}
+	db := &DB{store: s, kv: hotcache.Wrap(s, hotcache.New(opts.HotCacheBytes))}
 	db.pool.New = func() any { return db.NewSession() }
 	return db, nil
 }
@@ -198,28 +196,14 @@ func Open(opts Options) (*DB, error) {
 // virtual clock accumulating the cost of its operations. Not safe for
 // concurrent use.
 type Session struct {
-	inner kvstore.Session
-	vr    kvstore.ValueReader
-	bw    kvstore.BatchWriter
-	cd    kvstore.ConditionalDeleter
-	inc   kvstore.Incrementer
-	sc    kvstore.Scanner
+	inner kvstore.ServingSession
 	clock *simclock.Clock
 }
 
 // NewSession creates a session.
 func (db *DB) NewSession() *Session {
 	c := simclock.New(0)
-	se := db.kv.NewSession(c)
-	return &Session{
-		inner: se,
-		vr:    se.(kvstore.ValueReader),
-		bw:    se.(kvstore.BatchWriter),
-		cd:    se.(kvstore.ConditionalDeleter),
-		inc:   se.(kvstore.Incrementer),
-		sc:    se.(kvstore.Scanner),
-		clock: c,
-	}
+	return &Session{inner: db.kv.NewSession(c).(kvstore.ServingSession), clock: c}
 }
 
 // Put inserts or updates a key.
@@ -236,7 +220,7 @@ func (s *Session) Get(key []byte) ([]byte, bool, error) { return s.inner.Get(key
 // unchanged. The result is a copy the caller owns — it never aliases store
 // memory.
 func (s *Session) GetInto(key, dst []byte) ([]byte, bool, error) {
-	return s.vr.GetInto(key, dst)
+	return s.inner.GetInto(key, dst)
 }
 
 // PutBatch applies n independent puts in one call, grouping keys by
@@ -245,7 +229,7 @@ func (s *Session) GetInto(key, dst []byte) ([]byte, bool, error) {
 // keep their order); on error an arbitrary subset may have been applied. See
 // kvstore.BatchWriter.
 func (s *Session) PutBatch(keys, values [][]byte) error {
-	return s.bw.PutBatch(keys, values)
+	return s.inner.PutBatch(keys, values)
 }
 
 // Delete removes a key.
@@ -258,11 +242,11 @@ func (s *Session) Flush() error { return s.inner.Flush() }
 // DeleteIfPresent deletes key and reports whether it existed. Probe and
 // tombstone run atomically under the store's write path, so the answer is
 // exact even with concurrent writers.
-func (s *Session) DeleteIfPresent(key []byte) (bool, error) { return s.cd.DeleteIfPresent(key) }
+func (s *Session) DeleteIfPresent(key []byte) (bool, error) { return s.inner.DeleteIfPresent(key) }
 
 // IncrBy atomically adds delta to the decimal integer stored at key (missing
 // keys count from 0) and returns the new value.
-func (s *Session) IncrBy(key []byte, delta int64) (int64, error) { return s.inc.IncrBy(key, delta) }
+func (s *Session) IncrBy(key []byte, delta int64) (int64, error) { return s.inner.IncrBy(key, delta) }
 
 // KV is one key/value pair returned by a scan.
 type KV = kvstore.KV
@@ -275,13 +259,13 @@ type Snapshot = kvstore.Snapshot
 // the returned cursor back in, stop when it returns 0. Each call captures its
 // own per-shard view (Redis-SCAN guarantees); use Snapshot for a stable view.
 func (s *Session) Scan(cursor uint64, limit int) ([]KV, uint64, error) {
-	return s.sc.Scan(cursor, limit)
+	return s.inner.Scan(cursor, limit)
 }
 
 // Snapshot captures a stable view of the whole store: scans against it never
 // see writes issued after this call. The snapshot pins internal resources
 // (epoch reclamation) until released.
-func (s *Session) Snapshot() (Snapshot, error) { return s.sc.Snapshot() }
+func (s *Session) Snapshot() (Snapshot, error) { return s.inner.Snapshot() }
 
 // VirtualNanos returns the simulated time this session's operations have
 // consumed on the modeled hardware.
@@ -320,9 +304,15 @@ func (db *DB) PutBatch(keys, values [][]byte) error {
 }
 
 // Flush makes all pooled sessions' acknowledged writes durable. Sessions
-// created with NewSession must be flushed by their owners.
+// created with NewSession must be flushed by their owners. Like the server's
+// FLUSHALL it persists every session's buffered log entries, then flushes one
+// pooled session: that Flush is what returns a medium error latched by any of
+// the persists.
 func (db *DB) Flush() error {
-	return db.withSession(func(s *Session) error { return s.Flush() })
+	return db.withSession(func(s *Session) error {
+		db.store.Log().SyncAll(s.clock)
+		return s.Flush()
+	})
 }
 
 // SetWriteIntensive toggles Write-Intensive Mode at runtime (paper

@@ -193,3 +193,45 @@ func TestLevelByLevelOption(t *testing.T) {
 		t.Fatal("no compactions under level-by-level")
 	}
 }
+
+// TestFlushCoversEveryPooledSession: DB.Flush makes the writes of every
+// pooled session durable, not only those of the session it draws — with
+// inline maintenance and with a maintenance pool.
+func TestFlushCoversEveryPooledSession(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("maintenance-workers-%d", workers), func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Shards = 16
+			opts.ArenaBytes = 64 << 20
+			opts.LogBytes = 32 << 20
+			opts.MaintenanceWorkers = workers
+			db, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			// Two sessions in the pool, each holding one unflushed write.
+			s1, s2 := db.pool.Get().(*Session), db.pool.Get().(*Session)
+			if err := s1.Put([]byte("a"), []byte("va")); err != nil {
+				t.Fatal(err)
+			}
+			if err := s2.Put([]byte("b"), []byte("vb")); err != nil {
+				t.Fatal(err)
+			}
+			db.pool.Put(s1)
+			db.pool.Put(s2)
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			db.Crash()
+			if _, _, err := db.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			for _, kv := range [][2]string{{"a", "va"}, {"b", "vb"}} {
+				if v, ok, err := db.Get([]byte(kv[0])); err != nil || !ok || string(v) != kv[1] {
+					t.Errorf("after Flush, Crash, Recover: %s = %q,%v,%v; want %q", kv[0], v, ok, err, kv[1])
+				}
+			}
+		})
+	}
+}

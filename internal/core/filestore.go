@@ -46,27 +46,15 @@ const (
 // comes back in the crashed state: the caller must run Recover (with a
 // clock) before opening sessions, exactly as after an in-process Crash.
 func OpenFile(cfg Config, dir string) (*Store, bool, error) {
-	return openFile(cfg, dir, false)
-}
-
-// OpenFileUnsafe is OpenFile with the backend's directory-entry fsyncs
-// disabled. Test-only: the dir-sync regression tests use it to model the
-// file loss an unsynced directory entry suffers at power failure.
-func OpenFileUnsafe(cfg Config, dir string) (*Store, bool, error) {
-	return openFile(cfg, dir, true)
-}
-
-func openFile(cfg Config, dir string, disableDirSync bool) (*Store, bool, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, false, err
 	}
 	dev := device.New(device.OptanePmem)
 	med, err := filedev.Open(filedev.Options{
-		Dir:            dir,
-		Capacity:       cfg.ArenaBytes,
-		AccessUnit:     dev.Profile().AccessUnit,
-		MetaSlotBytes:  hostStateMax(cfg),
-		DisableDirSync: disableDirSync,
+		Dir:           dir,
+		Capacity:      cfg.ArenaBytes,
+		AccessUnit:    dev.Profile().AccessUnit,
+		MetaSlotBytes: hostStateMax(cfg),
 	})
 	if err != nil {
 		return nil, false, err

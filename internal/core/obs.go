@@ -112,15 +112,6 @@ func (s *Store) Trace() *obs.Trace { return s.trace }
 // tombstones take the same write path).
 func (s *Store) PutLatency() *histogram.Histogram { return &s.lat.put }
 
-// PutStallLatency returns the wall-clock histogram of time puts spent in
-// backpressure (slowdown sleeps and stall waits). Empty when
-// MaintenanceWorkers is 0.
-func (s *Store) PutStallLatency() *histogram.Histogram { return &s.lat.putStall }
-
-// JobDuration returns the wall-clock histogram of background maintenance job
-// durations. Empty when MaintenanceWorkers is 0.
-func (s *Store) JobDuration() *histogram.Histogram { return &s.lat.jobDur }
-
 // GetLatencyBySource returns the live get-latency histograms keyed by the
 // structure that resolved the get ("memtable", "abi", "dumped", "upper",
 // "last", "miss") — the Figure 6 breakdown measured in place.

@@ -57,11 +57,7 @@ type Session struct {
 	bdone []bool
 }
 
-var (
-	_ kvstore.Session     = (*Session)(nil)
-	_ kvstore.ValueReader = (*Session)(nil)
-	_ kvstore.BatchWriter = (*Session)(nil)
-)
+var _ kvstore.ServingSession = (*Session)(nil)
 
 // NewSession implements kvstore.Store.
 func (s *Store) NewSession(c *simclock.Clock) kvstore.Session {

@@ -354,9 +354,6 @@ func (s *Store) mediumErr() error {
 // Promotion clears it. Safe to call while sessions are running.
 func (s *Store) SetReadOnly(on bool) { s.readOnly.Store(on) }
 
-// ReadOnly reports whether the replica write gate is set.
-func (s *Store) ReadOnly() bool { return s.readOnly.Load() }
-
 // ReplState returns the store's replication identity: the lineage ID and
 // epoch it last served under and (for replicas) the durably-applied
 // primary-LSN watermark. The ID is "" on stores that never replicated.

@@ -61,8 +61,6 @@ type FaultPlan struct {
 	rng       *rand.Rand
 	persists  int64
 	triggered bool
-	tornLines int64
-	spanLines int64
 
 	// flag mirrors triggered for the lock-free PowerFailed checks.
 	flag atomic.Bool
@@ -78,14 +76,6 @@ func (p *FaultPlan) Persists() int64 {
 
 // Triggered reports whether the simulated power failure has happened.
 func (p *FaultPlan) Triggered() bool { return p.flag.Load() }
-
-// TriggerInfo returns, after the trigger, how many of the crashing persist's
-// touched media lines were durably committed and how many it touched.
-func (p *FaultPlan) TriggerInfo() (tornLines, spanLines int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.tornLines, p.spanLines
-}
 
 // NotePersist accounts one persist of [off, off+size) against the plan and
 // returns how many leading bytes of the range should reach durable media and
@@ -123,7 +113,6 @@ func (p *FaultPlan) NotePersist(unit, off, size int64) (keep int64, normal bool)
 	// k < lines always: a fully-committed persist is indistinguishable in
 	// durable state from a clean cut before the next persist, which the
 	// sweep already covers at index CrashAtPersist+1.
-	p.tornLines, p.spanLines = k, lines
 	if k == 0 {
 		return 0, false
 	}

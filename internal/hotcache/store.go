@@ -39,9 +39,6 @@ func Wrap(st kvstore.Store, c *Cache) kvstore.Store {
 
 var _ kvstore.Store = (*Wrapped)(nil)
 
-// Unwrap returns the store under the cache.
-func (w *Wrapped) Unwrap() kvstore.Store { return w.inner }
-
 // Cache returns the interposed cache.
 func (w *Wrapped) Cache() *Cache { return w.cache }
 
@@ -49,15 +46,9 @@ func (w *Wrapped) Cache() *Cache { return w.cache }
 func (w *Wrapped) Name() string { return w.inner.Name() + "+hotcache" }
 
 // NewSession implements kvstore.Store; the session is the actual interposer.
+// The wrapped store's sessions must implement kvstore.ServingSession.
 func (w *Wrapped) NewSession(c *simclock.Clock) kvstore.Session {
-	inner := w.inner.NewSession(c)
-	s := &session{inner: inner, cache: w.cache}
-	s.vr, _ = inner.(kvstore.ValueReader)
-	s.bw, _ = inner.(kvstore.BatchWriter)
-	s.cd, _ = inner.(kvstore.ConditionalDeleter)
-	s.incr, _ = inner.(kvstore.Incrementer)
-	s.sc, _ = inner.(kvstore.Scanner)
-	return s
+	return &session{inner: w.inner.NewSession(c).(kvstore.ServingSession), cache: w.cache}
 }
 
 // DRAMFootprint implements kvstore.Store: the cache's resident bytes are
@@ -152,24 +143,11 @@ func (w *Wrapped) CompactLog(c *simclock.Clock, budget int64) (int64, error) {
 // shared and concurrency-safe, so different sessions coordinate only through
 // it.
 type session struct {
-	inner kvstore.Session
+	inner kvstore.ServingSession
 	cache *Cache
-
-	vr   kvstore.ValueReader
-	bw   kvstore.BatchWriter
-	cd   kvstore.ConditionalDeleter
-	incr kvstore.Incrementer
-	sc   kvstore.Scanner
 }
 
-var (
-	_ kvstore.Session            = (*session)(nil)
-	_ kvstore.ValueReader        = (*session)(nil)
-	_ kvstore.BatchWriter        = (*session)(nil)
-	_ kvstore.ConditionalDeleter = (*session)(nil)
-	_ kvstore.Incrementer        = (*session)(nil)
-	_ kvstore.Scanner            = (*session)(nil)
-)
+var _ kvstore.ServingSession = (*session)(nil)
 
 // Put implements kvstore.Session: engine write, then invalidate, then return
 // (the caller acks after we return, so no stale hit can survive an ack).
@@ -205,19 +183,7 @@ func (s *session) GetInto(key, dst []byte) ([]byte, bool, error) {
 // getFill is the shared miss path: read the engine and offer the result for
 // admission under the shard version captured by the missed lookup.
 func (s *session) getFill(key, dst []byte, token uint64) ([]byte, bool, error) {
-	var (
-		val []byte
-		ok  bool
-		err error
-	)
-	if s.vr != nil {
-		val, ok, err = s.vr.GetInto(key, dst)
-	} else {
-		val, ok, err = s.inner.Get(key)
-		if ok && dst != nil {
-			val = append(dst, val...)
-		}
-	}
+	val, ok, err := s.inner.GetInto(key, dst)
 	if err != nil || !ok {
 		return val, ok, err
 	}
@@ -243,10 +209,7 @@ func (s *session) Delete(key []byte) error {
 // dropped either way — a cached entry for an absent key cannot exist, but the
 // invalidation also closes any in-flight fill race.
 func (s *session) DeleteIfPresent(key []byte) (bool, error) {
-	if s.cd == nil {
-		return false, errNoCapability
-	}
-	existed, err := s.cd.DeleteIfPresent(key)
+	existed, err := s.inner.DeleteIfPresent(key)
 	if err != nil {
 		return existed, err
 	}
@@ -256,10 +219,7 @@ func (s *session) DeleteIfPresent(key []byte) (bool, error) {
 
 // IncrBy implements kvstore.Incrementer: a read-modify-write is a write.
 func (s *session) IncrBy(key []byte, delta int64) (int64, error) {
-	if s.incr == nil {
-		return 0, errNoCapability
-	}
-	n, err := s.incr.IncrBy(key, delta)
+	n, err := s.inner.IncrBy(key, delta)
 	if err != nil {
 		return n, err
 	}
@@ -267,14 +227,11 @@ func (s *session) IncrBy(key []byte, delta int64) (int64, error) {
 	return n, nil
 }
 
-// PutBatch implements kvstore.BatchWriter. On error a prefix may have been
+// PutBatch implements kvstore.BatchWriter. On error a subset may have been
 // applied (the BatchWriter contract), so every key is invalidated regardless
 // — over-invalidation is always safe.
 func (s *session) PutBatch(keys, values [][]byte) error {
-	if s.bw == nil {
-		return errNoCapability
-	}
-	err := s.bw.PutBatch(keys, values)
+	err := s.inner.PutBatch(keys, values)
 	for _, k := range keys {
 		s.cache.Invalidate(k)
 	}
@@ -291,18 +248,12 @@ func (s *session) PutBatch(keys, values [][]byte) error {
 // authoritative view directly (and, thanks to TinyLFU admission, scan traffic
 // also cannot flush the hot set out of the cache).
 func (s *session) Scan(cursor uint64, limit int) ([]kvstore.KV, uint64, error) {
-	if s.sc == nil {
-		return nil, 0, errNoCapability
-	}
-	return s.sc.Scan(cursor, limit)
+	return s.inner.Scan(cursor, limit)
 }
 
 // Snapshot implements kvstore.Scanner, uncached for the same reason.
 func (s *session) Snapshot() (kvstore.Snapshot, error) {
-	if s.sc == nil {
-		return nil, errNoCapability
-	}
-	return s.sc.Snapshot()
+	return s.inner.Snapshot()
 }
 
 // Flush implements kvstore.Session.
@@ -311,16 +262,5 @@ func (s *session) Flush() error { return s.inner.Flush() }
 // Clock implements kvstore.Session.
 func (s *session) Clock() *simclock.Clock { return s.inner.Clock() }
 
-// Release forwards the session-recycling hook when present.
-func (s *session) Release() error {
-	if r, ok := s.inner.(interface{ Release() error }); ok {
-		return r.Release()
-	}
-	return nil
-}
-
-type capabilityError struct{}
-
-func (capabilityError) Error() string { return "hotcache: wrapped store lacks capability" }
-
-var errNoCapability = capabilityError{}
+// Release implements kvstore.ServingSession.
+func (s *session) Release() error { return s.inner.Release() }

@@ -72,10 +72,10 @@ type ValueReader interface {
 // one call so the store can amortize per-operation overhead (ChameleonDB
 // groups keys by destination shard and applies each group under a single
 // shard-lock acquisition). Semantics match n sequential Puts: writes to the
-// same key keep their relative order, and on error a prefix of the batch may
-// be applied — callers that need exactly-sequential failure semantics fall
-// back to Put. keys and values must be parallel slices; like Put, neither is
-// retained after the call returns.
+// same key keep their relative order, and on error an arbitrary subset of the
+// batch may be applied — callers that need exactly-sequential failure
+// semantics use Put. keys and values must be parallel slices; like Put,
+// neither is retained after the call returns.
 type BatchWriter interface {
 	PutBatch(keys, values [][]byte) error
 }
@@ -92,6 +92,22 @@ type ConditionalDeleter interface {
 // of a decimal integer value (Redis INCR/INCRBY semantics).
 type Incrementer interface {
 	IncrBy(key []byte, delta int64) (int64, error)
+}
+
+// ServingSession is the session contract of the serving stack — the RESP
+// server, the hot-key cache interposer and the chameleondb facade hold this
+// one type and call its methods directly, so each command has exactly one
+// implementation. Release detaches the session from the store (a gone client
+// pins neither the recovery watermark nor table reclamation). ChameleonDB's
+// sessions implement it; a store handed to the serving stack must too.
+type ServingSession interface {
+	Session
+	ValueReader
+	BatchWriter
+	ConditionalDeleter
+	Incrementer
+	Scanner
+	Release() error
 }
 
 // Store is a key-value store under evaluation.

@@ -44,8 +44,8 @@ type argSpan struct{ off, n int }
 // The hot path is allocation-free in steady state: decoded args are spans of
 // the reader's reused buffer and flow into the engine without copies (Put
 // copies into its log batch before returning), GET values land in the reused
-// vbuf via kvstore.ValueReader, and runs of pipelined SETs dispatch through
-// kvstore.BatchWriter under one shard-lock acquisition per shard touched.
+// vbuf via the session's GetInto, and runs of pipelined SETs dispatch through
+// its PutBatch, which takes each destination shard's lock once per run.
 // Every scratch buffer is cap-bounded so one oversized batch cannot pin its
 // high-water mark.
 type conn struct {
@@ -53,16 +53,8 @@ type conn struct {
 	nc   net.Conn
 	r    *resp.Reader
 	w    *resp.Writer
-	se   kvstore.Session
+	se   kvstore.ServingSession
 	pend []pendingCmd
-
-	// Optional engine capabilities, type-asserted once at accept time instead
-	// of per command.
-	vr  kvstore.ValueReader
-	bw  kvstore.BatchWriter
-	cd  kvstore.ConditionalDeleter
-	inc kvstore.Incrementer
-	sc  kvstore.Scanner
 
 	// vbuf is the reused value buffer for GET/EXISTS/MGET reads (GetInto
 	// appends into it); mget records MGET result spans inside it. num is
@@ -110,11 +102,6 @@ func newConn(s *Server, nc net.Conn) *conn {
 	if s.cfg.ReplyRetainBytes > 0 {
 		c.w.SetMaxRetain(s.cfg.ReplyRetainBytes)
 	}
-	c.vr, _ = c.se.(kvstore.ValueReader)
-	c.bw, _ = c.se.(kvstore.BatchWriter)
-	c.cd, _ = c.se.(kvstore.ConditionalDeleter)
-	c.inc, _ = c.se.(kvstore.Incrementer)
-	c.sc, _ = c.se.(kvstore.Scanner)
 	return c
 }
 
@@ -126,7 +113,7 @@ func (c *conn) nudge() { c.nc.SetReadDeadline(time.Now()) }
 
 func (c *conn) serve() {
 	defer func() {
-		releaseSession(c.se)
+		c.se.Release()
 		c.nc.Close()
 		c.srv.remove(c)
 	}()
@@ -162,7 +149,7 @@ func (c *conn) serve() {
 			// shard-lock acquisition per destination shard instead of one per
 			// SET. Replies stay in command order because the run is contiguous
 			// and is dispatched before the command that ends it executes.
-			if kind == cmdSet && len(args) == 3 && !c.inTxn && c.bw != nil {
+			if kind == cmdSet && len(args) == 3 && !c.inTxn {
 				c.runKeys = append(c.runKeys, args[1])
 				c.runVals = append(c.runVals, args[2])
 			} else {
@@ -245,7 +232,7 @@ func (c *conn) dispatchRun(dirty *bool) {
 	if n == 1 {
 		err = c.se.Put(c.runKeys[0], c.runVals[0])
 	} else {
-		err = c.bw.PutBatch(c.runKeys, c.runVals)
+		err = c.se.PutBatch(c.runKeys, c.runVals)
 	}
 	*dirty = true
 	if err != nil {
@@ -301,26 +288,23 @@ func (c *conn) flushReplies() error {
 	return err
 }
 
-// getInto reads key through the allocation-free path when the session
-// supports it, reusing (and growing) the connection's value buffer.
+// getInto reads key through the allocation-free path, reusing (and growing)
+// the connection's value buffer.
 func (c *conn) getInto(key []byte) ([]byte, bool, error) {
-	if c.vr == nil {
-		return c.se.Get(key)
-	}
-	val, ok, err := c.vr.GetInto(key, c.vbuf[:0])
+	val, ok, err := c.se.GetInto(key, c.vbuf[:0])
 	c.vbuf = val[:0]
 	return val, ok, err
 }
 
-// execute runs one decoded command, appending its reply to the write buffer.
-// args alias the reader's internal buffer: valid only for this call, which is
-// fine — the engine copies keys and values into its own arena on Put/Delete,
-// and Get returns a fresh copy (see the buffer-ownership contract, DESIGN.md
-// §7).
 // maxScanCount caps a single SCAN batch so one command cannot buffer an
 // unbounded reply.
 const maxScanCount = 4096
 
+// execute runs one decoded command, appending its reply to the write buffer.
+// args alias the reader's internal buffer: valid only for this call, which is
+// fine — the engine copies keys and values into its own arena on writes, and
+// GetInto copies values into the connection's vbuf (see the buffer-ownership
+// contract, DESIGN.md §7).
 func (c *conn) execute(kind cmdKind, args [][]byte, dirty, quit *bool) {
 	m := c.srv.metrics
 	if c.inTxn && kind != cmdMulti && kind != cmdExec && kind != cmdDiscard {
@@ -363,21 +347,11 @@ func (c *conn) execute(kind cmdKind, args [][]byte, dirty, quit *bool) {
 		// RESP's DEL reports how many keys existed, but the engine's Delete
 		// is an unconditional tombstone append. The conditional delete runs
 		// probe and tombstone under one shard-lock acquisition, so the count
-		// is exact even when another connection races the same key; the
-		// probe-then-delete fallback (stores without the capability) can
-		// miscount across sessions and tombstone an already-absent key.
+		// is exact even when another connection races the same key, and an
+		// absent key is not tombstoned.
 		var n int64
 		for _, key := range args[1:] {
-			var existed bool
-			var err error
-			if c.cd != nil {
-				existed, err = c.cd.DeleteIfPresent(key)
-			} else {
-				_, existed, err = c.getInto(key)
-				if err == nil && existed {
-					err = c.se.Delete(key)
-				}
-			}
+			existed, err := c.se.DeleteIfPresent(key)
 			if err != nil {
 				m.StoreErrors.Add(1)
 				c.w.Error(respError(err))
@@ -455,47 +429,25 @@ func (c *conn) execute(kind cmdKind, args [][]byte, dirty, quit *bool) {
 		// partially written array stranded in the pipelined reply buffer.
 		// Values accumulate in the shared vbuf with spans (offsets, because
 		// append may move the buffer), so a warm connection allocates nothing.
-		if c.vr != nil {
-			buf := c.vbuf[:0]
-			spans := c.mget[:0]
-			for _, key := range args[1:] {
-				off := len(buf)
-				nb, ok, err := c.vr.GetInto(key, buf)
-				if err != nil {
-					m.StoreErrors.Add(1)
-					c.w.Error(respError(err))
-					c.vbuf, c.mget = nb[:0], spans[:0]
-					return
-				}
-				buf = nb
-				spans = append(spans, mgetSpan{off: off, n: len(buf) - off, hit: ok})
-			}
-			c.vbuf, c.mget = buf[:0], spans[:0]
-			c.w.ArrayHeader(len(spans))
-			for _, sp := range spans {
-				if sp.hit {
-					c.w.Bulk(buf[sp.off : sp.off+sp.n])
-				} else {
-					c.w.Null()
-				}
-			}
-			return
-		}
-		vals := make([][]byte, len(args)-1)
-		hits := make([]bool, len(args)-1)
-		for i, key := range args[1:] {
-			val, ok, err := c.se.Get(key)
+		buf := c.vbuf[:0]
+		spans := c.mget[:0]
+		for _, key := range args[1:] {
+			off := len(buf)
+			nb, ok, err := c.se.GetInto(key, buf)
 			if err != nil {
 				m.StoreErrors.Add(1)
 				c.w.Error(respError(err))
+				c.vbuf, c.mget = nb[:0], spans[:0]
 				return
 			}
-			vals[i], hits[i] = val, ok
+			buf = nb
+			spans = append(spans, mgetSpan{off: off, n: len(buf) - off, hit: ok})
 		}
-		c.w.ArrayHeader(len(vals))
-		for i, v := range vals {
-			if hits[i] {
-				c.w.Bulk(v)
+		c.vbuf, c.mget = buf[:0], spans[:0]
+		c.w.ArrayHeader(len(spans))
+		for _, sp := range spans {
+			if sp.hit {
+				c.w.Bulk(buf[sp.off : sp.off+sp.n])
 			} else {
 				c.w.Null()
 			}
@@ -507,35 +459,22 @@ func (c *conn) execute(kind cmdKind, args [][]byte, dirty, quit *bool) {
 		}
 		// Writes apply through PutBatch (shard-affine groups); on a store
 		// error some subset may stay applied (documented deviation: Redis
-		// MSET is atomic — here a failed MSET may leave an applied subset,
-		// where the sequential fallback leaves an applied prefix), but the
-		// reply is still a single canonical -ERR frame and dirty stays set,
-		// so whatever applied is committed like any other write.
-		if c.bw != nil {
-			keys := c.runKeys[:0]
-			vals := c.runVals[:0]
-			for i := 1; i+1 < len(args); i += 2 {
-				keys = append(keys, args[i])
-				vals = append(vals, args[i+1])
-			}
-			err := c.bw.PutBatch(keys, vals)
-			c.runKeys, c.runVals = keys[:0], vals[:0]
-			*dirty = true
-			if err != nil {
-				m.StoreErrors.Add(1)
-				c.w.Error(respError(err))
-				return
-			}
-			c.w.SimpleString("OK")
-			return
-		}
+		// MSET is atomic), but the reply is still a single canonical -ERR
+		// frame and dirty stays set, so whatever applied is committed like
+		// any other write.
+		keys := c.runKeys[:0]
+		vals := c.runVals[:0]
 		for i := 1; i+1 < len(args); i += 2 {
-			if err := c.se.Put(args[i], args[i+1]); err != nil {
-				m.StoreErrors.Add(1)
-				c.w.Error(respError(err))
-				return
-			}
-			*dirty = true
+			keys = append(keys, args[i])
+			vals = append(vals, args[i+1])
+		}
+		err := c.se.PutBatch(keys, vals)
+		c.runKeys, c.runVals = keys[:0], vals[:0]
+		*dirty = true
+		if err != nil {
+			m.StoreErrors.Add(1)
+			c.w.Error(respError(err))
+			return
 		}
 		c.w.SimpleString("OK")
 	case cmdIncr, cmdIncrBy:
@@ -547,10 +486,6 @@ func (c *conn) execute(kind cmdKind, args [][]byte, dirty, quit *bool) {
 			c.arity(kind.String())
 			return
 		}
-		if c.inc == nil {
-			c.w.Error("ERR " + kind.String() + " is not supported by this store")
-			return
-		}
 		delta := int64(1)
 		if kind == cmdIncrBy {
 			var ok bool
@@ -560,7 +495,7 @@ func (c *conn) execute(kind cmdKind, args [][]byte, dirty, quit *bool) {
 				return
 			}
 		}
-		v, err := c.inc.IncrBy(args[1], delta)
+		v, err := c.se.IncrBy(args[1], delta)
 		if err != nil {
 			m.StoreErrors.Add(1)
 			c.w.Error(respError(err))
@@ -578,10 +513,6 @@ func (c *conn) execute(kind cmdKind, args [][]byte, dirty, quit *bool) {
 		// advances.
 		if len(args) < 2 {
 			c.arity("scan")
-			return
-		}
-		if c.sc == nil {
-			c.w.Error("ERR scan is not supported by this store")
 			return
 		}
 		cursor, ok := resp.ParseUint(args[1])
@@ -615,7 +546,7 @@ func (c *conn) execute(kind cmdKind, args [][]byte, dirty, quit *bool) {
 				return
 			}
 		}
-		pairs, next, err := c.sc.Scan(cursor, count)
+		pairs, next, err := c.se.Scan(cursor, count)
 		if err != nil {
 			m.StoreErrors.Add(1)
 			c.w.Error(respError(err))

@@ -16,36 +16,60 @@ import (
 )
 
 // failStore wraps a real store with sessions that error on the key "boom" —
-// the stub behind the partial-reply regression tests.
+// the stub behind the wire's error-path tests. It injects the error through
+// the ServingSession methods the server calls, so those tests run the code
+// that serves.
 type failStore struct {
 	kvstore.Store
 }
 
 type failSession struct {
-	kvstore.Session
+	kvstore.ServingSession
 }
 
 var errBoom = errors.New("injected store failure")
 
 func (s *failStore) NewSession(c *simclock.Clock) kvstore.Session {
-	return &failSession{s.Store.NewSession(c)}
+	return &failSession{s.Store.NewSession(c).(kvstore.ServingSession)}
 }
 
-func (se *failSession) Get(key []byte) ([]byte, bool, error) {
+func (se *failSession) GetInto(key, dst []byte) ([]byte, bool, error) {
 	if string(key) == "boom" {
-		return nil, false, errBoom
+		return dst, false, errBoom
 	}
-	return se.Session.Get(key)
+	return se.ServingSession.GetInto(key, dst)
 }
 
-func (se *failSession) Put(key, value []byte) error {
+// PutBatch applies every pair but boom's and then fails: the applied subset
+// the BatchWriter contract allows on error.
+func (se *failSession) PutBatch(keys, values [][]byte) error {
+	var ks, vs [][]byte
+	for i, k := range keys {
+		if string(k) != "boom" {
+			ks, vs = append(ks, k), append(vs, values[i])
+		}
+	}
+	if err := se.ServingSession.PutBatch(ks, vs); err != nil || len(ks) == len(keys) {
+		return err
+	}
+	return errBoom
+}
+
+func (se *failSession) DeleteIfPresent(key []byte) (bool, error) {
 	if string(key) == "boom" {
-		return errBoom
+		return false, errBoom
 	}
-	return se.Session.Put(key, value)
+	return se.ServingSession.DeleteIfPresent(key)
 }
 
-func startFailServer(t testing.TB) string {
+func (se *failSession) IncrBy(key []byte, delta int64) (int64, error) {
+	if string(key) == "boom" {
+		return 0, errBoom
+	}
+	return se.ServingSession.IncrBy(key, delta)
+}
+
+func startFailServer(t testing.TB) (*core.Store, string) {
 	t.Helper()
 	st, err := core.Open(core.TestConfig())
 	if err != nil {
@@ -53,7 +77,7 @@ func startFailServer(t testing.TB) string {
 	}
 	t.Cleanup(func() { st.Close() })
 	_, addr := startServer(t, &failStore{Store: st}, Config{})
-	return addr
+	return st, addr
 }
 
 // TestMGetMSetWire covers the multi-key commands' happy paths over the wire.
@@ -89,7 +113,7 @@ func TestMGetMSetWire(t *testing.T) {
 // -ERR frame with no partial array in front of it — the pipelined reply
 // stream stays frame-aligned and the connection keeps serving.
 func TestMGetErrorSingleFrame(t *testing.T) {
-	addr := startFailServer(t)
+	_, addr := startFailServer(t)
 	c := dialT(t, addr)
 	if err := c.Set([]byte("ok1"), []byte("v1")); err != nil {
 		t.Fatal(err)
@@ -114,10 +138,13 @@ func TestMGetErrorSingleFrame(t *testing.T) {
 	}
 }
 
-// TestMSetErrorSingleFrame: same contract for MSET; the applied prefix stays
-// (documented deviation from Redis's atomic MSET) but the reply is one -ERR.
+// TestMSetErrorSingleFrame: same contract for MSET. The failed PutBatch may
+// leave an applied subset (documented deviation from Redis's atomic MSET,
+// DESIGN.md §7), but the reply is one -ERR and the batch stays dirty: every
+// pair a later GET sees as applied was committed with it and survives a
+// crash.
 func TestMSetErrorSingleFrame(t *testing.T) {
-	addr := startFailServer(t)
+	st, addr := startFailServer(t)
 	c := dialT(t, addr)
 	c.SendStrings("MSET", "pre", "p1", "boom", "x", "post", "p2")
 	c.SendStrings("PING")
@@ -125,17 +152,70 @@ func TestMSetErrorSingleFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, err := c.Receive()
-	if err != nil || rep.Type != resp.TypeError {
+	if err != nil || rep.Type != resp.TypeError || !strings.Contains(string(rep.Str), "injected store failure") {
 		t.Fatalf("failing MSET = %+v, %v", rep, err)
 	}
 	if rep2, err := c.Receive(); err != nil || rep2.Text() != "PONG" {
 		t.Fatalf("PING after failed MSET = %+v, %v", rep2, err)
 	}
-	if v, ok, _ := c.Get([]byte("pre")); !ok || string(v) != "p1" {
-		t.Fatalf("prefix write lost: %q, %v", v, ok)
+	applied := make(map[string]string)
+	for k, v := range map[string]string{"pre": "p1", "post": "p2"} {
+		got, ok, err := c.Get([]byte(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok && string(got) != v {
+			t.Fatalf("GET %s after failed MSET = %q, want %q", k, got, v)
+		}
+		if ok {
+			applied[k] = v
+		}
 	}
-	if _, ok, _ := c.Get([]byte("post")); ok {
-		t.Fatal("write after the failing key was applied")
+	if len(applied) == 0 {
+		t.Fatal("no pair applied: the stub applies every pair but boom's, so this check would be vacuous")
+	}
+	st.Crash()
+	if err := st.Recover(simclock.New(0)); err != nil {
+		t.Fatal(err)
+	}
+	se := st.NewSession(simclock.New(0))
+	for k, v := range applied {
+		if got, ok, err := se.Get([]byte(k)); err != nil || !ok || string(got) != v {
+			t.Fatalf("post-crash %s = %q,%v,%v; want %q (applied before the -ERR, so committed)", k, got, ok, err, v)
+		}
+	}
+}
+
+// TestStoreErrorSingleFrame: a store error in DEL or INCRBY is one -ERR
+// frame; the PING pipelined behind it still parses and the connection keeps
+// serving.
+func TestStoreErrorSingleFrame(t *testing.T) {
+	_, addr := startFailServer(t)
+	for _, cmd := range [][]string{
+		{"DEL", "ok1", "boom", "ok2"},
+		{"INCRBY", "boom", "5"},
+	} {
+		t.Run(cmd[0], func(t *testing.T) {
+			c := dialT(t, addr)
+			if err := c.Set([]byte("ok1"), []byte("v1")); err != nil {
+				t.Fatal(err)
+			}
+			c.SendStrings(cmd...)
+			c.SendStrings("PING")
+			if err := c.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := c.Receive()
+			if err != nil || rep.Type != resp.TypeError || !strings.Contains(string(rep.Str), "injected store failure") {
+				t.Fatalf("%v = %+v, %v; want one -ERR", cmd, rep, err)
+			}
+			if rep2, err := c.Receive(); err != nil || rep2.Text() != "PONG" {
+				t.Fatalf("PING after failed %s = %+v, %v", cmd[0], rep2, err)
+			}
+			if err := c.Ping(); err != nil {
+				t.Fatalf("connection dead after failed %s: %v", cmd[0], err)
+			}
+		})
 	}
 }
 
@@ -147,7 +227,7 @@ func FuzzMGetFraming(f *testing.F) {
 	f.Add([]byte{3, 3, 3})
 	f.Add([]byte{1, 3, 1, 3, 0})
 
-	addr := startFailServer(f)
+	_, addr := startFailServer(f)
 	seed := dialT(f, addr)
 	if err := seed.Set([]byte("ok1"), []byte("v1")); err != nil {
 		f.Fatal(err)

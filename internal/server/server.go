@@ -1,8 +1,11 @@
 // Package server is ChameleonDB's network serving layer: a TCP server that
-// speaks the RESP2 protocol (package internal/resp) over any kvstore.Store.
+// speaks the RESP2 protocol (package internal/resp) over a kvstore.Store whose
+// sessions implement kvstore.ServingSession — every command calls that one
+// contract directly, with no fallback for a store that lacks part of it.
 //
 // The threading model is the Go storage-server idiom (cf. go-nfsd): one
-// goroutine and one kvstore.Session per connection over shared engine state.
+// goroutine and one kvstore.ServingSession per connection over shared engine
+// state.
 // The session gives each connection a private log appender (its DRAM write
 // batch) and a reader-epoch slot on the lock-free get path, so connections
 // scale the same way BenchmarkGetParallel's worker goroutines do — no shared
@@ -121,7 +124,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server serves RESP over a kvstore.Store.
+// Server serves RESP over a kvstore.Store whose sessions are
+// kvstore.ServingSessions.
 type Server struct {
 	cfg     Config
 	store   kvstore.Store
@@ -318,20 +322,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// releaseSession hands a connection's session back to the store: core
-// sessions expose Release (detach the log appender and epoch slot so a gone
-// client pins neither the recovery watermark nor table reclamation); other
-// stores settle for a final Flush.
-func releaseSession(se kvstore.Session) error {
-	if r, ok := se.(interface{ Release() error }); ok {
-		return r.Release()
-	}
-	return se.Flush()
-}
-
 // newSession builds the per-connection session. Each connection gets its own
 // virtual clock: network workers are exactly the per-worker sessions the
-// engine was designed around.
-func (s *Server) newSession() kvstore.Session {
-	return s.store.NewSession(simclock.New(0))
+// engine was designed around. The store's sessions must implement
+// kvstore.ServingSession; one that does not is a programming error.
+func (s *Server) newSession() kvstore.ServingSession {
+	return s.store.NewSession(simclock.New(0)).(kvstore.ServingSession)
 }

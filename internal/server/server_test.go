@@ -169,27 +169,28 @@ func expectNull() func(resp.Reply) error {
 	}
 }
 
-// slowStore gates Get so a test can hold a command in flight across Shutdown.
+// slowStore gates GetInto so a test can hold a command in flight across
+// Shutdown.
 type slowStore struct {
 	kvstore.Store
-	block chan struct{} // Get waits on this
-	hit   chan struct{} // signaled once a Get has entered
+	block chan struct{} // GetInto waits on this
+	hit   chan struct{} // signaled once a GetInto has entered
 	once  sync.Once
 }
 
 func (s *slowStore) NewSession(c *simclock.Clock) kvstore.Session {
-	return &slowSession{s.Store.NewSession(c), s}
+	return &slowSession{s.Store.NewSession(c).(kvstore.ServingSession), s}
 }
 
 type slowSession struct {
-	kvstore.Session
+	kvstore.ServingSession
 	st *slowStore
 }
 
-func (se *slowSession) Get(key []byte) ([]byte, bool, error) {
+func (se *slowSession) GetInto(key, dst []byte) ([]byte, bool, error) {
 	se.st.once.Do(func() { close(se.st.hit) })
 	<-se.st.block
-	return se.Session.Get(key)
+	return se.ServingSession.GetInto(key, dst)
 }
 
 // TestGracefulShutdown: a command already decoded when Shutdown starts still
@@ -219,7 +220,7 @@ func TestGracefulShutdown(t *testing.T) {
 	defer c.Close()
 	c.SetDeadline(time.Now().Add(30 * time.Second))
 	c.SendStrings("SET", "k", "v")
-	c.SendStrings("GET", "k") // blocks server-side in slowSession.Get
+	c.SendStrings("GET", "k") // blocks server-side in slowSession.GetInto
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -149,9 +149,6 @@ func (r *Run) DRAMFootprint() int64 {
 	return r.filter.SizeBytes()
 }
 
-// HasFilter reports whether the run carries a bloom filter.
-func (r *Run) HasFilter() bool { return r.filter != nil }
-
 // Get searches the run: optional filter check, binary search over the
 // persisted index (charged as Pmem reads outside the cached tail of the
 // search), then the payload read.

@@ -244,22 +244,3 @@ func (z *zipfian) next() int64 {
 	}
 	return idx
 }
-
-// Mix describes a workload's operation mix for documentation and reports.
-func Mix(w Workload) string {
-	switch w {
-	case Load:
-		return "100% insert"
-	case A:
-		return "50% read / 50% update"
-	case B:
-		return "95% read / 5% update"
-	case C:
-		return "100% read"
-	case D:
-		return "95% read latest / 5% insert"
-	case F:
-		return "50% read / 50% read-modify-write"
-	}
-	return "unknown"
-}

@@ -296,11 +296,3 @@ func TestZetaApproximationContinuity(t *testing.T) {
 		t.Fatalf("zeta discontinuity too large: %v vs %v", exact, approx)
 	}
 }
-
-func TestMixStrings(t *testing.T) {
-	for _, w := range Workloads {
-		if Mix(w) == "unknown" {
-			t.Errorf("no mix description for %s", w)
-		}
-	}
-}
