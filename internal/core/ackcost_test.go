@@ -18,21 +18,21 @@ import (
 )
 
 // countingMedium is a pmem.Medium that keeps nothing and counts what a
-// durable acknowledgement is made of: synced data writes (one fdatasync each
-// on the file backend) and host-metadata records (a manifest fdatasync each).
+// durable acknowledgement is made of: barriers (an fdatasync per dirty file
+// each on the file backend) and host-metadata records (a manifest fdatasync
+// each).
 type countingMedium struct {
-	syncWrites atomic.Int64
+	barriers   atomic.Int64
 	metaWrites atomic.Int64
-	failing    atomic.Bool // synced writes return an I/O error
+	failing    atomic.Bool // barriers return an I/O error
 }
 
-func (m *countingMedium) WriteDurable(off int64, data []byte, sync bool) error {
-	if sync {
-		if m.failing.Load() {
-			return errors.New("injected EIO")
-		}
-		m.syncWrites.Add(1)
+func (m *countingMedium) WriteBack(off int64, data []byte) error { return nil }
+func (m *countingMedium) Sync() error {
+	if m.failing.Load() {
+		return errors.New("injected EIO")
 	}
+	m.barriers.Add(1)
 	return nil
 }
 func (m *countingMedium) ZeroDurable(off, size int64) error { return nil }
@@ -72,7 +72,7 @@ func serveOnMedium(t *testing.T, asyncAck bool) (*core.Store, *countingMedium, *
 }
 
 // TestDurableAckCostsOneSync is the count gate on the ack path: N depth-1
-// durable SETs over the wire are N synced data writes — no commit round, no
+// durable SETs over the wire are N barriers — no commit round, no
 // second persist — the host-metadata record is rewritten only when the log
 // maps a segment, and an ack consumes lines of log, not a 4 KiB chunk. The
 // keys cycle through a handful so no MemTable fills: every persist counted is
@@ -96,14 +96,14 @@ func TestDurableAckCostsOneSync(t *testing.T) {
 		_, _, segs := st.Log().SegmentSnapshot()
 		return int64(len(segs))
 	}
-	syncs0, metas0, segs0, live0 := med.syncWrites.Load(), med.metaWrites.Load(), segments(), st.Log().LiveBytes()
+	syncs0, metas0, segs0, live0 := med.barriers.Load(), med.metaWrites.Load(), segments(), st.Log().LiveBytes()
 
 	const n = 4096
 	for i := 1; i <= n; i++ {
 		set(i)
 	}
-	if got := med.syncWrites.Load() - syncs0; got != n {
-		t.Errorf("%d depth-1 durable SETs made %d synced data writes, want one each", n, got)
+	if got := med.barriers.Load() - syncs0; got != n {
+		t.Errorf("%d depth-1 durable SETs made %d barriers, want one each", n, got)
 	}
 	if metas, mapped := med.metaWrites.Load()-metas0, segments()-segs0; metas != mapped {
 		t.Errorf("%d host-metadata records for %d newly mapped log segments", metas, mapped)
@@ -115,7 +115,7 @@ func TestDurableAckCostsOneSync(t *testing.T) {
 
 // TestVaryingWindowsCostOneSyncEach is the count gate for windows that change
 // size: a session alternating small and large PutBatch+Flush windows pays one
-// synced write per window once its reservation has seen the large size —
+// barrier per window once its reservation has seen the large size —
 // the reservation after a flush covers the largest of the last four windows,
 // so a large window following a small one is not cut in two. The bound on the
 // cold start is the ring: a size never seen in the last four windows may cost
@@ -146,16 +146,47 @@ func TestVaryingWindowsCostOneSyncEach(t *testing.T) {
 	for i := 0; i < len(sizes); i++ { // cold start: every size seen once
 		window(i)
 	}
-	syncs0, live0 := med.syncWrites.Load(), st.Log().LiveBytes()
+	syncs0, live0 := med.barriers.Load(), st.Log().LiveBytes()
 	const n = 2048
 	for i := 0; i < n; i++ {
 		window(i)
 	}
-	if got := med.syncWrites.Load() - syncs0; got != n {
-		t.Errorf("%d windows of sizes %v made %d synced data writes, want one each", n, sizes, got)
+	if got := med.barriers.Load() - syncs0; got != n {
+		t.Errorf("%d windows of sizes %v made %d barriers, want one each", n, sizes, got)
 	}
 	if grew := st.Log().LiveBytes() - live0; grew > n*1024 {
 		t.Errorf("log grew %d B over %d windows (%d B each), want <= 1 KiB each", grew, n, grew/n)
+	}
+}
+
+// TestSealedChunksCostNoBarrier is the count gate on the batch path: a session
+// that appends sixteen chunks' worth of entries without flushing seals a chunk
+// every ~100 puts, and each seal only writes the chunk back — no
+// acknowledgement waits on it — so the session issues no barrier until its
+// Flush, and exactly one there. The keys cycle through a handful so no
+// MemTable fills and no index checkpoint barriers in between.
+func TestSealedChunksCostNoBarrier(t *testing.T) {
+	med := &countingMedium{}
+	st, err := core.OpenOnMedium(core.TestConfig(), med)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	se := st.NewSession(simclock.New(0)).(*core.Session)
+	barriers0, bytes0 := med.barriers.Load(), st.Log().BytesAppended()
+	for i := 0; st.Log().BytesAppended()-bytes0 < 16*4096; i++ {
+		if err := se.Put(fmt.Appendf(nil, "seal-%02d", i%16), fmt.Appendf(nil, "v%06d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := med.barriers.Load() - barriers0; got != 0 {
+		t.Errorf("sixteen sealed chunks issued %d barriers before the Flush, want 0", got)
+	}
+	if err := se.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := med.barriers.Load() - barriers0; got != 1 {
+		t.Errorf("the Flush after sixteen sealed chunks brought the barriers to %d, want 1", got)
 	}
 }
 
@@ -164,7 +195,7 @@ func TestVaryingWindowsCostOneSyncEach(t *testing.T) {
 // window's acks or is closed; every ack it did get must survive a power cut
 // taken right after the drain — with no shared committer, that is each
 // handler's own flush doing its job — and each acked window cost at least
-// one synced write.
+// one barrier.
 func TestPipelinedConnsDurableAckOrClose(t *testing.T) {
 	st, med, srv, addr := serveOnMedium(t, false)
 	const (
@@ -177,7 +208,7 @@ func TestPipelinedConnsDurableAckOrClose(t *testing.T) {
 		acked   = make(map[string]int) // key -> round of its newest acked value
 		windows atomic.Int64
 	)
-	syncs0 := med.syncWrites.Load()
+	syncs0 := med.barriers.Load()
 	for id := 0; id < conns; id++ {
 		wg.Add(1)
 		go func(id int) {
@@ -224,8 +255,8 @@ func TestPipelinedConnsDurableAckOrClose(t *testing.T) {
 		t.Fatalf("Shutdown under load: %v", err)
 	}
 	wg.Wait()
-	if got, min := med.syncWrites.Load()-syncs0, windows.Load(); got < min {
-		t.Errorf("%d acked windows over %d synced writes", min, got)
+	if got, min := med.barriers.Load()-syncs0, windows.Load(); got < min {
+		t.Errorf("%d acked windows over %d barriers", min, got)
 	}
 
 	st.Crash()

@@ -29,8 +29,9 @@ func (sh *shard) flushFrozen(c *simclock.Clock) error {
 		}
 	}
 	// The log must be at least as durable as the index that points into it:
-	// sync every worker's batch before persisting the table.
-	sh.store.log.SyncAll(c)
+	// write back every worker's batch before the table, so the manifest
+	// persist's barrier covers both.
+	sh.store.log.WriteBackAll(c)
 	table, err := sh.buildTable(c, mediaFlush, sh.store.cfg.MemTableSlots, fm.mem.Iterate)
 	if err != nil {
 		return err
@@ -114,7 +115,7 @@ func (sh *shard) dumpABI(c *simclock.Clock) error {
 	if sh.abi.Len() == 0 {
 		return nil
 	}
-	sh.store.log.SyncAll(c)
+	sh.store.log.WriteBackAll(c)
 	// A dump that fits a table no larger than the ABI's cap keeps the power
 	// of two it always had; an ABI dumped fuller than fitFill — the normal
 	// Get-Protect case, at abiFullFraction — is fitted instead of doubled.
@@ -251,7 +252,7 @@ func (sh *shard) mergeTables(c *simclock.Clock, minCap int, sources []*hashtable
 // upper levels, dumps, and the ABI are cleared afterwards, and the recovery
 // watermark advances to the log frontier. Called with sh.mu held.
 func (sh *shard) lastLevelCompaction(c *simclock.Clock) error {
-	sh.store.log.SyncAll(c)
+	sh.store.log.WriteBackAll(c)
 	winners := getStaging(needCap(sh.mergedEntryBound(), 0.80, 16))
 	defer putStaging(winners)
 	// Sources are staged newest first, so the first version of a hash wins.
@@ -378,8 +379,9 @@ func fittedCap(n, designed int) int {
 	return hashtable.FitCapacity(int(math.Ceil(float64(n) / fitFill)))
 }
 
-// buildTable builds and persists one table and books the media bytes of its
-// persist under purpose. Called with sh.mu held.
+// buildTable builds and writes back one table and books the media bytes of
+// its persist under purpose; the manifest persist that publishes it is the
+// barrier that makes it durable. Called with sh.mu held.
 func (sh *shard) buildTable(c *simclock.Clock, purpose mediaPurpose, capSlots int, src func(yield func(hashtable.Slot) bool)) (*hashtable.PmemTable, error) {
 	t, media, err := hashtable.BuildPmemTable(c, sh.store.arena, capSlots, src)
 	sh.store.media[purpose].Add(media)

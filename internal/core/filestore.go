@@ -36,8 +36,11 @@ const (
 // OpenFile opens a ChameleonDB whose durable state lives in a real directory
 // (the `-backend=file` mode) instead of the simulated medium. The device
 // timing model still runs — stats and virtual-time accounting are identical —
-// but every persist is additionally written through to segment files in dir
-// and fsync'd, so the store survives a process restart, SIGKILL included.
+// but every persist is additionally written to segment files in dir, and
+// every point that promises durability — a session Flush, an index
+// checkpoint's manifest, a host record — fdatasyncs what was written before
+// it, so the store survives a process restart, SIGKILL and power cut
+// included, with everything it acknowledged.
 //
 // The returned bool reports whether dir held existing state. A fresh
 // directory is initialized and the store is immediately usable. An existing

@@ -446,7 +446,8 @@ func (se *Session) Flush() error {
 	if err := se.ap.Flush(se.clock); err != nil {
 		return err
 	}
-	// The seal's write or fdatasync may have failed: what this Flush was asked
+	// The seal's write-back or the barrier after it may have failed (or an
+	// earlier write-back the barrier covers): what this Flush was asked
 	// to make durable then is not, and saying otherwise would let the caller
 	// acknowledge it.
 	if err := se.store.mediumErr(); err != nil {

@@ -4,8 +4,8 @@ package filedev
 
 import "os"
 
-// fdatasync falls back to a full fsync where the platform has no separate
-// data-only sync.
-func fdatasync(f *os.File) error {
+// fdatasyncFile falls back to a full fsync where the platform has no
+// separate data-only sync.
+func fdatasyncFile(f *os.File) error {
 	return f.Sync()
 }

@@ -6,11 +6,13 @@
 // (seg-000000.dat covers [0, SegmentBytes), and so on), created lazily the
 // first time a persist touches their span and fsync'd — file and directory
 // entry — at creation, so a durable index can never reference a file a crash
-// would unlink. Every sync persist issues an fdatasync on the touched files
-// before returning: the persist point of the simulated device (clwb+sfence)
-// maps one-to-one onto an fsync boundary here, which is what keeps the
-// crash-sweep fault plans meaningful on both backends. The 256 B access-unit
-// accounting stays in the device timing model, unchanged.
+// would unlink. A write-back (WriteBack, ZeroDurable) is a pwrite that marks
+// its files dirty; a barrier (Sync, and the start of every synced WriteMeta)
+// fdatasyncs each dirty file once. The persist points of the simulated device
+// stay one-to-one with pwrites here, which is what keeps the crash-sweep fault
+// plans meaningful on both backends, while an fdatasync is paid only where the
+// engine promises durability. The 256 B access-unit accounting stays in the
+// device timing model, unchanged.
 //
 // A MANIFEST file carries a checksummed geometry header and two alternating
 // checksummed record slots for the engine's host metadata (the wlog segment
@@ -63,6 +65,32 @@ var ErrCorruptManifest = errors.New("filedev: corrupt manifest header over exist
 // ErrGeometry is returned when an existing directory's recorded geometry does
 // not match the requested options.
 var ErrGeometry = errors.New("filedev: geometry mismatch with existing directory")
+
+// tap, when set, stands in for every pwrite and fdatasync a Dev issues on its
+// segment files and MANIFEST records. The tests install one (export_test.go)
+// to cut the power under a running store and to count syncs; left nil, a Dev
+// calls the OS directly.
+var tap atomic.Pointer[ioTap]
+
+type ioTap struct {
+	pwrite    func(f *os.File, p []byte, off int64) error
+	fdatasync func(f *os.File) error
+}
+
+func pwrite(f *os.File, p []byte, off int64) error {
+	if t := tap.Load(); t != nil {
+		return t.pwrite(f, p, off)
+	}
+	_, err := f.WriteAt(p, off)
+	return err
+}
+
+func fdatasync(f *os.File) error {
+	if t := tap.Load(); t != nil {
+		return t.fdatasync(f)
+	}
+	return fdatasyncFile(f)
+}
 
 // Options configure a backend directory.
 type Options struct {
@@ -127,22 +155,24 @@ type Dev struct {
 	// fsync'd. Always empty unless DisableDirSync is set.
 	unsynced []string
 
-	// zeroDirty holds the indices of segment files carrying zero writes
-	// (ZeroDurable) that have not reached stable storage yet. WriteMeta
-	// fdatasyncs and clears them before it makes the next metadata record
-	// durable: the record is what can make a freed-then-reused arena region
-	// reachable again (it carries the wlog segment directory), and a power
-	// cut must never be able to roll back the zeroes while keeping the
-	// mapping — that would resurrect the freed region's stale bytes at new
-	// LSNs.
-	zeroDirty map[int64]struct{}
+	// dirty maps the index of every segment file holding a write-back or
+	// zeroing that has not reached stable storage to the generation (wbGen)
+	// of its newest one. A barrier fdatasyncs each file once and drops it
+	// unless a newer write landed meanwhile. WriteMeta barriers before it
+	// makes the next record durable: the record is what can make a
+	// freed-then-reused arena region reachable again (it carries the wlog
+	// segment directory), and a power cut must never be able to roll back the
+	// zeroes while keeping the mapping — that would resurrect the freed
+	// region's stale bytes at new LSNs.
+	dirty map[int64]uint64
+	wbGen uint64
 
 	// dirSyncs counts directory-entry fsyncs, so the regression tests can
 	// assert that creation and Close both pay one.
 	dirSyncs atomic.Int64
 
-	// syncUs is the wall-clock latency of every data fdatasync a synced
-	// WriteDurable issues, in microseconds: the primitive a durable
+	// syncUs is the wall-clock latency of every fdatasync of a segment file —
+	// barriers and Close — in microseconds: the primitive a durable
 	// acknowledgement costs. metaSyncs counts synced metadata records.
 	syncUs    histogram.Histogram
 	metaSyncs atomic.Int64
@@ -169,10 +199,10 @@ func Open(opt Options) (*Dev, error) {
 		return nil, err
 	}
 	d := &Dev{
-		opt:       opt,
-		dir:       dir,
-		segs:      make(map[int64]*os.File),
-		zeroDirty: make(map[int64]struct{}),
+		opt:   opt,
+		dir:   dir,
+		segs:  make(map[int64]*os.File),
+		dirty: make(map[int64]uint64),
 	}
 	if err := d.attach(); err != nil {
 		// attach can fail partway through opening the manifest and segment
@@ -477,10 +507,9 @@ func (d *Dev) UnsyncedCreates() []string {
 	return append([]string(nil), d.unsynced...)
 }
 
-// WriteDurable implements pmem.Medium: pwrite the range into its segment
-// files (creating them on first touch) and, for sync persists, fdatasync
-// each touched file before returning.
-func (d *Dev) WriteDurable(off int64, data []byte, sync bool) error {
+// WriteBack implements pmem.Medium: pwrite the range into its segment files
+// (creating them on first touch) and mark them dirty. Nothing is synced.
+func (d *Dev) WriteBack(off int64, data []byte) error {
 	if off < 0 || off+int64(len(data)) > d.opt.Capacity {
 		return fmt.Errorf("filedev: write [%d, +%d) outside capacity %d", off, len(data), d.opt.Capacity)
 	}
@@ -495,15 +524,8 @@ func (d *Dev) WriteDurable(off int64, data []byte, sync bool) error {
 		if err != nil {
 			return err
 		}
-		if _, err := f.WriteAt(data[:n], in); err != nil {
+		if err := d.writeBack(f, idx, data[:n], in); err != nil {
 			return err
-		}
-		if sync {
-			t0 := time.Now()
-			if err := fdatasync(f); err != nil {
-				return err
-			}
-			d.syncUs.Record(time.Since(t0).Microseconds())
 		}
 		off += n
 		data = data[n:]
@@ -511,12 +533,88 @@ func (d *Dev) WriteDurable(off int64, data []byte, sync bool) error {
 	return nil
 }
 
+// WriteDurable is WriteBack made durable before it returns when sync is set:
+// a barrier, the write-back and a second barrier — Arena.Persist's order, so
+// the range never reaches stable storage ahead of an earlier write-back — for
+// a caller that holds a Dev rather than an arena.
+func (d *Dev) WriteDurable(off int64, data []byte, sync bool) error {
+	if !sync {
+		return d.WriteBack(off, data)
+	}
+	if err := d.Sync(); err != nil {
+		return err
+	}
+	if err := d.WriteBack(off, data); err != nil {
+		return err
+	}
+	return d.Sync()
+}
+
+// writeBack pwrites p at offset in of segment idx and marks the file dirty.
+// The mark follows the write, so a barrier that observes it covers the write.
+func (d *Dev) writeBack(f *os.File, idx int64, p []byte, in int64) error {
+	if err := pwrite(f, p, in); err != nil {
+		return err
+	}
+	d.mu.Lock()
+	d.wbGen++
+	d.dirty[idx] = d.wbGen
+	d.mu.Unlock()
+	return nil
+}
+
+// Sync implements pmem.Medium: the barrier. It fdatasyncs every dirty segment
+// file once. A file leaves the dirty set only if nothing was written to it
+// after the snapshot, and only once its fdatasync has returned: a concurrent
+// barrier that still finds it listed syncs it again instead of returning
+// before the first sync is done.
+func (d *Dev) Sync() error {
+	type pending struct {
+		idx int64
+		gen uint64
+		f   *os.File
+	}
+	d.mu.Lock()
+	if d.closed {
+		d.mu.Unlock()
+		return fmt.Errorf("filedev: closed")
+	}
+	var buf [8]pending // a barrier rarely finds more files dirty: no allocation
+	snap := buf[:0]
+	for idx, gen := range d.dirty {
+		snap = append(snap, pending{idx, gen, d.segs[idx]})
+	}
+	d.mu.Unlock()
+	for _, p := range snap {
+		if err := d.syncSeg(p.f); err != nil {
+			return err
+		}
+	}
+	d.mu.Lock()
+	for _, p := range snap {
+		if d.dirty[p.idx] == p.gen {
+			delete(d.dirty, p.idx)
+		}
+	}
+	d.mu.Unlock()
+	return nil
+}
+
+// syncSeg fdatasyncs one segment file and records the latency in
+// filedev_sync_us, which therefore counts every data fdatasync.
+func (d *Dev) syncSeg(f *os.File) error {
+	t0 := time.Now()
+	if err := fdatasync(f); err != nil {
+		return err
+	}
+	d.syncUs.Record(time.Since(t0).Microseconds())
+	return nil
+}
+
 // ZeroDurable implements pmem.Medium: write zeroes over the range, skipping
-// segments that have no file (they already read as zero). The writes are not
-// synced here; the touched files are marked zero-dirty and fdatasync'd by the
-// next synced WriteMeta, before the record that could make the freed region
-// reachable again becomes durable (an fdatasync of the same file on any
-// intervening sync persist also carries them to media).
+// segments that have no file (they already read as zero). Like any
+// write-back the zeroes are durable by the next barrier, and the synced
+// WriteMeta that could make the freed region reachable again begins with one.
 func (d *Dev) ZeroDurable(off, size int64) error {
 	if size <= 0 {
 		return nil
@@ -542,17 +640,11 @@ func (d *Dev) ZeroDurable(off, size int64) error {
 				if c > int64(len(zeros)) {
 					c = int64(len(zeros))
 				}
-				if _, err := f.WriteAt(zeros[:c], in+w); err != nil {
+				if err := d.writeBack(f, idx, zeros[:c], in+w); err != nil {
 					return err
 				}
 				w += c
 			}
-			// Mark after the writes have landed: WriteMeta holds the mutex
-			// across its zero syncs, so a mark it observes is a write its
-			// fdatasync covers.
-			d.mu.Lock()
-			d.zeroDirty[idx] = struct{}{}
-			d.mu.Unlock()
 		}
 		off += n
 		size -= n
@@ -560,14 +652,14 @@ func (d *Dev) ZeroDurable(off, size int64) error {
 	return nil
 }
 
-// ZeroDirtySegments returns the indices of segment files holding zero writes
-// not yet carried to stable storage (test introspection for the WriteMeta
-// zero-durability barrier).
-func (d *Dev) ZeroDirtySegments() []int64 {
+// DirtySegments returns the indices of segment files holding write-backs or
+// zeroes not yet carried to stable storage (test introspection for the
+// barriers).
+func (d *Dev) DirtySegments() []int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]int64, 0, len(d.zeroDirty))
-	for idx := range d.zeroDirty {
+	out := make([]int64, 0, len(d.dirty))
+	for idx := range d.dirty {
 		out = append(out, idx)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -575,18 +667,28 @@ func (d *Dev) ZeroDirtySegments() []int64 {
 }
 
 // WriteMeta implements pmem.Medium: frame payload as the next record and
-// write it to the alternate slot. tear < 0 writes the whole record and
-// fdatasyncs the manifest; otherwise only the record header plus the first
-// tear payload bytes are written and nothing is synced — the slot then fails
-// its checksum on reopen and the previous record stays authoritative.
+// write it to the alternate slot. tear < 0 barriers, writes the whole record
+// and fdatasyncs the manifest; otherwise only the record header plus the
+// first tear payload bytes are written and nothing is synced — the slot then
+// fails its checksum on reopen and the previous record stays authoritative.
 func (d *Dev) WriteMeta(payload []byte, tear int64) error {
+	if int64(len(payload))+recHeader > d.opt.MetaSlotBytes {
+		return fmt.Errorf("filedev: metadata record %d bytes exceeds slot %d", len(payload), d.opt.MetaSlotBytes)
+	}
+	if tear < 0 {
+		// Pending write-backs must be durable before this record is — the
+		// zeroes of a freed region above all: once it commits, the record
+		// can carry a segment mapping that reuses the region, and a power cut
+		// that rolled back unsynced zeroes while keeping the record would let
+		// the region's stale bytes validate as fresh entries on replay.
+		if err := d.Sync(); err != nil {
+			return err
+		}
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return fmt.Errorf("filedev: closed")
-	}
-	if int64(len(payload))+recHeader > d.opt.MetaSlotBytes {
-		return fmt.Errorf("filedev: metadata record %d bytes exceeds slot %d", len(payload), d.opt.MetaSlotBytes)
 	}
 	seq := d.metaSeq + 1
 	rec := make([]byte, recHeader+len(payload))
@@ -600,22 +702,9 @@ func (d *Dev) WriteMeta(payload []byte, tear int64) error {
 		if end > int64(len(rec)) {
 			end = int64(len(rec))
 		}
-		_, err := d.manifest.WriteAt(rec[:end], slotOff)
-		return err
+		return pwrite(d.manifest, rec[:end], slotOff)
 	}
-	// Pending zeroes must be durable before this record is: once it commits,
-	// it can carry a segment mapping that reuses a freed region, and a power
-	// cut that rolled back unsynced zeroes while keeping the record would let
-	// the region's stale bytes validate as fresh entries on replay.
-	for idx := range d.zeroDirty {
-		if f := d.segs[idx]; f != nil {
-			if err := fdatasync(f); err != nil {
-				return err
-			}
-		}
-		delete(d.zeroDirty, idx)
-	}
-	if _, err := d.manifest.WriteAt(rec, slotOff); err != nil {
+	if err := pwrite(d.manifest, rec, slotOff); err != nil {
 		return err
 	}
 	if err := fdatasync(d.manifest); err != nil {
@@ -674,10 +763,10 @@ func (d *Dev) Close() error {
 		keep(d.manifest.Close())
 	}
 	for _, f := range d.segs {
-		keep(fdatasync(f))
+		keep(d.syncSeg(f))
 		keep(f.Close())
 	}
-	clear(d.zeroDirty) // every segment file was just fdatasync'd
+	clear(d.dirty) // every segment file was just fdatasync'd
 	// The Close-time directory sync is the last line of defence for any
 	// directory entry still volatile (see UnsyncedCreates); skipping it under
 	// DisableDirSync is what the regression test exploits to model the loss.

@@ -2,8 +2,10 @@ package filedev
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -250,8 +252,8 @@ func TestDirSyncLossScenario(t *testing.T) {
 // freed-region resurrection bug: zeroes written by ZeroDurable stay
 // host-cached, so a metadata record that reuses the region must not become
 // durable before them. The synced WriteMeta path must fdatasync every
-// zero-dirty segment file (clearing the tracking); the torn path models a
-// power failure and must sync nothing.
+// dirty segment file (clearing the tracking); the torn path models a power
+// failure and must sync nothing.
 func TestZeroDurableSyncedBeforeMeta(t *testing.T) {
 	opt := testOpts(t.TempDir())
 	d := mustOpen(t, opt)
@@ -262,15 +264,15 @@ func TestZeroDurableSyncedBeforeMeta(t *testing.T) {
 	if err := d.ZeroDurable(256, opt.SegmentBytes); err != nil { // spans seg 0 and 1
 		t.Fatal(err)
 	}
-	if got := d.ZeroDirtySegments(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("ZeroDirtySegments after zeroing = %v, want [0 1]", got)
+	if got := d.DirtySegments(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Fatalf("DirtySegments after zeroing = %v, want [0 1]", got)
 	}
 	// A torn metadata persist is the power-cut image: nothing is synced, the
 	// zeroes stay pending.
 	if err := d.WriteMeta([]byte("torn"), 2); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.ZeroDirtySegments(); len(got) != 2 {
+	if got := d.DirtySegments(); len(got) != 2 {
 		t.Fatalf("torn WriteMeta synced pending zeroes: dirty = %v", got)
 	}
 	// The synced record is what can make the region reachable again; it must
@@ -278,8 +280,8 @@ func TestZeroDurableSyncedBeforeMeta(t *testing.T) {
 	if err := d.WriteMeta([]byte("committed"), -1); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.ZeroDirtySegments(); len(got) != 0 {
-		t.Fatalf("synced WriteMeta left zero-dirty segments %v", got)
+	if got := d.DirtySegments(); len(got) != 0 {
+		t.Fatalf("synced WriteMeta left dirty segments %v", got)
 	}
 }
 
@@ -424,5 +426,192 @@ func TestWriteOutsideCapacityRejected(t *testing.T) {
 	}
 	if err := d.WriteMeta(make([]byte, opt.MetaSlotBytes), -1); err == nil {
 		t.Fatal("oversized metadata record accepted")
+	}
+}
+
+// TestBarrierSyncsEachDirtyFileOnce: write-backs dirty their segment files
+// and sync nothing; one barrier fdatasyncs each dirty file exactly once,
+// however many write-backs it holds, and a barrier with nothing dirty costs
+// no fdatasync at all.
+func TestBarrierSyncsEachDirtyFileOnce(t *testing.T) {
+	count, restore := CountSegmentFdatasyncs()
+	defer restore()
+	opt := testOpts(t.TempDir())
+	d := mustOpen(t, opt)
+	defer d.Close()
+	for i := int64(0); i < 8; i++ { // four write-backs in each of segments 0 and 2
+		off := (i%2)*2*opt.SegmentBytes + (i/2)*512
+		if err := d.WriteBack(off, []byte("write-back")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := count(); n != 0 {
+		t.Fatalf("write-backs issued %d fdatasyncs, want 0", n)
+	}
+	if got := d.DirtySegments(); len(got) != 2 || got[0] != 0 || got[1] != 2 {
+		t.Fatalf("DirtySegments = %v, want [0 2]", got)
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if n := count(); n != 2 {
+		t.Fatalf("barrier over two dirty files issued %d fdatasyncs, want 2", n)
+	}
+	if got := d.DirtySegments(); len(got) != 0 {
+		t.Fatalf("barrier left dirty segments %v", got)
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if n := count(); n != 2 {
+		t.Fatalf("barrier with nothing dirty issued %d fdatasyncs", n-2)
+	}
+	// A synced write is a barrier over every earlier write-back, then its own
+	// file's.
+	if err := d.WriteBack(opt.SegmentBytes, []byte("earlier")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WriteDurable(3*opt.SegmentBytes, []byte("synced"), true); err != nil {
+		t.Fatal(err)
+	}
+	if n := count(); n != 4 {
+		t.Fatalf("synced write after a write-back elsewhere issued %d fdatasyncs, want 2", n-2)
+	}
+}
+
+// TestBarrierKeepsFileWrittenDuringItsSync: a write-back that lands on a file
+// while a barrier is syncing it is not covered by that sync, so the barrier
+// must leave the file dirty for the next one — it drops a file only if no
+// write-back marked it after the barrier's snapshot.
+func TestBarrierKeepsFileWrittenDuringItsSync(t *testing.T) {
+	opt := testOpts(t.TempDir())
+	d := mustOpen(t, opt)
+	defer d.Close()
+	if err := d.WriteBack(0, []byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	var late sync.Once
+	restore := tapSyncs(func(f *os.File) error {
+		err := fdatasyncFile(f)
+		late.Do(func() {
+			if err := d.WriteBack(opt.AccessUnit, []byte("during")); err != nil {
+				t.Error(err)
+			}
+		})
+		return err
+	})
+	defer restore()
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.DirtySegments(); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("after a barrier that raced a write-back to its file, DirtySegments = %v, want [0]", got)
+	}
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.DirtySegments(); len(got) != 0 {
+		t.Fatalf("second barrier left dirty segments %v", got)
+	}
+}
+
+// TestSyncHistogramCountsEveryFdatasync: filedev_sync_us, which INFO
+// persistence reports, records every fdatasync of a segment file —
+// barriers, synced writes, the barrier inside a synced WriteMeta and Close.
+func TestSyncHistogramCountsEveryFdatasync(t *testing.T) {
+	count, restore := CountSegmentFdatasyncs()
+	defer restore()
+	opt := testOpts(t.TempDir())
+	d := mustOpen(t, opt)
+	steps := []func() error{
+		func() error { return d.WriteBack(0, []byte("a")) },
+		func() error { return d.WriteBack(opt.SegmentBytes, []byte("b")) },
+		d.Sync,
+		func() error { return d.WriteDurable(2*opt.SegmentBytes, []byte("c"), true) },
+		func() error { return d.ZeroDurable(0, opt.AccessUnit) },
+		func() error { return d.WriteMeta([]byte("meta"), -1) },
+		func() error { return d.WriteBack(0, []byte("d")) },
+		d.Close,
+	}
+	for i, step := range steps {
+		if err := step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	if count() == 0 {
+		t.Fatal("no fdatasync issued")
+	}
+	if got, want := d.SyncCount(), count(); got != want {
+		t.Fatalf("filedev_sync_us recorded %d fdatasyncs, %d were issued", got, want)
+	}
+}
+
+// TestPowerCutRestoresUnsynced exercises the test-only power-cut model: a
+// cut rolls back every write no fdatasync covered, newest first, down to
+// what the last barrier made durable, keeps everything synced, and fails
+// every later write and sync.
+func TestPowerCutRestoresUnsynced(t *testing.T) {
+	cut := ModelPowerCuts()
+	defer cut.Restore()
+	opt := testOpts(t.TempDir())
+	d := mustOpen(t, opt)
+	write := func(off int64, s string, sync bool) {
+		t.Helper()
+		if err := d.WriteDurable(off, []byte(s), sync); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(0, "synced-0", true)
+	if err := d.WriteMeta([]byte("meta"), -1); err != nil { // or reopen starts over
+		t.Fatal(err)
+	}
+	write(opt.SegmentBytes, "barriered", false)
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	write(0, "lost-one", false) // over the synced bytes, twice: the cut must
+	write(0, "lost-two", false) // restore the oldest image, not the newest undo
+	write(opt.SegmentBytes, "lost-too", false)
+	write(2*opt.SegmentBytes, "lost-new", false) // a fresh file's data
+	if err := d.WriteMeta([]byte("torn"), 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := cut.Cut(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WriteBack(0, []byte("x")); !errors.Is(err, errPowerCut) {
+		t.Fatalf("write-back after the power cut = %v, want %v", err, errPowerCut)
+	}
+	if err := d.WriteMeta([]byte("after"), -1); !errors.Is(err, errPowerCut) {
+		t.Fatalf("WriteMeta after the power cut = %v, want %v", err, errPowerCut)
+	}
+	if err := d.Close(); !errors.Is(err, errPowerCut) {
+		t.Fatalf("Close after the power cut = %v, want %v", err, errPowerCut)
+	}
+	cut.Restore()
+	raw, err := os.ReadFile(filepath.Join(opt.Dir, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, p := newestRecord(raw, opt.MetaSlotBytes); string(p) != "meta" {
+		t.Fatalf("newest record after the cut = %q, want %q", p, "meta")
+	}
+	d2 := mustOpen(t, opt)
+	defer d2.Close()
+	img := make([]byte, opt.Capacity)
+	if err := d2.LoadInto(img); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		off  int64
+		want string
+	}{
+		{0, "synced-0"},
+		{opt.SegmentBytes, "barriered"},
+		{2 * opt.SegmentBytes, "\x00\x00\x00\x00\x00\x00\x00\x00"},
+	} {
+		if got := string(img[c.off : c.off+int64(len(c.want))]); got != c.want {
+			t.Errorf("bytes at %d after the cut = %q, want %q", c.off, got, c.want)
+		}
 	}
 }

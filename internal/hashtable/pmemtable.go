@@ -156,7 +156,10 @@ func (t *PmemTable) insertVolatile(s Slot) bool {
 // occurrence of a hash wins. The build charges the DRAM-side staging cost
 // per slot and one sequential persist of the whole table — the 256 B-aligned
 // batched write that gives ChameleonDB write amplification 1/f per table
-// (Section 2.5). media is what the device charged for that persist.
+// (Section 2.5). media is what the device charged for that persist. On a
+// medium the table is only written back (Arena.PersistLater): nothing may
+// reference it until the manifest that does is persisted, and that persist is
+// a barrier first.
 func BuildPmemTable(c *simclock.Clock, arena *pmem.Arena, capacity int, src func(yield func(Slot) bool)) (t *PmemTable, media int64, err error) {
 	t, err = NewPmemTable(arena, capacity)
 	if err != nil {
@@ -179,7 +182,7 @@ func BuildPmemTable(c *simclock.Clock, arena *pmem.Arena, capacity int, src func
 		t.Release()
 		return nil, 0, fmt.Errorf("hashtable: build overflow (cap %d)", t.cap)
 	}
-	return t, arena.Persist(c, t.off, t.SizeBytes()), nil
+	return t, arena.PersistLater(c, t.off, t.SizeBytes()), nil
 }
 
 // Get probes for hash h, charging one random pmem read per 256 B line

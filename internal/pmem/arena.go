@@ -62,11 +62,11 @@ func NewArena(dev *device.Device, capacity int64) *Arena {
 	return a
 }
 
-// NewArenaOn creates an arena whose durable image is mirrored write-through
-// onto med (a file-backed persistence backend). The in-memory durable image
-// is still maintained, so Crash/Recover and the device timing model behave
-// exactly as on the simulated backend; med additionally makes every sync
-// persist reach real stable storage.
+// NewArenaOn creates an arena whose durable image is mirrored onto med (a
+// file-backed persistence backend). The in-memory durable image is still
+// maintained, so Crash/Recover and the device timing model behave exactly as
+// on the simulated backend; med additionally makes every Persist and Barrier
+// reach real stable storage.
 func NewArenaOn(dev *device.Device, capacity int64, med Medium) *Arena {
 	a := NewArena(dev, capacity)
 	a.med = med
@@ -202,7 +202,7 @@ func (a *Arena) Free(off, size int64) {
 	// exactly as the crash left it for recovery to observe.
 	if !a.dev.PowerFailed() {
 		clear(a.durable[off : off+size])
-		if a.med != nil {
+		if a.mirroring() {
 			// The zeroes need not be synced here: the medium guarantees they
 			// are durable by the next synced WriteMeta, which is always
 			// ordered before a durable mapping can make the region reachable
@@ -239,8 +239,40 @@ func (a *Arena) ReadSeq(c *simclock.Clock, off, size int64) []byte {
 // image (clwb + sfence). Partial-unit writes incur read-modify-write
 // charges in the device model. It returns the media bytes the device charged
 // (whole access units; zero for a persist a power failure cut short), which
-// callers add to their per-purpose byte counters.
+// callers add to their per-purpose byte counters. On a medium it is a
+// barrier, the range's write-back and a second barrier: every earlier
+// PersistLater reaches stable storage before the range can, and the range
+// has when Persist returns — the order a commit record needs over what it
+// points to.
 func (a *Arena) Persist(c *simclock.Clock, off, size int64) int64 {
+	a.Barrier()
+	n := a.PersistLater(c, off, size)
+	a.Barrier()
+	return n
+}
+
+// Barrier makes every earlier PersistLater durable on the medium. It is a
+// no-op without a medium, after a simulated power failure (the dead process
+// syncs nothing) and after a medium error.
+func (a *Arena) Barrier() {
+	if !a.mirroring() || a.dev.PowerFailed() {
+		return
+	}
+	a.failMedium(a.med.Sync())
+}
+
+// mirroring reports whether writes still reach the medium: one is installed
+// and it has not failed. After the first medium error the store fails stop
+// and the backing store keeps the state the error left: a later write could
+// land without what it depends on (fdatasync need not report a lost page
+// twice), so none is issued.
+func (a *Arena) mirroring() bool { return a.med != nil && a.medErr.Load() == nil }
+
+// PersistLater is Persist without the barriers: the same device charge, media
+// bytes and fault-plan event, but on a medium the range is only written back
+// — durable by the next Barrier or Persist, not before. Without a medium the
+// two are the same call.
+func (a *Arena) PersistLater(c *simclock.Clock, off, size int64) int64 {
 	if size <= 0 {
 		return 0
 	}
@@ -254,10 +286,10 @@ func (a *Arena) Persist(c *simclock.Clock, off, size int64) int64 {
 				a.crashMu.RLock()
 				copy(a.durable[off:off+keep], a.volatile[off:off+keep])
 				a.crashMu.RUnlock()
-				if a.med != nil {
+				if a.mirroring() {
 					// The torn prefix is what a reopen from the backing
 					// store must observe; the dead process never syncs it.
-					a.failMedium(a.med.WriteDurable(off, a.durable[off:off+keep], false))
+					a.failMedium(a.med.WriteBack(off, a.durable[off:off+keep]))
 				}
 			}
 			return 0
@@ -266,9 +298,8 @@ func (a *Arena) Persist(c *simclock.Clock, off, size int64) int64 {
 	a.crashMu.RLock()
 	copy(a.durable[off:off+size], a.volatile[off:off+size])
 	a.crashMu.RUnlock()
-	if a.med != nil {
-		// Write-through with sync: the persist point is the durability point.
-		a.failMedium(a.med.WriteDurable(off, a.durable[off:off+size], true))
+	if a.mirroring() {
+		a.failMedium(a.med.WriteBack(off, a.durable[off:off+size]))
 	}
 	return a.dev.WritePersist(c, off, size)
 }
@@ -297,7 +328,9 @@ func (a *Arena) PersistMeta(payload []byte) {
 			tear = keep
 		}
 	}
-	a.failMedium(a.med.WriteMeta(payload, tear))
+	if a.mirroring() {
+		a.failMedium(a.med.WriteMeta(payload, tear))
+	}
 }
 
 // Store writes data into the volatile image without persisting it. It models
@@ -346,7 +379,7 @@ func (a *Arena) TamperDurable(off int64, data []byte) {
 	copy(a.durable[off:off+int64(len(data))], data)
 	a.crashMu.Unlock()
 	if a.med != nil {
-		a.failMedium(a.med.WriteDurable(off, data, false))
+		a.failMedium(a.med.WriteBack(off, data))
 	}
 }
 

@@ -6,43 +6,49 @@ package pmem
 //
 // The arena always maintains its in-memory durable image (the simulated
 // media), so the virtual-time device model, Crash(), and recovery code are
-// identical on every backend. A Medium, when installed, is a write-through
-// mirror of that image onto real storage: every Persist that lands in the
-// durable image is also written to the medium, and sync persists are made
-// durable (fdatasync) before the call returns — the file-backed equivalent of
-// the clwb+sfence boundary the simulated device models. The nil Medium is the
-// default simulated backend: the durable image lives only in heap memory.
+// identical on every backend. A Medium, when installed, is a mirror of that
+// image onto real storage with two operations at its boundary: a write-back
+// reaches the backing store but need not survive a power cut until the next
+// barrier, and a barrier makes every earlier write-back durable — the
+// clwb-freely, sfence-where-ordering-needs-it discipline of real persistent
+// memory. Only the places that promise durability (an acknowledgement, an
+// index checkpoint, a host record) issue a barrier, and replication ships
+// only what a barrier has covered. The nil Medium is the default simulated
+// backend: the durable image lives only in heap memory.
 //
 // Implementations must be safe for concurrent use; the arena may call
-// WriteDurable from multiple sessions and ZeroDurable from background
+// WriteBack and Sync from multiple sessions and ZeroDurable from background
 // reclamation at the same time (always for disjoint ranges).
 type Medium interface {
-	// WriteDurable mirrors data (the bytes just copied into the durable image
-	// at [off, off+len(data))) onto the backing store. When sync is true the
-	// write is a durability point and must reach stable storage before the
-	// call returns. sync=false writes (torn persists after a simulated power
-	// failure, deferred zeroing) may linger in host caches.
-	WriteDurable(off int64, data []byte, sync bool) error
+	// WriteBack mirrors data (the bytes just copied into the durable image at
+	// [off, off+len(data))) onto the backing store: durable by the next
+	// barrier, not before.
+	WriteBack(off int64, data []byte) error
 
 	// ZeroDurable zeroes [off, off+size) on the backing store. The arena
-	// calls it when a block is freed. The zeroes need not reach stable
-	// storage before the call returns, but the implementation must make them
-	// durable no later than the next synced WriteMeta: host metadata is what
-	// can make a freed-then-reused region reachable again (the wlog segment
+	// calls it when a block is freed. Like a write-back the zeroes are durable
+	// by the next barrier, and WriteMeta is one: host metadata is what can
+	// make a freed-then-reused region reachable again (the wlog segment
 	// directory persists from reserveChunk before any entry is written), and
 	// a power cut must never preserve such a record while rolling back the
 	// zeroes — the region's stale bytes would replay as live entries.
 	ZeroDurable(off, size int64) error
 
+	// Sync is the barrier: every write-back and zeroing issued before the
+	// call is durable when it returns.
+	Sync() error
+
 	// WriteMeta replaces the engine's host-metadata record (the wlog segment
-	// directory and allocator marks; see core's hostState). tear < 0 writes
-	// the full record and syncs it; otherwise only the first tear payload
-	// bytes of the freshly framed record reach the store and nothing is
-	// synced — the torn-write image of a metadata persist interrupted by
-	// power failure, which the record checksum must detect on reopen.
+	// directory and allocator marks; see core's hostState). tear < 0 issues a
+	// barrier, then writes the full record and syncs it; otherwise only the
+	// first tear payload bytes of the freshly framed record reach the store
+	// and nothing is synced — the torn-write image of a metadata persist
+	// interrupted by power failure, which the record checksum must detect on
+	// reopen.
 	WriteMeta(payload []byte, tear int64) error
 
-	// Close flushes all host-cached state (manifest record, directory
-	// entries) to stable storage and releases the backing resources.
+	// Close flushes all host-cached state (write-backs, manifest record,
+	// directory entries) to stable storage and releases the backing
+	// resources.
 	Close() error
 }

@@ -55,17 +55,17 @@ func (cn *cachedNode) mustGet(t *testing.T, k string) (string, bool) {
 }
 
 // waitChainDurable blocks until the downstream link has durably applied
-// everything its upstream's log currently covers. The downstream watermark is
+// everything its upstream's log has made durable. The downstream watermark is
 // in the upstream's LSN space, so the comparison is direct.
 func waitChainDurable(t *testing.T, upstream *core.Store, down *Node, what string) {
 	t.Helper()
-	target := upstream.Log().MinNextLSN()
+	target := upstream.Log().DurableLSN()
 	waitFor(t, what, func() bool { return down.Status().DurableLSN >= target })
 }
 
 // TestChainedReplicasInvalidateCaches is the chain e2e: primary -> R1 -> R2,
 // every node fronting its store with a hot-key DRAM cache. R1 both tails the
-// primary and re-ships its applied stream to R2 off its own log's seal hook.
+// primary and re-ships its applied stream to R2 off its own log's durable hook.
 // The test proves the properties the chain must compose from per-link
 // guarantees:
 //   - data written at the primary reaches R2 through the intermediate hop;

@@ -269,8 +269,8 @@ func (n *Node) ReplicaOf(addr string) error {
 }
 
 // Wait implements WAIT numreplicas timeout: it flushes the session, seals
-// every appender so the ship watermark covers the session's writes, and
-// blocks until numReplicas replicas have durably acknowledged that watermark
+// every appender so the ship frontier covers the session's writes, and
+// blocks until numReplicas replicas have durably acknowledged that frontier
 // or the timeout expires. It returns the number of replicas that had durably
 // acknowledged the target when it returned — the WAIT reply. timeout <= 0
 // means a 1h cap rather than forever (a server should not be unboundedly
@@ -288,7 +288,7 @@ func (n *Node) Wait(se kvstore.Session, numReplicas int, timeout time.Duration) 
 	if err := st.Log().SealAll(simclock.New(0)); err != nil {
 		return 0, err
 	}
-	target := st.Log().MinNextLSN()
+	target := st.Log().DurableLSN()
 	if timeout <= 0 {
 		timeout = time.Hour
 	}
@@ -316,7 +316,7 @@ type Status struct {
 	NeedsReset  bool
 	AppliedLSN  int64 // replica: primary LSN applied up to
 	DurableLSN  int64 // replica: primary LSN durably applied up to
-	Watermark   int64 // primary: ship watermark (MinNextLSN)
+	Watermark   int64 // primary: ship frontier (wlog DurableLSN)
 	Peers       []PeerStatus
 }
 
@@ -338,7 +338,7 @@ func (n *Node) Status() Status {
 		s.DurableLSN = l.durable.Load()
 	}
 	if n.hub != nil {
-		s.Watermark = st.Log().MinNextLSN()
+		s.Watermark = st.Log().DurableLSN()
 		s.Peers = n.hub.peerStatus()
 	}
 	return s
@@ -486,7 +486,8 @@ func newReplID() string {
 // most maxBytes record bytes, returning the payload and the cursor it
 // advances to (to when the range was exhausted, the first unshipped entry's
 // LSN when the size limit stopped it early). The scan is race-free against
-// live appenders because to never exceeds MinNextLSN — see wlog.ScanRange.
+// live appenders because to never exceeds DurableLSN, which never exceeds
+// MinNextLSN — see wlog.ScanRange.
 // Whatever maxBytes the config allows, the payload never exceeds
 // MaxFramePayload: a record that would push it past stops the scan instead,
 // so the replica's decoder can never reject a frame the primary would then

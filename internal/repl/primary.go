@@ -12,9 +12,8 @@ import (
 )
 
 // hub is the primary half of a node: it accepts replica connections, ships
-// sealed log entries below the MinNextLSN watermark to each, tracks their
-// acks, and pins log GC behind the slowest durable replica via named wlog
-// holds.
+// log entries below the DurableLSN frontier to each, tracks their acks, and
+// pins log GC behind the slowest durable replica via named wlog holds.
 type hub struct {
 	n  *Node
 	ln net.Listener
@@ -37,7 +36,7 @@ type hub struct {
 type peer struct {
 	id     string
 	conn   net.Conn      // nil while held
-	notify chan struct{} // capacity 1; seal hook and WAIT prods poke it
+	notify chan struct{} // capacity 1; durable hook and WAIT prods poke it
 	stopc  chan struct{}
 
 	cursor  atomic.Int64 // next LSN the sender will ship
@@ -62,12 +61,12 @@ func newHub(n *Node, addr string) (*hub, error) {
 	}, nil
 }
 
-// run starts the accept loop and wires the log's seal hook to the senders.
-// Called once the node's store is final (Start's synchronous resync may have
-// swapped it).
+// run starts the accept loop and wires the log's durable hook to the
+// senders. Called once the node's store is final (Start's synchronous resync
+// may have swapped it).
 func (h *hub) run() {
 	log := h.n.store().Log()
-	log.SetSealHook(h.prodAll)
+	log.SetDurableHook(h.prodAll)
 	h.wg.Add(1)
 	go func() {
 		defer h.wg.Done()
@@ -98,16 +97,16 @@ func (h *hub) close() {
 	}
 	h.mu.Unlock()
 	h.ln.Close()
-	h.n.store().Log().SetSealHook(nil)
+	h.n.store().Log().SetDurableHook(nil)
 	for _, p := range peers {
 		h.dropPeer(p, true)
 	}
 	h.wg.Wait()
 }
 
-// prodAll wakes every connected sender. Runs from the wlog seal hook (under
-// an appender's mu), so it must never block: sends are non-blocking into
-// capacity-1 channels.
+// prodAll wakes every connected sender. Runs from the wlog durable hook
+// (possibly under an appender's mu), so it must never block: sends are
+// non-blocking into capacity-1 channels.
 func (h *hub) prodAll() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -253,9 +252,13 @@ func (h *hub) read(conn net.Conn) (byte, []byte, error) {
 	return typ, payload, err
 }
 
-// sendLoop ships log entries to one replica: catch up to the watermark, then
-// block on seal notifications, falling back to heartbeat pings. Exits when
-// the connection errors or the peer is stopped.
+// sendLoop ships log entries to one replica: catch up to the durable
+// frontier, then block on its advance notifications, falling back to
+// heartbeats, each of which first moves the frontier over anything appended
+// but not yet behind a barrier. Nothing leaves before it is durable here: a
+// chunk that is only written back could still be lost to a power cut on this
+// node, and a replica holding it would then hold a write its primary never
+// had. Exits when the connection errors or the peer is stopped.
 func (h *hub) sendLoop(p *peer, conn net.Conn) {
 	log := h.n.store().Log()
 	clk := simclock.New(0)
@@ -268,7 +271,7 @@ func (h *hub) sendLoop(p *peer, conn net.Conn) {
 			flags = flagAckDurable
 		}
 		cursor := p.cursor.Load()
-		wm := log.MinNextLSN()
+		wm := log.DurableLSN()
 		if cursor < wm {
 			payload, next, count, err := exportRange(log, clk, cursor, wm, h.n.cfg.MaxChunk, flags)
 			if err != nil {
@@ -291,6 +294,16 @@ func (h *hub) sendLoop(p *peer, conn net.Conn) {
 		select {
 		case <-p.notify:
 		case <-hb.C:
+			// A writer that never flushes issues no barrier, so the frontier
+			// would stay below its entries for as long as it keeps writing:
+			// write back what every appender holds and barrier here, so a
+			// replica trails such a writer by one heartbeat at most.
+			if wm < log.MinNextLSN() {
+				log.SyncAll(clk)
+				if log.DurableLSN() > cursor {
+					continue
+				}
+			}
 			if err := h.writeTimed(conn, framePing, encodePing(wm, flags)); err != nil {
 				return
 			}

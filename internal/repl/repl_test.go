@@ -119,7 +119,7 @@ func assertParity(t *testing.T, pse, rse *core.Session) {
 
 // TestBootstrapCatchUpAndParity covers the main e2e: a replica bootstraps
 // from a live primary with pre-existing state (including deletions), reaches
-// parity, and then follows steady-state writes shipped off the seal hook.
+// parity, and then follows steady-state writes shipped off the durable hook.
 func TestBootstrapCatchUpAndParity(t *testing.T) {
 	pst := openStore(t, core.TestConfig())
 	pn := startPrimary(t, pst, fastConfig())
@@ -171,6 +171,36 @@ func TestBootstrapCatchUpAndParity(t *testing.T) {
 	if pn.ConnectedReplicas() != 1 {
 		t.Fatalf("connected replicas = %d", pn.ConnectedReplicas())
 	}
+}
+
+// TestUnflushedWritesReachReplica: a primary writer that never flushes (an
+// -async-ack connection, an embedded session between flushes) issues no
+// barrier of its own, so the ship frontier must be moved for it: its writes —
+// sealed chunks and the open one alike — reach a connected replica within a
+// few heartbeats, with no WAIT, FLUSHALL or disconnect to push them.
+func TestUnflushedWritesReachReplica(t *testing.T) {
+	pst := openStore(t, core.TestConfig())
+	pn := startPrimary(t, pst, fastConfig())
+	rst := openStore(t, core.TestConfig())
+	startReplica(t, rst, pn.Addr(), "r1", fastConfig())
+	waitFor(t, "replica connected", func() bool { return pn.ConnectedReplicas() == 1 })
+
+	pse := session(t, pst)
+	const n = 300 // several sealed chunks and an open one
+	for i := 0; i < n; i++ {
+		if err := pse.Put([]byte(fmt.Sprintf("unflushed-%03d", i)), []byte(fmt.Sprintf("v%03d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rse := session(t, rst)
+	waitFor(t, "unflushed writes on the replica", func() bool {
+		for i := n - 1; i >= 0; i-- {
+			if _, ok, err := rse.Get([]byte(fmt.Sprintf("unflushed-%03d", i))); err != nil || !ok {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // TestWaitSemantics pins down the WAIT contract: zero without replicas, the

@@ -29,8 +29,18 @@
 // after a Flush is sized to the largest of the appender's last four
 // flush-to-flush volumes, so a caller that flushes per acknowledgement spends
 // the lines it writes instead of a chunk per ack. Flush and a full
-// reservation seal it: persist, then detach, so the unused lines are never
-// written.
+// reservation seal it: write it back, then detach, so the unused lines are
+// never written.
+//
+// Durability is paid where it is promised. A seal inside Append (the chunk is
+// full, or the next entry does not fit) only writes the chunk back
+// (Arena.PersistLater): on the file backend a pwrite, no fdatasync, since no
+// acknowledgement waits on it. Flush seals and then issues one barrier if the
+// appender wrote anything back since its last one; SyncAll and SealAll write
+// back every appender and issue one barrier between them. SyncAll and
+// SealAll, and Flush while a shipper listens, also move the ship frontier
+// (DurableLSN): replication ships only what a barrier has made durable, never
+// a written-back chunk a power cut could still take.
 //
 // The scanner believes a position only if the entry there checks out. A zero
 // meta word (the unused rest of a reservation), a size reaching past the
@@ -145,12 +155,14 @@ type Log struct {
 	// hold update, the floor computation, and the free decision serialize.
 	holds map[string]int64
 
-	// sealHook, when set, runs after an appender seals (persists and
-	// detaches) a non-empty batch chunk: the durable watermark MinNextLSN
-	// may have advanced. The replication shipper uses it to wake tailing
-	// senders. It runs with the appender's mutex held, so it must not block
-	// and must not call back into appender methods.
-	sealHook atomic.Pointer[func()]
+	// durable is the ship frontier: every entry below it was written back
+	// before a barrier that has completed. durableHook, when set, runs after
+	// the frontier advances; the replication shipper uses it to wake tailing
+	// senders, and its presence is what makes a Flush move the frontier. It
+	// can run with an appender's mutex held, so it must not block and must
+	// not call back into appender methods.
+	durable     atomic.Int64
+	durableHook atomic.Pointer[func()]
 
 	entries atomic.Int64
 	bytes   atomic.Int64
@@ -189,6 +201,7 @@ func New(arena *pmem.Arena, capacity int64) (*Log, error) {
 	}
 	l.next.Store(segSize) // LSN 0 is reserved as "nil" across the stores
 	l.head.Store(segSize)
+	l.durable.Store(segSize)
 	return l, nil
 }
 
@@ -272,6 +285,10 @@ func (l *Log) RestoreSegments(head, next int64, segs map[int64]int64) {
 	if next > l.next.Load() {
 		l.next.Store(next)
 	}
+	// Everything a restart finds below the tail is as durable as it will get:
+	// a chunk the power cut took reads as unused lines, and its LSNs are
+	// never handed out again.
+	l.advanceDurable(l.next.Load())
 }
 
 // HoldGC registers (or moves) a named reclamation floor: FreeBefore will not
@@ -323,15 +340,72 @@ func (l *Log) GCFloor() int64 {
 	return floor
 }
 
-// SetSealHook installs fn to run after any appender seals a non-empty batch
-// chunk — the moment the MinNextLSN watermark can advance. fn must not block:
-// it runs on the sealing worker with the appender locked.
-func (l *Log) SetSealHook(fn func()) {
+// SetDurableHook installs fn to run after a barrier advances DurableLSN; while
+// it is installed every Flush moves the frontier too. fn must not block: it
+// can run on a flushing worker with its appender locked.
+func (l *Log) SetDurableHook(fn func()) {
 	if fn == nil {
-		l.sealHook.Store(nil)
+		l.durableHook.Store(nil)
 		return
 	}
-	l.sealHook.Store(&fn)
+	l.durableHook.Store(&fn)
+}
+
+// DurableLSN returns the ship frontier: every entry below it is durable on
+// the medium — written back before a barrier that has completed — and, being
+// at most a MinNextLSN read earlier, no append can land below it. It never
+// exceeds MinNextLSN, so ScanRange up to it is race-free. SyncAll and SealAll
+// move it; an appender's Flush moves it only while a durable hook is
+// installed, so an acknowledgement with no replica listening takes no
+// log-wide lock.
+func (l *Log) DurableLSN() int64 { return l.durable.Load() }
+
+// writtenBackLSN is the frontier of the write-backs: the minimum over the
+// tail and every appender's write-back floor. It reads the tail first and the
+// floors second, for the reason MinNextLSN does (see reserveChunk).
+func (l *Log) writtenBackLSN() int64 {
+	min := l.Tail()
+	l.apMu.Lock()
+	for _, a := range l.appenders {
+		if n := a.wbLSN.Load(); n != 0 && n < min {
+			min = n
+		}
+	}
+	l.apMu.Unlock()
+	return min
+}
+
+// barrier makes every write-back issued so far durable. With frontier set, or
+// a durable hook installed, it also moves the ship frontier to the write-back
+// frontier read before it. A medium error or a simulated power failure leaves
+// the frontier where it was: what the barrier was to cover may not be
+// durable.
+func (l *Log) barrier(frontier bool) {
+	frontier = frontier || l.durableHook.Load() != nil
+	var w int64
+	if frontier {
+		w = l.writtenBackLSN()
+	}
+	l.arena.Barrier()
+	if !frontier || l.arena.MediumErr() != nil || l.arena.Device().PowerFailed() {
+		return
+	}
+	l.advanceDurable(w)
+}
+
+func (l *Log) advanceDurable(w int64) {
+	for {
+		d := l.durable.Load()
+		if w <= d {
+			return
+		}
+		if l.durable.CompareAndSwap(d, w) {
+			break
+		}
+	}
+	if hook := l.durableHook.Load(); hook != nil {
+		(*hook)()
+	}
 }
 
 // Base returns the first potentially-live LSN (the GC head). Lock-free.
@@ -417,6 +491,7 @@ func (l *Log) reserveChunk(a *Appender, n int64) (int64, error) {
 		mapped = true
 	}
 	a.nextLSN.Store(start)
+	a.wbLSN.Store(start)
 	l.next.Store(end)
 	if mapped {
 		// Persist the updated segment directory before the reservation is
@@ -500,8 +575,17 @@ type Appender struct {
 
 	// nextLSN is the smallest LSN any future Append by this appender can
 	// return (0 = no private chunk, so bounded by the log tail). It is read
-	// concurrently by MinNextLSN for recovery watermarks.
+	// concurrently by MinNextLSN for recovery watermarks. wbLSN is the
+	// smallest LSN of an entry this appender holds that is not yet written
+	// back (0 = none, so bounded by the tail); the barriers read it for the
+	// ship frontier.
 	nextLSN atomic.Int64
+	wbLSN   atomic.Int64
+
+	// pending is set by a write-back and cleared by this appender's own
+	// barrier: Flush issues one only if something it wrote back is not yet
+	// covered by one.
+	pending bool
 }
 
 // NewAppender creates an appender for one worker and registers it for
@@ -550,8 +634,9 @@ func (l *Log) MinNextLSN() int64 {
 
 // Append writes one entry and returns its LSN. The entry is immediately
 // visible to readers (it is in the volatile image) but becomes durable only
-// when its chunk seals or Flush is called — the same window a real batched
-// log has.
+// at the next barrier after its chunk is written back — Flush, SyncAll or
+// SealAll — the same window a real batched log has. A chunk Append seals is
+// written back, not synced.
 func (a *Appender) Append(c *simclock.Clock, hash uint64, key, value []byte, flags uint16) (int64, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -563,9 +648,7 @@ func (a *Appender) Append(c *simclock.Clock, hash uint64, key, value []byte, fla
 	}
 	sz := EntrySize(len(key), len(value))
 	if a.chunkOff == 0 || a.used+sz > a.chunkLen {
-		if err := a.seal(c); err != nil {
-			return 0, err
-		}
+		a.seal(c)
 		// The first reservation after a Flush covers the recent flush-to-flush
 		// volumes; an appender that outgrows it is batching, and gets chunks.
 		n := a.log.chunkSize
@@ -587,6 +670,7 @@ func (a *Appender) Append(c *simclock.Clock, hash uint64, key, value []byte, fla
 		phys, ok := a.log.phys(off)
 		if !ok {
 			a.nextLSN.Store(0)
+			a.wbLSN.Store(0)
 			return 0, fmt.Errorf("wlog: fresh chunk unmapped at %d", off)
 		}
 		a.chunkOff, a.chunkPhys, a.chunkLen, a.used, a.persisted = off, phys, n, 0, 0
@@ -605,9 +689,7 @@ func (a *Appender) Append(c *simclock.Clock, hash uint64, key, value []byte, fla
 	a.log.entries.Add(1)
 	a.log.bytes.Add(sz)
 	if a.used == a.chunkLen {
-		if err := a.seal(c); err != nil {
-			return 0, err
-		}
+		a.seal(c)
 	}
 	return lsn, nil
 }
@@ -623,21 +705,26 @@ func (a *Appender) AppendSync(c *simclock.Clock, hash uint64, key, value []byte,
 		return 0, err
 	}
 	a.mu.Lock()
+	// Written back here, or by Append's seal if the entry filled its chunk.
 	a.persistBuffered(c)
+	a.pending = false
+	a.log.barrier(false)
 	a.mu.Unlock()
 	return lsn, nil
 }
 
-// persistBuffered persists the part of the current chunk not yet persisted
+// persistBuffered writes back the part of the current chunk not yet persisted
 // and books the media bytes it cost. Caller holds a.mu.
 func (a *Appender) persistBuffered(c *simclock.Clock) {
 	if a.chunkOff == 0 || a.used == a.persisted {
 		return
 	}
-	n := a.log.arena.Persist(c, a.chunkPhys+a.persisted, a.used-a.persisted)
+	n := a.log.arena.PersistLater(c, a.chunkPhys+a.persisted, a.used-a.persisted)
 	a.media += n
 	a.log.media.Add(n)
 	a.persisted = a.used
+	a.wbLSN.Store(a.chunkOff + a.used)
+	a.pending = true
 }
 
 // MediaBytes returns the media bytes charged for this appender's persists.
@@ -649,73 +736,86 @@ func (a *Appender) MediaBytes() int64 {
 	return a.media
 }
 
-// seal persists the unpersisted part of the current chunk and detaches it.
-func (a *Appender) seal(c *simclock.Clock) error {
-	sealed := a.chunkOff != 0
+// seal writes back the unpersisted part of the current chunk and detaches
+// it. Caller holds a.mu.
+func (a *Appender) seal(c *simclock.Clock) {
 	a.persistBuffered(c)
 	a.chunkOff, a.chunkPhys, a.chunkLen, a.used, a.persisted = 0, 0, 0, 0, 0
 	a.nextLSN.Store(0)
-	if sealed {
-		if hook := a.log.sealHook.Load(); hook != nil {
-			(*hook)()
-		}
-	}
-	return nil
+	a.wbLSN.Store(0)
 }
 
-// Flush persists any buffered entries and detaches the chunk, abandoning its
-// unused lines. Called on store Flush/Close and by durability-sensitive tests.
-func (a *Appender) Flush(c *simclock.Clock) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+// endWindow books the bytes appended since the last Flush as one window, for
+// the size of the next reservation. Caller holds a.mu.
+func (a *Appender) endWindow() {
 	if a.wrote > 0 {
 		a.windows[a.windowIdx] = min(roundUp(a.wrote, lineSize), a.log.chunkSize)
 		a.windowIdx = (a.windowIdx + 1) % len(a.windows)
 		a.afterFlush = slices.Max(a.windows[:])
 		a.wrote = 0
 	}
-	return a.seal(c)
 }
 
-// sync persists the appender's buffered prefix without detaching the chunk,
-// so the owner keeps batching into the remainder.
-func (a *Appender) sync(c *simclock.Clock) {
+// Flush seals the chunk, abandoning its unused lines, and makes everything
+// this appender wrote back durable with one barrier (none if a barrier
+// already covers it). Called on store Flush/Close and by durability-sensitive
+// tests.
+func (a *Appender) Flush(c *simclock.Clock) error {
 	a.mu.Lock()
-	a.persistBuffered(c)
-	a.mu.Unlock()
+	defer a.mu.Unlock()
+	a.endWindow()
+	a.seal(c)
+	if a.pending {
+		a.pending = false
+		a.log.barrier(false)
+	}
+	return nil
 }
 
-// SyncAll persists every appender's buffered entries. Index checkpoints
-// (ChameleonDB's MemTable flushes, ABI dumps, and compactions) call this
-// before persisting a table so a durable index can never reference a log
-// entry that a crash would erase — the log is always at least as durable as
-// the index that points into it.
+// appendersNow snapshots the registered appenders.
+func (l *Log) appendersNow() []*Appender {
+	l.apMu.Lock()
+	defer l.apMu.Unlock()
+	return slices.Clone(l.appenders)
+}
+
+// WriteBackAll writes back every appender's buffered entries, keeping their
+// chunks open. Index checkpoints (ChameleonDB's MemTable flushes, ABI dumps,
+// and last-level compactions) call this before building a table; the
+// manifest persist that publishes the table is a barrier first, so a durable
+// index can never reference a log entry that a crash would erase — the log
+// is always at least as durable as the index that points into it.
+func (l *Log) WriteBackAll(c *simclock.Clock) {
+	for _, a := range l.appendersNow() {
+		a.mu.Lock()
+		a.persistBuffered(c)
+		a.mu.Unlock()
+	}
+}
+
+// SyncAll is WriteBackAll followed by one barrier: every entry appended
+// anywhere before the call is durable when it returns (the store-wide
+// durability point of FLUSHALL).
 func (l *Log) SyncAll(c *simclock.Clock) {
-	l.apMu.Lock()
-	aps := make([]*Appender, len(l.appenders))
-	copy(aps, l.appenders)
-	l.apMu.Unlock()
-	for _, a := range aps {
-		a.sync(c)
-	}
+	l.WriteBackAll(c)
+	l.barrier(true)
 }
 
-// SealAll persists and detaches every appender's private batch chunk, so all
-// future appends draw fresh LSNs from the shared tail. Log GC must call this
-// before relocating entries: a relocated copy takes an LSN at the tail, and
-// if a session later appended a newer version into a still-open chunk below
-// the tail, recovery's LSN-ordered replay would resurrect the relocated old
-// copy over the newer flushed one.
+// SealAll writes back and detaches every appender's private batch chunk, then
+// issues one barrier, so everything appended before the call is below
+// DurableLSN when it returns and all future appends draw fresh LSNs from the
+// shared tail. Log GC must call this before relocating entries: a relocated
+// copy takes an LSN at the tail, and if a session later appended a newer
+// version into a still-open chunk below the tail, recovery's LSN-ordered
+// replay would resurrect the relocated old copy over the newer flushed one.
 func (l *Log) SealAll(c *simclock.Clock) error {
-	l.apMu.Lock()
-	aps := make([]*Appender, len(l.appenders))
-	copy(aps, l.appenders)
-	l.apMu.Unlock()
-	for _, a := range aps {
-		if err := a.Flush(c); err != nil {
-			return err
-		}
+	for _, a := range l.appendersNow() {
+		a.mu.Lock()
+		a.endWindow()
+		a.seal(c)
+		a.mu.Unlock()
 	}
+	l.barrier(true)
 	return nil
 }
 

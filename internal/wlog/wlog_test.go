@@ -800,3 +800,93 @@ func TestMetaHookRunsOnSegmentMapChanges(t *testing.T) {
 		t.Fatalf("reservation after CloseMeta = %v, want ErrClosed", err)
 	}
 }
+
+// TestDurableLSNMovesOnlyAtBarriers: the ship frontier stays put while chunks
+// seal mid-batch (they are only written back), never passes MinNextLSN, and a
+// barrier — Flush, SyncAll — moves it past everything appended before it,
+// waking the durable hook.
+func TestDurableLSNMovesOnlyAtBarriers(t *testing.T) {
+	l := newTestLog(t, 1<<20)
+	c := simclock.New(0)
+	var woken atomic.Int64
+	l.SetDurableHook(func() { woken.Add(1) })
+	a, b := l.NewAppender(), l.NewAppender()
+	val := bytes.Repeat([]byte{0x11}, 32)
+	d0 := l.DurableLSN()
+	if _, err := b.Append(c, 1, []byte("12345678"), val, 0); err != nil { // b holds an open chunk
+		t.Fatal(err)
+	}
+	var last int64
+	for i := 0; i < 4*64; i++ { // four 4 KB chunks of 64 B entries, three sealed
+		lsn, err := a.Append(c, uint64(i), []byte("12345678"), val, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = lsn
+		if d := l.DurableLSN(); d != d0 {
+			t.Fatalf("append %d moved DurableLSN %d -> %d without a barrier", i, d0, d)
+		}
+	}
+	if woken.Load() != 0 {
+		t.Fatalf("sealed chunks woke the durable hook %d times", woken.Load())
+	}
+	if err := a.Flush(c); err != nil {
+		t.Fatal(err)
+	}
+	// b's open chunk is older than a's entries and not written back: the
+	// frontier stops at it.
+	if d := l.DurableLSN(); d > l.MinNextLSN() || d > last {
+		t.Fatalf("after a's Flush DurableLSN = %d, past b's unwritten entry (MinNextLSN %d, a's last %d)", d, l.MinNextLSN(), last)
+	}
+	// SyncAll writes b's entry back and barriers: the frontier reaches b's
+	// open chunk position, which is as far as any append can be ruled out.
+	l.SyncAll(c)
+	if d := l.DurableLSN(); d != l.MinNextLSN() {
+		t.Fatalf("after SyncAll DurableLSN = %d, want MinNextLSN %d", d, l.MinNextLSN())
+	}
+	if woken.Load() == 0 {
+		t.Fatal("SyncAll advanced the frontier without waking the durable hook")
+	}
+	// SealAll detaches b's chunk too: the frontier passes everything.
+	if err := l.SealAll(c); err != nil {
+		t.Fatal(err)
+	}
+	if d := l.DurableLSN(); d <= last || d != l.Tail() {
+		t.Fatalf("after SealAll DurableLSN = %d, want the tail %d past %d", d, l.Tail(), last)
+	}
+}
+
+// TestFlushMovesFrontierOnlyWithAHook: with no durable hook installed — no
+// replication shipper listening — an appender's Flush is the medium barrier
+// alone and leaves the ship frontier where it was; SyncAll moves it, and once
+// a hook is installed every Flush does.
+func TestFlushMovesFrontierOnlyWithAHook(t *testing.T) {
+	l := newTestLog(t, 1<<20)
+	c := simclock.New(0)
+	a := l.NewAppender()
+	val := bytes.Repeat([]byte{0x22}, 32)
+	appendFlush := func() {
+		t.Helper()
+		if _, err := a.Append(c, 1, []byte("12345678"), val, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Flush(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d0 := l.DurableLSN()
+	appendFlush()
+	if d := l.DurableLSN(); d != d0 {
+		t.Fatalf("Flush with no hook moved DurableLSN %d -> %d", d0, d)
+	}
+	l.SyncAll(c)
+	if d := l.DurableLSN(); d != l.Tail() {
+		t.Fatalf("after SyncAll DurableLSN = %d, want the tail %d", d, l.Tail())
+	}
+	var woken atomic.Int64
+	l.SetDurableHook(func() { woken.Add(1) })
+	appendFlush()
+	if d := l.DurableLSN(); d != l.Tail() || woken.Load() != 1 {
+		t.Fatalf("Flush with a hook: DurableLSN = %d (tail %d), hook woken %d times", d, l.Tail(), woken.Load())
+	}
+}
