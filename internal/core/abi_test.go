@@ -14,7 +14,7 @@ import (
 func abiCaps(s *Store) []int {
 	caps := make([]int, len(s.shards))
 	for i, sh := range s.shards {
-		caps[i] = sh.view.Load().abi.Cap()
+		caps[i] = sh.view.Load().abi().Cap()
 	}
 	return caps
 }
@@ -146,7 +146,7 @@ func TestABIGrowKeepsOldViews(t *testing.T) {
 	slot.pin(s.em) // the old view's tables stay allocated while it is probed
 	defer slot.unpin()
 	v := sh.view.Load()
-	oldCap := v.abi.Cap()
+	oldCap := v.abi().Cap()
 
 	var wg sync.WaitGroup
 	done := make(chan struct{})
@@ -172,9 +172,9 @@ func TestABIGrowKeepsOldViews(t *testing.T) {
 		}()
 	}
 	var werr error
-	for i := before; werr == nil && sh.view.Load().abi.Cap() < 4*oldCap; i++ {
+	for i := before; werr == nil && sh.view.Load().abi().Cap() < 4*oldCap; i++ {
 		if i > 20*before {
-			werr = fmt.Errorf("the ABI never grew past %d slots", sh.view.Load().abi.Cap())
+			werr = fmt.Errorf("the ABI never grew past %d slots", sh.view.Load().abi().Cap())
 			break
 		}
 		werr = se.Put(key(i), val(i))

@@ -84,6 +84,31 @@ func TestCollisionMemVsFrozen(t *testing.T) {
 	}
 }
 
+// TestFrozenNewestFirst: two frozen MemTables holding versions of one key
+// resolve to the newer one on the get path and in a scan — frozen tables sit
+// in version order newest first.
+func TestFrozenNewestFirst(t *testing.T) {
+	s := openTest(t)
+	se := s.NewSession(simclock.New(0)).(*Session)
+	k := []byte("frozen-k")
+	h := s.hashFn(k)
+	for _, v := range []string{"v1", "v2"} {
+		if err := se.Put(k, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		freezeShard(s, h)
+	}
+	if n := s.shardFor(h).view.Load().frozen; n != 2 {
+		t.Fatalf("%d frozen MemTables, want 2", n)
+	}
+	if got, ok, err := se.Get(k); err != nil || !ok || string(got) != "v2" {
+		t.Fatalf("Get = %q, %v, %v; want \"v2\"", got, ok, err)
+	}
+	if got := scanAll(t, se)[string(k)]; got != "v2" {
+		t.Fatalf("scan = %q, want \"v2\"", got)
+	}
+}
+
 // TestCollisionMemVsABI: the older key reaches the ABI via FlushAll's mirror,
 // the newer one sits in the MemTable.
 func TestCollisionMemVsABI(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"chameleondb/internal/device"
@@ -48,8 +49,6 @@ func (sh *shard) flushFrozen(c *simclock.Clock) error {
 	if fm.maxLSN > sh.persistedMaxLSN {
 		sh.persistedMaxLSN = fm.maxLSN
 	}
-	// Pop-front keeps published views intact: a view's frozen slice is capped
-	// at its length, and surviving elements are never overwritten in place.
 	sh.frozen = sh.frozen[1:]
 	sh.publishView()
 	sh.store.stats.Flushes.Add(1)
@@ -166,7 +165,7 @@ func (sh *shard) compactDirect(c *simclock.Clock) error {
 			sources = append(sources, tables[i].t)
 		}
 	}
-	merged, err := sh.mergeTables(c, cfg.MemTableSlots*pow(cfg.Ratio, dst), sources, true)
+	merged, err := sh.mergeTables(c, cfg.MemTableSlots*pow(cfg.Ratio, dst), sources)
 	if err != nil {
 		return err
 	}
@@ -201,7 +200,7 @@ func (sh *shard) compactLevelByLevel(c *simclock.Clock) error {
 		for i := len(tables) - 1; i >= 0; i-- {
 			sources = append(sources, tables[i].t)
 		}
-		merged, err := sh.mergeTables(c, cfg.MemTableSlots*pow(cfg.Ratio, lvl+1), sources, true)
+		merged, err := sh.mergeTables(c, cfg.MemTableSlots*pow(cfg.Ratio, lvl+1), sources)
 		if err != nil {
 			return err
 		}
@@ -216,11 +215,11 @@ func (sh *shard) compactLevelByLevel(c *simclock.Clock) error {
 	return nil
 }
 
-// mergeTables merges sources (newest first) into one new persisted table of
-// at least minCap slots, keeping tombstones (keepTombstones) or dropping
-// them (last-level merges). Pmem source tables are charged as sequential
-// scans.
-func (sh *shard) mergeTables(c *simclock.Clock, minCap int, sources []*hashtable.PmemTable, keepTombstones bool) (*hashtable.PmemTable, error) {
+// mergeTables merges upper-level sources (newest first) into one new
+// persisted table of at least minCap slots. Tombstones are kept: older
+// versions may still sit below the merged levels. Pmem source tables are
+// charged as sequential scans.
+func (sh *shard) mergeTables(c *simclock.Clock, minCap int, sources []*hashtable.PmemTable) (*hashtable.PmemTable, error) {
 	entries := 0
 	for _, t := range sources {
 		t.ChargeScan(c)
@@ -236,16 +235,11 @@ func (sh *shard) mergeTables(c *simclock.Clock, minCap int, sources []*hashtable
 				return true
 			})
 		}
-		winners.Iterate(func(s hashtable.Slot) bool {
-			if !keepTombstones && s.Tombstone() {
-				return true
-			}
-			return yield(s)
-		})
+		winners.Iterate(yield)
 	})
 }
 
-// lastLevelCompaction merges everything above the last level into a new last
+// lastLevelCompaction merges everything below the MemTables into a new last
 // level table. Per Section 2.2/Figure 8 the merge reads the upper-level
 // entries from the ABI in DRAM instead of re-reading the persisted upper
 // tables; dumped ABI tables and the old last level are read from Pmem. All
@@ -253,7 +247,14 @@ func (sh *shard) mergeTables(c *simclock.Clock, minCap int, sources []*hashtable
 // watermark advances to the log frontier. Called with sh.mu held.
 func (sh *shard) lastLevelCompaction(c *simclock.Clock) error {
 	sh.store.log.WriteBackAll(c)
-	winners := getStaging(needCap(sh.mergedEntryBound(), 0.80, 16))
+	// Everything from the ABI down: the ABI stands in for the upper levels
+	// unless recovery has not rebuilt it yet, when the view lists them too.
+	sources := sh.view.Load().belowMem()
+	bound := 0 // entries staged, duplicates included
+	for i := range sources {
+		bound += sources[i].len()
+	}
+	winners := getStaging(needCap(bound, 0.80, 16))
 	defer putStaging(winners)
 	// Sources are staged newest first, so the first version of a hash wins.
 	stage := func(s hashtable.Slot) bool {
@@ -274,28 +275,8 @@ func (sh *shard) lastLevelCompaction(c *simclock.Clock) error {
 		}
 	}
 
-	if sh.abi != nil {
-		// Upper-level entries come from DRAM (the ABI): no Pmem reads.
-		sh.abi.Iterate(stage)
-	}
-	if sh.abi == nil || sh.abiBehind {
-		// Without an ABI (ablation), or with one that recovery has not
-		// rebuilt yet: read the upper tables from Pmem, newest first.
-		for lvl := 0; lvl < len(sh.levels); lvl++ {
-			tables := sh.levels[lvl]
-			for i := len(tables) - 1; i >= 0; i-- {
-				tables[i].t.ChargeScan(c)
-				tables[i].t.Iterate(stage)
-			}
-		}
-	}
-	for i := len(sh.dumped) - 1; i >= 0; i-- {
-		sh.dumped[i].t.ChargeScan(c)
-		sh.dumped[i].t.Iterate(stage)
-	}
-	if sh.last != nil {
-		sh.last.t.ChargeScan(c)
-		sh.last.t.Iterate(stage)
+	for i := range sources {
+		sources[i].scan(c, stage)
 	}
 
 	live := 0
@@ -321,16 +302,12 @@ func (sh *shard) lastLevelCompaction(c *simclock.Clock) error {
 		return err
 	}
 
-	released := make([]*ptable, 0, 16)
-	for lvl := range sh.levels {
-		released = append(released, sh.levels[lvl]...)
-		sh.levels[lvl] = nil
-	}
-	released = append(released, sh.dumped...)
-	sh.dumped = nil
+	released := append(slices.Concat(sh.levels...), sh.dumped...)
 	if sh.last != nil {
 		released = append(released, sh.last)
 	}
+	clear(sh.levels)
+	sh.dumped = nil
 	sh.last = sh.wrapLast(c, newLast)
 	// Fresh ABI for the same reason as dumpABI: old views pair their frozen
 	// ABI with the old last level, new views pair an empty ABI with the

@@ -247,7 +247,11 @@ func TestGPMMergeRunsOnThePool(t *testing.T) {
 	if n := s.stats.MaintJobsLastLevel.Load(); n < 1 {
 		t.Fatalf("MaintJobsLastLevel = %d after Flush, want >= 1", n)
 	}
-	if n := len(s.shards[target].view.Load().dumped); n != 0 {
+	sh := s.shards[target]
+	sh.mu.Lock()
+	n := len(sh.dumped)
+	sh.mu.Unlock()
+	if n != 0 {
 		t.Fatalf("%d dumped tables left after the pool's merge", n)
 	}
 }

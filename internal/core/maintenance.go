@@ -336,7 +336,7 @@ func (se *Session) throttle(sh *shard) error {
 	}
 	slowdownL0, stallL0 := 2*se.store.cfg.Ratio, 4*se.store.cfg.Ratio
 	v := sh.view.Load()
-	frozen, l0 := len(v.frozen), len(v.levels[0])
+	frozen, l0 := v.frozen, v.l0
 	if frozen < slowdownFrozenTables && l0 < slowdownL0 {
 		return nil
 	}
@@ -357,7 +357,7 @@ func (se *Session) throttle(sh *shard) error {
 				return err
 			}
 			v = sh.view.Load()
-			if len(v.frozen) < stallFrozenTables && len(v.levels[0]) < stallL0 {
+			if v.frozen < stallFrozenTables && v.l0 < stallL0 {
 				break
 			}
 			p.cond.Wait()

@@ -72,7 +72,7 @@ func (s *Store) buildRegistry() {
 	r.GaugeFunc("core_abi_slots", func() int64 {
 		var n int64
 		for _, sh := range s.shards {
-			if abi := sh.view.Load().abi; abi != nil {
+			if abi := sh.view.Load().abi(); abi != nil {
 				n += int64(abi.Cap())
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"chameleondb/internal/simclock"
 )
@@ -22,6 +23,14 @@ func stressKey(i int) []byte { return []byte(fmt.Sprintf("rp-key-%05d", i)) }
 // stressValue is the deterministic value every writer stores for a key, so a
 // reader can validate any value it observes regardless of interleaving.
 func stressValue(i int) []byte { return []byte(fmt.Sprintf("rp-val-%05d-%05d", i, i*7)) }
+
+// TestShardViewFillsItsSizeClass: the view is exactly 256 bytes, so the
+// allocator hands it out cache-line aligned (see shardView.buf).
+func TestShardViewFillsItsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(shardView{}); n != 256 {
+		t.Fatalf("shardView is %d bytes, want 256", n)
+	}
+}
 
 // TestReadPathStress runs concurrent Get/Put/Delete workers across all
 // shards, then quiesces, crashes, recovers, and repeats — the lock-free read

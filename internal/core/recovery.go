@@ -111,23 +111,16 @@ func (s *Store) Recover(c *simclock.Clock) error {
 		}
 	}
 	// The Pmem-LSM variants' volatile accelerators are likewise rebuilt
-	// after the store is ready (filters and pins are not persisted).
+	// after the store is ready (filters and pins are not persisted). They
+	// run without an ABI, so the view lists every persisted table.
 	if s.cfg.BloomFilters || s.cfg.PinUppers {
 		for _, sh := range s.shards {
 			sh.mu.Lock()
-			for lvl := range sh.levels {
-				for _, p := range sh.levels[lvl] {
-					p.t.ChargeScan(c)
-					p.build(c, s.cfg.BloomFilters, s.cfg.PinUppers)
+			for _, t := range sh.view.Load().tiers {
+				if t.p != nil {
+					t.p.t.ChargeScan(c)
+					t.p.build(c, s.cfg.BloomFilters, s.cfg.PinUppers && t.src == srcUpper)
 				}
-			}
-			for _, p := range sh.dumped {
-				p.t.ChargeScan(c)
-				p.build(c, s.cfg.BloomFilters, false)
-			}
-			if sh.last != nil {
-				sh.last.t.ChargeScan(c)
-				sh.last.build(c, s.cfg.BloomFilters, false)
 			}
 			sh.mu.Unlock()
 		}
@@ -143,22 +136,28 @@ func (s *Store) Recover(c *simclock.Clock) error {
 	return nil
 }
 
-// rebuildABI is one shard's step 3 of Recover. The ABI grows before each
+// rebuildABI is one shard's step 3 of Recover: it walks the upper-level
+// tiers the view lists while the ABI is behind. The ABI grows before each
 // table as a flush grows it, so the rebuild publishes the result. Called with
 // sh.mu held.
 func (sh *shard) rebuildABI(c *simclock.Clock) error {
+	v := sh.view.Load()
 	var err error
-	for lvl := 0; lvl < len(sh.levels); lvl++ {
-		tables := sh.levels[lvl]
-		for i := len(tables) - 1; i >= 0 && err == nil; i-- {
-			tables[i].t.ChargeScan(c)
-			sh.growABI(c, tables[i].t.Len())
-			tables[i].t.Iterate(func(slot hashtable.Slot) bool {
-				if !sh.dumpSupersedes(c, slot) {
-					err = sh.abiInsert(c, slot, true)
-				}
-				return err == nil
-			})
+	for _, t := range v.tiers {
+		if t.src != srcUpper {
+			continue
+		}
+		t.p.t.ChargeScan(c)
+		sh.growABI(c, t.p.t.Len())
+		t.p.t.Iterate(func(slot hashtable.Slot) bool {
+			// A newer version in a dump keeps the entry out of the ABI.
+			if d, ok := newestIn(c, v, srcDumped, slot.Hash); !ok || d.LSN() <= slot.LSN() {
+				err = sh.abiInsert(c, slot, true)
+			}
+			return err == nil
+		})
+		if err != nil {
+			break
 		}
 	}
 	sh.abiBehind = false
@@ -166,60 +165,32 @@ func (sh *shard) rebuildABI(c *simclock.Clock) error {
 	return err
 }
 
-// dumpSupersedes reports whether a dumped table holds a newer version of the
-// slot's hash than the slot. The newest dump that has the hash decides.
-func (sh *shard) dumpSupersedes(c *simclock.Clock, slot hashtable.Slot) bool {
-	for i := len(sh.dumped) - 1; i >= 0; i-- {
-		if d, ok := sh.dumped[i].t.Get(c, slot.Hash); ok {
-			return d.LSN() > slot.LSN()
+// newestIn returns the newest version of hash h among the view's persisted
+// tiers of source src: the first hit, since tiers run newest first. Recovery
+// probes the tables themselves; their accelerators are rebuilt afterwards.
+func newestIn(c *simclock.Clock, v *shardView, src getSource, h uint64) (hashtable.Slot, bool) {
+	for _, t := range v.tiers {
+		if t.src == src {
+			if s, ok := t.p.t.Get(c, h); ok {
+				return s, true
+			}
 		}
 	}
-	return false
+	return hashtable.Slot{}, false
 }
 
 // supersededBy reports whether any persisted table already holds an entry
 // for hash h at least as new as lsn, in which case a replayed log entry must
 // be skipped (it would otherwise shadow a newer compacted version). Each
-// structure class (upper levels, dumped tables, last level) is probed
-// newest-first with an early exit — the first hit within a class is that
-// class's newest version — and any class's newest version decides. Called
-// during recovery, only for entries at or below persistedMaxLSN.
+// persisted source the view lists (upper levels, dumped tables, last level)
+// decides by its newest version. Called during recovery, only for entries at
+// or below persistedMaxLSN.
 func (sh *shard) supersededBy(c *simclock.Clock, h uint64, lsn int64) bool {
-	newest := func(p *ptable) (int64, bool) {
-		if p == nil {
-			return 0, false
+	v := sh.view.Load()
+	for _, src := range [...]getSource{srcUpper, srcDumped, srcLast} {
+		if s, ok := newestIn(c, v, src, h); ok && s.LSN() >= lsn {
+			return true
 		}
-		slot, ok := p.t.Get(c, h)
-		if !ok {
-			return 0, false
-		}
-		return slot.LSN(), true
-	}
-	// Upper levels, newest table first: the first hit is the class's
-	// newest version, so stop there.
-	upperDone := false
-	for lvl := 0; lvl < len(sh.levels) && !upperDone; lvl++ {
-		tables := sh.levels[lvl]
-		for i := len(tables) - 1; i >= 0; i-- {
-			if v, ok := newest(tables[i]); ok {
-				if v >= lsn {
-					return true
-				}
-				upperDone = true
-				break
-			}
-		}
-	}
-	for i := len(sh.dumped) - 1; i >= 0; i-- {
-		if v, ok := newest(sh.dumped[i]); ok {
-			if v >= lsn {
-				return true
-			}
-			break
-		}
-	}
-	if v, ok := newest(sh.last); ok && v >= lsn {
-		return true
 	}
 	return false
 }

@@ -17,14 +17,17 @@ import (
 //
 // Invariant: every live entry of the upper levels is present in the ABI or a
 // dumped table, so a get never probes the upper levels in Pmem (the ABI
-// bypass, Section 2.2). Version order, newest first: MemTable, ABI, dumped
-// tables (newest dump first), last level.
+// bypass, Section 2.2). Version order, newest first: MemTable, frozen
+// MemTables (newest first), ABI, upper levels (only while no ABI covers them:
+// the no-ABI ablation, or recovery before the ABI rebuild), dumped tables
+// (newest dump first), last level. publishView is the one place that order
+// is written down.
 type shard struct {
 	store *Store
 	id    int
 
 	mu sync.Mutex
-	tl simclock.Timeline // virtual-time critical section (writers queue; readers share)
+	tl simclock.Timeline // virtual-time critical section (writers queue on it)
 
 	mem    *hashtable.Mem
 	abi    *hashtable.Mem
@@ -71,9 +74,9 @@ type shard struct {
 
 	// abiBehind is set between readManifest reattaching upper tables and
 	// Recover's ABI rebuild: the post-crash ABI holds only what replay has
-	// flushed so far, not the reattached tables' entries, so a last-level
-	// compaction that replay triggers must read those tables from Pmem as
-	// well or it would merge them away unread.
+	// flushed so far, not the reattached tables' entries, so the view lists
+	// the upper levels too — a last-level compaction that replay triggers
+	// must read those tables from Pmem or it would merge them away unread.
 	abiBehind bool
 
 	manifest     manifestSlots
@@ -91,52 +94,114 @@ type shard struct {
 
 // shardView is an immutable snapshot of a shard's index structures, published
 // whole so a reader sees a self-consistent generation: a MemTable always
-// paired with the levels/dumps that cover exactly the entries it lacks.
-// The Mem tables referenced by an old view are never mutated destructively —
-// structural changes swap in fresh tables (the ABI only ever gains entries in
-// place, which old-view readers may legally observe as newer versions) — and
-// the ptables' arena space is reclaimed through the epoch manager, so a
-// reader may keep probing a superseded view until it unpins.
+// paired with the tables that cover exactly the entries it lacks. Its tiers
+// are the shard's version order, newest first; every reader — the get probe,
+// the snapshot merge, the last-level merge, recovery and the DRAM gauge —
+// walks that list. The Mem tables referenced by an old view are never mutated
+// destructively — structural changes swap in fresh tables (the ABI only ever
+// gains entries in place, which old-view readers may legally observe as newer
+// versions) — and the ptables' arena space is reclaimed through the epoch
+// manager, so a reader may keep probing a superseded view until it unpins.
 type shardView struct {
-	mem    *hashtable.Mem
-	abi    *hashtable.Mem
-	frozen []*frozenMem // probed newest-first between mem and abi
-	levels [][]*ptable
-	last   *ptable
-	dumped []*ptable
+	tiers []tier // newest first; backed by buf unless the shard holds more
+	// buf keeps the list in the view's own allocation. Nine tiers make the
+	// view 256 bytes, a size class whose objects are cache-line aligned, so
+	// with no frozen tables a get that ends in the MemTable or the ABI reads
+	// only the view's first 64 bytes: the list header, the MemTable's tier
+	// and the ABI's src and mem.
+	buf [9]tier
+	// frozen and l0 count the frozen MemTables and L0 tables: the debt put
+	// backpressure reads (throttle).
+	frozen, l0 int
+}
+
+// tier is one step of the version order: a DRAM table (mem) or a persisted
+// one (p), and the source a get that hits it counts under. src and mem lead
+// so that a DRAM tier's probe reads only its first 16 bytes.
+type tier struct {
+	src getSource
+	mem *hashtable.Mem
+	p   *ptable
+}
+
+// scan yields every slot of the tier; a persisted table is charged as one
+// sequential read first.
+func (t *tier) scan(c *simclock.Clock, fn func(hashtable.Slot) bool) {
+	if t.mem != nil {
+		t.mem.Iterate(fn)
+		return
+	}
+	t.p.t.ChargeScan(c)
+	t.p.t.Iterate(fn)
+}
+
+func (t *tier) len() int {
+	if t.mem != nil {
+		return t.mem.Len()
+	}
+	return t.p.t.Len()
+}
+
+// belowMem is the view's tiers from the ABI down: what a last-level merge
+// folds into the new last level.
+func (v *shardView) belowMem() []tier {
+	i := 0
+	for i < len(v.tiers) && v.tiers[i].src == srcMemTable {
+		i++
+	}
+	return v.tiers[i:]
+}
+
+// abi returns the view's ABI, nil when the ABI is disabled.
+func (v *shardView) abi() *hashtable.Mem {
+	for _, t := range v.tiers {
+		if t.src == srcABI {
+			return t.mem
+		}
+	}
+	return nil
 }
 
 // frozenMem is a MemTable the put path rotated out, with the LSN range its
 // entries cover: minLSN holds the recovery watermark back until the table's
-// flush persists it, maxLSN advances persistedMaxLSN when it does. The table itself is immutable once frozen (only the single writer
-// under sh.mu ever inserted into it, and it was rotated away under the same
-// lock), so readers probe it without seqlock retries ever failing.
+// flush persists it, maxLSN advances persistedMaxLSN when it does. The table
+// itself is immutable once frozen (only the single writer under sh.mu ever
+// inserted into it, and it was rotated away under the same lock), so readers
+// probe it without seqlock retries ever failing.
 type frozenMem struct {
 	mem    *hashtable.Mem
 	minLSN int64
 	maxLSN int64
 }
 
-// publishView snapshots the shard's current structure into a fresh view and
-// stores it atomically. Called with sh.mu held after every structural
-// mutation. Level and dump slices are capped with full slice expressions so
-// a later append on the shard's own slice can never grow into a published
-// snapshot.
+// publishView lists the shard's current structure in version order, newest
+// first, into a fresh view and stores it atomically: the one function that
+// builds the order. The upper levels are listed only while no ABI covers
+// them — without an ABI (ablation), or after recovery reattached them and
+// before the ABI rebuild. Called with sh.mu held after every structural
+// mutation.
 func (sh *shard) publishView() {
-	v := &shardView{
-		mem:  sh.mem,
-		abi:  sh.abi,
-		last: sh.last,
+	v := &shardView{frozen: len(sh.frozen), l0: len(sh.levels[0])}
+	v.tiers = append(v.buf[:0], tier{mem: sh.mem, src: srcMemTable})
+	for i := len(sh.frozen) - 1; i >= 0; i-- {
+		// Frozen hits count as MemTable hits: the same table, rotated out.
+		v.tiers = append(v.tiers, tier{mem: sh.frozen[i].mem, src: srcMemTable})
 	}
-	if n := len(sh.frozen); n > 0 {
-		v.frozen = sh.frozen[:n:n]
+	if sh.abi != nil {
+		v.tiers = append(v.tiers, tier{mem: sh.abi, src: srcABI})
 	}
-	if n := len(sh.dumped); n > 0 {
-		v.dumped = sh.dumped[:n:n]
+	if sh.abi == nil || sh.abiBehind {
+		for _, lvl := range sh.levels {
+			for i := len(lvl) - 1; i >= 0; i-- {
+				v.tiers = append(v.tiers, tier{p: lvl[i], src: srcUpper})
+			}
+		}
 	}
-	v.levels = make([][]*ptable, len(sh.levels))
-	for i, lvl := range sh.levels {
-		v.levels[i] = lvl[:len(lvl):len(lvl)]
+	for i := len(sh.dumped) - 1; i >= 0; i-- {
+		v.tiers = append(v.tiers, tier{p: sh.dumped[i], src: srcDumped})
+	}
+	if sh.last != nil {
+		v.tiers = append(v.tiers, tier{p: sh.last, src: srcLast})
 	}
 	sh.view.Store(v)
 	sh.store.stats.ViewPublishes.Add(1)
@@ -278,9 +343,7 @@ func (sh *shard) volatileWipe() {
 	if !sh.store.cfg.DisableABI {
 		sh.abi = hashtable.NewMem(sh.store.cfg.abiStartSlots())
 	}
-	for i := range sh.levels {
-		sh.levels[i] = nil
-	}
+	clear(sh.levels)
 	sh.last = nil
 	sh.dumped = nil
 	sh.frozen = nil
@@ -290,29 +353,6 @@ func (sh *shard) volatileWipe() {
 	sh.spillMaxLSN = 0
 	sh.pendingMerge.Store(false)
 	sh.publishView()
-}
-
-// mergedEntryBound counts the entries a last-level merge stages, duplicates
-// included: an upper bound on what must fit in its staging table.
-func (sh *shard) mergedEntryBound() int {
-	n := 0
-	if sh.abi != nil {
-		n += sh.abi.Len()
-	}
-	if sh.abi == nil || sh.abiBehind {
-		for _, lvl := range sh.levels {
-			for _, p := range lvl {
-				n += p.t.Len()
-			}
-		}
-	}
-	for _, d := range sh.dumped {
-		n += d.t.Len()
-	}
-	if sh.last != nil {
-		n += sh.last.t.Len()
-	}
-	return n
 }
 
 // insertMem indexes one log entry in the MemTable, charging DRAM probe
@@ -389,68 +429,27 @@ func (sh *shard) lookup(c *simclock.Clock, h uint64) (hashtable.Slot, getSource,
 	return sh.lookupView(c, sh.view.Load(), h, 0)
 }
 
-// lookupView walks one immutable view in version order and returns the
-// (skip+1)-th structure whose table holds hash h. skip == 0 is the plain
-// lookup; larger skips let the collision fallback (Session.Get,
-// shard.probeEntry) step past a candidate whose full key turned out not to
-// match and keep probing older tiers, since a 64-bit hash match does not
-// prove key identity. The caller owns the view's lifetime (epoch pin or
-// sh.mu).
+// lookupView walks one immutable view's tiers in version order and returns
+// the (skip+1)-th whose table holds hash h. skip == 0 is the plain lookup;
+// larger skips let the collision fallback (shard.resolve) step past a
+// candidate whose full key turned out not to match and keep probing older
+// tiers, since a 64-bit hash match does not prove key identity. The caller
+// owns the view's lifetime (epoch pin or sh.mu).
 func (sh *shard) lookupView(c *simclock.Clock, v *shardView, h uint64, skip int) (hashtable.Slot, getSource, bool) {
-	seen := 0
-	take := func() bool {
-		if seen < skip {
-			seen++
-			return false
+	for _, t := range v.tiers {
+		s, ok := hashtable.Slot{Hash: h}, false
+		if t.mem != nil {
+			var probes int
+			s.Ref, probes, ok = t.mem.Get(h)
+			c.Advance(device.DRAMProbeCost(probes))
+		} else {
+			s, ok = t.p.get(c, h)
 		}
-		return true
-	}
-	// 1. MemTable.
-	ref, probes, ok := v.mem.Get(h)
-	c.Advance(device.DRAMProbeCost(probes))
-	if ok && take() {
-		return hashtable.Slot{Hash: h, Ref: ref}, srcMemTable, true
-	}
-	// 1b. Frozen MemTables awaiting background flush, newest first: they sit
-	// between the MemTable and the ABI in version order, and their hits count
-	// as MemTable hits (the structure is the same table, merely rotated out).
-	for i := len(v.frozen) - 1; i >= 0; i-- {
-		ref, probes, ok = v.frozen[i].mem.Get(h)
-		c.Advance(device.DRAMProbeCost(probes))
-		if ok && take() {
-			return hashtable.Slot{Hash: h, Ref: ref}, srcMemTable, true
-		}
-	}
-	// 2. ABI.
-	if v.abi != nil {
-		ref, probes, ok = v.abi.Get(h)
-		c.Advance(device.DRAMProbeCost(probes))
-		if ok && take() {
-			return hashtable.Slot{Hash: h, Ref: ref}, srcABI, true
-		}
-	}
-	// 3. Dumped ABI tables, newest first (Section 2.4).
-	for i := len(v.dumped) - 1; i >= 0; i-- {
-		if s, ok := v.dumped[i].get(c, h); ok && take() {
-			return s, srcDumped, true
-		}
-	}
-	// 4. Upper levels in Pmem — only without an ABI (ablation), since the
-	// ABI+dumps cover them otherwise (Figure 6).
-	if v.abi == nil {
-		for lvl := 0; lvl < len(v.levels); lvl++ {
-			tables := v.levels[lvl]
-			for i := len(tables) - 1; i >= 0; i-- {
-				if s, ok := tables[i].get(c, h); ok && take() {
-					return s, srcUpper, true
-				}
+		if ok {
+			if skip == 0 {
+				return s, t.src, true
 			}
-		}
-	}
-	// 5. Last level.
-	if v.last != nil {
-		if s, ok := v.last.get(c, h); ok && take() {
-			return s, srcLast, true
+			skip--
 		}
 	}
 	return hashtable.Slot{}, srcMiss, false

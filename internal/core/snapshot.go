@@ -48,15 +48,10 @@ type Snapshot struct {
 	released bool
 }
 
-// snapShard is one shard's captured cut plus its lazily materialized,
-// hash-ordered merge result.
+// snapShard is one shard's captured cut — its view, with the MemTable and ABI
+// cloned — plus its lazily materialized, hash-ordered merge result.
 type snapShard struct {
-	mem    *hashtable.Mem // deep copy
-	abi    *hashtable.Mem // deep copy; nil when the ABI is disabled
-	frozen []*frozenMem   // immutable once rotated
-	levels [][]*ptable    // immutable tables; slices capped at capture
-	last   *ptable
-	dumped []*ptable
+	view shardView
 
 	materialized bool
 	entries      []snapEntry // ascending (hash, key)
@@ -202,38 +197,26 @@ func (sn *Snapshot) Scan(cursor uint64, limit int) ([]kvstore.KV, uint64, error)
 	return out, 0, nil
 }
 
-// capture cuts shard si under its lock, deep-copying the in-place-mutated
-// structures and referencing the immutable ones (slices capped so later
-// appends never grow into the snapshot). Charges the DRAM copy to the
+// capture cuts shard si under its lock: a copy of its current view with the
+// two tables writers mutate in place, the MemTable and the ABI, deep-copied;
+// every other tier is immutable and shared. Charges the DRAM copy to the
 // snapshot's clock.
 func (sn *Snapshot) capture(si int) *snapShard {
 	if sc := sn.shards[si]; sc != nil {
 		return sc
 	}
 	sh := sn.store.shards[si]
+	sc := &snapShard{}
+	var copied int64
 	sh.mu.Lock()
-	sc := &snapShard{
-		mem:  sh.mem.Clone(),
-		last: sh.last,
-	}
-	if sh.abi != nil {
-		sc.abi = sh.abi.Clone()
-	}
-	if n := len(sh.frozen); n > 0 {
-		sc.frozen = sh.frozen[:n:n]
-	}
-	if n := len(sh.dumped); n > 0 {
-		sc.dumped = sh.dumped[:n:n]
-	}
-	sc.levels = make([][]*ptable, len(sh.levels))
-	for i, lvl := range sh.levels {
-		sc.levels[i] = lvl[:len(lvl):len(lvl)]
+	sc.view.tiers = append(sc.view.buf[:0], sh.view.Load().tiers...)
+	for i := range sc.view.tiers {
+		if t := &sc.view.tiers[i]; i == 0 || t.src == srcABI {
+			t.mem = t.mem.Clone()
+			copied += t.mem.DRAMFootprint()
+		}
 	}
 	sh.mu.Unlock()
-	copied := sc.mem.DRAMFootprint()
-	if sc.abi != nil {
-		copied += sc.abi.DRAMFootprint()
-	}
 	sn.clock.Advance(int64(float64(copied) * device.CostDRAMSeqPerByte))
 	sn.shards[si] = sc
 	return sc
@@ -252,47 +235,12 @@ func (sn *Snapshot) materialize(sc *snapShard) error {
 	s := sn.store
 	c := sn.clock
 	var cands []snapCand
-	rank := 0
-	fromMem := func(m *hashtable.Mem) {
-		m.Iterate(func(sl hashtable.Slot) bool {
+	for rank := range sc.view.tiers {
+		sc.view.tiers[rank].scan(c, func(sl hashtable.Slot) bool {
 			c.Advance(device.CostCompactionPerSlot)
 			cands = append(cands, snapCand{slot: sl, rank: rank})
 			return true
 		})
-		rank++
-	}
-	fromPtable := func(p *ptable) {
-		p.t.ChargeScan(c)
-		p.t.Iterate(func(sl hashtable.Slot) bool {
-			c.Advance(device.CostCompactionPerSlot)
-			cands = append(cands, snapCand{slot: sl, rank: rank})
-			return true
-		})
-		rank++
-	}
-	// Version order, newest first — the same order lookupView probes.
-	fromMem(sc.mem)
-	for i := len(sc.frozen) - 1; i >= 0; i-- {
-		fromMem(sc.frozen[i].mem)
-	}
-	if sc.abi != nil {
-		fromMem(sc.abi)
-	}
-	for i := len(sc.dumped) - 1; i >= 0; i-- {
-		fromPtable(sc.dumped[i])
-	}
-	if sc.abi == nil {
-		// Upper levels only matter without an ABI (ablation): the ABI+dumps
-		// invariant covers them otherwise, exactly as on the get path.
-		for lvl := 0; lvl < len(sc.levels); lvl++ {
-			tables := sc.levels[lvl]
-			for i := len(tables) - 1; i >= 0; i-- {
-				fromPtable(tables[i])
-			}
-		}
-	}
-	if sc.last != nil {
-		fromPtable(sc.last)
 	}
 
 	sort.Slice(cands, func(i, j int) bool {

@@ -234,24 +234,19 @@ func (s *Store) DRAMFootprint() int64 {
 // footprints are immutable once published.
 func (s *Store) dramBytes() (by [numDRAMPurposes]int64) {
 	for _, sh := range s.shards {
-		v := sh.view.Load()
-		by[dramMemTable] += v.mem.DRAMFootprint()
-		for _, fm := range v.frozen {
-			by[dramFrozen] += fm.mem.DRAMFootprint()
-		}
-		if v.abi != nil {
-			by[dramABI] += v.abi.DRAMFootprint()
-		}
-		for _, lvl := range v.levels {
-			for _, p := range lvl {
-				by[dramAccelerators] += p.dramFootprint()
+		// Accelerators only exist without an ABI, where the view lists every
+		// persisted table; the first tier is the live MemTable.
+		for i, t := range sh.view.Load().tiers {
+			switch {
+			case t.p != nil:
+				by[dramAccelerators] += t.p.dramFootprint()
+			case t.src == srcABI:
+				by[dramABI] += t.mem.DRAMFootprint()
+			case i == 0:
+				by[dramMemTable] += t.mem.DRAMFootprint()
+			default:
+				by[dramFrozen] += t.mem.DRAMFootprint()
 			}
-		}
-		for _, p := range v.dumped {
-			by[dramAccelerators] += p.dramFootprint()
-		}
-		if v.last != nil {
-			by[dramAccelerators] += v.last.dramFootprint()
 		}
 	}
 	if s.gpmWindow != nil {

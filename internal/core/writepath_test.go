@@ -247,7 +247,7 @@ func TestFlushBarrierDrainsDirtyShards(t *testing.T) {
 		t.Fatalf("pool not drained after Flush: depth=%d busy=%d", snap.QueueDepth, snap.WorkersBusy)
 	}
 	for _, sh := range s.shards {
-		if n := len(sh.view.Load().frozen); n != 0 {
+		if n := sh.view.Load().frozen; n != 0 {
 			t.Fatalf("shard %d still has %d frozen tables after Flush", sh.id, n)
 		}
 	}
