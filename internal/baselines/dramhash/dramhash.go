@@ -153,13 +153,14 @@ func (s *Store) Recover(c *simclock.Clock) error {
 	start := c.Now()
 	err := s.log.Scan(c, s.log.Base(), func(e wlog.Entry) bool {
 		c.Advance(device.CostHash64)
-		st := s.stripeFor(e.Hash)
+		h := xhash.Sum64(e.Key)
+		st := s.stripeFor(h)
 		if e.Tombstone() {
-			probes, _ := st.rh.Delete(e.Hash)
+			probes, _ := st.rh.Delete(h)
 			c.Advance(device.DRAMProbeCost(probes))
 			return true
 		}
-		probes, grown := st.rh.Insert(e.Hash, uint64(e.LSN))
+		probes, grown := st.rh.Insert(h, uint64(e.LSN))
 		c.Advance(device.DRAMProbeCost(probes) + int64(grown)*device.CostDRAMRandAccess)
 		return true
 	})
@@ -213,7 +214,7 @@ func (se *Session) write(key, value []byte, flags uint16) error {
 	st := se.store.stripeFor(h)
 	st.mu.Lock()
 	opStart := c.Now()
-	lsn, err := se.ap.Append(c, h, key, value, flags)
+	lsn, err := se.ap.AppendEntry(c, key, value, flags)
 	if err == nil {
 		if flags&wlog.FlagTombstone != 0 {
 			probes, _ := st.rh.Delete(h)

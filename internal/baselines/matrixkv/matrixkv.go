@@ -206,11 +206,12 @@ func (s *Store) Recover(c *simclock.Clock) error {
 	}
 	err := s.wal.Scan(c, min, func(e wlog.Entry) bool {
 		c.Advance(device.CostHash64)
-		st := s.stripeFor(e.Hash)
+		h := xhash.Sum64(e.Key)
+		st := s.stripeFor(h)
 		if e.LSN < st.flushedLSN {
 			return true
 		}
-		st.insertMem(c, e.Hash, e.Key, e.Value, e.Tombstone())
+		st.insertMem(c, h, e.Key, e.Value, e.Tombstone())
 		return true
 	})
 	if err != nil {
@@ -363,7 +364,7 @@ func (se *Session) write(key, value []byte, flags uint16) error {
 	st := se.store.stripeFor(h)
 	st.mu.Lock()
 	opStart := c.Now()
-	_, err := se.ap.Append(c, h, key, value, flags)
+	_, err := se.ap.AppendEntry(c, key, value, flags)
 	if err == nil {
 		st.cache.Invalidate(h)
 		st.insertMem(c, h, key, value, flags&wlog.FlagTombstone != 0)

@@ -215,7 +215,7 @@ func (se *Session) write(key, value []byte, flags uint16) error {
 	opStart := c.Now()
 	// Individual persisted writes, no batching (Section 3.3's explanation
 	// of Pmem-Hash's put latency).
-	lsn, err := se.ap.AppendSync(c, h, key, value, flags)
+	lsn, err := se.ap.AppendSync(c, key, value, flags)
 	if err == nil {
 		if flags&wlog.FlagTombstone != 0 {
 			st.t.Delete(c, h)

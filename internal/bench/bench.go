@@ -137,7 +137,9 @@ func chameleonConfig(keys int64, valueSize int) core.Config {
 	cfg.Shards = 64
 	cfg.MemTableSlots = 64
 	cfg.ABISlots = 0 // derive from geometry
-	// 24 B log-entry header plus a ~16 B key.
+	// 40 B per entry beyond the value: a 16 B log-entry header, a ~16 B key
+	// and 8 B of slack. The experiments' arena geometry derives from it, so
+	// it does not track the header size.
 	entry := int64(40 + valueSize)
 	logNeed := 6 * keys * entry
 	if logNeed < 16<<20 {

@@ -145,7 +145,7 @@ func TestOptionsDefaults(t *testing.T) {
 // reports are functions of virtual time only, so their text must not move by
 // a byte when the log, the persist path or the scanner change (the goldens
 // are `chameleon-bench -experiment <id> -keys 40000 -ops 40000 -threads 4`,
-// last re-taken when the ABIs became sized to what they hold). A change that
+// last re-taken when log entries stopped storing the key hash). A change that
 // means to move virtual time regenerates them and says so.
 func TestVirtualTimeGolden(t *testing.T) {
 	for _, id := range []string{"fig6", "scan"} {

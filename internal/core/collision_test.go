@@ -211,8 +211,9 @@ func TestCollisionThreeDeep(t *testing.T) {
 	}
 }
 
-// TestCollisionSurvivesRecovery: log entries persist the engineered hash, so
-// a crash/recovery replay rebuilds the same colliding topology.
+// TestCollisionSurvivesRecovery: replay hashes each log entry's key with the
+// store's (engineered) hash function, so a crash/recovery replay rebuilds the
+// same colliding topology.
 func TestCollisionSurvivesRecovery(t *testing.T) {
 	s := openTest(t)
 	collideKeys(s, "col-a", "col-b")

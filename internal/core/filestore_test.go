@@ -2,10 +2,16 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"chameleondb/internal/device"
+	"chameleondb/internal/device/filedev"
 	"chameleondb/internal/simclock"
 )
 
@@ -401,6 +407,91 @@ func TestOpenFileGeometryMismatch(t *testing.T) {
 	bad.Shards = 8
 	if _, _, err := OpenFile(bad, dir); err == nil {
 		t.Fatal("reopen with different shard count succeeded")
+	}
+}
+
+// TestOpenFileRefusesOldLogFormat: a directory whose host state carries an
+// older version — a build that stored the key hash in every log entry — is
+// refused with an error naming both versions and the format change, and the
+// refusal leaves every file in the directory byte-identical.
+func TestOpenFileRefusesOldLogFormat(t *testing.T) {
+	cfg := fileTestConfig()
+	dir := t.TempDir()
+	s, _, err := OpenFile(cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	se := s.NewSession(simclock.New(0))
+	for i := 0; i < 50; i++ {
+		if err := se.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := se.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite the host state's version word to 3 through the backend, so the
+	// record's checksum still holds and only the version is wrong.
+	med, err := filedev.Open(filedev.Options{
+		Dir:           dir,
+		Capacity:      cfg.ArenaBytes,
+		AccessUnit:    device.OptanePmem.AccessUnit,
+		MetaSlotBytes: hostStateMax(cfg),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := bytes.Clone(med.Meta())
+	if v := binary.LittleEndian.Uint64(meta); v != hostStateVersion {
+		t.Fatalf("fresh directory records version %d, want %d", v, hostStateVersion)
+	}
+	binary.LittleEndian.PutUint64(meta, 3)
+	if err := med.WriteMeta(meta, -1); err != nil {
+		t.Fatal(err)
+	}
+	if err := med.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	snapshot := func() map[string][]byte {
+		t.Helper()
+		files := make(map[string][]byte)
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = b
+		}
+		return files
+	}
+	before := snapshot()
+	s2, _, err := OpenFile(cfg, dir)
+	if err == nil {
+		s2.Close()
+		t.Fatal("OpenFile accepted a directory with host state version 3")
+	}
+	for _, want := range []string{"version 3", "want 4", "log entry format"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not mention %q", err, want)
+		}
+	}
+	after := snapshot()
+	if len(after) != len(before) {
+		t.Fatalf("refused open changed the directory's files: %d -> %d", len(before), len(after))
+	}
+	for name, b := range before {
+		if !bytes.Equal(after[name], b) {
+			t.Errorf("refused open changed %s", name)
+		}
 	}
 }
 

@@ -68,9 +68,10 @@ func (s *Store) CompactLog(c *simclock.Clock, reclaimBytes int64) (int64, error)
 			return false
 		}
 		c.Advance(device.CostHash64)
-		sh := s.shardFor(e.Hash)
+		h := s.hashFn(e.Key)
+		sh := s.shardFor(h)
 		sh.mu.Lock()
-		slot, _, ok := sh.lookup(c, e.Hash)
+		slot, _, ok := sh.lookup(c, h)
 		if !ok || slot.LSN() != e.LSN || slot.Tombstone() {
 			// A newer version exists elsewhere, the key is deleted, or the
 			// entry was never indexed: the bytes are garbage.
@@ -78,13 +79,13 @@ func (s *Store) CompactLog(c *simclock.Clock, reclaimBytes int64) (int64, error)
 			sh.mu.Unlock()
 			return true
 		}
-		newLSN, err := ap.Append(c, e.Hash, e.Key, e.Value, e.Flags)
+		newLSN, err := ap.AppendEntry(c, e.Key, e.Value, e.Flags)
 		if err != nil {
 			relocErr = err
 			sh.mu.Unlock()
 			return false
 		}
-		relocErr = sh.insertMem(c, e.Hash, newLSN, false)
+		relocErr = sh.insertMem(c, h, newLSN, false)
 		relocated++
 		sh.mu.Unlock()
 		return relocErr == nil

@@ -82,7 +82,11 @@ func fingerprintOf(cfg Config) configFingerprint {
 	}
 }
 
-const hostStateVersion = 3
+// hostStateVersion is the first word of every host-state record. It also
+// stands for the log entry format of the directory's segments: version 4 logs
+// entries without the stored key hash (wlog's 16 B header). A directory from
+// an older build is refused, never reinterpreted — there is no second decoder.
+const hostStateVersion = 4
 
 // maxReplIDLen bounds the persisted (and wire) replication lineage ID. IDs
 // the node mints are 40 hex chars; the bound rejects corrupt records.
@@ -153,7 +157,7 @@ func decodeHostState(b []byte) (hostState, error) {
 		return hs, err
 	}
 	if v != hostStateVersion {
-		return hs, fmt.Errorf("core: host state version %d, want %d", v, hostStateVersion)
+		return hs, fmt.Errorf("core: host state version %d, want %d: the directory was written by a build with a different log entry format, and is not converted", v, hostStateVersion)
 	}
 	for _, dst := range []*int64{
 		&hs.fp.Shards, &hs.fp.ArenaBytes, &hs.fp.LogBytes,

@@ -54,17 +54,18 @@ func (s *Store) Recover(c *simclock.Clock) error {
 	err := s.log.Scan(c, minLSN, func(e wlog.Entry) bool {
 		s.replayPos.Store(e.LSN)
 		c.Advance(device.CostHash64)
-		sh := s.shardFor(e.Hash)
+		h := s.hashFn(e.Key)
+		sh := s.shardFor(h)
 		if e.LSN < sh.replayFilter {
 			return true
 		}
 		// Entries newer than anything ever persisted to a table cannot be
 		// superseded; only the conservative over-replay window needs the
 		// expensive table probes.
-		if e.LSN <= sh.persistedMaxLSN && sh.supersededBy(c, e.Hash, e.LSN) {
+		if e.LSN <= sh.persistedMaxLSN && sh.supersededBy(c, h, e.LSN) {
 			return true
 		}
-		replayErr = sh.insertMem(c, e.Hash, e.LSN, e.Tombstone())
+		replayErr = sh.insertMem(c, h, e.LSN, e.Tombstone())
 		return replayErr == nil
 	})
 	if err == nil {

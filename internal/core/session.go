@@ -330,7 +330,7 @@ func (sh *shard) resolve(c *simclock.Clock, v *shardView, h uint64, key []byte) 
 // inside critical; the caller has already charged the DRAM batch-copy cost.
 func (se *Session) appendLocked(sh *shard, h uint64, key, value []byte, flags uint16) error {
 	c := se.clock
-	lsn, err := se.ap.Append(c, h, key, value, flags)
+	lsn, err := se.ap.AppendEntry(c, key, value, flags)
 	if err != nil {
 		return err
 	}

@@ -34,8 +34,9 @@ type Store struct {
 	// xhash.Sum64 and is overridable only by in-package tests that need to
 	// engineer full hash collisions (infeasible against the real mixer) to
 	// exercise the collision fallback on the read and scan paths. Must be set
-	// before any session runs; log entries persist the hash, so recovery is
-	// self-consistent under any function.
+	// before any session runs. Log entries do not store the hash: recovery
+	// replay, log GC and Verify hash each entry's key with this function, so
+	// they stay self-consistent under any function.
 	hashFn func([]byte) uint64
 
 	// em defers arena reclamation of compacted-away tables until no

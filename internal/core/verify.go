@@ -77,7 +77,7 @@ func (s *Store) DumpABIs(c *simclock.Clock) error {
 //     read path (in particular, upper-level entries are covered by the ABI or
 //     a dumped table — the bypass invariant of Section 2.2);
 //   - every resolved non-tombstone reference points at a live, checksummed
-//     log entry whose hash matches (no dangling log pointers).
+//     log entry whose key hashes to it (no dangling log pointers).
 //
 // Only winning references are chased: a superseded slot may legally point
 // into a log segment that garbage collection has since reclaimed. Callers
@@ -147,8 +147,8 @@ func (sh *shard) verifyLocked(c *simclock.Clock) error {
 		if err != nil {
 			return fmt.Errorf("hash %#x: winning reference LSN %d is dangling: %w", h, slot.LSN(), err)
 		}
-		if e.Hash != h {
-			return fmt.Errorf("hash %#x: LSN %d holds entry for hash %#x", h, slot.LSN(), e.Hash)
+		if eh := sh.store.hashFn(e.Key); eh != h {
+			return fmt.Errorf("hash %#x: LSN %d holds entry for hash %#x", h, slot.LSN(), eh)
 		}
 	}
 	return nil

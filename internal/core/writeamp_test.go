@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"chameleondb/internal/kvstore"
 	"chameleondb/internal/simclock"
 	"chameleondb/internal/wlog"
 )
@@ -112,6 +113,39 @@ func TestEmptyAndOddKeys(t *testing.T) {
 			t.Fatalf("get key %d = %q %v %v", i, got, ok, err)
 		}
 	}
+}
+
+// TestEmptyPutSurvivesRecovery: Put("", "") logs an entry whose meta word is
+// all zero. It is acknowledged like any other, so Get("") must find it, and
+// recovery's replay must not mistake it for the unused end of a reservation —
+// which would also drop every acknowledged entry after it in the same line.
+func TestEmptyPutSurvivesRecovery(t *testing.T) {
+	s := openTest(t)
+	se := s.NewSession(simclock.New(0))
+	if err := se.Put(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := se.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := se.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(se kvstore.Session, when string) {
+		t.Helper()
+		if got, ok, err := se.Get(nil); err != nil || !ok || len(got) != 0 {
+			t.Fatalf("%s: Get(\"\") = %q, %v, %v; want \"\", true", when, got, ok, err)
+		}
+		if got, ok, err := se.Get([]byte("k")); err != nil || !ok || string(got) != "v" {
+			t.Fatalf("%s: Get(k) = %q, %v, %v; want v", when, got, ok, err)
+		}
+	}
+	check(se, "before crash")
+	s.Crash()
+	if err := s.Recover(simclock.New(0)); err != nil {
+		t.Fatal(err)
+	}
+	check(s.NewSession(simclock.New(0)), "after recovery")
 }
 
 // TestLogFullSurfacesError verifies a full log region propagates a clean

@@ -412,6 +412,28 @@ func TestProtocolErrorCloses(t *testing.T) {
 }
 
 // TestCommands covers the remaining commands' contracts.
+// TestEmptySetGet: SET "" "" is acknowledged, so GET "" must reply with the
+// empty bulk string $0 — not an error and not a miss. The engine logs that pair
+// as an entry whose meta word is all zero.
+func TestEmptySetGet(t *testing.T) {
+	_, addr := startServer(t, nil, Config{})
+	c := dialT(t, addr)
+	rep, err := c.DoStrings("SET", "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Text() != "OK" {
+		t.Fatalf(`SET "" "" = %+v, want +OK`, rep)
+	}
+	rep, err = c.DoStrings("GET", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Type != resp.TypeBulk || rep.Null || len(rep.Str) != 0 {
+		t.Fatalf(`GET "" = %+v, want $0`, rep)
+	}
+}
+
 func TestCommands(t *testing.T) {
 	_, addr := startServer(t, nil, Config{})
 	c := dialT(t, addr)

@@ -17,7 +17,7 @@ func fill(t *testing.T, l *Log, c *simclock.Clock, ap *Appender, want int64) []i
 	val := bytes.Repeat([]byte{0xAB}, 2048)
 	var lsns []int64
 	for l.Tail() < want {
-		lsn, err := ap.Append(c, uint64(len(lsns)+1), []byte("hold-key"), val, 0)
+		lsn, err := ap.AppendEntry(c, []byte("hold-key"), val, 0)
 		if err != nil {
 			t.Fatalf("append at tail %d: %v", l.Tail(), err)
 		}
@@ -142,7 +142,7 @@ func TestHoldAndSnapshotUnderConcurrentFree(t *testing.T) {
 		val := bytes.Repeat([]byte{0x3C}, 2048)
 		total := int64(0)
 		for total < 5*capacity {
-			_, err := ap.Append(c, 1, []byte("concurrent"), val, 0)
+			_, err := ap.AppendEntry(c, []byte("concurrent"), val, 0)
 			if err != nil {
 				// Log full: GC has not caught up yet. Flush what we have so
 				// the hold mover can advance past it, then retry.

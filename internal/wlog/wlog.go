@@ -13,9 +13,13 @@
 //
 // Entry layout (8-byte aligned):
 //
-//	[8 B key hash][8 B meta: keyLen(16) | valLen(32) | flags(16)][8 B sum][key][value]
+//	[8 B meta: keyLen(16) | valLen(32) | flags(16)][8 B sum][key][value]
 //
-// sum is a seeded hash chained over the header words, key, and value. The
+// An entry is its key and value: the index hash is not stored, since the key
+// determines it and every scanner that indexes entries hashes the key with its
+// own store's function. sum is a seeded hash chained over meta, key, and value,
+// never zero, so a zero sum word is what "no entry here" looks like — an
+// all-zero meta word is a real entry (an empty key with an empty value). The
 // device commits 256 B lines, so a batch persist interrupted by power failure
 // can leave a durable prefix of its lines: entries beyond the cut have their
 // payload (or header) missing, and the checksum is what lets recovery detect
@@ -32,8 +36,8 @@
 // reservation seal it: write it back, then detach, so the unused lines are
 // never written.
 //
-// Durability is paid where it is promised. A seal inside Append (the chunk is
-// full, or the next entry does not fit) only writes the chunk back
+// Durability is paid where it is promised. A seal inside AppendEntry (the
+// chunk is full, or the next entry does not fit) only writes the chunk back
 // (Arena.PersistLater): on the file backend a pwrite, no fdatasync, since no
 // acknowledgement waits on it. Flush seals and then issues one barrier if the
 // appender wrote anything back since its last one; SyncAll and SealAll write
@@ -43,7 +47,7 @@
 // a written-back chunk a power cut could still take.
 //
 // The scanner believes a position only if the entry there checks out. A zero
-// meta word (the unused rest of a reservation), a size reaching past the
+// sum word (the unused rest of a reservation), a size reaching past the
 // segment, or a failed checksum (a torn persist) sends it to the next line,
 // where the next reservation may start. It charges one sequential read per
 // 4 KB block it enters (the rest of the block from where it entered) and one
@@ -79,7 +83,7 @@ const DefaultSegmentSize = 1 << 20
 // persist is cut at.
 const lineSize = 256
 
-const headerSize = 24
+const headerSize = 16
 
 func roundUp(v, unit int64) int64 { return (v + unit - 1) / unit * unit }
 
@@ -94,10 +98,10 @@ var ErrLogFull = errors.New("wlog: log region full")
 var ErrCorrupt = errors.New("wlog: entry corrupt (torn write)")
 
 // entrySum computes the per-entry checksum: a seeded hash chained over the
-// header words and both byte fields, forced non-zero so an all-zero region
-// can never pass as a valid entry.
-func entrySum(hash, meta uint64, key, value []byte) uint64 {
-	s := xhash.Seeded(hash^meta, key)
+// meta word and both byte fields, forced non-zero so an all-zero region can
+// never pass as a valid entry, and a zero sum word always means "no entry".
+func entrySum(meta uint64, key, value []byte) uint64 {
+	s := xhash.Seeded(meta, key)
 	s = xhash.Seeded(s, value)
 	if s == 0 {
 		s = 1
@@ -117,7 +121,7 @@ var ErrClosed = errors.New("wlog: log is closed")
 //
 // The metadata is split for the lock-free read path: writers (reserveChunk,
 // FreeBefore) serialize on mu, but everything a reader needs — the tail, the
-// head, the segment map — is published atomically, so Read/PeekHash/phys
+// head, the segment map — is published atomically, so Read/phys
 // never acquire a lock. The atomics are written only with mu held; a reader
 // that observes an advanced tail is therefore guaranteed to observe the
 // segment mappings published before it.
@@ -573,7 +577,7 @@ type Appender struct {
 	windows    [4]int64
 	windowIdx  int
 
-	// nextLSN is the smallest LSN any future Append by this appender can
+	// nextLSN is the smallest LSN any future AppendEntry by this appender can
 	// return (0 = no private chunk, so bounded by the log tail). It is read
 	// concurrently by MinNextLSN for recovery watermarks. wbLSN is the
 	// smallest LSN of an entry this appender holds that is not yet written
@@ -632,12 +636,20 @@ func (l *Log) MinNextLSN() int64 {
 	return min
 }
 
-// Append writes one entry and returns its LSN. The entry is immediately
+// Append is AppendEntry with a leading key hash, which it ignores: the log
+// does not store the hash. It exists only for benchmark/micro.go, which is
+// frozen with the rest of the repo benchmark; delete it, and name
+// AppendEntry Append, when that directory next changes.
+func (a *Appender) Append(c *simclock.Clock, _ uint64, key, value []byte, flags uint16) (int64, error) {
+	return a.AppendEntry(c, key, value, flags)
+}
+
+// AppendEntry writes one entry and returns its LSN. The entry is immediately
 // visible to readers (it is in the volatile image) but becomes durable only
 // at the next barrier after its chunk is written back — Flush, SyncAll or
-// SealAll — the same window a real batched log has. A chunk Append seals is
-// written back, not synced.
-func (a *Appender) Append(c *simclock.Clock, hash uint64, key, value []byte, flags uint16) (int64, error) {
+// SealAll — the same window a real batched log has. A chunk AppendEntry seals
+// is written back, not synced.
+func (a *Appender) AppendEntry(c *simclock.Clock, key, value []byte, flags uint16) (int64, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if len(key) > 0xffff {
@@ -677,10 +689,9 @@ func (a *Appender) Append(c *simclock.Clock, hash uint64, key, value []byte, fla
 	}
 	lsn := a.chunkOff + a.used
 	buf := a.log.arena.Bytes(a.chunkPhys+a.used, sz)
-	binary.LittleEndian.PutUint64(buf[0:8], hash)
 	meta := uint64(len(key)) | uint64(len(value))<<16 | uint64(flags)<<48
-	binary.LittleEndian.PutUint64(buf[8:16], meta)
-	binary.LittleEndian.PutUint64(buf[16:24], entrySum(hash, meta, key, value))
+	binary.LittleEndian.PutUint64(buf[0:8], meta)
+	binary.LittleEndian.PutUint64(buf[8:16], entrySum(meta, key, value))
 	copy(buf[headerSize:], key)
 	copy(buf[headerSize+len(key):], value)
 	a.used += sz
@@ -699,13 +710,13 @@ func (a *Appender) Append(c *simclock.Clock, hash uint64, key, value []byte, fla
 // unit with a read-modify-write: the put path of the Pmem-Hash baseline,
 // which "persists KV items with small writes in individual put operations"
 // (Section 3.3).
-func (a *Appender) AppendSync(c *simclock.Clock, hash uint64, key, value []byte, flags uint16) (int64, error) {
-	lsn, err := a.Append(c, hash, key, value, flags)
+func (a *Appender) AppendSync(c *simclock.Clock, key, value []byte, flags uint16) (int64, error) {
+	lsn, err := a.AppendEntry(c, key, value, flags)
 	if err != nil {
 		return 0, err
 	}
 	a.mu.Lock()
-	// Written back here, or by Append's seal if the entry filled its chunk.
+	// Written back here, or by AppendEntry's seal if the entry filled its chunk.
 	a.persistBuffered(c)
 	a.pending = false
 	a.log.barrier(false)
@@ -822,7 +833,6 @@ func (l *Log) SealAll(c *simclock.Clock) error {
 // Entry is one decoded log record.
 type Entry struct {
 	LSN   int64
-	Hash  uint64
 	Key   []byte
 	Value []byte
 	Flags uint16
@@ -852,10 +862,9 @@ func (l *Log) Read(c *simclock.Clock, lsn int64) (Entry, error) {
 		return Entry{}, fmt.Errorf("%w: header at LSN %d crosses segment end", ErrCorrupt, lsn)
 	}
 	hdr := l.arena.Bytes(phys, headerSize)
-	hash := binary.LittleEndian.Uint64(hdr[0:8])
-	meta := binary.LittleEndian.Uint64(hdr[8:16])
-	sum := binary.LittleEndian.Uint64(hdr[16:24])
-	if meta == 0 {
+	meta := binary.LittleEndian.Uint64(hdr[0:8])
+	sum := binary.LittleEndian.Uint64(hdr[8:16])
+	if sum == 0 {
 		return Entry{}, fmt.Errorf("wlog: no entry at LSN %d", lsn)
 	}
 	keyLen, valLen, flags := decodeMeta(meta)
@@ -866,39 +875,15 @@ func (l *Log) Read(c *simclock.Clock, lsn int64) (Entry, error) {
 	buf := l.arena.ReadRandom(c, phys, sz)
 	key := buf[headerSize : headerSize+keyLen]
 	value := buf[headerSize+keyLen : headerSize+keyLen+valLen]
-	if entrySum(hash, meta, key, value) != sum {
+	if entrySum(meta, key, value) != sum {
 		return Entry{}, fmt.Errorf("%w: checksum mismatch at LSN %d", ErrCorrupt, lsn)
 	}
 	return Entry{
 		LSN:   lsn,
-		Hash:  hash,
 		Key:   key,
 		Value: value,
 		Flags: flags,
 	}, nil
-}
-
-// PeekHash reads only the hash and flags of the entry at lsn without
-// charging a device access; index maintenance uses it where a real system
-// would have the information in DRAM already.
-func (l *Log) PeekHash(lsn int64) (uint64, uint16, bool) {
-	if lsn < l.segSize || lsn >= l.Tail() {
-		return 0, 0, false
-	}
-	phys, ok := l.phys(lsn)
-	if !ok {
-		return 0, 0, false
-	}
-	if l.segSize-lsn%l.segSize < headerSize {
-		return 0, 0, false
-	}
-	hdr := l.arena.Bytes(phys, headerSize)
-	meta := binary.LittleEndian.Uint64(hdr[8:16])
-	if meta == 0 {
-		return 0, 0, false
-	}
-	_, _, flags := decodeMeta(meta)
-	return binary.LittleEndian.Uint64(hdr[0:8]), flags, true
 }
 
 // Scan iterates entries with LSN >= from in log order, charging sequential
@@ -916,7 +901,7 @@ func (l *Log) Scan(c *simclock.Clock, from int64, fn func(Entry) bool) error {
 // there. The replication shipper exports chunks this way while the store
 // serves writes.
 //
-// A position that holds no valid entry — a zero meta word, a size reaching
+// A position that holds no valid entry — a zero sum word, a size reaching
 // past the segment, a failed checksum — is the unused or torn end of some
 // reservation; the next reservation starts on a line, so the scan resumes at
 // the next line. (The lines of a torn entry that did reach the media are
@@ -959,8 +944,9 @@ func (l *Log) ScanRange(c *simclock.Clock, from, to int64, fn func(Entry) bool) 
 			continue
 		}
 		hdr := l.arena.Bytes(phys, headerSize)
-		meta := binary.LittleEndian.Uint64(hdr[8:16])
-		if meta == 0 {
+		meta := binary.LittleEndian.Uint64(hdr[0:8])
+		sum := binary.LittleEndian.Uint64(hdr[8:16])
+		if sum == 0 {
 			// End of this reservation's used portion.
 			pos = nextLine
 			continue
@@ -974,11 +960,9 @@ func (l *Log) ScanRange(c *simclock.Clock, from, to int64, fn func(Entry) bool) 
 			continue
 		}
 		buf := l.arena.Bytes(phys, sz)
-		hash := binary.LittleEndian.Uint64(buf[0:8])
-		sum := binary.LittleEndian.Uint64(buf[16:24])
 		key := buf[headerSize : headerSize+keyLen]
 		value := buf[headerSize+keyLen : headerSize+keyLen+valLen]
-		if entrySum(hash, meta, key, value) != sum {
+		if entrySum(meta, key, value) != sum {
 			// Torn batch persist: the entry's lines beyond the committed
 			// prefix are gone, and so is the rest of its reservation.
 			pos = nextLine
@@ -986,7 +970,6 @@ func (l *Log) ScanRange(c *simclock.Clock, from, to int64, fn func(Entry) bool) 
 		}
 		e := Entry{
 			LSN:   pos,
-			Hash:  hash,
 			Key:   key,
 			Value: value,
 			Flags: flags,

@@ -9,7 +9,6 @@ import (
 	"chameleondb/internal/device"
 	"chameleondb/internal/pmem"
 	"chameleondb/internal/simclock"
-	"chameleondb/internal/xhash"
 )
 
 // TestTornChunkPersistDetected is the regression test for the torn-write bug
@@ -28,18 +27,21 @@ func TestTornChunkPersistDetected(t *testing.T) {
 	c := simclock.New(0)
 	ap := l.NewAppender()
 
-	// e1 fills [0, 232) of the chunk — entirely inside media line 0.
-	// e2 starts at 232: its 24 B header lands in line 0 but its payload is
+	// e1 fills [0, 240) of the chunk — entirely inside media line 0.
+	// e2 starts at 240: its 16 B header lands in line 0 but its payload is
 	// all in line 1.
-	k1, v1 := []byte("key-aaaa"), bytes.Repeat([]byte{0xA1}, 200)
+	k1, v1 := []byte("key-aaaa"), bytes.Repeat([]byte{0xA1}, 216)
 	k2, v2 := []byte("key-bbbb"), bytes.Repeat([]byte{0xB2}, 100)
-	lsn1, err := ap.Append(c, xhash.Sum64(k1), k1, v1, 0)
+	lsn1, err := ap.AppendEntry(c, k1, v1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsn2, err := ap.Append(c, xhash.Sum64(k2), k2, v2, 0)
+	lsn2, err := ap.AppendEntry(c, k2, v2, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if lsn1%lineSize != 0 || lsn2 != lsn1+240 {
+		t.Fatalf("entries at %d and %d, want a line start and 240 B after it", lsn1, lsn2)
 	}
 
 	// Power fails on the seal persist, committing only the first line.
@@ -87,7 +89,7 @@ func TestTornPersistMidEntry(t *testing.T) {
 	c := simclock.New(0)
 	ap := l.NewAppender()
 	key, val := []byte("bigkey"), bytes.Repeat([]byte{0xEE}, 3000) // ~12 lines
-	lsn, err := ap.Append(c, xhash.Sum64(key), key, val, 0)
+	lsn, err := ap.AppendEntry(c, key, val, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +123,7 @@ func TestFreeBeforeFrozenAfterPowerFailure(t *testing.T) {
 	payload := bytes.Repeat([]byte{7}, 1000)
 	var first int64 = -1
 	for i := 0; l.Tail() < l.SegmentSize()*3; i++ {
-		lsn, err := ap.Append(c, uint64(i), []byte("12345678"), payload, 0)
+		lsn, err := ap.AppendEntry(c, []byte("12345678"), payload, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,13 +161,13 @@ func TestTornLineReservationKeepsNeighbour(t *testing.T) {
 	val := bytes.Repeat([]byte{0xA5}, 64)
 	put := func(ap *Appender, key string) int64 {
 		t.Helper()
-		lsn, err := ap.Append(c, xhash.Sum64([]byte(key)), []byte(key), val, 0)
+		lsn, err := ap.AppendEntry(c, []byte(key), val, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return lsn
 	}
-	// First flushes size the next reservations: a wrote 6 entries of 96 B
+	// First flushes size the next reservations: a wrote 6 entries of 88 B
 	// (three lines), b one (one line). Both drew from full chunks so far.
 	var want []int64
 	for i := 0; i < 6; i++ {

@@ -14,7 +14,6 @@ import (
 	"chameleondb/internal/device"
 	"chameleondb/internal/pmem"
 	"chameleondb/internal/simclock"
-	"chameleondb/internal/xhash"
 )
 
 func newTestLog(t *testing.T, capacity int64) *Log {
@@ -32,8 +31,7 @@ func TestAppendRead(t *testing.T) {
 	c := simclock.New(0)
 	ap := l.NewAppender()
 	key, val := []byte("key-0001"), []byte("value-0001")
-	h := xhash.Sum64(key)
-	lsn, err := ap.Append(c, h, key, val, 0)
+	lsn, err := ap.AppendEntry(c, key, val, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +39,7 @@ func TestAppendRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Hash != h || !bytes.Equal(e.Key, key) || !bytes.Equal(e.Value, val) || e.Tombstone() {
+	if e.LSN != lsn || !bytes.Equal(e.Key, key) || !bytes.Equal(e.Value, val) || e.Tombstone() {
 		t.Fatalf("read back %+v", e)
 	}
 }
@@ -50,7 +48,7 @@ func TestTombstoneFlag(t *testing.T) {
 	l := newTestLog(t, 1<<20)
 	c := simclock.New(0)
 	ap := l.NewAppender()
-	lsn, err := ap.Append(c, 42, []byte("k"), nil, FlagTombstone)
+	lsn, err := ap.AppendEntry(c, []byte("k"), nil, FlagTombstone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,13 +56,53 @@ func TestTombstoneFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.Tombstone() || len(e.Value) != 0 {
+	if !e.Tombstone() || len(e.Value) != 0 || string(e.Key) != "k" {
 		t.Fatalf("tombstone round trip failed: %+v", e)
 	}
-	hash, flags, ok := l.PeekHash(lsn)
-	if !ok || hash != 42 || flags&FlagTombstone == 0 {
-		t.Fatalf("PeekHash = %d, %d, %v", hash, flags, ok)
+}
+
+// TestEmptyEntryIsAnEntry: an empty key with an empty value and no flags has
+// an all-zero meta word. It is still an entry — acknowledged like any other —
+// so Read returns it, and the scanner, which takes a zero sum word (not a
+// zero meta word) for the unused rest of a reservation, returns it and every
+// entry after it in the same line, also after a crash.
+func TestEmptyEntryIsAnEntry(t *testing.T) {
+	l := newTestLog(t, 1<<20)
+	c := simclock.New(0)
+	ap := l.NewAppender()
+	lsn0, err := ap.AppendEntry(c, nil, nil, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	lsn1, err := ap.AppendEntry(c, []byte("k"), []byte("v"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ap.Flush(c); err != nil {
+		t.Fatal(err)
+	}
+	if lsn1/lineSize != lsn0/lineSize {
+		t.Fatalf("entries at %d and %d do not share a line", lsn0, lsn1)
+	}
+	check := func(when string) {
+		t.Helper()
+		if e, err := l.Read(c, lsn0); err != nil || len(e.Key) != 0 || len(e.Value) != 0 || e.Flags != 0 {
+			t.Fatalf("%s: Read(empty entry) = %+v, %v", when, e, err)
+		}
+		if e, err := l.Read(c, lsn1); err != nil || string(e.Key) != "k" || string(e.Value) != "v" {
+			t.Fatalf("%s: Read(entry after it) = %+v, %v", when, e, err)
+		}
+		var got []int64
+		if err := l.Scan(c, l.Base(), func(e Entry) bool { got = append(got, e.LSN); return true }); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, []int64{lsn0, lsn1}) {
+			t.Fatalf("%s: scan = %v, want [%d %d]", when, got, lsn0, lsn1)
+		}
+	}
+	check("before crash")
+	l.arena.Crash()
+	check("after crash")
 }
 
 func TestBatchingPersistsAtChunkBoundary(t *testing.T) {
@@ -73,12 +111,12 @@ func TestBatchingPersistsAtChunkBoundary(t *testing.T) {
 	ap := l.NewAppender()
 	dev := l.arena.Device()
 	before := dev.Stats().WriteOps
-	// Entries of 64 bytes (24 B header + 8 B key + 32 B value): 64 fill one
+	// Entries of 64 bytes (16 B header + 8 B key + 40 B value): 64 fill one
 	// 4 KB chunk.
-	val := bytes.Repeat([]byte{0x11}, 32)
+	val := bytes.Repeat([]byte{0x11}, 40)
 	var lastOps int64
 	for i := 0; i < 63; i++ {
-		if _, err := ap.Append(c, uint64(i), []byte("12345678"), val, 0); err != nil {
+		if _, err := ap.AppendEntry(c, []byte("12345678"), val, 0); err != nil {
 			t.Fatal(err)
 		}
 		lastOps = dev.Stats().WriteOps
@@ -86,7 +124,7 @@ func TestBatchingPersistsAtChunkBoundary(t *testing.T) {
 	if lastOps != before {
 		t.Fatalf("writes persisted before chunk sealed: %d ops", lastOps-before)
 	}
-	if _, err := ap.Append(c, 63, []byte("12345678"), val, 0); err != nil {
+	if _, err := ap.AppendEntry(c, []byte("12345678"), val, 0); err != nil {
 		t.Fatal(err)
 	}
 	after := dev.Stats()
@@ -103,7 +141,7 @@ func TestLargeEntrySpansChunks(t *testing.T) {
 	c := simclock.New(0)
 	ap := l.NewAppender()
 	big := bytes.Repeat([]byte{0x5A}, 64<<10) // 64 KB value, as in Figure 17
-	lsn, err := ap.Append(c, 7, []byte("bigkey"), big, 0)
+	lsn, err := ap.AppendEntry(c, []byte("bigkey"), big, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +156,7 @@ func TestLargeEntrySpansChunks(t *testing.T) {
 		t.Fatal("large value corrupted")
 	}
 	// A following small entry must still work.
-	lsn2, err := ap.Append(c, 8, []byte("small"), []byte("v"), 0)
+	lsn2, err := ap.AppendEntry(c, []byte("small"), []byte("v"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,16 +172,16 @@ func TestScanInOrder(t *testing.T) {
 	const n = 500
 	for i := 0; i < n; i++ {
 		key := []byte(fmt.Sprintf("key-%04d", i))
-		if _, err := ap.Append(c, uint64(i), key, []byte("v"), 0); err != nil {
+		if _, err := ap.AppendEntry(c, key, []byte("v"), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := ap.Flush(c); err != nil {
 		t.Fatal(err)
 	}
-	var got []uint64
+	var got []string
 	err := l.Scan(c, l.Base(), func(e Entry) bool {
-		got = append(got, e.Hash)
+		got = append(got, string(e.Key))
 		return true
 	})
 	if err != nil {
@@ -152,9 +190,9 @@ func TestScanInOrder(t *testing.T) {
 	if len(got) != n {
 		t.Fatalf("scanned %d entries, want %d", len(got), n)
 	}
-	for i, h := range got {
-		if h != uint64(i) {
-			t.Fatalf("entry %d out of order: hash %d", i, h)
+	for i, k := range got {
+		if want := fmt.Sprintf("key-%04d", i); k != want {
+			t.Fatalf("entry %d out of order: key %q, want %q", i, k, want)
 		}
 	}
 }
@@ -165,7 +203,7 @@ func TestScanFromMidpoint(t *testing.T) {
 	ap := l.NewAppender()
 	var mid int64
 	for i := 0; i < 100; i++ {
-		lsn, err := ap.Append(c, uint64(i), []byte("keykeyke"), []byte("v"), 0)
+		lsn, err := ap.AppendEntry(c, []byte("keykeyke"), []byte("v"), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +224,7 @@ func TestScanStops(t *testing.T) {
 	c := simclock.New(0)
 	ap := l.NewAppender()
 	for i := 0; i < 10; i++ {
-		ap.Append(c, uint64(i), []byte("k"), []byte("v"), 0)
+		ap.AppendEntry(c, []byte("k"), []byte("v"), 0)
 	}
 	ap.Flush(c)
 	count := 0
@@ -206,21 +244,21 @@ func TestCrashLosesUnflushedTail(t *testing.T) {
 	ap := l.NewAppender()
 	// Fill exactly one chunk (sealed, durable) then a partial chunk: 64-byte
 	// entries, 64 per 4 KB chunk.
-	val := bytes.Repeat([]byte{0x22}, 32)
+	val := bytes.Repeat([]byte{0x22}, 40)
 	for i := 0; i < 64; i++ {
-		if _, err := ap.Append(c, uint64(i), []byte("12345678"), val, 0); err != nil {
+		if _, err := ap.AppendEntry(c, []byte("12345678"), val, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 64; i < 76; i++ {
-		if _, err := ap.Append(c, uint64(i), []byte("12345678"), val, 0); err != nil {
+		if _, err := ap.AppendEntry(c, []byte("12345678"), val, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	arena.Crash()
-	var survivors []uint64
+	var survivors []int64
 	l.Scan(c, l.Base(), func(e Entry) bool {
-		survivors = append(survivors, e.Hash)
+		survivors = append(survivors, e.LSN)
 		return true
 	})
 	if len(survivors) != 64 {
@@ -232,12 +270,12 @@ func TestMultipleAppendersInterleave(t *testing.T) {
 	l := newTestLog(t, 1<<22)
 	c1, c2 := simclock.New(0), simclock.New(0)
 	a1, a2 := l.NewAppender(), l.NewAppender()
-	seen := map[uint64]bool{}
+	seen := map[string]bool{}
 	for i := 0; i < 300; i++ {
-		if _, err := a1.Append(c1, uint64(i), []byte("from-ap1"), []byte("v"), 0); err != nil {
+		if _, err := a1.AppendEntry(c1, fmt.Appendf(nil, "ap1-%04d", i), []byte("v"), 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := a2.Append(c2, uint64(1000+i), []byte("from-ap2"), []byte("v"), 0); err != nil {
+		if _, err := a2.AppendEntry(c2, fmt.Appendf(nil, "ap2-%04d", i), []byte("v"), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -245,10 +283,10 @@ func TestMultipleAppendersInterleave(t *testing.T) {
 	a2.Flush(c2)
 	count := 0
 	l.Scan(simclock.New(0), l.Base(), func(e Entry) bool {
-		if seen[e.Hash] {
-			t.Fatalf("duplicate hash %d in scan", e.Hash)
+		if seen[string(e.Key)] {
+			t.Fatalf("duplicate key %q in scan", e.Key)
 		}
-		seen[e.Hash] = true
+		seen[string(e.Key)] = true
 		count++
 		return true
 	})
@@ -263,7 +301,7 @@ func TestLogFull(t *testing.T) {
 	ap := l.NewAppender()
 	var err error
 	for i := 0; i < 10000; i++ {
-		if _, err = ap.Append(c, uint64(i), []byte("12345678"), bytes.Repeat([]byte{1}, 100), 0); err != nil {
+		if _, err = ap.AppendEntry(c, []byte("12345678"), bytes.Repeat([]byte{1}, 100), 0); err != nil {
 			break
 		}
 	}
@@ -280,7 +318,7 @@ func TestSegmentReclaim(t *testing.T) {
 	// Fill several segments.
 	payload := bytes.Repeat([]byte{7}, 1000)
 	for i := 0; l.Tail() < l.SegmentSize()*4; i++ {
-		lsn, err := ap.Append(c, uint64(i), []byte("12345678"), payload, 0)
+		lsn, err := ap.AppendEntry(c, []byte("12345678"), payload, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +367,7 @@ func TestSegmentReclaim(t *testing.T) {
 	}
 	// Freed segments are reusable: new appends succeed past the old capacity.
 	for i := 0; i < 200; i++ {
-		if _, err := ap.Append(c, uint64(9000+i), []byte("12345678"), payload, 0); err != nil {
+		if _, err := ap.AppendEntry(c, []byte("12345678"), payload, 0); err != nil {
 			t.Fatalf("append after reclaim: %v", err)
 		}
 	}
@@ -344,7 +382,7 @@ func TestReclaimRespectsCapacity(t *testing.T) {
 	var err error
 	i := 0
 	for ; i < 100000; i++ {
-		if _, err = ap.Append(c, uint64(i), []byte("12345678"), payload, 0); err != nil {
+		if _, err = ap.AppendEntry(c, []byte("12345678"), payload, 0); err != nil {
 			break
 		}
 	}
@@ -352,7 +390,7 @@ func TestReclaimRespectsCapacity(t *testing.T) {
 		t.Fatal("expected log to fill")
 	}
 	l.FreeBefore(l.Tail() - l.SegmentSize()) // drop all but the tail segment(s)
-	if _, err := ap.Append(c, uint64(i), []byte("12345678"), payload, 0); err != nil {
+	if _, err := ap.AppendEntry(c, []byte("12345678"), payload, 0); err != nil {
 		t.Fatalf("append after GC: %v", err)
 	}
 }
@@ -361,7 +399,7 @@ func TestOversizeFieldsRejected(t *testing.T) {
 	l := newTestLog(t, 1<<20)
 	c := simclock.New(0)
 	ap := l.NewAppender()
-	if _, err := ap.Append(c, 0, bytes.Repeat([]byte{1}, 70000), nil, 0); err == nil {
+	if _, err := ap.AppendEntry(c, bytes.Repeat([]byte{1}, 70000), nil, 0); err == nil {
 		t.Fatal("expected key-too-long error")
 	}
 }
@@ -394,7 +432,7 @@ func TestAppendScanRoundTripProperty(t *testing.T) {
 				v = v[:1000]
 			}
 			key := []byte(fmt.Sprintf("key-%06d", i))
-			lsn, err := ap.Append(c, xhash.Sum64(key), key, v, 0)
+			lsn, err := ap.AppendEntry(c, key, v, 0)
 			if err != nil {
 				return false
 			}
@@ -417,13 +455,13 @@ func TestAppendScanRoundTripProperty(t *testing.T) {
 }
 
 func TestEntrySizePadding(t *testing.T) {
-	if EntrySize(0, 0) != 24 {
+	if EntrySize(0, 0) != 16 {
 		t.Fatalf("EntrySize(0,0) = %d", EntrySize(0, 0))
 	}
-	if EntrySize(1, 0) != 32 {
+	if EntrySize(1, 0) != 24 {
 		t.Fatalf("EntrySize(1,0) = %d", EntrySize(1, 0))
 	}
-	if EntrySize(8, 8) != 40 {
+	if EntrySize(8, 8) != 32 {
 		t.Fatalf("EntrySize(8,8) = %d", EntrySize(8, 8))
 	}
 	if EntrySize(8, 9)%8 != 0 {
@@ -446,7 +484,7 @@ func TestLSNMappingProperty(t *testing.T) {
 		for i, sz := range sizes {
 			n := int(sz) % 3000
 			key := []byte(fmt.Sprintf("k%06d", i))
-			lsn, err := ap.Append(c, uint64(i), key, bytes.Repeat([]byte{byte(i)}, n), 0)
+			lsn, err := ap.AppendEntry(c, key, bytes.Repeat([]byte{byte(i)}, n), 0)
 			if err != nil {
 				return false
 			}
@@ -461,7 +499,7 @@ func TestLSNMappingProperty(t *testing.T) {
 		}
 		for i, r := range recs {
 			e, err := l.Read(c, r.lsn)
-			if err != nil || e.Hash != uint64(i) || len(e.Value) != r.n {
+			if err != nil || string(e.Key) != fmt.Sprintf("k%06d", i) || len(e.Value) != r.n {
 				return false
 			}
 		}
@@ -478,7 +516,7 @@ func TestLSNMappingProperty(t *testing.T) {
 // chunk-turnover window. The tail used to advance inside reserveChunk before
 // the appender's nextLSN floor was published, so a watermark read in that
 // window covered a reserved-but-still-empty chunk; the scan skipped its zero
-// metas, the cursor moved past it, and the entries appended into it afterwards
+// headers, the cursor moved past it, and the entries appended into it afterwards
 // were silently never shipped.
 func TestConcurrentScanWatermarkLosesNothing(t *testing.T) {
 	l := newTestLog(t, 8<<20)
@@ -509,7 +547,7 @@ func TestConcurrentScanWatermarkLosesNothing(t *testing.T) {
 			val := []byte("v")
 			for i := 0; !stop.Load(); i++ {
 				copy(key, fmt.Appendf(key[:0], "w%d-%07d", w, i))
-				if _, err := ap.Append(clk, xhash.Sum64(key), key, val, 0); err != nil {
+				if _, err := ap.AppendEntry(clk, key, val, 0); err != nil {
 					t.Error(err)
 					break
 				}
@@ -582,7 +620,7 @@ func TestReservationsAreLinesSizedByRecentFlushes(t *testing.T) {
 	put := func(ap *Appender, n int) (first int64) {
 		t.Helper()
 		for i := 0; i < n; i++ {
-			lsn, err := ap.Append(c, uint64(len(want)), []byte("k-000000"), []byte("v-000000"), 0) // 40 B
+			lsn, err := ap.AppendEntry(c, []byte("k-000000"), []byte("v-000000"), 0) // 32 B
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -603,7 +641,7 @@ func TestReservationsAreLinesSizedByRecentFlushes(t *testing.T) {
 	}
 	a.Flush(c)
 	b.Flush(c)
-	// Depth-1 traffic: one 40 B entry per flush costs one line, whichever
+	// Depth-1 traffic: one 32 B entry per flush costs one line, whichever
 	// appender is next.
 	next := base + 2*DefaultChunkSize
 	for i := 0; i < 6; i++ {
@@ -617,22 +655,22 @@ func TestReservationsAreLinesSizedByRecentFlushes(t *testing.T) {
 		ap.Flush(c)
 		next += lineSize
 	}
-	// A window of 16 outgrows a's one line: the first 6 entries fill it, the
+	// A window of 16 outgrows a's one line: the first 8 entries fill it, the
 	// rest go to a full chunk whose tail the flush abandons.
 	if got := put(a, 16); got != next {
 		t.Fatalf("window at %d, want %d", got, next)
 	}
-	if got, w := want[len(want)-10], next+lineSize; got != w {
+	if got, w := want[len(want)-8], next+lineSize; got != w {
 		t.Fatalf("overflow chunk at %d, want %d", got, w)
 	}
 	a.Flush(c)
 	next += lineSize + DefaultChunkSize
-	// The next window gets the three lines the last one needed, in one piece.
-	if got := put(a, 16); got != next || want[len(want)-1] != next+15*40 {
-		t.Fatalf("sized window at %d..%d, want %d..%d", got, want[len(want)-1], next, next+15*40)
+	// The next window gets the two lines the last one needed, in one piece.
+	if got := put(a, 16); got != next || want[len(want)-1] != next+15*32 {
+		t.Fatalf("sized window at %d..%d, want %d..%d", got, want[len(want)-1], next, next+15*32)
 	}
 	a.Flush(c)
-	next += 3 * lineSize
+	next += 2 * lineSize
 	if got := l.Tail(); got != next {
 		t.Fatalf("tail %d, want %d", got, next)
 	}
@@ -644,17 +682,17 @@ func TestReservationsAreLinesSizedByRecentFlushes(t *testing.T) {
 			t.Fatalf("small window %d at %d, want %d", i, got, next)
 		}
 		a.Flush(c)
-		next += 3 * lineSize
+		next += 2 * lineSize
 	}
-	if got := put(a, 16); got != next || want[len(want)-1] != next+15*40 {
-		t.Fatalf("window after small ones at %d..%d, want %d..%d", got, want[len(want)-1], next, next+15*40)
+	if got := put(a, 16); got != next || want[len(want)-1] != next+15*32 {
+		t.Fatalf("window after small ones at %d..%d, want %d..%d", got, want[len(want)-1], next, next+15*32)
 	}
 	a.Flush(c)
-	next += 3 * lineSize
+	next += 2 * lineSize
 	for i := 0; i < 4; i++ {
 		put(a, 1)
 		a.Flush(c)
-		next += 3 * lineSize
+		next += 2 * lineSize
 	}
 	if got := put(a, 1); got != next {
 		t.Fatalf("fifth small window at %d, want %d", got, next)
@@ -677,7 +715,7 @@ func TestReservationsAreLinesSizedByRecentFlushes(t *testing.T) {
 		t.Fatalf("scan = %v, want %v", got, want)
 	}
 	// From inside a zero gap: the rest of that line is skipped, nothing else.
-	if got := scan(want[3] + 40); !slices.Equal(got, want[4:]) {
+	if got := scan(want[3] + 32); !slices.Equal(got, want[4:]) {
 		t.Fatalf("scan from a gap = %v, want %v", got, want[4:])
 	}
 }
@@ -696,22 +734,22 @@ func TestScanChargesOnFullChunkLogs(t *testing.T) {
 	small := func(ap *Appender, n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
-			if _, err := ap.Append(c, uint64(i), []byte("k-000000"), []byte("v-000000"), 0); err != nil { // 40 B
+			if _, err := ap.AppendEntry(c, []byte("k-000000"), []byte("v-000000"), 0); err != nil { // 32 B
 				t.Fatal(err)
 			}
 		}
 	}
 	big := func(ap *Appender, valLen int) {
 		t.Helper()
-		if _, err := ap.Append(c, 99, []byte("k-big000"), bytes.Repeat([]byte{7}, valLen), 0); err != nil {
+		if _, err := ap.AppendEntry(c, []byte("k-big000"), bytes.Repeat([]byte{7}, valLen), 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	small(a, 3)
-	big(a, 5000) // 5032 B in two chunks of its own; the next two entries follow it there
+	big(a, 5000) // 5024 B in two chunks of its own; the next two entries follow it there
 	small(a, 2)
 	small(b, 1)
-	big(b, 8192-32) // exactly two chunks
+	big(b, 8192-24) // exactly two chunks
 	small(b, 1)
 	big(a, 12000)
 	small(a, 200)
@@ -726,7 +764,7 @@ func TestScanChargesOnFullChunkLogs(t *testing.T) {
 		readOps, readLen int64
 	}{
 		{0, 210, 8, 32768},
-		{DefaultChunkSize + 5032, 206, 7, 27904}, // right behind the first oversized entry
+		{DefaultChunkSize + 5024, 206, 7, 27904}, // right behind the first oversized entry
 		{DefaultChunkSize + 6000, 204, 7, 26880}, // in the zero rest of its reservation
 	} {
 		before := l.arena.Device().Stats()
@@ -760,7 +798,7 @@ func TestMetaHookRunsOnSegmentMapChanges(t *testing.T) {
 	val := make([]byte, 1000)
 	var lsns []int64
 	for l.Tail() < 3*l.SegmentSize() { // fills segments 1 and 2
-		lsn, err := ap.Append(c, uint64(len(lsns)), []byte("12345678"), val, 0)
+		lsn, err := ap.AppendEntry(c, []byte("12345678"), val, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -785,7 +823,7 @@ func TestMetaHookRunsOnSegmentMapChanges(t *testing.T) {
 	}
 
 	// An open chunk, then Close: the chunk stays usable, the tail is exact.
-	if _, err := ap.Append(c, 1, []byte("12345678"), val, 0); err != nil {
+	if _, err := ap.AppendEntry(c, []byte("12345678"), val, 0); err != nil {
 		t.Fatal(err)
 	}
 	before := calls
@@ -793,10 +831,10 @@ func TestMetaHookRunsOnSegmentMapChanges(t *testing.T) {
 	if calls != before+1 || lastNext != l.Tail() || lastNext%l.SegmentSize() == 0 {
 		t.Fatalf("CloseMeta: %d hook calls, tail %d, log tail %d", calls, lastNext, l.Tail())
 	}
-	if _, err := ap.Append(c, 2, []byte("12345678"), val, 0); err != nil {
+	if _, err := ap.AppendEntry(c, []byte("12345678"), val, 0); err != nil {
 		t.Fatalf("append into a chunk reserved before CloseMeta: %v", err)
 	}
-	if _, err := l.NewAppender().Append(c, 3, []byte("12345678"), val, 0); !errors.Is(err, ErrClosed) {
+	if _, err := l.NewAppender().AppendEntry(c, []byte("12345678"), val, 0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("reservation after CloseMeta = %v, want ErrClosed", err)
 	}
 }
@@ -811,14 +849,14 @@ func TestDurableLSNMovesOnlyAtBarriers(t *testing.T) {
 	var woken atomic.Int64
 	l.SetDurableHook(func() { woken.Add(1) })
 	a, b := l.NewAppender(), l.NewAppender()
-	val := bytes.Repeat([]byte{0x11}, 32)
+	val := bytes.Repeat([]byte{0x11}, 40)
 	d0 := l.DurableLSN()
-	if _, err := b.Append(c, 1, []byte("12345678"), val, 0); err != nil { // b holds an open chunk
+	if _, err := b.AppendEntry(c, []byte("12345678"), val, 0); err != nil { // b holds an open chunk
 		t.Fatal(err)
 	}
 	var last int64
 	for i := 0; i < 4*64; i++ { // four 4 KB chunks of 64 B entries, three sealed
-		lsn, err := a.Append(c, uint64(i), []byte("12345678"), val, 0)
+		lsn, err := a.AppendEntry(c, []byte("12345678"), val, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -867,7 +905,7 @@ func TestFlushMovesFrontierOnlyWithAHook(t *testing.T) {
 	val := bytes.Repeat([]byte{0x22}, 32)
 	appendFlush := func() {
 		t.Helper()
-		if _, err := a.Append(c, 1, []byte("12345678"), val, 0); err != nil {
+		if _, err := a.AppendEntry(c, []byte("12345678"), val, 0); err != nil {
 			t.Fatal(err)
 		}
 		if err := a.Flush(c); err != nil {
