@@ -14,7 +14,13 @@ func tinyOpts() Options {
 }
 
 // TestAllExperimentsRun executes every registered experiment at tiny scale:
-// each must produce non-empty, well-formed reports.
+// each must produce non-empty, well-formed reports, and its printed text must
+// equal testdata/golden_<id>.txt byte for byte. The reports are functions of
+// virtual time only, so no figure may move when the log, the persist path,
+// a baseline's code or the scanner change (the goldens are `chameleon-bench
+// -experiment <id> -keys 40000 -ops 40000 -threads 4`; fig6 and scan were
+// last re-taken when log entries stopped storing the key hash). A change
+// that means to move virtual time regenerates them and says so.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow")
@@ -29,6 +35,7 @@ func TestAllExperimentsRun(t *testing.T) {
 			if len(reports) == 0 {
 				t.Fatal("no reports")
 			}
+			var all strings.Builder
 			for _, r := range reports {
 				if len(r.Columns) == 0 || len(r.Rows) == 0 {
 					t.Fatalf("report %s is empty", r.ID)
@@ -43,6 +50,14 @@ func TestAllExperimentsRun(t *testing.T) {
 				if !strings.Contains(sb.String(), r.ID) {
 					t.Fatalf("report rendering missing ID: %q", sb.String()[:80])
 				}
+				all.WriteString(sb.String())
+			}
+			want, err := os.ReadFile("testdata/golden_" + e.ID + ".txt")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if all.String() != string(want) {
+				t.Errorf("%s output moved:\n--- got\n%s--- want\n%s", e.ID, all.String(), want)
 			}
 		})
 	}
@@ -138,36 +153,6 @@ func TestOptionsDefaults(t *testing.T) {
 	o = Options{Keys: 5}.withDefaults()
 	if o.Keys != 5 || o.Threads != d.Threads {
 		t.Fatalf("partial defaults broken: %+v", o)
-	}
-}
-
-// TestVirtualTimeGolden pins the paper-side ground truth: the fig6 and scan
-// reports are functions of virtual time only, so their text must not move by
-// a byte when the log, the persist path or the scanner change (the goldens
-// are `chameleon-bench -experiment <id> -keys 40000 -ops 40000 -threads 4`,
-// last re-taken when log entries stopped storing the key hash). A change that
-// means to move virtual time regenerates them and says so.
-func TestVirtualTimeGolden(t *testing.T) {
-	for _, id := range []string{"fig6", "scan"} {
-		e, ok := Lookup(id)
-		if !ok {
-			t.Fatalf("%s not registered", id)
-		}
-		reports, err := e.Run(tinyOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sb strings.Builder
-		for _, r := range reports {
-			r.Print(&sb)
-		}
-		want, err := os.ReadFile("testdata/golden_" + id + ".txt")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sb.String() != string(want) {
-			t.Errorf("%s output moved:\n--- got\n%s--- want\n%s", id, sb.String(), want)
-		}
 	}
 }
 
