@@ -9,12 +9,12 @@ package dramhash
 import (
 	"bytes"
 	"errors"
-	"sync"
+	"math/bits"
 
+	"chameleondb/internal/baselines/shell"
 	"chameleondb/internal/device"
 	"chameleondb/internal/kvstore"
 	"chameleondb/internal/obs"
-	"chameleondb/internal/pmem"
 	"chameleondb/internal/robinhood"
 	"chameleondb/internal/simclock"
 	"chameleondb/internal/wlog"
@@ -39,33 +39,23 @@ func DefaultConfig() Config {
 }
 
 type stripe struct {
-	mu sync.Mutex
-	tl simclock.Timeline
+	shell.Lane
 	rh *robinhood.Table
 }
 
 // Store is a Dram-Hash instance.
 type Store struct {
-	cfg   Config
-	dev   *device.Device
-	arena *pmem.Arena
-	log   *wlog.Log
+	*shell.Store
+	cfg Config
+	log *wlog.Log
 
 	stripes []*stripe
 	shift   uint
 
-	ops obs.OpCounters
-	reg *obs.Registry
-
-	crashed   bool
-	crashMu   sync.Mutex
 	recoverNs int64
 }
 
 var _ kvstore.Store = (*Store)(nil)
-
-// ErrCrashed is returned between Crash and Recover.
-var ErrCrashed = errors.New("dramhash: store has crashed; call Recover first")
 
 // Open creates a Dram-Hash store on a fresh device.
 func Open(cfg Config) (*Store, error) {
@@ -77,45 +67,20 @@ func OpenOn(cfg Config, dev *device.Device) (*Store, error) {
 	if cfg.Stripes <= 0 || cfg.Stripes&(cfg.Stripes-1) != 0 {
 		return nil, errors.New("dramhash: Stripes must be a power of two")
 	}
-	arena := pmem.NewArena(dev, cfg.ArenaBytes)
-	log, err := wlog.New(arena, cfg.LogBytes)
+	sh := shell.New("Dram-Hash", "dramhash", dev, cfg.ArenaBytes)
+	log, err := wlog.New(sh.Arena, cfg.LogBytes)
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{cfg: cfg, dev: dev, arena: arena, log: log, shift: 64 - uint(intLog2(cfg.Stripes))}
-	s.reg = obs.NewRegistry("dramhash")
-	s.ops.Register(s.reg)
-	obs.RegisterDevice(s.reg, dev)
-	obs.RegisterLog(s.reg, log)
+	// The stripe is the hash's top bits: shift is 64 minus log2(Stripes).
+	s := &Store{Store: sh, cfg: cfg, log: log, shift: 65 - uint(bits.Len(uint(cfg.Stripes)))}
+	obs.RegisterLog(s.Registry(), log)
 	s.stripes = make([]*stripe, cfg.Stripes)
 	for i := range s.stripes {
 		s.stripes[i] = &stripe{rh: robinhood.New(cfg.InitialCapacity)}
 	}
 	return s, nil
 }
-
-func intLog2(v int) int {
-	n := 0
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
-}
-
-// Name implements kvstore.Store.
-func (s *Store) Name() string { return "Dram-Hash" }
-
-// Registry returns the store's metrics registry (generic op, device, and log
-// counters).
-func (s *Store) Registry() *obs.Registry { return s.reg }
-
-// DeviceStats implements kvstore.Store.
-func (s *Store) DeviceStats() device.Stats { return s.dev.Stats() }
-
-// Device exposes the simulated device (the bench harness tunes its
-// contention model per thread count).
-func (s *Store) Device() *device.Device { return s.dev }
 
 // DRAMFootprint implements kvstore.Store: the full index lives in DRAM.
 func (s *Store) DRAMFootprint() int64 {
@@ -127,22 +92,15 @@ func (s *Store) DRAMFootprint() int64 {
 }
 
 func (s *Store) stripeFor(h uint64) *stripe {
-	if s.shift == 64 {
-		return s.stripes[0]
-	}
-	return s.stripes[h>>s.shift]
+	return s.stripes[h>>s.shift] // a shift of 64 yields 0: one stripe
 }
 
 // Crash implements kvstore.Store: the DRAM index is lost entirely.
 func (s *Store) Crash() {
-	s.crashMu.Lock()
-	s.crashed = true
-	s.crashMu.Unlock()
-	s.arena.Crash()
-	s.dev.ResetTimelines()
+	s.Store.Crash()
 	for _, st := range s.stripes {
 		st.rh = robinhood.New(s.cfg.InitialCapacity)
-		st.tl.Reset()
+		st.Lane.Reset()
 	}
 }
 
@@ -167,24 +125,13 @@ func (s *Store) Recover(c *simclock.Clock) error {
 	if err != nil {
 		return err
 	}
-	s.crashMu.Lock()
-	s.crashed = false
-	s.crashMu.Unlock()
+	s.Recovered()
 	s.recoverNs = c.Now() - start
 	return nil
 }
 
 // RecoverTime reports the virtual duration of the last Recover.
 func (s *Store) RecoverTime() int64 { return s.recoverNs }
-
-// Close implements kvstore.Store.
-func (s *Store) Close() error { return nil }
-
-func (s *Store) isCrashed() bool {
-	s.crashMu.Lock()
-	defer s.crashMu.Unlock()
-	return s.crashed
-}
 
 // Session is a per-worker handle.
 type Session struct {
@@ -204,34 +151,33 @@ func (s *Store) NewSession(c *simclock.Clock) kvstore.Session {
 func (se *Session) Clock() *simclock.Clock { return se.clock }
 
 func (se *Session) write(key, value []byte, flags uint16) error {
-	if se.store.isCrashed() {
-		return ErrCrashed
+	if err := se.store.Err(); err != nil {
+		return err
 	}
 	c := se.clock
 	c.Advance(device.CostHash64)
 	h := xhash.Sum64(key)
 	c.Advance(int64(float64(wlog.EntrySize(len(key), len(value))) * device.CostDRAMSeqPerByte))
 	st := se.store.stripeFor(h)
-	st.mu.Lock()
-	opStart := c.Now()
-	lsn, err := se.ap.AppendEntry(c, key, value, flags)
-	if err == nil {
+	var err error
+	st.Do(c, func() {
+		var lsn int64
+		if lsn, err = se.ap.AppendEntry(c, key, value, flags); err != nil {
+			return
+		}
 		if flags&wlog.FlagTombstone != 0 {
 			probes, _ := st.rh.Delete(h)
 			c.Advance(device.DRAMProbeCost(probes))
-		} else {
-			probes, grown := st.rh.Insert(h, uint64(lsn))
-			// A resize re-places every entry (streamed, cache-friendly):
-			// the multi-second rehash spike behind Dram-Hash's worst-case
-			// put latency (Table 2).
-			c.Advance(device.DRAMProbeCost(probes) + int64(grown)*device.CostCompactionPerSlot)
+			return
 		}
-	}
-	dur := c.Now() - opStart
-	st.mu.Unlock()
-	c.AdvanceTo(st.tl.Reserve(opStart, dur))
+		probes, grown := st.rh.Insert(h, uint64(lsn))
+		// A resize re-places every entry (streamed, cache-friendly): the
+		// multi-second rehash spike behind Dram-Hash's worst-case put
+		// latency (Table 2).
+		c.Advance(device.DRAMProbeCost(probes) + int64(grown)*device.CostCompactionPerSlot)
+	})
 	if err == nil {
-		se.store.ops.CountWrite(flags&wlog.FlagTombstone != 0)
+		se.store.Ops.CountWrite(flags&wlog.FlagTombstone != 0)
 	}
 	return err
 }
@@ -245,43 +191,43 @@ func (se *Session) Delete(key []byte) error { return se.write(key, nil, wlog.Fla
 // Get implements kvstore.Session: one DRAM index lookup plus one Pmem log
 // read — the latency floor the other stores are measured against.
 func (se *Session) Get(key []byte) ([]byte, bool, error) {
-	if se.store.isCrashed() {
-		return nil, false, ErrCrashed
+	if err := se.store.Err(); err != nil {
+		return nil, false, err
 	}
 	c := se.clock
 	c.Advance(device.CostHash64)
 	h := xhash.Sum64(key)
 	st := se.store.stripeFor(h)
-	st.mu.Lock()
-	opStart := c.Now()
-	ref, probes, ok := st.rh.Get(h)
-	c.Advance(device.DRAMProbeCost(probes))
-	dur := c.Now() - opStart
-	st.mu.Unlock()
-	c.AdvanceTo(st.tl.Reserve(opStart, dur))
+	var ref uint64
+	var ok bool
+	st.Do(c, func() {
+		var probes int
+		ref, probes, ok = st.rh.Get(h)
+		c.Advance(device.DRAMProbeCost(probes))
+	})
 	if !ok {
-		se.store.ops.CountGet(false)
+		se.store.Ops.CountGet(false)
 		return nil, false, nil
 	}
 	e, err := se.store.log.Read(c, int64(ref))
 	if err != nil {
-		se.store.ops.CountGet(false)
+		se.store.Ops.CountGet(false)
 		return nil, false, err
 	}
 	if !bytes.Equal(e.Key, key) {
-		se.store.ops.CountGet(false)
+		se.store.Ops.CountGet(false)
 		return nil, false, nil // full hash collision; see core/session.go
 	}
 	val := make([]byte, len(e.Value))
 	copy(val, e.Value)
-	se.store.ops.CountGet(true)
+	se.store.Ops.CountGet(true)
 	return val, true, nil
 }
 
 // Flush implements kvstore.Session.
 func (se *Session) Flush() error {
-	if se.store.isCrashed() {
-		return ErrCrashed
+	if err := se.store.Err(); err != nil {
+		return err
 	}
 	return se.ap.Flush(se.clock)
 }

@@ -11,14 +11,13 @@ package matrixkv
 import (
 	"bytes"
 	"errors"
-	"sync"
 	"sync/atomic"
 
+	"chameleondb/internal/baselines/shell"
 	"chameleondb/internal/blockcache"
 	"chameleondb/internal/device"
 	"chameleondb/internal/kvstore"
 	"chameleondb/internal/obs"
-	"chameleondb/internal/pmem"
 	"chameleondb/internal/simclock"
 	"chameleondb/internal/sstable"
 	"chameleondb/internal/wlog"
@@ -69,8 +68,7 @@ type memEntry struct {
 }
 
 type stripe struct {
-	mu sync.Mutex
-	tl simclock.Timeline
+	shell.Lane
 
 	mem        map[uint64]*memEntry
 	memBytes   int64
@@ -84,28 +82,18 @@ type stripe struct {
 
 // Store is a MatrixKV instance.
 type Store struct {
-	cfg   Config
-	dev   *device.Device
-	arena *pmem.Arena
-	wal   *wlog.Log
+	*shell.Store
+	cfg Config
+	wal *wlog.Log
 
 	stripes []*stripe
-
-	mu      sync.Mutex
-	crashed bool
 
 	// compactions is atomic: stripes compact independently under their own
 	// locks, so a plain counter would race when Stripes > 1.
 	compactions atomic.Int64
-
-	ops obs.OpCounters
-	reg *obs.Registry
 }
 
 var _ kvstore.Store = (*Store)(nil)
-
-// ErrCrashed is returned between Crash and Recover.
-var ErrCrashed = errors.New("matrixkv: store has crashed; call Recover first")
 
 // Open creates a MatrixKV store on a fresh device.
 func Open(cfg Config) (*Store, error) {
@@ -120,17 +108,14 @@ func OpenOn(cfg Config, dev *device.Device) (*Store, error) {
 	if cfg.MaxLevels < 1 || cfg.Ratio < 2 || cfg.MaxRows < 2 || cfg.MemTableBytes < 1024 {
 		return nil, errors.New("matrixkv: invalid geometry")
 	}
-	arena := pmem.NewArena(dev, cfg.ArenaBytes)
-	wal, err := wlog.New(arena, cfg.WALBytes)
+	sh := shell.New("MatrixKV", "matrixkv", dev, cfg.ArenaBytes)
+	wal, err := wlog.New(sh.Arena, cfg.WALBytes)
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{cfg: cfg, dev: dev, arena: arena, wal: wal}
-	s.reg = obs.NewRegistry("matrixkv")
-	s.ops.Register(s.reg)
-	obs.RegisterDevice(s.reg, dev)
-	obs.RegisterLog(s.reg, wal)
-	s.reg.CounterFunc("compactions", s.compactions.Load)
+	s := &Store{Store: sh, cfg: cfg, wal: wal}
+	obs.RegisterLog(s.Registry(), wal)
+	s.Registry().CounterFunc("compactions", s.compactions.Load)
 	s.stripes = make([]*stripe, cfg.Stripes)
 	for i := range s.stripes {
 		s.stripes[i] = &stripe{
@@ -143,35 +128,21 @@ func OpenOn(cfg Config, dev *device.Device) (*Store, error) {
 	return s, nil
 }
 
-// Name implements kvstore.Store.
-func (s *Store) Name() string { return "MatrixKV" }
-
-// DeviceStats implements kvstore.Store.
-func (s *Store) DeviceStats() device.Stats { return s.dev.Stats() }
-
-// Device exposes the simulated device (the bench harness tunes its
-// contention model per thread count).
-func (s *Store) Device() *device.Device { return s.dev }
-
 // Compactions reports how many compactions have run.
 func (s *Store) Compactions() int64 { return s.compactions.Load() }
-
-// Registry returns the store's metrics registry (generic op, device, WAL,
-// and compaction counters).
-func (s *Store) Registry() *obs.Registry { return s.reg }
 
 // DRAMFootprint implements kvstore.Store: the DRAM MemTables plus filters.
 func (s *Store) DRAMFootprint() int64 {
 	var total int64
 	for _, st := range s.stripes {
-		st.mu.Lock()
+		st.Lock()
 		total += st.memBytes + int64(len(st.mem))*48 + st.cache.UsedBytes()
 		for _, r := range st.levels {
 			if r != nil {
 				total += r.DRAMFootprint()
 			}
 		}
-		st.mu.Unlock()
+		st.Unlock()
 	}
 	return total
 }
@@ -183,15 +154,11 @@ func (s *Store) stripeFor(h uint64) *stripe {
 // Crash implements kvstore.Store: DRAM MemTables are lost; the matrix, the
 // levels, and the WAL survive.
 func (s *Store) Crash() {
-	s.mu.Lock()
-	s.crashed = true
-	s.mu.Unlock()
-	s.arena.Crash()
-	s.dev.ResetTimelines()
+	s.Store.Crash()
 	for _, st := range s.stripes {
 		st.mem = make(map[uint64]*memEntry)
 		st.memBytes, st.memSeq = 0, 0
-		st.tl.Reset()
+		st.Lane.Reset()
 		st.cache.Reset()
 	}
 }
@@ -217,19 +184,8 @@ func (s *Store) Recover(c *simclock.Clock) error {
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.crashed = false
-	s.mu.Unlock()
+	s.Recovered()
 	return nil
-}
-
-// Close implements kvstore.Store.
-func (s *Store) Close() error { return nil }
-
-func (s *Store) isCrashed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.crashed
 }
 
 func (st *stripe) insertMem(c *simclock.Clock, h uint64, key, value []byte, tomb bool) {
@@ -257,7 +213,7 @@ func (s *Store) flushLocked(c *simclock.Clock, st *stripe) error {
 	for h, e := range st.mem {
 		entries = append(entries, sstable.Entry{Hash: h, Key: e.key, Value: e.value, Tombstone: e.tomb})
 	}
-	row, err := sstable.Build(c, s.arena, entries, sstable.BuildOptions{
+	row, err := sstable.Build(c, s.Arena, entries, sstable.BuildOptions{
 		WithFilter:        false, // no filters in the matrix L0 (Section 3.7)
 		MetaBytesPerEntry: s.cfg.MetaBytesPerEntry,
 		SortCost:          true,
@@ -268,7 +224,7 @@ func (s *Store) flushLocked(c *simclock.Clock, st *stripe) error {
 	// The stripe's row/level directory plays the role of a durable manifest
 	// (it survives Crash): committing a row whose build was interrupted by
 	// power failure would present partially-written data as durable.
-	if s.dev.PowerFailed() {
+	if s.Dev.PowerFailed() {
 		row.Release()
 		return device.ErrPowerFailed
 	}
@@ -277,62 +233,10 @@ func (s *Store) flushLocked(c *simclock.Clock, st *stripe) error {
 	st.memBytes, st.memSeq = 0, 0
 	st.flushedLSN = s.wal.MinNextLSN()
 	if len(st.rows) >= s.cfg.MaxRows {
-		return s.compactLocked(c, st)
-	}
-	return nil
-}
-
-// compactLocked merges the matrix rows with L1 (fine-grained column
-// compactions are modeled in aggregate), then cascades leveled compactions.
-func (s *Store) compactLocked(c *simclock.Clock, st *stripe) error {
-	s.compactions.Add(1)
-	inputs := make([]*sstable.Run, 0, len(st.rows)+1)
-	for i := len(st.rows) - 1; i >= 0; i-- {
-		inputs = append(inputs, st.rows[i])
-	}
-	if st.levels[0] != nil {
-		inputs = append(inputs, st.levels[0])
-	}
-	merged, err := sstable.Merge(c, s.arena, inputs, sstable.BuildOptions{WithFilter: true}, s.cfg.MaxLevels == 1)
-	if err != nil {
-		return err
-	}
-	if s.dev.PowerFailed() {
-		merged.Release()
-		return device.ErrPowerFailed
-	}
-	for _, r := range inputs {
-		r.Release()
-	}
-	st.rows = nil
-	st.levels[0] = merged
-
-	levelCap := s.cfg.MemTableBytes * int64(s.cfg.MaxRows)
-	for lvl := 0; lvl < s.cfg.MaxLevels-1; lvl++ {
-		levelCap *= int64(s.cfg.Ratio)
-		r := st.levels[lvl]
-		if r == nil || r.SizeBytes() <= levelCap {
-			break
-		}
-		inputs := []*sstable.Run{r}
-		if st.levels[lvl+1] != nil {
-			inputs = append(inputs, st.levels[lvl+1])
-		}
-		drop := lvl+1 == s.cfg.MaxLevels-1
-		merged, err := sstable.Merge(c, s.arena, inputs, sstable.BuildOptions{WithFilter: true}, drop)
-		if err != nil {
-			return err
-		}
-		if s.dev.PowerFailed() {
-			merged.Release()
-			return device.ErrPowerFailed
-		}
-		for _, in := range inputs {
-			in.Release()
-		}
-		st.levels[lvl] = nil
-		st.levels[lvl+1] = merged
-		s.compactions.Add(1)
+		// A column compaction into L1; MatrixKV's fine-grained column
+		// compactions are modeled in aggregate.
+		l0Bytes := s.cfg.MemTableBytes * int64(s.cfg.MaxRows)
+		return sstable.CompactLeveled(c, s.Arena, &st.rows, st.levels, l0Bytes, s.cfg.Ratio, &s.compactions)
 	}
 	return nil
 }
@@ -355,28 +259,26 @@ func (s *Store) NewSession(c *simclock.Clock) kvstore.Session {
 func (se *Session) Clock() *simclock.Clock { return se.clock }
 
 func (se *Session) write(key, value []byte, flags uint16) error {
-	if se.store.isCrashed() {
-		return ErrCrashed
+	if err := se.store.Err(); err != nil {
+		return err
 	}
 	c := se.clock
 	c.Advance(device.CostHash64)
 	h := xhash.Sum64(key)
 	st := se.store.stripeFor(h)
-	st.mu.Lock()
-	opStart := c.Now()
-	_, err := se.ap.AppendEntry(c, key, value, flags)
-	if err == nil {
+	var err error
+	st.Do(c, func() {
+		if _, err = se.ap.AppendEntry(c, key, value, flags); err != nil {
+			return
+		}
 		st.cache.Invalidate(h)
 		st.insertMem(c, h, key, value, flags&wlog.FlagTombstone != 0)
 		if st.memBytes >= se.store.cfg.MemTableBytes {
 			err = se.store.flushLocked(c, st)
 		}
-	}
-	dur := c.Now() - opStart
-	st.mu.Unlock()
-	c.AdvanceTo(st.tl.Reserve(opStart, dur))
+	})
 	if err == nil {
-		se.store.ops.CountWrite(flags&wlog.FlagTombstone != 0)
+		se.store.Ops.CountWrite(flags&wlog.FlagTombstone != 0)
 	}
 	return err
 }
@@ -390,37 +292,30 @@ func (se *Session) Delete(key []byte) error { return se.write(key, nil, wlog.Fla
 // Get implements kvstore.Session: DRAM MemTable, then the matrix rows one by
 // one (hint + probe each, newest first), then the filtered levels.
 func (se *Session) Get(key []byte) ([]byte, bool, error) {
-	v, ok, err := se.get(key)
-	if err == nil {
-		se.store.ops.CountGet(ok)
-	}
-	return v, ok, err
-}
-
-func (se *Session) get(key []byte) ([]byte, bool, error) {
-	if se.store.isCrashed() {
-		return nil, false, ErrCrashed
+	if err := se.store.Err(); err != nil {
+		return nil, false, err
 	}
 	c := se.clock
 	c.Advance(device.CostHash64)
 	h := xhash.Sum64(key)
 	st := se.store.stripeFor(h)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	opStart := c.Now()
-	defer func() {
-		c.AdvanceTo(st.tl.Reserve(opStart, c.Now()-opStart))
-	}()
+	var v []byte
+	var ok bool
+	st.Do(c, func() { v, ok = st.get(c, h, key) })
+	se.store.Ops.CountGet(ok)
+	return v, ok, nil
+}
 
+func (st *stripe) get(c *simclock.Clock, h uint64, key []byte) ([]byte, bool) {
 	if v, ok := st.cache.Get(c, h); ok {
-		return append([]byte(nil), v...), true, nil
+		return append([]byte(nil), v...), true
 	}
 	c.Advance(device.CostDRAMRandAccess)
 	if e, ok := st.mem[h]; ok {
 		if e.tomb || !bytes.Equal(e.key, key) {
-			return nil, false, nil
+			return nil, false
 		}
-		return append([]byte(nil), e.value...), true, nil
+		return append([]byte(nil), e.value...), true
 	}
 	for i := len(st.rows) - 1; i >= 0; i-- {
 		k, v, tomb, ok := st.rows[i].GetHinted(c, h)
@@ -428,10 +323,10 @@ func (se *Session) get(key []byte) ([]byte, bool, error) {
 			continue
 		}
 		if tomb || !bytes.Equal(k, key) {
-			return nil, false, nil
+			return nil, false
 		}
 		st.cache.Put(h, v)
-		return append([]byte(nil), v...), true, nil
+		return append([]byte(nil), v...), true
 	}
 	for _, r := range st.levels {
 		if r == nil {
@@ -442,18 +337,18 @@ func (se *Session) get(key []byte) ([]byte, bool, error) {
 			continue
 		}
 		if tomb || !bytes.Equal(k, key) {
-			return nil, false, nil
+			return nil, false
 		}
 		st.cache.Put(h, v)
-		return append([]byte(nil), v...), true, nil
+		return append([]byte(nil), v...), true
 	}
-	return nil, false, nil
+	return nil, false
 }
 
 // Flush implements kvstore.Session: seals the WAL batch.
 func (se *Session) Flush() error {
-	if se.store.isCrashed() {
-		return ErrCrashed
+	if err := se.store.Err(); err != nil {
+		return err
 	}
 	return se.ap.Flush(se.clock)
 }

@@ -11,13 +11,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
+	"chameleondb/internal/baselines/shell"
 	"chameleondb/internal/blockcache"
 	"chameleondb/internal/device"
 	"chameleondb/internal/kvstore"
-	"chameleondb/internal/obs"
 	"chameleondb/internal/pmem"
 	"chameleondb/internal/simclock"
 	"chameleondb/internal/skiplist"
@@ -58,8 +57,7 @@ func DefaultConfig() Config {
 }
 
 type stripe struct {
-	mu sync.Mutex
-	tl simclock.Timeline
+	shell.Lane
 
 	mem      *skiplist.List
 	memBytes int64
@@ -70,28 +68,18 @@ type stripe struct {
 
 // Store is a NoveLSM instance.
 type Store struct {
-	cfg   Config
-	dev   *device.Device
-	arena *pmem.Arena
-	slab  *pmem.Slab
+	*shell.Store
+	cfg  Config
+	slab *pmem.Slab
 
 	stripes []*stripe
-
-	mu      sync.Mutex
-	crashed bool
 
 	// compactions is atomic: stripes compact independently under their own
 	// locks, so a plain counter would race when Stripes > 1.
 	compactions atomic.Int64
-
-	ops obs.OpCounters
-	reg *obs.Registry
 }
 
 var _ kvstore.Store = (*Store)(nil)
-
-// ErrCrashed is returned between Crash and Recover.
-var ErrCrashed = errors.New("novelsm: store has crashed; call Recover first")
 
 // Open creates a NoveLSM store on a fresh device.
 func Open(cfg Config) (*Store, error) {
@@ -106,15 +94,12 @@ func OpenOn(cfg Config, dev *device.Device) (*Store, error) {
 	if cfg.MaxLevels < 2 || cfg.Ratio < 2 || cfg.L0Trigger < 2 || cfg.MemTableBytes < 1024 {
 		return nil, errors.New("novelsm: invalid geometry")
 	}
-	arena := pmem.NewArena(dev, cfg.ArenaBytes)
-	s := &Store{cfg: cfg, dev: dev, arena: arena, slab: pmem.NewSlab(arena, 1<<20)}
-	s.reg = obs.NewRegistry("novelsm")
-	s.ops.Register(s.reg)
-	obs.RegisterDevice(s.reg, dev)
-	s.reg.CounterFunc("compactions", s.compactions.Load)
+	sh := shell.New("NoveLSM", "novelsm", dev, cfg.ArenaBytes)
+	s := &Store{Store: sh, cfg: cfg, slab: pmem.NewSlab(sh.Arena, 1<<20)}
+	s.Registry().CounterFunc("compactions", s.compactions.Load)
 	s.stripes = make([]*stripe, cfg.Stripes)
 	for i := range s.stripes {
-		l, err := skiplist.New(arena, s.slab, int64(i)+1)
+		l, err := skiplist.New(sh.Arena, s.slab, int64(i)+1)
 		if err != nil {
 			return nil, err
 		}
@@ -127,29 +112,15 @@ func OpenOn(cfg Config, dev *device.Device) (*Store, error) {
 	return s, nil
 }
 
-// Name implements kvstore.Store.
-func (s *Store) Name() string { return "NoveLSM" }
-
-// DeviceStats implements kvstore.Store.
-func (s *Store) DeviceStats() device.Stats { return s.dev.Stats() }
-
-// Device exposes the simulated device (the bench harness tunes its
-// contention model per thread count).
-func (s *Store) Device() *device.Device { return s.dev }
-
 // Compactions reports how many compactions have run.
 func (s *Store) Compactions() int64 { return s.compactions.Load() }
-
-// Registry returns the store's metrics registry (generic op, device, and
-// compaction counters).
-func (s *Store) Registry() *obs.Registry { return s.reg }
 
 // DRAMFootprint implements kvstore.Store: NoveLSM's structures are in Pmem;
 // only the bloom filters are volatile.
 func (s *Store) DRAMFootprint() int64 {
 	var total int64
 	for _, st := range s.stripes {
-		st.mu.Lock()
+		st.Lock()
 		for _, r := range st.l0 {
 			total += r.DRAMFootprint()
 		}
@@ -159,7 +130,7 @@ func (s *Store) DRAMFootprint() int64 {
 			}
 		}
 		total += st.cache.UsedBytes()
-		st.mu.Unlock()
+		st.Unlock()
 	}
 	return total
 }
@@ -172,13 +143,9 @@ func (s *Store) stripeFor(h uint64) *stripe {
 // — including the mutable MemTable — is already persistent, so nothing
 // volatile is lost except the bloom filters.
 func (s *Store) Crash() {
-	s.mu.Lock()
-	s.crashed = true
-	s.mu.Unlock()
-	s.arena.Crash()
-	s.dev.ResetTimelines()
+	s.Store.Crash()
 	for _, st := range s.stripes {
-		st.tl.Reset()
+		st.Lane.Reset()
 		st.cache.Reset()
 	}
 }
@@ -187,7 +154,7 @@ func (s *Store) Crash() {
 // rebuild the volatile filters.
 func (s *Store) Recover(c *simclock.Clock) error {
 	for _, st := range s.stripes {
-		st.mu.Lock()
+		st.Lock()
 		for _, r := range st.l0 {
 			r.ChargeScan(c)
 		}
@@ -196,21 +163,10 @@ func (s *Store) Recover(c *simclock.Clock) error {
 				r.ChargeScan(c)
 			}
 		}
-		st.mu.Unlock()
+		st.Unlock()
 	}
-	s.mu.Lock()
-	s.crashed = false
-	s.mu.Unlock()
+	s.Recovered()
 	return nil
-}
-
-// Close implements kvstore.Store.
-func (s *Store) Close() error { return nil }
-
-func (s *Store) isCrashed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.crashed
 }
 
 // payload layout in the slab: [2 B keyLen][2 B flags][4 B valLen][key][value]
@@ -222,7 +178,7 @@ func (s *Store) writePayload(c *simclock.Clock, key, value []byte, tomb bool) (i
 	if err != nil {
 		return 0, err
 	}
-	buf := s.arena.Bytes(off, sz)
+	buf := s.Arena.Bytes(off, sz)
 	buf[0], buf[1] = byte(len(key)), byte(len(key)>>8)
 	if tomb {
 		buf[2] = 1
@@ -232,17 +188,17 @@ func (s *Store) writePayload(c *simclock.Clock, key, value []byte, tomb bool) (i
 	copy(buf[payloadHeader+len(key):], value)
 	// An unaligned small persisted write: the RMW-amplified access pattern
 	// of building a mutable structure directly in the Pmem.
-	s.arena.Persist(c, off, sz)
+	s.Arena.Persist(c, off, sz)
 	return off, nil
 }
 
 func (s *Store) readPayload(c *simclock.Clock, off int64) (key, value []byte, tomb bool) {
-	hdr := s.arena.Bytes(off, payloadHeader)
+	hdr := s.Arena.Bytes(off, payloadHeader)
 	keyLen := int(hdr[0]) | int(hdr[1])<<8
 	tomb = hdr[2]&1 != 0
 	valLen := int(hdr[4]) | int(hdr[5])<<8 | int(hdr[6])<<16 | int(hdr[7])<<24
 	sz := int64(payloadHeader+keyLen+valLen+7) &^ 7
-	buf := s.arena.ReadRandom(c, off, sz)
+	buf := s.Arena.ReadRandom(c, off, sz)
 	return buf[payloadHeader : payloadHeader+keyLen], buf[payloadHeader+keyLen : payloadHeader+keyLen+valLen], tomb
 }
 
@@ -258,8 +214,8 @@ func (s *Store) flushLocked(c *simclock.Clock, st *stripe) error {
 		return true
 	})
 	// Reading the memtable out of Pmem for the flush.
-	s.dev.ReadSeq(c, 0, st.memBytes)
-	run, err := sstable.Build(c, s.arena, entries, sstable.BuildOptions{WithFilter: true})
+	s.Dev.ReadSeq(c, 0, st.memBytes)
+	run, err := sstable.Build(c, s.Arena, entries, sstable.BuildOptions{WithFilter: true})
 	if err != nil {
 		return err
 	}
@@ -267,7 +223,7 @@ func (s *Store) flushLocked(c *simclock.Clock, st *stripe) error {
 	// metadata): never commit a run whose build a power failure interrupted,
 	// and never reset the persistent MemTable afterwards — its contents would
 	// be the only surviving copy.
-	if s.dev.PowerFailed() {
+	if s.Dev.PowerFailed() {
 		run.Release()
 		return device.ErrPowerFailed
 	}
@@ -275,80 +231,20 @@ func (s *Store) flushLocked(c *simclock.Clock, st *stripe) error {
 	st.mem.Reset(c)
 	st.memBytes = 0
 	if len(st.l0) >= s.cfg.L0Trigger {
-		return s.compactLocked(c, st)
+		l0Bytes := s.cfg.MemTableBytes * int64(s.cfg.L0Trigger)
+		return sstable.CompactLeveled(c, s.Arena, &st.l0, st.levels, l0Bytes, s.cfg.Ratio, &s.compactions)
 	}
 	return nil
 }
 
 func (s *Store) readPayloadVolatile(ref uint64) (key, value []byte, tomb bool) {
 	off := int64(ref)
-	hdr := s.arena.Bytes(off, payloadHeader)
+	hdr := s.Arena.Bytes(off, payloadHeader)
 	keyLen := int(hdr[0]) | int(hdr[1])<<8
 	tomb = hdr[2]&1 != 0
 	valLen := int(hdr[4]) | int(hdr[5])<<8 | int(hdr[6])<<16 | int(hdr[7])<<24
-	buf := s.arena.Bytes(off, int64(payloadHeader+keyLen+valLen))
+	buf := s.Arena.Bytes(off, int64(payloadHeader+keyLen+valLen))
 	return buf[payloadHeader : payloadHeader+keyLen], buf[payloadHeader+keyLen:], tomb
-}
-
-// compactLocked runs LevelDB-style leveled compaction: L0's runs merge with
-// L1 into a new L1; an oversized L1 merges with L2; and so on. Every merge
-// reads and rewrites whole runs including their values — the write
-// amplification the paper measures with ipmwatch in Figure 17(b).
-func (s *Store) compactLocked(c *simclock.Clock, st *stripe) error {
-	s.compactions.Add(1)
-	// L0 (+ L1) -> new L1, newest first: L0 runs from newest to oldest,
-	// then the old L1.
-	inputs := make([]*sstable.Run, 0, len(st.l0)+1)
-	for i := len(st.l0) - 1; i >= 0; i-- {
-		inputs = append(inputs, st.l0[i])
-	}
-	if st.levels[0] != nil {
-		inputs = append(inputs, st.levels[0])
-	}
-	lastLevel := s.cfg.MaxLevels - 1
-	merged, err := sstable.Merge(c, s.arena, inputs, sstable.BuildOptions{WithFilter: true}, lastLevel == 0)
-	if err != nil {
-		return err
-	}
-	if s.dev.PowerFailed() {
-		merged.Release()
-		return device.ErrPowerFailed
-	}
-	for _, r := range inputs {
-		r.Release()
-	}
-	st.l0 = nil
-	st.levels[0] = merged
-
-	// Cascade down while a level exceeds its capacity.
-	levelCap := s.cfg.MemTableBytes * int64(s.cfg.L0Trigger)
-	for lvl := 0; lvl < s.cfg.MaxLevels-1; lvl++ {
-		levelCap *= int64(s.cfg.Ratio)
-		r := st.levels[lvl]
-		if r == nil || r.SizeBytes() <= levelCap {
-			break
-		}
-		inputs := []*sstable.Run{r}
-		if st.levels[lvl+1] != nil {
-			inputs = append(inputs, st.levels[lvl+1])
-		}
-		drop := lvl+1 == s.cfg.MaxLevels-1
-		merged, err := sstable.Merge(c, s.arena, inputs, sstable.BuildOptions{WithFilter: true}, drop)
-		if err != nil {
-			return err
-		}
-		if s.dev.PowerFailed() {
-			merged.Release()
-			return device.ErrPowerFailed
-		}
-		for _, in := range inputs {
-			in.Release()
-		}
-		st.levels[lvl] = nil
-		st.levels[lvl+1] = merged
-		s.compactions.Add(1)
-	}
-	return nil
 }
 
 // Session is a per-worker handle.
@@ -368,31 +264,30 @@ func (s *Store) NewSession(c *simclock.Clock) kvstore.Session {
 func (se *Session) Clock() *simclock.Clock { return se.clock }
 
 func (se *Session) write(key, value []byte, tomb bool) error {
-	if se.store.isCrashed() {
-		return ErrCrashed
+	if err := se.store.Err(); err != nil {
+		return err
 	}
 	c := se.clock
 	c.Advance(device.CostHash64)
 	h := xhash.Sum64(key)
 	st := se.store.stripeFor(h)
-	st.mu.Lock()
-	opStart := c.Now()
-	off, err := se.store.writePayload(c, key, value, tomb)
-	if err == nil {
+	var err error
+	st.Do(c, func() {
+		var off int64
+		if off, err = se.store.writePayload(c, key, value, tomb); err != nil {
+			return
+		}
 		st.cache.Invalidate(h)
-		err = st.mem.Insert(c, h, uint64(off))
-	}
-	if err == nil {
+		if err = st.mem.Insert(c, h, uint64(off)); err != nil {
+			return
+		}
 		st.memBytes += int64(payloadHeader + len(key) + len(value))
 		if st.memBytes >= se.store.cfg.MemTableBytes {
 			err = se.store.flushLocked(c, st)
 		}
-	}
-	dur := c.Now() - opStart
-	st.mu.Unlock()
-	c.AdvanceTo(st.tl.Reserve(opStart, dur))
+	})
 	if err == nil {
-		se.store.ops.CountWrite(tomb)
+		se.store.Ops.CountWrite(tomb)
 	}
 	return err
 }
@@ -407,39 +302,30 @@ func (se *Session) Delete(key []byte) error { return se.write(key, nil, true) }
 // then L0 runs newest-first, then the levels — filters, binary searches,
 // and block reads all the way down (Section 3.7).
 func (se *Session) Get(key []byte) ([]byte, bool, error) {
-	v, ok, err := se.get(key)
-	if err == nil {
-		se.store.ops.CountGet(ok)
-	}
-	return v, ok, err
-}
-
-func (se *Session) get(key []byte) ([]byte, bool, error) {
-	if se.store.isCrashed() {
-		return nil, false, ErrCrashed
+	if err := se.store.Err(); err != nil {
+		return nil, false, err
 	}
 	c := se.clock
 	c.Advance(device.CostHash64)
 	h := xhash.Sum64(key)
 	st := se.store.stripeFor(h)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	opStart := c.Now()
-	// Deferred functions run LIFO: this reservation executes before the
-	// unlock above, covering the whole locked section.
-	defer func() {
-		c.AdvanceTo(st.tl.Reserve(opStart, c.Now()-opStart))
-	}()
+	var v []byte
+	var ok bool
+	st.Do(c, func() { v, ok = se.store.get(c, st, h, key) })
+	se.store.Ops.CountGet(ok)
+	return v, ok, nil
+}
 
+func (s *Store) get(c *simclock.Clock, st *stripe, h uint64, key []byte) ([]byte, bool) {
 	if v, ok := st.cache.Get(c, h); ok {
-		return append([]byte(nil), v...), true, nil
+		return append([]byte(nil), v...), true
 	}
 	if ref, ok := st.mem.Get(c, h); ok {
-		k, v, tomb := se.store.readPayload(c, int64(ref))
+		k, v, tomb := s.readPayload(c, int64(ref))
 		if !bytes.Equal(k, key) || tomb {
-			return nil, false, nil
+			return nil, false
 		}
-		return append([]byte(nil), v...), true, nil
+		return append([]byte(nil), v...), true
 	}
 	check := func(r *sstable.Run) ([]byte, bool, bool) {
 		k, v, tomb, ok := r.Get(c, h)
@@ -454,7 +340,7 @@ func (se *Session) get(key []byte) ([]byte, bool, error) {
 	}
 	for i := len(st.l0) - 1; i >= 0; i-- {
 		if v, found, done := check(st.l0[i]); done {
-			return v, found, nil
+			return v, found
 		}
 	}
 	for _, r := range st.levels {
@@ -462,20 +348,15 @@ func (se *Session) get(key []byte) ([]byte, bool, error) {
 			continue
 		}
 		if v, found, done := check(r); done {
-			return v, found, nil
+			return v, found
 		}
 	}
-	return nil, false, nil
+	return nil, false
 }
 
 // Flush implements kvstore.Session: NoveLSM persists every put in place, so
 // there is nothing buffered.
-func (se *Session) Flush() error {
-	if se.store.isCrashed() {
-		return ErrCrashed
-	}
-	return nil
-}
+func (se *Session) Flush() error { return se.store.Err() }
 
 // String implements fmt.Stringer.
 func (s *Store) String() string {

@@ -55,7 +55,7 @@ func TestMemtableInsertsAmplify(t *testing.T) {
 		t.Fatal(err)
 	}
 	se := s.NewSession(simclock.New(0))
-	s.dev.ResetStats()
+	s.Dev.ResetStats()
 	for i := 0; i < 3000; i++ {
 		se.Put([]byte(fmt.Sprintf("key-%08d", i)), []byte("vvvvvvvv"))
 	}

@@ -12,13 +12,12 @@ package pmemhash
 import (
 	"bytes"
 	"errors"
-	"sync"
 
+	"chameleondb/internal/baselines/shell"
 	"chameleondb/internal/cceh"
 	"chameleondb/internal/device"
 	"chameleondb/internal/kvstore"
 	"chameleondb/internal/obs"
-	"chameleondb/internal/pmem"
 	"chameleondb/internal/simclock"
 	"chameleondb/internal/wlog"
 	"chameleondb/internal/xhash"
@@ -41,33 +40,21 @@ func DefaultConfig() Config {
 }
 
 type stripe struct {
-	mu sync.Mutex
-	tl simclock.Timeline
-	t  *cceh.Table
+	shell.Lane
+	t *cceh.Table
 }
 
 // Store is a Pmem-Hash (CCEH) instance.
 type Store struct {
-	cfg   Config
-	dev   *device.Device
-	arena *pmem.Arena
-	log   *wlog.Log
+	*shell.Store
+	log *wlog.Log
 
 	stripes []*stripe
-	shift   uint
 
-	ops obs.OpCounters
-	reg *obs.Registry
-
-	mu        sync.Mutex
-	crashed   bool
 	recoverNs int64
 }
 
 var _ kvstore.Store = (*Store)(nil)
-
-// ErrCrashed is returned between Crash and Recover.
-var ErrCrashed = errors.New("pmemhash: store has crashed; call Recover first")
 
 // Open creates a Pmem-Hash store on a fresh device.
 func Open(cfg Config) (*Store, error) {
@@ -79,19 +66,16 @@ func OpenOn(cfg Config, dev *device.Device) (*Store, error) {
 	if cfg.Stripes <= 0 || cfg.Stripes&(cfg.Stripes-1) != 0 {
 		return nil, errors.New("pmemhash: Stripes must be a power of two")
 	}
-	arena := pmem.NewArena(dev, cfg.ArenaBytes)
-	log, err := wlog.New(arena, cfg.LogBytes)
+	sh := shell.New("Pmem-Hash", "pmemhash", dev, cfg.ArenaBytes)
+	log, err := wlog.New(sh.Arena, cfg.LogBytes)
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{cfg: cfg, dev: dev, arena: arena, log: log, shift: 64 - uint(intLog2(cfg.Stripes))}
-	s.reg = obs.NewRegistry("pmemhash")
-	s.ops.Register(s.reg)
-	obs.RegisterDevice(s.reg, dev)
-	obs.RegisterLog(s.reg, log)
+	s := &Store{Store: sh, log: log}
+	obs.RegisterLog(s.Registry(), log)
 	s.stripes = make([]*stripe, cfg.Stripes)
 	for i := range s.stripes {
-		t, err := cceh.New(arena, cfg.InitialDepth)
+		t, err := cceh.New(sh.Arena, cfg.InitialDepth)
 		if err != nil {
 			return nil, err
 		}
@@ -99,29 +83,6 @@ func OpenOn(cfg Config, dev *device.Device) (*Store, error) {
 	}
 	return s, nil
 }
-
-func intLog2(v int) int {
-	n := 0
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
-}
-
-// Name implements kvstore.Store.
-func (s *Store) Name() string { return "Pmem-Hash" }
-
-// Registry returns the store's metrics registry (generic op, device, and log
-// counters).
-func (s *Store) Registry() *obs.Registry { return s.reg }
-
-// DeviceStats implements kvstore.Store.
-func (s *Store) DeviceStats() device.Stats { return s.dev.Stats() }
-
-// Device exposes the simulated device (the bench harness tunes its
-// contention model per thread count).
-func (s *Store) Device() *device.Device { return s.dev }
 
 // DRAMFootprint implements kvstore.Store: CCEH keeps its directory and
 // per-segment bookkeeping volatile; the slots themselves are in Pmem.
@@ -146,13 +107,9 @@ func (s *Store) stripeFor(h uint64) *stripe {
 // log entries become dangling and read as misses — the acknowledged-but-
 // unbatched window every log-structured store here shares.
 func (s *Store) Crash() {
-	s.mu.Lock()
-	s.crashed = true
-	s.mu.Unlock()
-	s.arena.Crash()
-	s.dev.ResetTimelines()
+	s.Store.Crash()
 	for _, st := range s.stripes {
-		st.tl.Reset()
+		st.Lane.Reset()
 	}
 }
 
@@ -162,29 +119,18 @@ func (s *Store) Recover(c *simclock.Clock) error {
 	start := c.Now()
 	for _, st := range s.stripes {
 		// Directory copy read (sequential) plus one head probe per segment.
-		s.arena.Device().ReadSeq(c, 0, int64(st.t.DirSize())*8)
+		s.Dev.ReadSeq(c, 0, int64(st.t.DirSize())*8)
 		for i := 0; i < st.t.DirSize(); i++ {
-			s.arena.Device().ReadRandom(c, 0, 64)
+			s.Dev.ReadRandom(c, 0, 64)
 		}
 	}
-	s.mu.Lock()
-	s.crashed = false
-	s.mu.Unlock()
+	s.Recovered()
 	s.recoverNs = c.Now() - start
 	return nil
 }
 
 // RecoverTime reports the virtual duration of the last Recover.
 func (s *Store) RecoverTime() int64 { return s.recoverNs }
-
-// Close implements kvstore.Store.
-func (s *Store) Close() error { return nil }
-
-func (s *Store) isCrashed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.crashed
-}
 
 // Session is a per-worker handle.
 type Session struct {
@@ -204,30 +150,29 @@ func (s *Store) NewSession(c *simclock.Clock) kvstore.Session {
 func (se *Session) Clock() *simclock.Clock { return se.clock }
 
 func (se *Session) write(key, value []byte, flags uint16) error {
-	if se.store.isCrashed() {
-		return ErrCrashed
+	if err := se.store.Err(); err != nil {
+		return err
 	}
 	c := se.clock
 	c.Advance(device.CostHash64)
 	h := xhash.Sum64(key)
 	st := se.store.stripeFor(h)
-	st.mu.Lock()
-	opStart := c.Now()
-	// Individual persisted writes, no batching (Section 3.3's explanation
-	// of Pmem-Hash's put latency).
-	lsn, err := se.ap.AppendSync(c, key, value, flags)
-	if err == nil {
+	var err error
+	st.Do(c, func() {
+		// Individual persisted writes, no batching (Section 3.3's
+		// explanation of Pmem-Hash's put latency).
+		var lsn int64
+		if lsn, err = se.ap.AppendSync(c, key, value, flags); err != nil {
+			return
+		}
 		if flags&wlog.FlagTombstone != 0 {
 			st.t.Delete(c, h)
-		} else {
-			err = st.t.Insert(c, h, uint64(lsn))
+			return
 		}
-	}
-	dur := c.Now() - opStart
-	st.mu.Unlock()
-	c.AdvanceTo(st.tl.Reserve(opStart, dur))
+		err = st.t.Insert(c, h, uint64(lsn))
+	})
 	if err == nil {
-		se.store.ops.CountWrite(flags&wlog.FlagTombstone != 0)
+		se.store.Ops.CountWrite(flags&wlog.FlagTombstone != 0)
 	}
 	return err
 }
@@ -241,45 +186,42 @@ func (se *Session) Delete(key []byte) error { return se.write(key, nil, wlog.Fla
 // Get implements kvstore.Session: directory lookup, segment probe in Pmem,
 // then the log read.
 func (se *Session) Get(key []byte) ([]byte, bool, error) {
-	if se.store.isCrashed() {
-		return nil, false, ErrCrashed
+	if err := se.store.Err(); err != nil {
+		return nil, false, err
 	}
 	c := se.clock
 	c.Advance(device.CostHash64)
 	h := xhash.Sum64(key)
 	st := se.store.stripeFor(h)
-	st.mu.Lock()
-	opStart := c.Now()
-	ref, ok := st.t.Get(c, h)
-	dur := c.Now() - opStart
-	st.mu.Unlock()
-	c.AdvanceTo(st.tl.Reserve(opStart, dur))
+	var ref uint64
+	var ok bool
+	st.Do(c, func() { ref, ok = st.t.Get(c, h) })
 	if !ok {
-		se.store.ops.CountGet(false)
+		se.store.Ops.CountGet(false)
 		return nil, false, nil
 	}
 	e, err := se.store.log.Read(c, int64(ref))
 	if err != nil {
 		// Dangling slot: the index persisted ahead of a log entry that a
 		// crash erased. Treat as missing.
-		se.store.ops.CountGet(false)
+		se.store.Ops.CountGet(false)
 		return nil, false, nil
 	}
 	if !bytes.Equal(e.Key, key) {
-		se.store.ops.CountGet(false)
+		se.store.Ops.CountGet(false)
 		return nil, false, nil
 	}
 	val := make([]byte, len(e.Value))
 	copy(val, e.Value)
-	se.store.ops.CountGet(true)
+	se.store.Ops.CountGet(true)
 	return val, true, nil
 }
 
 // Flush implements kvstore.Session: Pmem-Hash has no write buffer (every
 // put is already persisted), so only the appender chunk seal remains.
 func (se *Session) Flush() error {
-	if se.store.isCrashed() {
-		return ErrCrashed
+	if err := se.store.Err(); err != nil {
+		return err
 	}
 	return se.ap.Flush(se.clock)
 }

@@ -29,7 +29,7 @@ func TestConformance(t *testing.T) {
 func TestPutWriteAmplificationIsLarge(t *testing.T) {
 	s := factory(t).(*Store)
 	se := s.NewSession(simclock.New(0))
-	s.dev.ResetStats()
+	s.Dev.ResetStats()
 	const n = 5000
 	for i := 0; i < n; i++ {
 		se.Put([]byte(fmt.Sprintf("key-%08d", i)), []byte("12345678"))

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"sync/atomic"
 
 	"chameleondb/internal/bloom"
 	"chameleondb/internal/device"
@@ -276,6 +277,67 @@ func Merge(c *simclock.Clock, arena *pmem.Arena, newestFirst []*Run, opt BuildOp
 	}
 	opt.SortCost = false // inputs are sorted; the k-way cost was charged above
 	return Build(c, arena, entries, opt)
+}
+
+// CompactLeveled runs one LevelDB-style leveled compaction. The L0 runs
+// (oldest first) and L1 merge, newest first, into a new L1 that replaces
+// them; then, while a level holds more than its capacity, it merges into the
+// level below. L1 holds l0Bytes×ratio, each deeper level ratio times more;
+// levels[k] is L(k+1), and tombstones drop in merges into the last level.
+// Every merge rewrites whole runs, values included — the write amplification
+// of Figure 17(b). compactions counts the L0 merge when it starts and each
+// cascade merge once installed. A merge that a power failure interrupted is
+// released, never installed: levels and *l0 model durable LSM metadata that
+// survives a crash.
+func CompactLeveled(c *simclock.Clock, arena *pmem.Arena, l0 *[]*Run, levels []*Run, l0Bytes int64, ratio int, compactions *atomic.Int64) error {
+	compactions.Add(1)
+	inputs := make([]*Run, 0, len(*l0)+1)
+	for i := len(*l0) - 1; i >= 0; i-- {
+		inputs = append(inputs, (*l0)[i])
+	}
+	if levels[0] != nil {
+		inputs = append(inputs, levels[0])
+	}
+	if err := mergeInto(c, arena, inputs, levels, 0); err != nil {
+		return err
+	}
+	*l0 = nil
+	levelCap := l0Bytes
+	for lvl := 0; lvl < len(levels)-1; lvl++ {
+		levelCap *= int64(ratio)
+		r := levels[lvl]
+		if r == nil || r.SizeBytes() <= levelCap {
+			break
+		}
+		inputs := []*Run{r}
+		if levels[lvl+1] != nil {
+			inputs = append(inputs, levels[lvl+1])
+		}
+		if err := mergeInto(c, arena, inputs, levels, lvl+1); err != nil {
+			return err
+		}
+		levels[lvl] = nil
+		compactions.Add(1)
+	}
+	return nil
+}
+
+// mergeInto merges inputs into a new run installed at levels[dst], releasing
+// the inputs.
+func mergeInto(c *simclock.Clock, arena *pmem.Arena, inputs, levels []*Run, dst int) error {
+	merged, err := Merge(c, arena, inputs, BuildOptions{WithFilter: true}, dst == len(levels)-1)
+	if err != nil {
+		return err
+	}
+	if arena.Device().PowerFailed() {
+		merged.Release()
+		return device.ErrPowerFailed
+	}
+	for _, r := range inputs {
+		r.Release()
+	}
+	levels[dst] = merged
+	return nil
 }
 
 // String implements fmt.Stringer for debugging.
