@@ -142,14 +142,14 @@ func (c *conn) serve() {
 		for {
 			t0 := time.Now()
 			m.CmdsInFlight.Add(1)
-			kind := commandKind(args[0])
+			kind := lookup(args[0])
 			// Shard-affine dispatch: a run of consecutive SETs is collected,
 			// not executed — its args stay pinned in the reader's buffer —
 			// and dispatchRun applies the whole run through PutBatch, one
 			// shard-lock acquisition per destination shard instead of one per
 			// SET. Replies stay in command order because the run is contiguous
 			// and is dispatched before the command that ends it executes.
-			if kind == cmdSet && len(args) == 3 && !c.inTxn {
+			if kind == cmdSet && !c.inTxn && commands[cmdSet].arityOK(len(args)) {
 				c.runKeys = append(c.runKeys, args[1])
 				c.runVals = append(c.runVals, args[2])
 			} else {
@@ -307,16 +307,17 @@ const maxScanCount = 4096
 // contract, DESIGN.md §7).
 func (c *conn) execute(kind cmdKind, args [][]byte, dirty, quit *bool) {
 	m := c.srv.metrics
-	if c.inTxn && kind != cmdMulti && kind != cmdExec && kind != cmdDiscard {
+	cmd := &commands[kind]
+	if c.inTxn && cmd.txn != txnControl {
 		c.enqueue(kind, args)
+		return
+	}
+	if !cmd.arityOK(len(args)) {
+		c.arity(cmd.name)
 		return
 	}
 	switch kind {
 	case cmdGet:
-		if len(args) != 2 {
-			c.arity("get")
-			return
-		}
 		val, ok, err := c.getInto(args[1])
 		switch {
 		case err != nil:
@@ -328,10 +329,6 @@ func (c *conn) execute(kind cmdKind, args [][]byte, dirty, quit *bool) {
 			c.w.Bulk(val)
 		}
 	case cmdSet:
-		if len(args) != 3 {
-			c.arity("set")
-			return
-		}
 		if err := c.se.Put(args[1], args[2]); err != nil {
 			m.StoreErrors.Add(1)
 			c.w.Error(respError(err))
@@ -340,10 +337,6 @@ func (c *conn) execute(kind cmdKind, args [][]byte, dirty, quit *bool) {
 		*dirty = true
 		c.w.SimpleString("OK")
 	case cmdDel:
-		if len(args) < 2 {
-			c.arity("del")
-			return
-		}
 		// RESP's DEL reports how many keys existed, but the engine's Delete
 		// is an unconditional tombstone append. The conditional delete runs
 		// probe and tombstone under one shard-lock acquisition, so the count
@@ -364,10 +357,6 @@ func (c *conn) execute(kind cmdKind, args [][]byte, dirty, quit *bool) {
 		}
 		c.w.Int(n)
 	case cmdExists:
-		if len(args) < 2 {
-			c.arity("exists")
-			return
-		}
 		var n int64
 		for _, key := range args[1:] {
 			_, ok, err := c.getInto(key)
@@ -382,13 +371,10 @@ func (c *conn) execute(kind cmdKind, args [][]byte, dirty, quit *bool) {
 		}
 		c.w.Int(n)
 	case cmdPing:
-		switch len(args) {
-		case 1:
+		if len(args) == 1 {
 			c.w.SimpleString("PONG")
-		case 2:
+		} else {
 			c.w.Bulk(args[1])
-		default:
-			c.arity("ping")
 		}
 	case cmdInfo:
 		var section []byte
@@ -420,10 +406,6 @@ func (c *conn) execute(kind cmdKind, args [][]byte, dirty, quit *bool) {
 		c.srv.cache.InvalidateAll()
 		c.w.SimpleString("OK")
 	case cmdMGet:
-		if len(args) < 2 {
-			c.arity("mget")
-			return
-		}
 		// Collect every result before emitting a single byte: a mid-batch
 		// store error must produce one canonical -ERR frame, never a
 		// partially written array stranded in the pipelined reply buffer.
@@ -453,10 +435,6 @@ func (c *conn) execute(kind cmdKind, args [][]byte, dirty, quit *bool) {
 			}
 		}
 	case cmdMSet:
-		if len(args) < 3 || (len(args)-1)%2 != 0 {
-			c.arity("mset")
-			return
-		}
 		// Writes apply through PutBatch (shard-affine groups); on a store
 		// error some subset may stay applied (documented deviation: Redis
 		// MSET is atomic), but the reply is still a single canonical -ERR
@@ -478,14 +456,6 @@ func (c *conn) execute(kind cmdKind, args [][]byte, dirty, quit *bool) {
 		}
 		c.w.SimpleString("OK")
 	case cmdIncr, cmdIncrBy:
-		want := 2
-		if kind == cmdIncrBy {
-			want = 3
-		}
-		if len(args) != want {
-			c.arity(kind.String())
-			return
-		}
 		delta := int64(1)
 		if kind == cmdIncrBy {
 			var ok bool
@@ -511,10 +481,6 @@ func (c *conn) execute(kind cmdKind, args [][]byte, dirty, quit *bool) {
 		// governs how many entries the engine visits, not how many survive the
 		// filter, so a page may come back empty while the cursor still
 		// advances.
-		if len(args) < 2 {
-			c.arity("scan")
-			return
-		}
 		cursor, ok := resp.ParseUint(args[1])
 		if !ok {
 			c.w.Error("ERR invalid cursor")
@@ -525,7 +491,7 @@ func (c *conn) execute(kind cmdKind, args [][]byte, dirty, quit *bool) {
 		var match []byte
 		for i := 2; i < len(args); i++ {
 			switch {
-			case equalFoldUpper(args[i], "COUNT") && i+1 < len(args):
+			case equalFold(args[i], "count") && i+1 < len(args):
 				n, ok := resp.ParseInt(args[i+1])
 				if !ok || n < 1 {
 					c.w.Error("ERR value is not an integer or out of range")
@@ -536,10 +502,10 @@ func (c *conn) execute(kind cmdKind, args [][]byte, dirty, quit *bool) {
 				}
 				count = int(n)
 				i++
-			case equalFoldUpper(args[i], "MATCH") && i+1 < len(args):
+			case equalFold(args[i], "match") && i+1 < len(args):
 				match = args[i+1]
 				i++
-			case equalFoldUpper(args[i], "WITHVALUES"):
+			case equalFold(args[i], "withvalues"):
 				withValues = true
 			default:
 				c.w.Error("ERR syntax error")
@@ -576,17 +542,13 @@ func (c *conn) execute(kind cmdKind, args [][]byte, dirty, quit *bool) {
 			}
 		}
 	case cmdReplicaOf:
-		if len(args) != 3 {
-			c.arity("replicaof")
-			return
-		}
 		repl := c.srv.cfg.Repl
 		if repl == nil {
 			c.w.Error("ERR replication is not enabled on this server")
 			return
 		}
 		var addr string
-		if !equalFoldUpper(args[1], "NO") || !equalFoldUpper(args[2], "ONE") {
+		if !equalFold(args[1], "no") || !equalFold(args[2], "one") {
 			addr = net.JoinHostPort(string(args[1]), string(args[2]))
 		}
 		if err := repl.ReplicaOf(addr); err != nil {
@@ -600,10 +562,6 @@ func (c *conn) execute(kind cmdKind, args [][]byte, dirty, quit *bool) {
 		// reply covers every write the connection has issued, then blocks
 		// until that watermark is durable on numreplicas replicas or the
 		// timeout fires. The reply is how many replicas had acknowledged.
-		if len(args) != 3 {
-			c.arity("wait")
-			return
-		}
 		num, ok := resp.ParseInt(args[1])
 		if !ok || num < 0 {
 			c.w.Error("ERR value is not an integer or out of range")
@@ -710,18 +668,19 @@ func (c *conn) resetTxn() {
 // are rejected immediately and poison the transaction — EXEC then aborts,
 // Redis-style, instead of burying the error inside the reply array.
 func (c *conn) enqueue(kind cmdKind, args [][]byte) {
+	cmd := &commands[kind]
 	switch {
 	case kind == cmdUnknown:
 		c.txnErr = true
 		c.w.Error(fmt.Sprintf("ERR unknown command '%s'", args[0]))
 		return
-	case kind == cmdQuit || kind == cmdFlushAll:
+	case cmd.txn == txnRefuse:
 		c.txnErr = true
-		c.w.Error("ERR " + kind.String() + " is not allowed in transactions")
+		c.w.Error("ERR " + cmd.name + " is not allowed in transactions")
 		return
-	case !arityOK(kind, len(args)):
+	case !cmd.arityOK(len(args)):
 		c.txnErr = true
-		c.w.Error("ERR wrong number of arguments for '" + kind.String() + "' command")
+		c.arity(cmd.name)
 		return
 	}
 	start := len(c.txnSpans)
@@ -732,28 +691,6 @@ func (c *conn) enqueue(kind cmdKind, args [][]byte) {
 	}
 	c.txn = append(c.txn, queuedCmd{kind: kind, start: start, n: len(args)})
 	c.w.SimpleString("QUEUED")
-}
-
-// arityOK validates argument counts at MULTI queue time, mirroring the checks
-// each execute case performs.
-func arityOK(kind cmdKind, n int) bool {
-	switch kind {
-	case cmdGet, cmdIncr:
-		return n == 2
-	case cmdSet, cmdIncrBy:
-		return n == 3
-	case cmdDel, cmdExists, cmdMGet:
-		return n >= 2
-	case cmdMSet:
-		return n >= 3 && (n-1)%2 == 0
-	case cmdPing, cmdInfo:
-		return n <= 2
-	case cmdScan:
-		return n >= 2 && n <= 7
-	case cmdReplicaOf, cmdWait:
-		return n == 3
-	}
-	return true
 }
 
 func (c *conn) arity(name string) {

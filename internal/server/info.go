@@ -177,7 +177,7 @@ func (s *Server) infoText(section []byte) []byte {
 		b = append(b, "# Commandstats\r\n"...)
 		for k := cmdKind(0); k < numCmdKinds; k++ {
 			if n := m.PerCmd[k].Load(); n > 0 {
-				b = fmt.Appendf(b, "cmdstat_%s:calls=%d\r\n", k.String(), n)
+				b = fmt.Appendf(b, "cmdstat_%s:calls=%d\r\n", commands[k].name, n)
 			}
 		}
 		b = append(b, "\r\n"...)

@@ -7,8 +7,8 @@ import (
 	"chameleondb/internal/obs"
 )
 
-// cmdKind enumerates the commands the server serves; it indexes the
-// per-command counters and picks the wire-latency histogram.
+// cmdKind enumerates the commands the server serves; it indexes the command
+// table, the per-command counters and picks the wire-latency histogram.
 type cmdKind int
 
 const (
@@ -35,109 +35,84 @@ const (
 	numCmdKinds
 )
 
-func (k cmdKind) String() string {
-	switch k {
-	case cmdGet:
-		return "get"
-	case cmdSet:
-		return "set"
-	case cmdDel:
-		return "del"
-	case cmdExists:
-		return "exists"
-	case cmdPing:
-		return "ping"
-	case cmdInfo:
-		return "info"
-	case cmdFlushAll:
-		return "flushall"
-	case cmdQuit:
-		return "quit"
-	case cmdCommand:
-		return "command"
-	case cmdMGet:
-		return "mget"
-	case cmdMSet:
-		return "mset"
-	case cmdIncr:
-		return "incr"
-	case cmdIncrBy:
-		return "incrby"
-	case cmdScan:
-		return "scan"
-	case cmdMulti:
-		return "multi"
-	case cmdExec:
-		return "exec"
-	case cmdDiscard:
-		return "discard"
-	case cmdReplicaOf:
-		return "replicaof"
-	case cmdWait:
-		return "wait"
-	}
-	return "unknown"
+// txnRule says what a command does between MULTI and EXEC.
+type txnRule uint8
+
+const (
+	txnQueue   txnRule = iota // queued; EXEC runs it
+	txnRefuse                 // refused, and the transaction aborts at EXEC
+	txnControl                // MULTI, EXEC, DISCARD: runs at once
+)
+
+// cmdSpec is one command's row in the table: its name as metrics and error
+// replies spell it, an alias, its argument count bounds counting the command
+// name (max 0: unbounded), whether the arguments after the name come in
+// pairs, and its transaction rule.
+type cmdSpec struct {
+	name, alias string
+	min, max    int
+	pairs       bool
+	txn         txnRule
 }
 
-// equalFoldUpper reports whether b equals upper ASCII-case-insensitively;
-// upper must already be uppercase. No allocation — this is how the dispatch
-// loop avoids a strings.ToUpper per command.
-func equalFoldUpper(b []byte, upper string) bool {
-	if len(b) != len(upper) {
+// commands is the command table. Its arity bounds are the only arity check,
+// plain and inside MULTI alike; lookup tries the rows in order, GET and SET
+// first.
+var commands = [numCmdKinds]cmdSpec{
+	cmdGet:       {name: "get", min: 2, max: 2},
+	cmdSet:       {name: "set", min: 3, max: 3},
+	cmdDel:       {name: "del", min: 2},
+	cmdExists:    {name: "exists", min: 2},
+	cmdPing:      {name: "ping", min: 1, max: 2},
+	cmdInfo:      {name: "info", min: 1},
+	cmdFlushAll:  {name: "flushall", min: 1, txn: txnRefuse},
+	cmdQuit:      {name: "quit", min: 1, txn: txnRefuse},
+	cmdCommand:   {name: "command", min: 1},
+	cmdMGet:      {name: "mget", min: 2},
+	cmdMSet:      {name: "mset", min: 3, pairs: true},
+	cmdIncr:      {name: "incr", min: 2, max: 2},
+	cmdIncrBy:    {name: "incrby", min: 3, max: 3},
+	cmdScan:      {name: "scan", min: 2},
+	cmdMulti:     {name: "multi", min: 1, txn: txnControl},
+	cmdExec:      {name: "exec", min: 1, txn: txnControl},
+	cmdDiscard:   {name: "discard", min: 1, txn: txnControl},
+	cmdReplicaOf: {name: "replicaof", alias: "slaveof", min: 3, max: 3},
+	cmdWait:      {name: "wait", min: 3, max: 3},
+	cmdUnknown:   {name: "unknown", txn: txnRefuse},
+}
+
+// arityOK reports whether n arguments, the command name included, fit the
+// command.
+func (s *cmdSpec) arityOK(n int) bool {
+	return n >= s.min && (s.max == 0 || n <= s.max) && (!s.pairs || (n-1)%2 == 0)
+}
+
+// equalFold reports whether b equals lower ASCII-case-insensitively; lower
+// must already be lowercase. No allocation — this is how the dispatch loop
+// avoids a strings.ToLower per command.
+func equalFold(b []byte, lower string) bool {
+	if len(b) != len(lower) {
 		return false
 	}
 	for i := 0; i < len(b); i++ {
 		c := b[i]
-		if c >= 'a' && c <= 'z' {
-			c -= 'a' - 'A'
+		if c >= 'A' && c <= 'Z' {
+			c += 'a' - 'A'
 		}
-		if c != upper[i] {
+		if c != lower[i] {
 			return false
 		}
 	}
 	return true
 }
 
-func commandKind(name []byte) cmdKind {
-	switch {
-	case equalFoldUpper(name, "GET"):
-		return cmdGet
-	case equalFoldUpper(name, "SET"):
-		return cmdSet
-	case equalFoldUpper(name, "DEL"):
-		return cmdDel
-	case equalFoldUpper(name, "EXISTS"):
-		return cmdExists
-	case equalFoldUpper(name, "PING"):
-		return cmdPing
-	case equalFoldUpper(name, "INFO"):
-		return cmdInfo
-	case equalFoldUpper(name, "FLUSHALL"):
-		return cmdFlushAll
-	case equalFoldUpper(name, "QUIT"):
-		return cmdQuit
-	case equalFoldUpper(name, "COMMAND"):
-		return cmdCommand
-	case equalFoldUpper(name, "MGET"):
-		return cmdMGet
-	case equalFoldUpper(name, "MSET"):
-		return cmdMSet
-	case equalFoldUpper(name, "INCR"):
-		return cmdIncr
-	case equalFoldUpper(name, "INCRBY"):
-		return cmdIncrBy
-	case equalFoldUpper(name, "SCAN"):
-		return cmdScan
-	case equalFoldUpper(name, "MULTI"):
-		return cmdMulti
-	case equalFoldUpper(name, "EXEC"):
-		return cmdExec
-	case equalFoldUpper(name, "DISCARD"):
-		return cmdDiscard
-	case equalFoldUpper(name, "REPLICAOF"), equalFoldUpper(name, "SLAVEOF"):
-		return cmdReplicaOf
-	case equalFoldUpper(name, "WAIT"):
-		return cmdWait
+// lookup returns the command called name.
+func lookup(name []byte) cmdKind {
+	for k := cmdKind(0); k < cmdUnknown; k++ {
+		cmd := &commands[k]
+		if equalFold(name, cmd.name) || (cmd.alias != "" && equalFold(name, cmd.alias)) {
+			return k
+		}
 	}
 	return cmdUnknown
 }
@@ -206,7 +181,7 @@ func (m *Metrics) Register(r *obs.Registry) {
 	r.CounterFunc("server_group_commits", m.GroupCommits.Load)
 	r.CounterFunc("server_group_commit_flushes", m.GroupCommits.Load)
 	for k := cmdKind(0); k < numCmdKinds; k++ {
-		r.CounterFunc("server_cmd_"+k.String(), m.PerCmd[k].Load)
+		r.CounterFunc("server_cmd_"+commands[k].name, m.PerCmd[k].Load)
 	}
 	r.GaugeFunc("server_conns_open", m.ConnsOpen.Load)
 	r.GaugeFunc("server_cmds_inflight", m.CmdsInFlight.Load)

@@ -505,3 +505,50 @@ func TestDelRaceExactCount(t *testing.T) {
 		}
 	}
 }
+
+// TestArityAgreesInsideMulti runs every queueable command at good and bad
+// argument counts, once plainly and once inside MULTI: a command whose plain
+// reply is not an arity error must queue, and one whose plain reply is must
+// be refused at queue time with the same error. Both checks read one command
+// table, so they cannot disagree.
+func TestArityAgreesInsideMulti(t *testing.T) {
+	_, addr := startServer(t, nil, Config{})
+	c := dialT(t, addr)
+	isArity := func(rep resp.Reply) bool {
+		return rep.Type == resp.TypeError && strings.Contains(rep.Text(), "wrong number of arguments")
+	}
+	for _, args := range [][]string{
+		{"GET"}, {"GET", "k"}, {"GET", "k", "x"},
+		{"SET", "k"}, {"SET", "k", "v"}, {"SET", "k", "v", "x"},
+		{"DEL"}, {"DEL", "a", "b"},
+		{"EXISTS"}, {"EXISTS", "a"},
+		{"PING"}, {"PING", "m"}, {"PING", "a", "b"},
+		{"INFO"}, {"INFO", "server"}, {"INFO", "server", "persistence"},
+		{"COMMAND"}, {"COMMAND", "DOCS"},
+		{"MGET"}, {"MGET", "a", "b"},
+		{"MSET", "a"}, {"MSET", "a", "1"}, {"MSET", "a", "1", "b"},
+		{"INCR"}, {"INCR", "n"}, {"INCR", "n", "x"},
+		{"INCRBY", "n"}, {"INCRBY", "n", "2"},
+		{"SCAN"}, {"SCAN", "0"}, {"SCAN", "0", "COUNT", "5", "MATCH", "*", "COUNT", "6"},
+		{"WAIT", "0"}, {"WAIT", "0", "0"},
+		{"REPLICAOF", "NO"}, {"REPLICAOF", "NO", "ONE"}, {"SLAVEOF", "NO"},
+	} {
+		plain, err := c.DoStrings(args...)
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if rep, err := c.DoStrings("MULTI"); err != nil || rep.Text() != "OK" {
+			t.Fatalf("MULTI = %+v, %v", rep, err)
+		}
+		queued, err := c.DoStrings(args...)
+		if err != nil {
+			t.Fatalf("%v in MULTI: %v", args, err)
+		}
+		if isArity(plain) != isArity(queued) || (!isArity(queued) && queued.Text() != "QUEUED") {
+			t.Errorf("%v: plain reply %q, inside MULTI %q", args, plain.Text(), queued.Text())
+		}
+		if rep, err := c.DoStrings("DISCARD"); err != nil || rep.Text() != "OK" {
+			t.Fatalf("DISCARD = %+v, %v", rep, err)
+		}
+	}
+}
