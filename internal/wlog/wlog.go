@@ -845,6 +845,49 @@ func decodeMeta(meta uint64) (keyLen, valLen int, flags uint16) {
 	return int(meta & 0xffff), int(meta >> 16 & 0xffffffff), uint16(meta >> 48)
 }
 
+// Why a position holds no valid entry, as decode reports it.
+var (
+	errNoEntry     = errors.New("no entry")
+	errHeaderCut   = fmt.Errorf("%w: header crosses segment end", ErrCorrupt)
+	errPastSegment = fmt.Errorf("%w: size reaches past segment end", ErrCorrupt)
+	errSumMismatch = fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+)
+
+// decode checks and decodes the entry whose header is at position pos (arena
+// offset phys) and returns it with its size. A zero sum word is no entry; a
+// header crossing the segment end, a size reaching past it (entries never
+// span segments) or a failed checksum is a torn one. A non-nil c is charged
+// one random device read of the entry's size; nil charges nothing.
+func (l *Log) decode(c *simclock.Clock, pos, phys int64) (Entry, int64, error) {
+	segRem := l.segSize - pos%l.segSize
+	if segRem < headerSize {
+		return Entry{}, 0, errHeaderCut
+	}
+	hdr := l.arena.Bytes(phys, headerSize)
+	meta := binary.LittleEndian.Uint64(hdr[0:8])
+	sum := binary.LittleEndian.Uint64(hdr[8:16])
+	if sum == 0 {
+		return Entry{}, 0, errNoEntry
+	}
+	keyLen, valLen, flags := decodeMeta(meta)
+	sz := EntrySize(keyLen, valLen)
+	if sz > segRem {
+		return Entry{}, 0, errPastSegment
+	}
+	var buf []byte
+	if c != nil {
+		buf = l.arena.ReadRandom(c, phys, sz)
+	} else {
+		buf = l.arena.Bytes(phys, sz)
+	}
+	key := buf[headerSize : headerSize+keyLen]
+	value := buf[headerSize+keyLen : headerSize+keyLen+valLen]
+	if entrySum(meta, key, value) != sum {
+		return Entry{}, 0, errSumMismatch
+	}
+	return Entry{LSN: pos, Key: key, Value: value, Flags: flags}, sz, nil
+}
+
 // Read decodes the entry at lsn, charging one random device read of the
 // entry's size. Reading into a reclaimed segment returns ErrReclaimed; an
 // entry whose checksum or declared size is wrong (a torn batch persist)
@@ -857,33 +900,11 @@ func (l *Log) Read(c *simclock.Clock, lsn int64) (Entry, error) {
 	if !ok {
 		return Entry{}, ErrReclaimed
 	}
-	segRem := l.segSize - lsn%l.segSize
-	if segRem < headerSize {
-		return Entry{}, fmt.Errorf("%w: header at LSN %d crosses segment end", ErrCorrupt, lsn)
+	e, _, err := l.decode(c, lsn, phys)
+	if err != nil {
+		return Entry{}, fmt.Errorf("wlog: LSN %d: %w", lsn, err)
 	}
-	hdr := l.arena.Bytes(phys, headerSize)
-	meta := binary.LittleEndian.Uint64(hdr[0:8])
-	sum := binary.LittleEndian.Uint64(hdr[8:16])
-	if sum == 0 {
-		return Entry{}, fmt.Errorf("wlog: no entry at LSN %d", lsn)
-	}
-	keyLen, valLen, flags := decodeMeta(meta)
-	sz := EntrySize(keyLen, valLen)
-	if sz > segRem {
-		return Entry{}, fmt.Errorf("%w: entry at LSN %d claims %d bytes past segment end", ErrCorrupt, lsn, sz)
-	}
-	buf := l.arena.ReadRandom(c, phys, sz)
-	key := buf[headerSize : headerSize+keyLen]
-	value := buf[headerSize+keyLen : headerSize+keyLen+valLen]
-	if entrySum(meta, key, value) != sum {
-		return Entry{}, fmt.Errorf("%w: checksum mismatch at LSN %d", ErrCorrupt, lsn)
-	}
-	return Entry{
-		LSN:   lsn,
-		Key:   key,
-		Value: value,
-		Flags: flags,
-	}, nil
+	return e, nil
 }
 
 // Scan iterates entries with LSN >= from in log order, charging sequential
@@ -901,12 +922,12 @@ func (l *Log) Scan(c *simclock.Clock, from int64, fn func(Entry) bool) error {
 // there. The replication shipper exports chunks this way while the store
 // serves writes.
 //
-// A position that holds no valid entry — a zero sum word, a size reaching
-// past the segment, a failed checksum — is the unused or torn end of some
-// reservation; the next reservation starts on a line, so the scan resumes at
-// the next line. (The lines of a torn entry that did reach the media are
-// value bytes read as a header; like any position, they are believed only
-// with a matching checksum.)
+// A position that holds no valid entry (decode says why) is padding before
+// a segment end or the unused or torn end of some reservation; the next
+// reservation starts on a line, so the scan resumes at the next line. (The
+// lines of a torn entry that did reach the media are value bytes read as a
+// header; like any position, they are believed only with a matching
+// checksum.)
 func (l *Log) ScanRange(c *simclock.Clock, from, to int64, fn func(Entry) bool) error {
 	if from < l.segSize {
 		from = l.segSize
@@ -935,44 +956,10 @@ func (l *Log) ScanRange(c *simclock.Clock, from, to int64, fn func(Entry) bool) 
 			}
 			l.arena.ReadSeq(c, phys, n)
 		}
-		nextLine := (pos/lineSize + 1) * lineSize
-		segRem := l.segSize - pos%l.segSize
-		if segRem < headerSize {
-			// Not enough room for a header before the segment end: whatever
-			// is here is padding.
-			pos = nextLine
+		e, sz, err := l.decode(nil, pos, phys)
+		if err != nil {
+			pos = (pos/lineSize + 1) * lineSize
 			continue
-		}
-		hdr := l.arena.Bytes(phys, headerSize)
-		meta := binary.LittleEndian.Uint64(hdr[0:8])
-		sum := binary.LittleEndian.Uint64(hdr[8:16])
-		if sum == 0 {
-			// End of this reservation's used portion.
-			pos = nextLine
-			continue
-		}
-		keyLen, valLen, flags := decodeMeta(meta)
-		sz := EntrySize(keyLen, valLen)
-		if sz > segRem {
-			// Entries never span segments, so a size reaching past the
-			// segment end means the header itself is torn garbage.
-			pos = nextLine
-			continue
-		}
-		buf := l.arena.Bytes(phys, sz)
-		key := buf[headerSize : headerSize+keyLen]
-		value := buf[headerSize+keyLen : headerSize+keyLen+valLen]
-		if entrySum(meta, key, value) != sum {
-			// Torn batch persist: the entry's lines beyond the committed
-			// prefix are gone, and so is the rest of its reservation.
-			pos = nextLine
-			continue
-		}
-		e := Entry{
-			LSN:   pos,
-			Key:   key,
-			Value: value,
-			Flags: flags,
 		}
 		if !fn(e) {
 			return nil
