@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"flag"
 	"go/parser"
 	"go/token"
 	"os"
@@ -63,13 +64,17 @@ func TestAllExperimentsRun(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/golden_<id>.txt from the experiments' output instead of comparing")
+
 // TestVirtualTimeGolden pins the paper-side ground truth: every experiment's
 // printed text must equal testdata/golden_<id>.txt byte for byte. The reports
 // are functions of virtual time only, so no figure may move when the log, the
 // persist path, a baseline's code or the scanner change (the goldens are
-// `chameleon-bench -experiment <id> -keys 40000 -ops 40000 -threads 4`; fig6
-// and scan were last re-taken when log entries stopped storing the key hash).
-// A change that means to move virtual time regenerates them and says so.
+// `chameleon-bench -experiment <id> -keys 40000 -ops 40000 -threads 4`; every
+// one whose ChameleonDB rows moved was last re-taken when the upper levels of
+// a store with an ABI were fitted to their entries). A change that means to
+// move virtual time regenerates them with
+// `go test ./internal/bench -run TestVirtualTimeGolden -update` and says so.
 // Under -short only the two cheap ones, fig6 and scan, are compared.
 func TestVirtualTimeGolden(t *testing.T) {
 	for _, e := range Experiments() {
@@ -82,7 +87,14 @@ func TestVirtualTimeGolden(t *testing.T) {
 			for _, r := range runExperiment(t, e) {
 				r.Print(&sb)
 			}
-			want, err := os.ReadFile("testdata/golden_" + e.ID + ".txt")
+			path := "testdata/golden_" + e.ID + ".txt"
+			if *update {
+				if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -33,7 +33,7 @@ func (sh *shard) flushFrozen(c *simclock.Clock) error {
 	// write back every worker's batch before the table, so the manifest
 	// persist's barrier covers both.
 	sh.store.log.WriteBackAll(c)
-	table, err := sh.buildTable(c, mediaFlush, sh.store.cfg.MemTableSlots, fm.mem.Iterate)
+	table, err := sh.buildTable(c, mediaFlush, sh.upperCap(fm.mem.Len(), sh.store.cfg.MemTableSlots), fm.mem.Iterate)
 	if err != nil {
 		return err
 	}
@@ -216,27 +216,28 @@ func (sh *shard) compactLevelByLevel(c *simclock.Clock) error {
 }
 
 // mergeTables merges upper-level sources (newest first) into one new
-// persisted table of at least minCap slots. Tombstones are kept: older
-// versions may still sit below the merged levels. Pmem source tables are
-// charged as sequential scans.
+// persisted table designed at minCap slots or more, and sized by upperCap
+// from the merged entries. Tombstones are kept: older versions may still sit
+// below the merged levels. Pmem source tables are charged as sequential
+// scans.
 func (sh *shard) mergeTables(c *simclock.Clock, minCap int, sources []*hashtable.PmemTable) (*hashtable.PmemTable, error) {
-	entries := 0
+	entries := 0 // duplicates included
 	for _, t := range sources {
 		t.ChargeScan(c)
 		entries += t.Len()
 	}
-	return sh.buildTable(c, mediaUpper, needCap(entries, 0.99, minCap), func(yield func(hashtable.Slot) bool) {
-		// Stage the newest-wins merge in DRAM, then emit.
-		winners := hashtable.NewMem(needCap(entries, 0.85, 16))
-		for _, t := range sources {
-			t.Iterate(func(s hashtable.Slot) bool {
-				c.Advance(device.CostCompactionPerSlot)
-				winners.InsertIfAbsent(s.Hash, s.Ref)
-				return true
-			})
-		}
-		winners.Iterate(yield)
-	})
+	// Stage the newest-wins merge in DRAM, then emit.
+	winners := getStaging(needCap(entries, 0.85, 16))
+	defer putStaging(winners)
+	for _, t := range sources {
+		t.Iterate(func(s hashtable.Slot) bool {
+			c.Advance(device.CostCompactionPerSlot)
+			winners.InsertIfAbsent(s.Hash, s.Ref)
+			return true
+		})
+	}
+	capSlots := sh.upperCap(winners.Len(), needCap(entries, 0.99, minCap))
+	return sh.buildTable(c, mediaUpper, capSlots, winners.Iterate)
 }
 
 // lastLevelCompaction merges everything below the MemTables into a new last
@@ -339,8 +340,9 @@ func needCap(n int, f float64, minCap int) int {
 	return c
 }
 
-// fitFill is the fill a table that has outgrown its design is written at:
-// the fill a designed table is accepted at just before it is outgrown.
+// fitFill is the fill a table that has outgrown its design is written at —
+// the fill a designed table is accepted at just before it is outgrown — and
+// the fill a store with an ABI writes its upper-level tables at.
 const fitFill = 0.85
 
 // fittedCap sizes the tables that may outgrow the configured geometry (the
@@ -353,6 +355,25 @@ func fittedCap(n, designed int) int {
 	if float64(n) <= fitFill*float64(designed) {
 		return designed
 	}
+	return fitLines(n)
+}
+
+// upperCap sizes an upper-level (L0..L(l-2)) table of n entries, tombstones
+// included, designed at the power of two designed. With an ABI no get probes
+// an upper table: merges, scans and the ABI rebuild read it whole, and only
+// recovery's replay probes it, so it is written at the lines n entries need
+// at fitFill, never above designed. Without one (the Pmem-LSM ablations)
+// every get probes the upper tables, which keep their designed layout.
+func (sh *shard) upperCap(n, designed int) int {
+	if sh.store.cfg.DisableABI {
+		return designed
+	}
+	return min(designed, fitLines(n))
+}
+
+// fitLines is the smallest table — half a line, or whole 256 B lines — that
+// holds n entries at fitFill.
+func fitLines(n int) int {
 	return hashtable.FitCapacity(int(math.Ceil(float64(n) / fitFill)))
 }
 
@@ -365,9 +386,9 @@ func (sh *shard) buildTable(c *simclock.Clock, purpose mediaPurpose, capSlots in
 	return t, err
 }
 
-// stagingPools recycles last-level compactions' DRAM staging tables, one pool
-// per power-of-two capacity (index log2): a grown shard stages half a
-// megabyte and more per compaction, several hundred times a second.
+// stagingPools recycles compactions' DRAM staging tables, one pool per
+// power-of-two capacity (index log2): a grown shard stages half a megabyte
+// and more per last-level compaction, several hundred times a second.
 var stagingPools [bits.UintSize]sync.Pool
 
 func getStaging(capSlots int) *hashtable.Mem {

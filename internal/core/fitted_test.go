@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"chameleondb/internal/kvstore"
@@ -42,6 +43,33 @@ func fittedTables(s *Store) int {
 	return n
 }
 
+// fittedUpperTables counts the store's upper-level (L0..L(l-2)) tables whose
+// capacity is not a power of two: tables a store with an ABI wrote at the
+// whole lines their entries need.
+func fittedUpperTables(s *Store) int {
+	n := 0
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		for _, p := range slices.Concat(sh.levels...) {
+			if p.t.Cap()&(p.t.Cap()-1) != 0 {
+				n++
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// fittedUpperConfig is sweepConfig with 128-slot MemTables: a full MemTable
+// at a load factor below ~0.745 flushes to a 112-slot (seven-line) L0 table,
+// and two L0 tables of distinct keys merge into a 224-slot L1 table — both
+// upper levels hold tables whose capacity is not a power of two.
+func fittedUpperConfig() Config {
+	cfg := sweepConfig()
+	cfg.MemTableSlots = 128
+	return cfg
+}
+
 func TestFittedCap(t *testing.T) {
 	for _, tc := range []struct{ n, designed, want int }{
 		{0, 4096, 4096},
@@ -54,6 +82,158 @@ func TestFittedCap(t *testing.T) {
 	} {
 		if got := fittedCap(tc.n, tc.designed); got != tc.want {
 			t.Errorf("fittedCap(%d, %d) = %d, want %d", tc.n, tc.designed, got, tc.want)
+		}
+	}
+}
+
+// upperLoad drives a store through puts, overwrites, deletes and gets over a
+// keyset that fills every upper level of upperTestConfig several times,
+// calling check after every operation that moved a table.
+func upperLoad(t *testing.T, s *Store, check func()) {
+	t.Helper()
+	se := s.NewSession(simclock.New(0))
+	rng := rand.New(rand.NewSource(1))
+	moved := int64(-1)
+	for i := 0; i < 40000; i++ {
+		k := key(rng.Intn(24000))
+		var err error
+		switch r := rng.Intn(10); {
+		case r < 7:
+			err = se.Put(k, val(i))
+		case r < 8:
+			err = se.Delete(k)
+		default:
+			_, _, err = se.Get(k)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := s.Stats(); st.Flushes+st.UpperCompactions+st.LastCompactions != moved {
+			moved = st.Flushes + st.UpperCompactions + st.LastCompactions
+			check()
+		}
+	}
+}
+
+// upperTestConfig is TestConfig with 128-slot MemTables over four levels, so
+// L0 flushes, L1 and L2 merges all have lines to spare.
+func upperTestConfig(c *Config) {
+	c.MemTableSlots = 128
+	c.Levels = 4
+}
+
+// TestUpperTablesFitted pins the upper-level sizing rule. With an ABI every
+// L0..L(l-2) table is at most its designed power of two, and a table below
+// it holds its entries at fill <= fitFill with less than one line to spare;
+// both upper-compaction modes produce such tables at every upper level.
+// Without an ABI (the Pmem-LSM ablations) gets probe the upper tables, and
+// every one keeps its designed power of two.
+func TestUpperTablesFitted(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mode CompactionMode
+		abi  bool
+	}{
+		{"Direct", DirectCompaction, true},
+		{"LevelByLevel", LevelByLevel, true},
+		{"NoABI", DirectCompaction, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := openTest(t, upperTestConfig, func(c *Config) {
+				c.CompactionMode = tc.mode
+				c.DisableABI = !tc.abi
+			})
+			cfg := s.cfg
+			shrunk := make([]int, cfg.Levels-1) // per level: tables below their design
+			seen := make(map[*ptable]bool)
+			upperLoad(t, s, func() {
+				for _, sh := range s.shards {
+					for lvl, tables := range sh.levels {
+						designed := cfg.MemTableSlots * pow(cfg.Ratio, lvl)
+						for _, p := range tables {
+							if seen[p] {
+								continue
+							}
+							seen[p] = true
+							c, n := p.t.Cap(), p.t.Len()
+							if !tc.abi {
+								if c != designed {
+									t.Fatalf("L%d table of %d entries has %d slots without an ABI, want its designed %d", lvl, n, c, designed)
+								}
+								continue
+							}
+							switch {
+							case c > designed:
+								t.Fatalf("L%d table of %d entries has %d slots, above its designed %d", lvl, n, c, designed)
+							case c < designed && float64(n) > fitFill*float64(c):
+								t.Fatalf("L%d table of %d entries in %d slots is fuller than fitFill", lvl, n, c)
+							case c > 8 && float64(n) <= fitFill*float64(c-16):
+								t.Fatalf("L%d table of %d entries has %d slots: a line fewer holds them at fitFill", lvl, n, c)
+							}
+							if c < designed {
+								shrunk[lvl]++
+							}
+						}
+					}
+				}
+			})
+			t.Logf("tables written below their design, per upper level: %v", shrunk)
+			if len(seen) == 0 {
+				t.Fatal("no upper table was built")
+			}
+			for lvl, n := range shrunk {
+				if tc.abi && n == 0 {
+					t.Errorf("no L%d table was written below its design: the load no longer exercises the rule", lvl)
+				}
+			}
+		})
+	}
+}
+
+// TestGetsNeverProbeUpperTables is the premise upperCap stands on: on a store
+// with an ABI no get resolves in, or probes, an upper-level table outside
+// recovery. A get probes exactly the tiers of the view it loads, so every
+// view published outside recovery must list no upper tier while upper tables
+// exist, and the per-source counters must book no get to one across hits,
+// misses and deletes, before a crash and after recovery. Without an ABI the
+// same load does resolve gets in upper tables: the counter can see them.
+func TestGetsNeverProbeUpperTables(t *testing.T) {
+	for _, abi := range []bool{true, false} {
+		s := openTest(t, upperTestConfig, func(c *Config) { c.DisableABI = !abi })
+		upperTables := 0
+		noUpperTier := func() {
+			for _, sh := range s.shards {
+				sh.mu.Lock()
+				upperTables += len(slices.Concat(sh.levels...))
+				for _, tr := range sh.view.Load().tiers {
+					if abi && tr.src == srcUpper {
+						t.Fatalf("shard %d publishes an upper table to gets beside its ABI", sh.id)
+					}
+				}
+				sh.mu.Unlock()
+			}
+		}
+		upperLoad(t, s, noUpperTier)
+		s.Crash()
+		if err := s.Recover(simclock.New(0)); err != nil {
+			t.Fatal(err)
+		}
+		noUpperTier()
+		se := s.NewSession(simclock.New(0))
+		for i := 0; i < 24000; i += 3 {
+			if _, _, err := se.Get(key(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if upperTables == 0 {
+			t.Fatal("no upper table was ever built: the load no longer exercises the premise")
+		}
+		got := s.Stats().GetUpper
+		if abi && got != 0 {
+			t.Fatalf("%d gets resolved in an upper table beside an ABI", got)
+		}
+		if !abi && got == 0 {
+			t.Fatal("no get resolved in an upper table without an ABI: the counter cannot see them")
 		}
 	}
 }
@@ -308,19 +488,93 @@ func TestCrashSweepFileBackendGrownLastLevel(t *testing.T) {
 	}
 }
 
+// TestCrashSweepFittedUpperLevels sweeps kill points through the builds and
+// the recovery of line-granular upper tables, which the default 96-key sweep
+// never makes. At 500 keys the sweep geometry merges L0 pairs into 48-slot L1
+// tables (`chameleonctl crashsweep -keys 500 -scan-every 75` runs the same
+// script); with 128-slot MemTables L0 flushes are line-granular too. Each
+// variant counts the runs that held such tables at a maintenance point and
+// the recovered stores that held them after their checks, and fails if either
+// count is zero: then the sweep no longer reaches what it is here for.
+func TestCrashSweepFittedUpperLevels(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhaustive sweep")
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"ChameleonDB-FittedUpper", sweepConfig()},
+		{"ChameleonDB-FittedUpper-128", fittedUpperConfig()},
+	} {
+		var opened, built, recovered int
+		var prev *Store
+		// Every store but the first (the clean counting run) has been
+		// crashed, recovered and checked by the time the next one opens.
+		inspect := func() {
+			if opened > 1 && fittedUpperTables(prev) > 0 {
+				recovered++
+			}
+		}
+		open := func() (kvstore.Store, error) {
+			inspect()
+			s, err := Open(tc.cfg)
+			prev = s
+			opened++
+			return s, err
+		}
+		wl := sweepWorkload()
+		wl.Keys = 500
+		maintain := wl.Maintenance
+		wl.Maintenance = func(st kvstore.Store, c *simclock.Clock, phase int) error {
+			if fittedUpperTables(st.(*Store)) > 0 {
+				built++
+			}
+			return maintain(st, c, phase)
+		}
+		storetest.RunCrashSweep(t, tc.name, open, wl)
+		inspect()
+		t.Logf("%s: %d maintenance points saw line-granular upper tables; %d of %d recovered stores held them",
+			tc.name, built, recovered, opened-1)
+		if built == 0 || recovered == 0 {
+			t.Fatalf("%s: line-granular upper tables built at %d maintenance points, held by %d recovered stores: the sweep no longer reaches them",
+				tc.name, built, recovered)
+		}
+	}
+}
+
 // TestOpenFileReattachesFittedTables is the cold-reopen path over manifests
-// that reference fitted tables: a directory written with a grown keyset is
-// abandoned, reopened and recovered; the fitted last levels are reattached
-// with their blocks reserved, so the tables built after the restart do not
-// land on them; and a second generation survives another restart.
+// that reference fitted tables: a directory written with a keyset that makes
+// them — fitted last levels (grownConfig) or line-granular L0 and L1 tables
+// (fittedUpperConfig) — is abandoned, reopened and recovered; the fitted
+// tables are reattached with their blocks reserved, so the tables built after
+// the restart do not land on them; and a second generation survives another
+// restart.
 func TestOpenFileReattachesFittedTables(t *testing.T) {
-	cfg := grownConfig()
+	upper := fittedUpperConfig()
+	upper.ArenaBytes = 8 << 20
+	upper.LogBytes = 2 << 20
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		keys   int
+		fitted func(*Store) int
+	}{
+		{"LastLevel", grownConfig(), 4 * grownDesignKeys, fittedTables},
+		{"UpperLevels", upper, 1000, fittedUpperTables},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testReattachFitted(t, tc.cfg, tc.keys, tc.fitted)
+		})
+	}
+}
+
+func testReattachFitted(t *testing.T, cfg Config, keys int, fitted func(*Store) int) {
 	dir := t.TempDir()
 	s, _, err := OpenFile(cfg, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const keys = 4 * grownDesignKeys
 	want := make(map[string][]byte)
 	write := func(s *Store, gen int) {
 		t.Helper()
@@ -345,12 +599,17 @@ func TestOpenFileReattachesFittedTables(t *testing.T) {
 		if err := s.Recover(simclock.New(0)); err != nil {
 			t.Fatalf("recover: %v", err)
 		}
-		if fittedTables(s) == 0 {
-			t.Fatal("no fitted table reattached: the keyset no longer outgrows the design")
+		if fitted(s) == 0 {
+			t.Fatal("no fitted table reattached: the keyset no longer makes them")
 		}
 		for _, sh := range s.shards {
-			if end := sh.last.t.Offset() + sh.last.t.BlockBytes(); s.arena.InUse() < end {
-				t.Fatalf("allocator mark %d is inside a reattached table's block (ends %d)", s.arena.InUse(), end)
+			for _, p := range append(slices.Concat(sh.levels...), sh.last) {
+				if p == nil {
+					continue
+				}
+				if end := p.t.Offset() + p.t.BlockBytes(); s.arena.InUse() < end {
+					t.Fatalf("allocator mark %d is inside a reattached table's block (ends %d)", s.arena.InUse(), end)
+				}
 			}
 		}
 		se := s.NewSession(simclock.New(0))

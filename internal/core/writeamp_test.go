@@ -14,12 +14,16 @@ import (
 // ChameleonDB's index write amplification is (l-1+r)/f — each entry is
 // written once per size-tiered upper level ((l-1) times including L0) and r
 // times amortized by the leveled last level, inflated by the 1/f slack of
-// the fixed-size hash tables. The measured index traffic must sit in a band
-// around the formula: a last level that has outgrown its designed table is
-// rewritten at the size of its whole contents (r is then an underestimate of
-// its per-entry rewrites), and manifests and partial-line log syncs add
-// bytes; incomplete final cascades take some away. What a grown last level
-// may cost is gated separately (TestGrownLastLevelWriteAmp).
+// the fixed-size hash tables. With an ABI no get probes an upper table, so
+// those are written at the whole 256 B lines their entries need at fitFill:
+// the upper levels carry 1/fitFill slack (plus up to a line), not 1/f, and
+// only the last level keeps the formula's 1/f. The measured index traffic
+// must sit in a band around the paper's formula: a last level that has
+// outgrown its designed table is rewritten at the size of its whole contents
+// (r is then an underestimate of its per-entry rewrites), and manifests and
+// partial-line log syncs add bytes; incomplete final cascades and fitted
+// upper tables take some away. What a grown last level may cost is gated
+// separately (TestGrownLastLevelWriteAmp).
 func TestWriteAmplificationFormula(t *testing.T) {
 	cfg := TestConfig()
 	cfg.Shards = 16
@@ -31,7 +35,6 @@ func TestWriteAmplificationFormula(t *testing.T) {
 	}
 	se := s.NewSession(simclock.New(0))
 	const n = 60000
-	valSize := 8
 	for i := 0; i < n; i++ {
 		if err := se.Put(key(i), val(i)); err != nil {
 			t.Fatal(err)
@@ -54,7 +57,6 @@ func TestWriteAmplificationFormula(t *testing.T) {
 	if measuredWA < formula*0.4 || measuredWA > formula*2.5 {
 		t.Fatalf("index WA %.2f far from the paper's formula %.2f", measuredWA, formula)
 	}
-	_ = valSize
 }
 
 // TestLargeValues pushes 64 KB values (the top of Figure 17's range) through
