@@ -63,8 +63,13 @@ func TestABIInsertFailsLoudlyAtCap(t *testing.T) {
 
 // TestABIGrowsToOccupancy: at the serving geometry (64 shards, 512-slot
 // MemTables, 32768-slot ABI cap) 200 k keys and as many updates leave no ABI
-// above 8192 slots; a keyset that outgrows the design takes every ABI to
-// exactly its cap and never past it; a crash starts them small again.
+// above 6112 slots. At the test geometry (8 shards, ABI cap 1024) a keyset
+// that outgrows the design keeps every ABI below its cap at most three
+// quarters full after every flush, makes every growth land at half full
+// within one line — at line-granular capacities, not only powers of two —
+// and takes no ABI past its cap; a crash starts them small again. (An ABI
+// need not reach its cap: a last-level compaction the upper levels force
+// clears it first.)
 func TestABIGrowsToOccupancy(t *testing.T) {
 	cfg := ScaledConfig(64, 200_000, 8)
 	s, err := Open(cfg)
@@ -87,26 +92,44 @@ func TestABIGrowsToOccupancy(t *testing.T) {
 		largest = max(largest, c)
 	}
 	t.Logf("largest ABI at 200 k keys: %d slots (cap %d)", largest, s.cfg.ABISlots)
-	if largest > 8192 {
+	if largest > 6112 {
 		t.Fatalf("an ABI grew to %d slots holding ~3 k entries", largest)
 	}
 
 	s = openTest(t) // 8 shards, ABI cap 1024, ~7 k keys designed
 	se = s.NewSession(simclock.New(0))
+	caps := abiCaps(s)
+	grown, lines := 0, 0
 	for i := 0; i < 20_000; i++ {
 		if err := se.Put(key(i), val(i)); err != nil {
 			t.Fatal(err)
 		}
-		for sh, c := range abiCaps(s) {
-			if c > s.cfg.ABISlots {
-				t.Fatalf("put %d: shard %d's ABI has %d slots, cap %d", i, sh, c, s.cfg.ABISlots)
+		for id, sh := range s.shards {
+			abi := sh.view.Load().abi()
+			c, n := abi.Cap(), abi.Len()
+			switch {
+			case c > s.cfg.ABISlots:
+				t.Fatalf("put %d: shard %d's ABI has %d slots, cap %d", i, id, c, s.cfg.ABISlots)
+			case c < s.cfg.ABISlots && 4*n > 3*c:
+				t.Fatalf("put %d: shard %d's ABI holds %d of %d slots, over three quarters below its cap", i, id, n, c)
+			}
+			if c == caps[id] {
+				continue
+			}
+			// Distinct keys: the ABI holds exactly the entries it grew for.
+			if c < s.cfg.ABISlots && (2*n > c || c-2*n >= 16) {
+				t.Fatalf("put %d: shard %d's ABI grew %d -> %d slots for %d entries, not half full within a line", i, id, caps[id], c, n)
+			}
+			caps[id] = c
+			grown++
+			if c&(c-1) != 0 {
+				lines++
 			}
 		}
 	}
-	for sh, c := range abiCaps(s) {
-		if c != s.cfg.ABISlots {
-			t.Fatalf("shard %d's ABI stopped at %d slots on an outgrown keyset, cap %d", sh, c, s.cfg.ABISlots)
-		}
+	t.Logf("%d ABI growths, %d of them to a line-granular capacity; final capacities %v", grown, lines, caps)
+	if lines == 0 {
+		t.Fatal("no ABI grew to a capacity that is not a power of two")
 	}
 	s.Crash()
 	for sh, c := range abiCaps(s) {
@@ -119,6 +142,42 @@ func TestABIGrowsToOccupancy(t *testing.T) {
 	}
 	if err := s.VerifyIntegrity(simclock.New(0)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRotateABIKeepsExactCapacity: an ABI grown to a line-granular capacity
+// keeps exactly that capacity across both clears — a Get-Protect dump and a
+// last-level compaction — instead of rounding up to the next power of two.
+func TestRotateABIKeepsExactCapacity(t *testing.T) {
+	s := openTest(t)
+	se := s.NewSession(simclock.New(0))
+	sh := s.shards[0]
+	abi := func() *hashtable.Mem { return sh.view.Load().abi() }
+	for i := 0; abi().Len() == 0 || abi().Cap()&(abi().Cap()-1) == 0; i++ {
+		if i > 20_000 {
+			t.Fatalf("shard 0's ABI never took a line-granular capacity (%d slots)", abi().Cap())
+		}
+		if err := se.Put(key(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := abi().Cap()
+	c := simclock.New(0)
+	if err := s.DumpABIs(c); err != nil {
+		t.Fatal(err)
+	}
+	if len(sh.dumped) != 1 || abi().Len() != 0 || abi().Cap() != want {
+		t.Fatalf("after a dump: %d dumps, ABI %d of %d slots; want 1 dump and an empty %d-slot ABI",
+			len(sh.dumped), abi().Len(), abi().Cap(), want)
+	}
+	sh.mu.Lock()
+	err := sh.lastLevelCompaction(c)
+	sh.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sh.last == nil || len(sh.dumped) != 0 || abi().Cap() != want {
+		t.Fatalf("after a last-level compaction: ABI has %d slots, want %d", abi().Cap(), want)
 	}
 }
 

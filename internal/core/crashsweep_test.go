@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"chameleondb/internal/kvstore"
+	"chameleondb/internal/simclock"
 	"chameleondb/internal/storetest"
 )
 
@@ -87,19 +89,75 @@ func TestCrashSweepWriteIntensive(t *testing.T) {
 	}), sweepWorkload())
 }
 
+// abiWatch is a store that records, at every crash and after every recovery,
+// whether an ABI held a capacity that is not a power of two, and which
+// capacities the ABIs held at the crashes.
+type abiWatch struct {
+	*Store
+	w *abiWatched
+}
+
+type abiWatched struct {
+	crashes, lineCrashes, lineRecoveries int
+	caps                                 map[int]bool
+}
+
+func (s abiWatch) Crash() {
+	s.w.crashes++
+	line := false
+	for _, c := range abiCaps(s.Store) {
+		s.w.caps[c] = true
+		line = line || c&(c-1) != 0
+	}
+	if line {
+		s.w.lineCrashes++
+	}
+	s.Store.Crash()
+}
+
+func (s abiWatch) Recover(c *simclock.Clock) error {
+	err := s.Store.Recover(c)
+	for _, c := range abiCaps(s.Store) {
+		if c&(c-1) != 0 {
+			s.w.lineRecoveries++
+			break
+		}
+	}
+	return err
+}
+
 // TestCrashSweepWriteIntensiveWideKeys widens the keyset until keys are
 // routinely spilled into the ABI, dumped, and then crashed over while an
 // upper table still holds their previous version: the rebuilt ABI must not
-// shadow the dump with it.
+// shadow the dump with it. At 216 keys the ABIs grow from 32 slots through
+// line-granular capacities to their 128-slot cap; the sweep counts the crash
+// points that held a line-granular ABI, and the recoveries that rebuilt one,
+// and fails if either count is zero.
 func TestCrashSweepWriteIntensiveWideKeys(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive sweep")
 	}
 	wl := sweepWorkload()
 	wl.Keys = 216
-	storetest.RunCrashSweep(t, "ChameleonDB-WIM-Wide", sweepOpen(func(c *Config) {
-		c.WriteIntensive = true
-	}), wl)
+	w := &abiWatched{caps: map[int]bool{}}
+	open := sweepOpen(func(c *Config) { c.WriteIntensive = true })
+	storetest.RunCrashSweep(t, "ChameleonDB-WIM-Wide", func() (kvstore.Store, error) {
+		s, err := open()
+		if err != nil {
+			return nil, err
+		}
+		return abiWatch{s.(*Store), w}, nil
+	}, wl)
+	var caps []int
+	for c := range w.caps {
+		caps = append(caps, c)
+	}
+	slices.Sort(caps)
+	t.Logf("%d of %d crashes held a line-granular ABI, %d recoveries rebuilt one; ABI capacities at the crashes: %v",
+		w.lineCrashes, w.crashes, w.lineRecoveries, caps)
+	if w.lineCrashes == 0 || w.lineRecoveries == 0 {
+		t.Fatalf("line-granular ABIs at %d crashes and %d recoveries: the sweep no longer reaches them", w.lineCrashes, w.lineRecoveries)
+	}
 }
 
 // TestCrashSweepAsync runs the sweep with the background maintenance pool

@@ -220,33 +220,40 @@ func (sh *shard) rotateMem() {
 // rotateABI swaps in an empty ABI after a dump or last-level compaction
 // cleared it, freezing the old table for prior views (an in-place Reset would
 // make entries vanish from a view whose dump list does not yet cover them).
-// The new table keeps the old one's capacity: an ABI's size is the high-water
-// mark of what it held. Called with sh.mu held; the caller publishes the
-// view.
+// The new table keeps the old one's exact capacity, whole lines included: an
+// ABI's size is the high-water mark of what it held. Called with sh.mu held;
+// the caller publishes the view.
 func (sh *shard) rotateABI() {
 	if sh.abi != nil {
-		sh.abi = hashtable.NewMem(sh.abi.Cap())
+		sh.abi = hashtable.NewFittedMem(sh.abi.Cap())
 	}
 }
 
-// growABI makes room for n more ABI entries: while they would fill the ABI
-// past half, it doubles, up to cfg.ABISlots. The entries move into a fresh
-// table, charged as a sequential read of the old bytes and write of the new;
-// views published before keep the old table, which is never written again,
-// and the caller publishes the new one. Called with sh.mu held.
+// abiMaxFill is the load factor an ABI below its cap is kept under: an ABI
+// that n more entries would fill past it grows to half full. Linear probing
+// expects ½(1 + 1/(1−α)²) slots probed per new key, 8.5 at ¾ against 22.7 at
+// fitFill, and a fitFill trigger saves no more DRAM on the repo benchmark's
+// workloads while it costs puts the probes (DESIGN.md §3).
+const abiMaxFill = 0.75
+
+// growABI makes room for n more ABI entries. While Len+n stays within
+// abiMaxFill of the capacity, or the ABI is at cfg.ABISlots, it does nothing;
+// otherwise the entries move into a fresh table of the whole lines that holds
+// Len+n at half full, capped at cfg.ABISlots. So below its cap an ABI is at
+// most three quarters full, and half full right after it grows. The move is
+// charged as a sequential read of the old bytes and write of the new; views
+// published before keep the old table, which is never written again, and the
+// caller publishes the new one. Called with sh.mu held.
 func (sh *shard) growABI(c *simclock.Clock, n int) {
 	old := sh.abi
-	if old == nil {
+	if old == nil || old.Cap() >= sh.store.cfg.ABISlots {
 		return
 	}
-	capSlots := old.Cap()
-	for old.Len()+n > capSlots/2 && capSlots < sh.store.cfg.ABISlots {
-		capSlots <<= 1
-	}
-	if capSlots == old.Cap() {
+	need := old.Len() + n
+	if float64(need) <= abiMaxFill*float64(old.Cap()) {
 		return
 	}
-	sh.abi = hashtable.NewMem(capSlots)
+	sh.abi = hashtable.NewFittedMem(min(sh.store.cfg.ABISlots, hashtable.FitCapacity(2*need)))
 	old.Iterate(func(s hashtable.Slot) bool {
 		sh.abi.Insert(s.Hash, s.Ref)
 		return true
@@ -257,9 +264,9 @@ func (sh *shard) growABI(c *simclock.Clock, n int) {
 // abiInsert indexes one entry in the ABI, charging its DRAM probes: the entry
 // replaces an older version of its hash, or with ifAbsent (the recovery
 // rebuild, which meets newer versions first) yields to one. The ABI grows
-// first if the entry would fill it past half (a no-op after growABI sized it
-// for the batch); an ABI full at its cap is an error, never a dropped entry.
-// Called with sh.mu held.
+// first if the entry would fill it past abiMaxFill (a no-op after growABI
+// sized it for the batch); an ABI full at its cap is an error, never a
+// dropped entry. Called with sh.mu held.
 func (sh *shard) abiInsert(c *simclock.Clock, s hashtable.Slot, ifAbsent bool) error {
 	sh.growABI(c, 1)
 	insert := sh.abi.Insert
@@ -331,7 +338,7 @@ func bareShard(s *Store, id int) *shard {
 		recoverLSN:  s.log.Base(),
 	}
 	if !s.cfg.DisableABI {
-		sh.abi = hashtable.NewMem(s.cfg.abiStartSlots())
+		sh.abi = hashtable.NewFittedMem(s.cfg.abiStartSlots())
 	}
 	return sh
 }
@@ -341,7 +348,7 @@ func bareShard(s *Store, id int) *shard {
 func (sh *shard) volatileWipe() {
 	sh.mem = hashtable.NewMem(sh.store.cfg.MemTableSlots)
 	if !sh.store.cfg.DisableABI {
-		sh.abi = hashtable.NewMem(sh.store.cfg.abiStartSlots())
+		sh.abi = hashtable.NewFittedMem(sh.store.cfg.abiStartSlots())
 	}
 	clear(sh.levels)
 	sh.last = nil

@@ -3,7 +3,9 @@ package hashtable
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"chameleondb/internal/device"
 	"chameleondb/internal/pmem"
@@ -162,5 +164,151 @@ func TestFittedTableRecyclesItsBlock(t *testing.T) {
 				capacity, next.Offset(), first.Offset(), a.InUse(), inUse)
 		}
 		first = next
+	}
+}
+
+// TestFittedMemCapacity: NewFittedMem takes the whole lines asked for and
+// keeps a power of two as it is, while NewMem still rounds up to one.
+func TestFittedMemCapacity(t *testing.T) {
+	for _, tc := range []struct{ ask, fitted, mem int }{
+		{1, 8, 8}, {8, 8, 8}, {40, 48, 64}, {4096, 4096, 4096}, {5430, 5440, 8192}, {6112, 6112, 8192},
+	} {
+		if got := NewFittedMem(tc.ask).Cap(); got != tc.fitted {
+			t.Errorf("NewFittedMem(%d).Cap() = %d, want %d", tc.ask, got, tc.fitted)
+		}
+		if got := NewMem(tc.ask).Cap(); got != tc.mem {
+			t.Errorf("NewMem(%d).Cap() = %d, want %d", tc.ask, got, tc.mem)
+		}
+	}
+}
+
+// TestFittedMemMatchesMapOracle drives line-granular Mems with random
+// Insert/InsertIfAbsent over more hashes than they hold, against a map: every
+// present hash reads back its newest reference (the first, for
+// InsertIfAbsent), Len and Iterate agree with the map, and once the table is
+// full a new hash is refused with ok=false after probing every slot.
+func TestFittedMemMatchesMapOracle(t *testing.T) {
+	for _, capacity := range []int{48, 80, 1040} {
+		f := func(seed int64) bool {
+			r := rand.New(rand.NewSource(seed))
+			m := NewFittedMem(capacity)
+			if m.Cap() != capacity {
+				return false
+			}
+			oracle := map[uint64]uint64{}
+			for i := 0; i < 2*capacity; i++ {
+				h := xhash.Uint64(uint64(r.Intn(capacity + capacity/2)))
+				ref := MakeRef(int64(i)+1, r.Intn(10) == 0)
+				want, present := oracle[h]
+				insert := m.Insert
+				if r.Intn(2) == 0 {
+					insert = m.InsertIfAbsent
+				} else {
+					want = ref
+				}
+				probes, ok := insert(h, ref)
+				switch {
+				case present:
+					if !ok {
+						return false
+					}
+					oracle[h] = want
+				case len(oracle) == capacity:
+					if ok || probes != capacity {
+						return false
+					}
+				default:
+					if !ok {
+						return false
+					}
+					oracle[h] = ref
+				}
+			}
+			for h, want := range oracle {
+				if got, _, ok := m.Get(h); !ok || got != want {
+					return false
+				}
+			}
+			for i := capacity + capacity/2; i < 2*capacity; i++ {
+				if _, probes, ok := m.Get(xhash.Uint64(uint64(i))); ok || probes > capacity {
+					return false
+				}
+			}
+			seen := 0
+			m.Iterate(func(s Slot) bool {
+				if oracle[s.Hash] == s.Ref {
+					seen++
+				}
+				return true
+			})
+			return m.Len() == len(oracle) && seen == len(oracle)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+			t.Fatalf("cap %d: %v", capacity, err)
+		}
+	}
+}
+
+// TestFittedMemProbeWraps starts three probes in the last slot of a
+// line-granular Mem: the second and third land in slots 0 and 1, a miss with
+// the same home wraps to the first empty slot, and a full table's probes stop
+// after cap slots.
+func TestFittedMemProbeWraps(t *testing.T) {
+	const capacity = 48
+	m := NewFittedMem(capacity)
+	var hs [3]uint64
+	for i := range hs {
+		hs[i] = hashWithHome(capacity, capacity-1, uint64(i)+1)
+		if _, ok := m.Insert(hs[i], MakeRef(int64(i)+1, false)); !ok {
+			t.Fatalf("insert %d failed", i)
+		}
+	}
+	for i, slot := range []int{capacity - 1, 0, 1} {
+		if got := m.slots[slot].hash.Load(); got != hs[i] {
+			t.Fatalf("slot %d holds hash %#x, want entry %d (%#x)", slot, got, i, hs[i])
+		}
+	}
+	for i, h := range hs {
+		if ref, _, ok := m.Get(h); !ok || ref != MakeRef(int64(i)+1, false) {
+			t.Fatalf("get of wrapped entry %d = %#x, %v", i, ref, ok)
+		}
+	}
+	if _, probes, ok := m.Get(hashWithHome(capacity, capacity-1, 9)); ok || probes != 4 {
+		t.Fatalf("miss at the last slot: found %v after %d probes, want a miss after 4", ok, probes)
+	}
+	for i := uint64(0); m.Len() < capacity; i++ {
+		m.Insert(xhash.Uint64(i), MakeRef(int64(i)+1, false))
+	}
+	if _, probes, ok := m.Get(hashWithHome(capacity, capacity-1, 9)); ok || probes != capacity {
+		t.Fatalf("miss in a full table: found %v after %d probes, want a miss after %d", ok, probes, capacity)
+	}
+}
+
+// TestMemPowerOfTwoLayoutUnchanged pins power-of-two Mems — MemTables,
+// staging tables, pins, and ABIs at a power of two — to home = hash & (cap-1)
+// with linear probing, slot for slot, whichever constructor made them: the
+// virtual-time figures depend on it.
+func TestMemPowerOfTwoLayoutUnchanged(t *testing.T) {
+	for _, capacity := range []int{8, 64, 1024} {
+		n := capacity * 3 / 4
+		want := make([]Slot, capacity)
+		for i := 0; i < n; i++ {
+			s := Slot{Hash: xhash.Uint64(uint64(i)), Ref: MakeRef(int64(i)+1, false)}
+			idx := s.Hash & uint64(capacity-1)
+			for want[idx].Ref != 0 {
+				idx = (idx + 1) & uint64(capacity-1)
+			}
+			want[idx] = s
+		}
+		for name, m := range map[string]*Mem{"NewMem": NewMem(capacity), "NewFittedMem": NewFittedMem(capacity)} {
+			for i := 0; i < n; i++ {
+				m.Insert(xhash.Uint64(uint64(i)), MakeRef(int64(i)+1, false))
+			}
+			for idx := range want {
+				if got := (Slot{Hash: m.slots[idx].hash.Load(), Ref: m.slots[idx].ref.Load()}); got != want[idx] {
+					t.Fatalf("%s cap %d: slot %d holds %+v, want %+v", name, capacity, idx, got, want[idx])
+				}
+			}
+		}
 	}
 }

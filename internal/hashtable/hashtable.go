@@ -9,6 +9,11 @@
 // Section 2.5) and relying on compaction, not expansion, to make room. The
 // one table that grows, the ABI, is copied by its owner into a fresh, larger
 // Mem; none is resized in place.
+//
+// A table's capacity is a power of two or any whole number of 256 B lines
+// (FitCapacity), and both kinds place entries by one rule (placement).
+// MemTables, staging tables and pins are powers of two (NewMem); the ABI and
+// the fitted persisted tables take whole lines (NewFittedMem, NewPmemTable).
 package hashtable
 
 import (
@@ -45,6 +50,40 @@ func MakeRef(lsn int64, tombstone bool) uint64 {
 	return r
 }
 
+// placement is the probe geometry every table shares. A power-of-two table
+// places hash h at h & (cap-1); a line-granular one reduces the low 32 hash
+// bits onto [0, cap) with a multiply-shift (the shard router consumes the
+// hash from the top, so those bits are unspent). Either way the probe wraps
+// at cap.
+type placement struct {
+	cap  int    // slots
+	mask uint64 // cap-1 when cap is a power of two, else 0
+}
+
+func newPlacement(capacity int) placement {
+	p := placement{cap: capacity}
+	if capacity&(capacity-1) == 0 {
+		p.mask = uint64(capacity - 1)
+	}
+	return p
+}
+
+// home returns the slot a probe for hash h starts at.
+func (p placement) home(h uint64) uint64 {
+	if p.mask != 0 {
+		return h & p.mask
+	}
+	return uint64(uint32(h)) * uint64(p.cap) >> 32
+}
+
+// next returns the slot a probe visits after idx.
+func (p placement) next(idx uint64) uint64 {
+	if idx++; idx == uint64(p.cap) {
+		return 0
+	}
+	return idx
+}
+
 // memSlot is one in-DRAM slot, split into paired atomics so a single writer
 // and many readers can share the table without a lock. Publication ordering
 // carries the consistency: a writer filling an empty slot stores the hash
@@ -69,7 +108,7 @@ type memSlot struct {
 type Mem struct {
 	seq   atomic.Uint64
 	slots []memSlot
-	mask  uint64
+	placement
 	count int
 
 	// resetHook, when set, runs inside Reset's write-side critical section
@@ -85,7 +124,16 @@ func NewMem(capacity int) *Mem {
 	for c < capacity {
 		c <<= 1
 	}
-	return &Mem{slots: make([]memSlot, c), mask: uint64(c - 1)}
+	return newMem(c)
+}
+
+// NewFittedMem creates a table of FitCapacity(capacity) slots — a power of
+// two or a whole number of lines, placed as PmemTable places them — so a
+// table sized to what it holds need not round up to the next power of two.
+func NewFittedMem(capacity int) *Mem { return newMem(FitCapacity(capacity)) }
+
+func newMem(capacity int) *Mem {
+	return &Mem{slots: make([]memSlot, capacity), placement: newPlacement(capacity)}
 }
 
 // SetResetHook installs fn to run inside every subsequent Reset, after the
@@ -112,8 +160,8 @@ func (m *Mem) DRAMFootprint() int64 { return int64(len(m.slots)) * SlotSize }
 // keep them far from it). Writer-side: callers serialize Insert against all
 // other mutation.
 func (m *Mem) Insert(h uint64, ref uint64) (probes int, ok bool) {
-	idx := h & m.mask
-	for i := 0; i <= int(m.mask); i++ {
+	idx := m.home(h)
+	for i := 0; i < len(m.slots); i++ {
 		probes++
 		s := &m.slots[idx]
 		if s.ref.Load() == 0 {
@@ -128,7 +176,7 @@ func (m *Mem) Insert(h uint64, ref uint64) (probes int, ok bool) {
 			s.ref.Store(ref)
 			return probes, true
 		}
-		idx = (idx + 1) & m.mask
+		idx = m.next(idx)
 	}
 	return probes, false
 }
@@ -138,8 +186,8 @@ func (m *Mem) Insert(h uint64, ref uint64) (probes int, ok bool) {
 // returns the slots probed, and ok is false only when h is absent and the
 // table is completely full. Writer-side.
 func (m *Mem) InsertIfAbsent(h uint64, ref uint64) (probes int, ok bool) {
-	idx := h & m.mask
-	for i := 0; i <= int(m.mask); i++ {
+	idx := m.home(h)
+	for i := 0; i < len(m.slots); i++ {
 		probes++
 		s := &m.slots[idx]
 		if s.ref.Load() == 0 {
@@ -151,7 +199,7 @@ func (m *Mem) InsertIfAbsent(h uint64, ref uint64) (probes int, ok bool) {
 		if s.hash.Load() == h {
 			return probes, true
 		}
-		idx = (idx + 1) & m.mask
+		idx = m.next(idx)
 	}
 	return probes, false
 }
@@ -187,8 +235,8 @@ func (m *Mem) Get(h uint64) (ref uint64, probes int, ok bool) {
 // probe is the raw linear probe. Readers must wrap it in seqlock validation
 // (Get); the writer may call it directly.
 func (m *Mem) probe(h uint64) (ref uint64, probes int, ok bool) {
-	idx := h & m.mask
-	for i := 0; i <= int(m.mask); i++ {
+	idx := m.home(h)
+	for i := 0; i < len(m.slots); i++ {
 		s := &m.slots[idx]
 		probes++
 		r := s.ref.Load()
@@ -198,7 +246,7 @@ func (m *Mem) probe(h uint64) (ref uint64, probes int, ok bool) {
 		if s.hash.Load() == h {
 			return r, probes, true
 		}
-		idx = (idx + 1) & m.mask
+		idx = m.next(idx)
 	}
 	return 0, probes, false
 }
@@ -248,7 +296,8 @@ func (m *Mem) Clear() {
 
 // Clone returns a deep copy, used by PinK-style DRAM pinning. Writer-side.
 func (m *Mem) Clone() *Mem {
-	c := &Mem{slots: make([]memSlot, len(m.slots)), mask: m.mask, count: m.count}
+	c := newMem(len(m.slots))
+	c.count = m.count
 	for i := range m.slots {
 		c.slots[i].hash.Store(m.slots[i].hash.Load())
 		c.slots[i].ref.Store(m.slots[i].ref.Load())

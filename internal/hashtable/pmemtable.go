@@ -14,19 +14,16 @@ import (
 // access pattern Optane rewards) and then only read. Concurrent reads are
 // safe; tables are never mutated after Seal.
 //
-// The capacity is a power of two or any whole number of 256 B lines. A
-// power-of-two table places hash h at h & (cap-1); a line-granular one
-// reduces the low 32 hash bits onto [0, cap) with a multiply-shift (the shard
-// router consumes the hash from the top, so those bits are unspent). Either
-// way the probe wraps at cap. The table occupies — and Build persists — the
-// first cap slots of a power-of-two arena block: the arena recycles freed
-// blocks by exact size, and fitted block sizes would never match again.
+// The capacity is a power of two or any whole number of 256 B lines, placed
+// by the rule every table shares (placement). The table occupies — and Build
+// persists — the first cap slots of a power-of-two arena block: the arena
+// recycles freed blocks by exact size, and fitted block sizes would never
+// match again.
 type PmemTable struct {
 	arena *pmem.Arena
 	off   int64
-	cap   int // slots
+	placement
 	count int
-	mask  uint64 // cap-1 when cap is a power of two, else 0
 }
 
 // slotsPerLine is how many 16-byte slots share one 256 B Optane access unit;
@@ -62,11 +59,7 @@ func blockSlots(capacity int) int {
 }
 
 func newPmemTable(arena *pmem.Arena, off int64, capacity, count int) *PmemTable {
-	t := &PmemTable{arena: arena, off: off, cap: capacity, count: count}
-	if capacity&(capacity-1) == 0 {
-		t.mask = uint64(capacity - 1)
-	}
-	return t
+	return &PmemTable{arena: arena, off: off, placement: newPlacement(capacity), count: count}
 }
 
 // NewPmemTable allocates an empty table of FitCapacity(capacity) slots in the
@@ -114,22 +107,6 @@ func (t *PmemTable) SizeBytes() int64 { return int64(t.cap) * SlotSize }
 
 // BlockBytes returns the size of the arena block the table was allocated in.
 func (t *PmemTable) BlockBytes() int64 { return int64(blockSlots(t.cap)) * SlotSize }
-
-// home returns the slot a probe for hash h starts at.
-func (t *PmemTable) home(h uint64) uint64 {
-	if t.mask != 0 {
-		return h & t.mask
-	}
-	return uint64(uint32(h)) * uint64(t.cap) >> 32
-}
-
-// next returns the slot a probe visits after idx.
-func (t *PmemTable) next(idx uint64) uint64 {
-	if idx++; idx == uint64(t.cap) {
-		return 0
-	}
-	return idx
-}
 
 // insertVolatile places a slot in the volatile image without timing charges;
 // Build batches the cost into one sequential persist, as a real flush does.
