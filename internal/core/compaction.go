@@ -116,9 +116,9 @@ func (sh *shard) dumpABI(c *simclock.Clock) error {
 	}
 	sh.store.log.WriteBackAll(c)
 	// A dump that fits a table no larger than the ABI's cap keeps the power
-	// of two it always had; an ABI dumped fuller than fitFill — the normal
+	// of two it always had; an ABI dumped fuller than designFill — the normal
 	// Get-Protect case, at abiFullFraction — is fitted instead of doubled.
-	designed := min(needCap(sh.abi.Len(), fitFill, 8), sh.store.cfg.ABISlots)
+	designed := min(needCap(sh.abi.Len(), designFill, 8), sh.store.cfg.ABISlots)
 	table, err := sh.buildTable(c, mediaDump, fittedCap(sh.abi.Len(), designed), sh.abi.Iterate)
 	if err != nil {
 		return err
@@ -340,19 +340,26 @@ func needCap(n int, f float64, minCap int) int {
 	return c
 }
 
-// fitFill is the fill a table that has outgrown its design is written at —
-// the fill a designed table is accepted at just before it is outgrown — and
-// the fill a store with an ABI writes its upper-level tables at.
-const fitFill = 0.85
+// designFill is the fill a designed power-of-two table is accepted at before
+// it counts as outgrown: the last level, a Get-Protect dump.
+const designFill = 0.85
+
+// fitFill is the fill a fitted table is written at: a table that has
+// outgrown its design, or an upper-level table of a store with an ABI. A
+// fitted table is laid out in two-choice 256 B lines, where a probe reads at
+// most two lines at any fill the build can place; at 0.95 a hit reads 1.01
+// lines on average and a miss 1.48, against 1.04 and 1.22 (at most 4) for
+// linear probing at 0.85 (EXPERIMENTS.md, "Two-choice lines").
+const fitFill = 0.95
 
 // fittedCap sizes the tables that may outgrow the configured geometry (the
 // last level, a Get-Protect dump): the designed power of two while n entries
-// fill it to at most fitFill, and past that the whole number of 256 B lines
-// that holds them at fitFill. Such a table is rewritten whole on every
-// compaction and costs its capacity in media bytes each time; rounding it up
-// to the next power of two would carry up to half a table of empty lines.
+// fill it to at most designFill, and past that fitLines(n). Such a table is
+// rewritten whole on every compaction and costs its capacity in media bytes
+// each time; rounding it up to the next power of two would carry up to half
+// a table of empty lines.
 func fittedCap(n, designed int) int {
-	if float64(n) <= fitFill*float64(designed) {
+	if float64(n) <= designFill*float64(designed) {
 		return designed
 	}
 	return fitLines(n)
@@ -361,9 +368,9 @@ func fittedCap(n, designed int) int {
 // upperCap sizes an upper-level (L0..L(l-2)) table of n entries, tombstones
 // included, designed at the power of two designed. With an ABI no get probes
 // an upper table: merges, scans and the ABI rebuild read it whole, and only
-// recovery's replay probes it, so it is written at the lines n entries need
-// at fitFill, never above designed. Without one (the Pmem-LSM ablations)
-// every get probes the upper tables, which keep their designed layout.
+// recovery's replay probes it, so it is written at fitLines(n), never above
+// designed. Without one (the Pmem-LSM ablations) every get probes the upper
+// tables, which keep their designed layout.
 func (sh *shard) upperCap(n, designed int) int {
 	if sh.store.cfg.DisableABI {
 		return designed
@@ -371,10 +378,11 @@ func (sh *shard) upperCap(n, designed int) int {
 	return min(designed, fitLines(n))
 }
 
-// fitLines is the smallest table — half a line, or whole 256 B lines — that
-// holds n entries at fitFill.
+// fitLines is the smallest fitted table that holds n entries at fitFill:
+// half a line, one line, or a two-choice table of three or more whole 256 B
+// lines (hashtable.FitTwoChoice).
 func fitLines(n int) int {
-	return hashtable.FitCapacity(int(math.Ceil(float64(n) / fitFill)))
+	return hashtable.FitTwoChoice(int(math.Ceil(float64(n) / fitFill)))
 }
 
 // buildTable builds and writes back one table and books the media bytes of

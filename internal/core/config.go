@@ -56,7 +56,8 @@ type GPMConfig struct {
 // start from DefaultConfig (the paper's Table 1 geometry) or TestConfig and
 // adjust.
 type Config struct {
-	// Shards is the number of index shards (power of two). Table 1: 16384.
+	// Shards is the number of index shards (power of two, at most
+	// maxShards). Table 1: 16384.
 	Shards int
 	// MemTableSlots is each shard's MemTable capacity in 16 B slots (power
 	// of two). Table 1: 8 KB per shard = 512 slots.
@@ -217,9 +218,14 @@ func (c Config) lastLevelSlots() int {
 	return s
 }
 
+// maxShards bounds Shards at Table 1's 16384: the router spends the top
+// log2(Shards) hash bits, and a two-choice table's second line is taken from
+// bits 32..49, which 14 router bits leave alone.
+const maxShards = 16384
+
 func (c *Config) validate() error {
-	if c.Shards <= 0 || c.Shards&(c.Shards-1) != 0 {
-		return fmt.Errorf("core: Shards must be a positive power of two, got %d", c.Shards)
+	if c.Shards <= 0 || c.Shards&(c.Shards-1) != 0 || c.Shards > maxShards {
+		return fmt.Errorf("core: Shards must be a power of two in [1, %d], got %d", maxShards, c.Shards)
 	}
 	if c.MemTableSlots < 8 || c.MemTableSlots&(c.MemTableSlots-1) != 0 {
 		return fmt.Errorf("core: MemTableSlots must be a power of two >= 8, got %d", c.MemTableSlots)

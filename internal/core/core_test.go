@@ -266,6 +266,7 @@ func TestConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Shards = 3 },
 		func(c *Config) { c.Shards = 0 },
+		func(c *Config) { c.Shards = 2 * maxShards },
 		func(c *Config) { c.MemTableSlots = 100 },
 		func(c *Config) { c.Levels = 1 },
 		func(c *Config) { c.Ratio = 1 },

@@ -411,10 +411,17 @@ func TestOpenFileGeometryMismatch(t *testing.T) {
 }
 
 // TestOpenFileRefusesOldLogFormat: a directory whose host state carries an
-// older version — a build that stored the key hash in every log entry — is
-// refused with an error naming both versions and the format change, and the
+// older version — 3, a build that stored the key hash in every log entry, or
+// 4, a build that laid fitted tables out for linear probing — is refused
+// with an error naming both versions and both format changes, and the
 // refusal leaves every file in the directory byte-identical.
 func TestOpenFileRefusesOldLogFormat(t *testing.T) {
+	for _, old := range []uint64{3, 4} {
+		t.Run(fmt.Sprint(old), func(t *testing.T) { testRefusesOldVersion(t, old) })
+	}
+}
+
+func testRefusesOldVersion(t *testing.T, old uint64) {
 	cfg := fileTestConfig()
 	dir := t.TempDir()
 	s, _, err := OpenFile(cfg, dir)
@@ -434,7 +441,7 @@ func TestOpenFileRefusesOldLogFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rewrite the host state's version word to 3 through the backend, so the
+	// Rewrite the host state's version word through the backend, so the
 	// record's checksum still holds and only the version is wrong.
 	med, err := filedev.Open(filedev.Options{
 		Dir:           dir,
@@ -449,7 +456,7 @@ func TestOpenFileRefusesOldLogFormat(t *testing.T) {
 	if v := binary.LittleEndian.Uint64(meta); v != hostStateVersion {
 		t.Fatalf("fresh directory records version %d, want %d", v, hostStateVersion)
 	}
-	binary.LittleEndian.PutUint64(meta, 3)
+	binary.LittleEndian.PutUint64(meta, old)
 	if err := med.WriteMeta(meta, -1); err != nil {
 		t.Fatal(err)
 	}
@@ -477,9 +484,9 @@ func TestOpenFileRefusesOldLogFormat(t *testing.T) {
 	s2, _, err := OpenFile(cfg, dir)
 	if err == nil {
 		s2.Close()
-		t.Fatal("OpenFile accepted a directory with host state version 3")
+		t.Fatalf("OpenFile accepted a directory with host state version %d", old)
 	}
-	for _, want := range []string{"version 3", "want 4", "log entry format"} {
+	for _, want := range []string{fmt.Sprintf("version %d", old), "want 5", "log entry format", "table layout"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("refusal %q does not mention %q", err, want)
 		}

@@ -83,10 +83,12 @@ func fingerprintOf(cfg Config) configFingerprint {
 }
 
 // hostStateVersion is the first word of every host-state record. It also
-// stands for the log entry format of the directory's segments: version 4 logs
-// entries without the stored key hash (wlog's 16 B header). A directory from
-// an older build is refused, never reinterpreted — there is no second decoder.
-const hostStateVersion = 4
+// stands for the on-media formats of the directory: version 4 logs entries
+// without the stored key hash (wlog's 16 B header), and version 5 lays out
+// tables whose capacity is not a power of two in two-choice lines
+// (hashtable.PmemTable). A directory from an older build is refused, never
+// reinterpreted — there is no second decoder.
+const hostStateVersion = 5
 
 // maxReplIDLen bounds the persisted (and wire) replication lineage ID. IDs
 // the node mints are 40 hex chars; the bound rejects corrupt records.
@@ -157,7 +159,7 @@ func decodeHostState(b []byte) (hostState, error) {
 		return hs, err
 	}
 	if v != hostStateVersion {
-		return hs, fmt.Errorf("core: host state version %d, want %d: the directory was written by a build with a different log entry format, and is not converted", v, hostStateVersion)
+		return hs, fmt.Errorf("core: host state version %d, want %d: the directory was written by a build with a different log entry format (version 4) or fitted-table layout (version 5, two-choice lines), and is not converted", v, hostStateVersion)
 	}
 	for _, dst := range []*int64{
 		&hs.fp.Shards, &hs.fp.ArenaBytes, &hs.fp.LogBytes,

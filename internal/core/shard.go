@@ -230,10 +230,12 @@ func (sh *shard) rotateABI() {
 }
 
 // abiMaxFill is the load factor an ABI below its cap is kept under: an ABI
-// that n more entries would fill past it grows to half full. Linear probing
-// expects ½(1 + 1/(1−α)²) slots probed per new key, 8.5 at ¾ against 22.7 at
-// fitFill, and a fitFill trigger saves no more DRAM on the repo benchmark's
-// workloads while it costs puts the probes (DESIGN.md §3).
+// that n more entries would fill past it grows to half full. The ABI is a
+// linear-probing Mem, which expects ½(1 + 1/(1−α)²) slots probed per new
+// key: 8.5 at ¾ against 22.7 at designFill (0.85). A designFill trigger
+// saves no more DRAM on the repo benchmark's workloads while it costs puts
+// the probes (DESIGN.md §3); the two-choice layout that lets persisted
+// tables run at fitFill is for tables built once, not inserted into.
 const abiMaxFill = 0.75
 
 // growABI makes room for n more ABI entries. While Len+n stays within

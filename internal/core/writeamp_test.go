@@ -16,7 +16,7 @@ import (
 // times amortized by the leveled last level, inflated by the 1/f slack of
 // the fixed-size hash tables. With an ABI no get probes an upper table, so
 // those are written at the whole 256 B lines their entries need at fitFill:
-// the upper levels carry 1/fitFill slack (plus up to a line), not 1/f, and
+// the upper levels carry 1/fitFill slack (plus up to two lines), not 1/f, and
 // only the last level keeps the formula's 1/f. The measured index traffic
 // must sit in a band around the paper's formula: a last level that has
 // outgrown its designed table is rewritten at the size of its whole contents

@@ -21,69 +21,152 @@ func hashWithHome(capacity, home int, salt uint64) uint64 {
 	return salt<<32 | low
 }
 
-// TestFittedTableProperty builds tables of line-granular capacities at the
-// fill the engine writes them at and checks the table contract: everything
-// inserted is found, nothing else is, Iterate yields exactly Len() slots, and
-// of two entries with one hash the first (newest) wins.
+// hashWithLines returns a hash whose candidate lines in a table of the given
+// number of lines are line1 and line1+1, starting at slot sub within either:
+// bits 32..49 are zero, salt fills bits 50 and up, which lineHomes never
+// reads, and low picks the low 32 bits within the range that keeps line1
+// and sub.
+func hashWithLines(lines, line1, sub int, salt, low uint64) uint64 {
+	capacity := uint64(lines * slotsPerLine)
+	home := uint64(line1*slotsPerLine + sub)
+	first := (home<<32 + capacity - 1) / capacity
+	last := ((home+1)<<32 + capacity - 1) / capacity // exclusive
+	return salt<<50 | (first + low%(last-first))
+}
+
+// lineReads returns the random line reads a Get of h costs.
+func lineReads(t *testing.T, tb *PmemTable, c *simclock.Clock, h uint64) (Slot, bool, int64) {
+	t.Helper()
+	before := tb.arena.Device().Stats().ReadOps
+	s, ok := tb.Get(c, h)
+	return s, ok, tb.arena.Device().Stats().ReadOps - before
+}
+
+// checkLineInvariant decodes a two-choice table and checks that every entry
+// sits in its first line, or in its second while the first is full.
+func checkLineInvariant(t *testing.T, tb *PmemTable) {
+	t.Helper()
+	img := tb.arena.Bytes(tb.Offset(), tb.SizeBytes())
+	fill := make([]int, tb.lines)
+	for i := range tb.cap {
+		if decodeSlot(img[i*SlotSize:]).Ref != 0 {
+			fill[i/slotsPerLine]++
+		}
+	}
+	for i := range tb.cap {
+		s := decodeSlot(img[i*SlotSize:])
+		if s.Ref == 0 {
+			continue
+		}
+		line1, line2, _ := lineHomes(s.Hash, tb.lines)
+		switch at := uint64(i / slotsPerLine); {
+		case at == line1:
+		case at == line2 && fill[line1] == slotsPerLine:
+		default:
+			t.Fatalf("hash %#x sits in line %d; its lines are %d (%d full) and %d", s.Hash, at, line1, fill[line1], line2)
+		}
+	}
+}
+
+// TestFittedTableProperty builds two-choice tables at the fill the engine
+// writes them at, against a map oracle, with random hashes over many seeds:
+// no build takes a line more than asked, everything inserted is found with
+// its newest reference (tombstones included), nothing else is, Iterate
+// yields exactly Len() slots, every entry keeps the line invariant, and
+// every hit and every miss reads at most two lines. 16 is the one-line table
+// fitLines leaves a power of two; it reads one line.
 func TestFittedTableProperty(t *testing.T) {
-	for _, capacity := range []int{16, 48, 4112, 18384, 65552} {
+	for _, capacity := range []int{16, 48, 80, 1040, 4112, 18384, 18448, 65552} {
 		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
-			a := pmem.NewArena(device.New(device.OptanePmem), 4<<20)
-			c := simclock.New(0)
-			n := capacity * 85 / 100
-			src := func(yield func(Slot) bool) {
-				for i := 0; i < n; i++ {
-					if !yield(Slot{Hash: xhash.Uint64(uint64(i)), Ref: MakeRef(int64(i)+1, false)}) {
-						return
+			seeds := 20
+			if capacity > 5000 {
+				seeds = 3
+			}
+			for seed := range seeds {
+				r := rand.New(rand.NewSource(int64(seed)))
+				a := pmem.NewArena(device.New(device.OptanePmem), 4<<20)
+				c := simclock.New(0)
+				n := capacity * 95 / 100
+				// The stream interleaves first occurrences with older
+				// duplicates of hashes already seen; the first wins.
+				var stream []Slot
+				oracle := make(map[uint64]uint64, n)
+				var seen []uint64
+				for len(oracle) < n {
+					if len(seen) > 0 && r.Intn(5) == 0 {
+						stream = append(stream, Slot{Hash: seen[r.Intn(len(seen))], Ref: MakeRef(1<<40, false)})
+						continue
+					}
+					h := r.Uint64()
+					if _, dup := oracle[h]; dup || h == 0 {
+						continue
+					}
+					ref := MakeRef(int64(len(stream))+1, r.Intn(10) == 0)
+					oracle[h] = ref
+					seen = append(seen, h)
+					stream = append(stream, Slot{Hash: h, Ref: ref})
+				}
+				tb, media, err := BuildPmemTable(c, a, capacity, func(yield func(Slot) bool) {
+					for _, s := range stream {
+						if !yield(s) {
+							return
+						}
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tb.Cap() != capacity || tb.Len() != n {
+					t.Fatalf("seed %d: Cap, Len = %d, %d; want %d, %d", seed, tb.Cap(), tb.Len(), capacity, n)
+				}
+				if want := int64(capacity) * SlotSize; tb.SizeBytes() != want || media != want {
+					t.Fatalf("persisted %d B (media %d), want the table's %d", tb.SizeBytes(), media, want)
+				}
+				if twoChoice(capacity) {
+					checkLineInvariant(t, tb)
+				}
+				for h, want := range oracle {
+					s, ok, reads := lineReads(t, tb, c, h)
+					if !ok || s.Ref != want || reads > 2 {
+						t.Fatalf("seed %d: get %#x = %+v, %v after %d line reads; want ref %#x within 2", seed, h, s, ok, reads, want)
 					}
 				}
-				// Older duplicates of every seventh hash: they must lose.
-				for i := 0; i < n; i += 7 {
-					if !yield(Slot{Hash: xhash.Uint64(uint64(i)), Ref: MakeRef(1<<40, false)}) {
-						return
+				for range n {
+					h := r.Uint64()
+					if _, present := oracle[h]; present {
+						continue
+					}
+					if _, ok, reads := lineReads(t, tb, c, h); ok || reads > 2 {
+						t.Fatalf("seed %d: absent hash %#x found=%v after %d line reads", seed, h, ok, reads)
 					}
 				}
-			}
-			tb, media, err := BuildPmemTable(c, a, capacity, src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tb.Cap() != capacity || tb.Len() != n {
-				t.Fatalf("Cap, Len = %d, %d; want %d, %d", tb.Cap(), tb.Len(), capacity, n)
-			}
-			if want := int64(capacity) * SlotSize; tb.SizeBytes() != want || media != want {
-				t.Fatalf("persisted %d B (media %d), want the table's %d", tb.SizeBytes(), media, want)
-			}
-			for i := 0; i < n; i++ {
-				s, ok := tb.Get(c, xhash.Uint64(uint64(i)))
-				if !ok || s.LSN() != int64(i)+1 {
-					t.Fatalf("get %d = %+v, %v", i, s, ok)
+				yielded, got := 0, 0
+				tb.Iterate(func(s Slot) bool {
+					yielded++
+					if oracle[s.Hash] == s.Ref {
+						got++
+					}
+					return true
+				})
+				if yielded != n || got != n {
+					t.Fatalf("Iterate yielded %d slots, %d of them the %d entries", yielded, got, n)
 				}
-			}
-			for i := n; i < 2*n; i++ {
-				if _, ok := tb.Get(c, xhash.Uint64(uint64(i))); ok {
-					t.Fatalf("found absent hash %d", i)
-				}
-			}
-			seen := 0
-			tb.Iterate(func(Slot) bool { seen++; return true })
-			if seen != tb.Len() {
-				t.Fatalf("Iterate yielded %d slots, Len is %d", seen, tb.Len())
 			}
 		})
 	}
 }
 
-// TestFittedTableProbeWraps starts three probes in the last slot of a table
-// that is not a power of two: the second and third must land in slots 0 and
-// 1, not past the table's end in the slack of its block.
+// TestFittedTableProbeWraps starts three probes in the last slot of a line
+// of a two-choice table: the second and third must land in the same line's
+// slots 0 and 1, not in the next line, and nothing may land past the table's
+// end in the slack of its block.
 func TestFittedTableProbeWraps(t *testing.T) {
-	const capacity = 48
+	const capacity, lines = 48, 3
 	a := newArena(t)
 	c := simclock.New(0)
 	var hs [3]uint64
 	for i := range hs {
-		hs[i] = hashWithHome(capacity, capacity-1, uint64(i)+1)
+		hs[i] = hashWithLines(lines, 1, slotsPerLine-1, uint64(i)+1, uint64(i))
 	}
 	tb, _, err := BuildPmemTable(c, a, capacity, func(yield func(Slot) bool) {
 		for i, h := range hs {
@@ -93,19 +176,74 @@ func TestFittedTableProbeWraps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, slot := range []int64{capacity - 1, 0, 1} {
+	for i, slot := range []int64{2*slotsPerLine - 1, slotsPerLine, slotsPerLine + 1} {
 		got := decodeSlot(a.Bytes(tb.Offset()+slot*SlotSize, SlotSize))
 		if got.Hash != hs[i] {
 			t.Fatalf("slot %d holds hash %#x, want entry %d (%#x)", slot, got.Hash, i, hs[i])
 		}
 	}
 	for i, h := range hs {
-		if s, ok := tb.Get(c, h); !ok || s.LSN() != int64(i)+1 {
-			t.Fatalf("get of wrapped entry %d = %+v, %v", i, s, ok)
+		if s, ok, reads := lineReads(t, tb, c, h); !ok || s.LSN() != int64(i)+1 || reads != 1 {
+			t.Fatalf("get of wrapped entry %d = %+v, %v after %d line reads", i, s, ok, reads)
 		}
 	}
 	if slack := a.Bytes(tb.Offset()+tb.SizeBytes(), tb.BlockBytes()-tb.SizeBytes()); !bytes.Equal(slack, make([]byte, len(slack))) {
 		t.Fatal("build wrote past the table into its block's slack")
+	}
+}
+
+// TestTwoChoiceOneMoreLine forces 40 hashes onto the same two lines of a
+// three-line table, which hold 32: the build must take the one-more-line
+// path — to five lines, since four would be a power of two — and every hash
+// must still answer within two line reads. Hashes that agree in all of bits
+// 0..49 no number of lines can part; they get a linear-probing table.
+func TestTwoChoiceOneMoreLine(t *testing.T) {
+	build := func(hs []uint64) *PmemTable {
+		t.Helper()
+		tb, _, err := BuildPmemTable(simclock.New(0), newArena(t), 48, func(yield func(Slot) bool) {
+			for i, h := range hs {
+				yield(Slot{Hash: h, Ref: MakeRef(int64(i)+1, false)})
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tb
+	}
+	r := rand.New(rand.NewSource(1))
+	spread := make([]uint64, 40)
+	for i := range spread {
+		spread[i] = hashWithLines(3, 0, r.Intn(slotsPerLine), r.Uint64(), r.Uint64())
+		if line1, line2, _ := lineHomes(spread[i], 3); line1 != 0 || line2 != 1 {
+			t.Fatalf("hash %d has lines %d, %d at three lines", i, line1, line2)
+		}
+	}
+	degenerate := make([]uint64, 40)
+	for i := range degenerate {
+		degenerate[i] = uint64(i+1)<<50 | 12345
+	}
+	for _, tc := range []struct {
+		name    string
+		hs      []uint64
+		wantCap int
+	}{
+		{"Spread", spread, 80},
+		{"Degenerate", degenerate, 128},
+	} {
+		tb := build(tc.hs)
+		if tb.Cap() != tc.wantCap || tb.Len() != len(tc.hs) {
+			t.Fatalf("%s: Cap, Len = %d, %d; want %d, %d", tc.name, tb.Cap(), tb.Len(), tc.wantCap, len(tc.hs))
+		}
+		c := simclock.New(0)
+		for i, h := range tc.hs {
+			s, ok, reads := lineReads(t, tb, c, h)
+			if !ok || s.LSN() != int64(i)+1 || (twoChoice(tb.Cap()) && reads > 2) {
+				t.Fatalf("%s: get %d = %+v, %v after %d line reads", tc.name, i, s, ok, reads)
+			}
+		}
+		if twoChoice(tb.Cap()) {
+			checkLineInvariant(t, tb)
+		}
 	}
 }
 

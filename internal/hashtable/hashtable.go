@@ -11,9 +11,13 @@
 // Mem; none is resized in place.
 //
 // A table's capacity is a power of two or any whole number of 256 B lines
-// (FitCapacity), and both kinds place entries by one rule (placement).
-// MemTables, staging tables and pins are powers of two (NewMem); the ABI and
-// the fitted persisted tables take whole lines (NewFittedMem, NewPmemTable).
+// (FitCapacity). Every Mem, and every power-of-two PmemTable, is linear
+// probing placed by one rule (placement). MemTables, staging tables and pins
+// are powers of two (NewMem); the ABI takes whole lines (NewFittedMem). A
+// PmemTable of whole lines that is not a power of two — a fitted persisted
+// table — is built once, so its builder may choose where each entry goes: it
+// is a two-choice table, where a probe reads at most two lines (PmemTable);
+// FitTwoChoice sizes one.
 package hashtable
 
 import (
@@ -50,11 +54,11 @@ func MakeRef(lsn int64, tombstone bool) uint64 {
 	return r
 }
 
-// placement is the probe geometry every table shares. A power-of-two table
-// places hash h at h & (cap-1); a line-granular one reduces the low 32 hash
-// bits onto [0, cap) with a multiply-shift (the shard router consumes the
-// hash from the top, so those bits are unspent). Either way the probe wraps
-// at cap.
+// placement is the linear-probing geometry of every Mem and of power-of-two
+// PmemTables. A power-of-two table places hash h at h & (cap-1); a
+// line-granular Mem reduces the low 32 hash bits onto [0, cap) with a
+// multiply-shift (the shard router consumes the hash from the top, so those
+// bits are unspent). Either way the probe wraps at cap.
 type placement struct {
 	cap  int    // slots
 	mask uint64 // cap-1 when cap is a power of two, else 0
@@ -128,8 +132,8 @@ func NewMem(capacity int) *Mem {
 }
 
 // NewFittedMem creates a table of FitCapacity(capacity) slots — a power of
-// two or a whole number of lines, placed as PmemTable places them — so a
-// table sized to what it holds need not round up to the next power of two.
+// two or a whole number of lines, linear probing either way — so a table
+// sized to what it holds need not round up to the next power of two.
 func NewFittedMem(capacity int) *Mem { return newMem(FitCapacity(capacity)) }
 
 func newMem(capacity int) *Mem {

@@ -2,20 +2,26 @@ package hashtable
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"chameleondb/internal/device"
 	"chameleondb/internal/pmem"
 	"chameleondb/internal/simclock"
 )
 
-// PmemTable is an immutable fixed-size linear-probing hash table persisted in
-// the pmem arena: an L0..Ln sub-level table or the last-level table of a
-// shard. It is built once (a large, 256 B-aligned sequential write, the
-// access pattern Optane rewards) and then only read. Concurrent reads are
-// safe; tables are never mutated after Seal.
+// PmemTable is an immutable fixed-size hash table persisted in the pmem
+// arena: an L0..Ln sub-level table or the last-level table of a shard. It is
+// built once (a large, 256 B-aligned sequential write, the access pattern
+// Optane rewards) and then only read. Concurrent reads are safe; tables are
+// never mutated after Seal.
 //
-// The capacity is a power of two or any whole number of 256 B lines, placed
-// by the rule every table shares (placement). The table occupies — and Build
+// The capacity picks the layout, so nothing beside it is persisted. A
+// power-of-two table — every table at the configured geometry — is linear
+// probing from h & (cap-1). Any other capacity is a whole number of 256 B
+// lines, three or more, and a two-choice table: hash h lives in its first
+// candidate line, or in its second only while the first is full (lineHomes),
+// so every probe reads at most two lines. The table occupies — and Build
 // persists — the first cap slots of a power-of-two arena block: the arena
 // recycles freed blocks by exact size, and fitted block sizes would never
 // match again.
@@ -23,6 +29,7 @@ type PmemTable struct {
 	arena *pmem.Arena
 	off   int64
 	placement
+	lines uint64 // a two-choice table's line count; 0 for a power of two
 	count int
 }
 
@@ -43,10 +50,26 @@ func FitCapacity(capacity int) int {
 	return (capacity + slotsPerLine - 1) / slotsPerLine * slotsPerLine
 }
 
+// FitTwoChoice returns the smallest capacity of at least slots slots whose
+// table a probe reads in at most two lines: half a line, one line, or three
+// or more whole lines laid out two-choice. A power-of-two number of lines
+// would be laid out for linear probing, so that count takes one line more.
+func FitTwoChoice(slots int) int {
+	c := FitCapacity(slots)
+	if c > slotsPerLine && !twoChoice(c) {
+		c += slotsPerLine
+	}
+	return c
+}
+
 // validCapacity reports whether a table may have this many slots.
 func validCapacity(capacity int) bool {
 	return capacity >= minPmemSlots && (capacity&(capacity-1) == 0 || capacity%slotsPerLine == 0)
 }
+
+// twoChoice reports whether a table of this (valid) capacity is laid out in
+// two-choice lines: whole lines, not a power of two.
+func twoChoice(capacity int) bool { return capacity&(capacity-1) != 0 }
 
 // blockSlots is the power-of-two arena block a table of the given capacity
 // lives in, in slots.
@@ -59,7 +82,11 @@ func blockSlots(capacity int) int {
 }
 
 func newPmemTable(arena *pmem.Arena, off int64, capacity, count int) *PmemTable {
-	return &PmemTable{arena: arena, off: off, placement: newPlacement(capacity), count: count}
+	t := &PmemTable{arena: arena, off: off, placement: newPlacement(capacity), count: count}
+	if twoChoice(capacity) {
+		t.lines = uint64(capacity / slotsPerLine)
+	}
+	return t
 }
 
 // NewPmemTable allocates an empty table of FitCapacity(capacity) slots in the
@@ -108,8 +135,30 @@ func (t *PmemTable) SizeBytes() int64 { return int64(t.cap) * SlotSize }
 // BlockBytes returns the size of the arena block the table was allocated in.
 func (t *PmemTable) BlockBytes() int64 { return int64(blockSlots(t.cap)) * SlotSize }
 
-// insertVolatile places a slot in the volatile image without timing charges;
-// Build batches the cost into one sequential persist, as a real flush does.
+// line2Bits is how many hash bits above the low 32 pick a hash's second
+// line: bits 32..49, which the shard router (the top log2(Shards) bits; the
+// engine allows at most 2^14 shards) never reaches.
+const line2Bits = 18
+
+// lineHomes returns hash h's two candidate lines in a table of the given
+// number of lines (two or more), and the slot within either line its probe
+// starts at. The first line and the slot are the multiply-shift of the low
+// 32 hash bits onto the table's slots, at line grain and within it; the
+// second is the first plus an offset in [1, lines-1] taken from bits 32..49,
+// so it never is the first.
+func lineHomes(h, lines uint64) (line1, line2, sub uint64) {
+	home := uint64(uint32(h)) * (lines * slotsPerLine) >> 32
+	line1, sub = home/slotsPerLine, home%slotsPerLine
+	line2 = line1 + 1 + (h>>32&(1<<line2Bits-1))*(lines-1)>>line2Bits
+	if line2 >= lines {
+		line2 -= lines
+	}
+	return line1, line2, sub
+}
+
+// insertVolatile places a slot in a power-of-two table's volatile image
+// without timing charges; Build batches the cost into one sequential
+// persist, as a real flush does.
 func (t *PmemTable) insertVolatile(s Slot) bool {
 	idx := t.home(s.Hash)
 	for i := 0; i < t.cap; i++ {
@@ -137,7 +186,13 @@ func (t *PmemTable) insertVolatile(s Slot) bool {
 // medium the table is only written back (Arena.PersistLater): nothing may
 // reference it until the manifest that does is persisted, and that persist is
 // a barrier first.
+//
+// A power-of-two table that src overfills is an error. A two-choice table
+// never fails: see buildTwoChoice.
 func BuildPmemTable(c *simclock.Clock, arena *pmem.Arena, capacity int, src func(yield func(Slot) bool)) (t *PmemTable, media int64, err error) {
+	if capacity = FitCapacity(capacity); twoChoice(capacity) {
+		return buildTwoChoice(c, arena, capacity, src)
+	}
 	t, err = NewPmemTable(arena, capacity)
 	if err != nil {
 		return nil, 0, err
@@ -162,11 +217,183 @@ func BuildPmemTable(c *simclock.Clock, arena *pmem.Arena, capacity int, src func
 	return t, arena.PersistLater(c, t.off, t.SizeBytes()), nil
 }
 
+// buildTwoChoice places every entry in DRAM first (lineBuild). When the
+// entries cannot all be placed, it places them again in the next two-choice
+// table up (FitTwoChoice), so Cap may exceed the capacity asked for; only
+// then is the table allocated and its image written.
+func buildTwoChoice(c *simclock.Clock, arena *pmem.Arena, capacity int, src func(yield func(Slot) bool)) (*PmemTable, int64, error) {
+	b := getLineBuild()
+	defer putLineBuild(b)
+	src(func(s Slot) bool {
+		c.Advance(device.CostCompactionPerSlot) // staging-buffer insert
+		if s.Ref != 0 {
+			b.entries = append(b.entries, s)
+		}
+		return true
+	})
+	lines := capacity / slotsPerLine
+	for maxLines := 2*lines + 2; !b.place(lines); {
+		if lines = FitTwoChoice((lines+1)*slotsPerLine) / slotsPerLine; lines > maxLines {
+			// What gets here is more than two lines' worth of hashes that
+			// agree in bits 0..49: no number of lines parts them. Linear
+			// probing at a power of two takes any set (its staging is
+			// charged twice).
+			return BuildPmemTable(c, arena, blockSlots(2*len(b.entries)), func(yield func(Slot) bool) {
+				for _, s := range b.entries {
+					if !yield(s) {
+						return
+					}
+				}
+			})
+		}
+	}
+	t, err := NewPmemTable(arena, lines*slotsPerLine)
+	if err != nil {
+		return nil, 0, err
+	}
+	t.count = b.placed
+	img := arena.Bytes(t.off, t.SizeBytes())
+	for i, s := range b.slots {
+		encodeSlot(img[i*SlotSize:], s)
+	}
+	return t, arena.PersistLater(c, t.off, t.SizeBytes()), nil
+}
+
+// lineBuild places a two-choice table's entries in a DRAM image of its lines
+// before any byte of the table is written, probing as Get does. The buffers
+// are pooled: a grown shard builds a table of tens of thousands of slots on
+// every last-level compaction.
+type lineBuild struct {
+	entries []Slot  // src's entries, newest first, duplicates included
+	slots   []Slot  // the table's image, line after line
+	fill    []uint8 // entries per line
+	placed  int     // distinct entries placed
+	hops    []hop   // displace's search
+}
+
+// hop is one line displace reached: the entry at index slot of line
+// hops[from] has this line as its second line and may move here.
+type hop struct {
+	line       uint64
+	from, slot int // from < 0: a candidate line of the entry being placed
+}
+
+// maxHops bounds displace's search; a search that reaches this many full
+// lines gives up and the build takes one more line.
+const maxHops = 64
+
+var lineBuilds sync.Pool
+
+func getLineBuild() *lineBuild {
+	if b, ok := lineBuilds.Get().(*lineBuild); ok {
+		return b
+	}
+	return new(lineBuild)
+}
+
+func putLineBuild(b *lineBuild) {
+	b.entries = b.entries[:0]
+	lineBuilds.Put(b)
+}
+
+// place assigns every entry to a line of a table of the given number of
+// lines, keeping the invariant Get relies on: an entry sits in its first
+// line, or in its second only while the first is full. It reports false
+// when an entry found no room.
+func (b *lineBuild) place(lines int) bool {
+	b.slots = slices.Grow(b.slots[:0], lines*slotsPerLine)[:lines*slotsPerLine]
+	clear(b.slots)
+	b.fill = slices.Grow(b.fill[:0], lines)[:lines]
+	clear(b.fill)
+	b.placed = 0
+	for _, e := range b.entries {
+		line1, line2, sub := lineHomes(e.Hash, uint64(lines))
+		// A first line that is not full never was, so an older duplicate
+		// is not in the second: as in Get, the second line is looked at
+		// only when the first is full without e's hash.
+		added, dup := b.insert(line1, sub, e)
+		if !added && !dup {
+			added, dup = b.insert(line2, sub, e)
+		}
+		if !added && !dup && !b.displace(e, line1, line2, uint64(lines)) {
+			return false
+		}
+		if !dup {
+			b.placed++
+		}
+	}
+	return true
+}
+
+// insert probes line from slot sub for e's hash, wrapping inside the line,
+// and takes the first empty slot it reaches. A full line without the hash
+// reports neither added nor dup.
+func (b *lineBuild) insert(line, sub uint64, e Slot) (added, dup bool) {
+	l := b.slots[line*slotsPerLine : (line+1)*slotsPerLine]
+	for i := uint64(0); i < slotsPerLine; i++ {
+		s := &l[(sub+i)%slotsPerLine]
+		if s.Ref == 0 {
+			*s = e
+			b.fill[line]++
+			return true, false
+		}
+		if s.Hash == e.Hash {
+			return false, true
+		}
+	}
+	return false, false
+}
+
+// displace makes room for e, whose two lines are full, by a breadth-first
+// search of one-way moves: an entry sitting in its own first line moves to
+// its second. Every line on the chain gives one entry and takes one, in the
+// same slot, so it stays full — where a probe scans every slot — and the
+// invariant holds; the chain ends at a line with room.
+func (b *lineBuild) displace(e Slot, line1, line2, lines uint64) bool {
+	b.hops = append(b.hops[:0], hop{line: line1, from: -1}, hop{line: line2, from: -1})
+	for i := 0; i < len(b.hops); i++ {
+		x := b.hops[i].line
+		for j, m := range b.slots[x*slotsPerLine : (x+1)*slotsPerLine] {
+			m1, m2, sub := lineHomes(m.Hash, lines)
+			if m1 != x {
+				continue // already in its second line
+			}
+			if b.fill[m2] < slotsPerLine {
+				b.insert(m2, sub, m)
+				// Shift the chain back to its root, which takes e.
+				for k, at := i, j; ; {
+					h := b.hops[k]
+					if h.from < 0 {
+						b.slots[h.line*slotsPerLine+uint64(at)] = e
+						return true
+					}
+					b.slots[h.line*slotsPerLine+uint64(at)] = b.slots[b.hops[h.from].line*slotsPerLine+uint64(h.slot)]
+					k, at = h.from, h.slot
+				}
+			}
+			if len(b.hops) < maxHops && !slices.ContainsFunc(b.hops, func(h hop) bool { return h.line == m2 }) {
+				b.hops = append(b.hops, hop{line: m2, from: i, slot: j})
+			}
+		}
+	}
+	return false
+}
+
 // Get probes for hash h, charging one random pmem read per 256 B line
 // touched and a small CPU cost per additional slot within a line — the probe
 // cost model behind the paper's Figure 2 and the last-level latencies of
-// Figure 13.
+// Figure 13. A two-choice table reads the first candidate line and, only
+// when that line is full without h, the second: never more than two lines.
 func (t *PmemTable) Get(c *simclock.Clock, h uint64) (Slot, bool) {
+	if t.lines != 0 {
+		line1, line2, sub := lineHomes(h, t.lines)
+		s, ok, full := t.probeLine(c, line1, sub, h)
+		if ok || !full {
+			return s, ok
+		}
+		s, ok, _ = t.probeLine(c, line2, sub, h)
+		return s, ok
+	}
 	idx := t.home(h)
 	lastLine := int64(-1)
 	for i := 0; i < t.cap; i++ {
@@ -187,6 +414,26 @@ func (t *PmemTable) Get(c *simclock.Clock, h uint64) (Slot, bool) {
 		idx = t.next(idx)
 	}
 	return Slot{}, false
+}
+
+// probeLine reads one line of a two-choice table and probes it for h from
+// slot sub, wrapping inside the line. full reports a miss that found no
+// empty slot.
+func (t *PmemTable) probeLine(c *simclock.Clock, line, sub, h uint64) (s Slot, ok, full bool) {
+	b := t.arena.ReadRandom(c, t.off+int64(line)*256, 256)
+	for i := uint64(0); i < slotsPerLine; i++ {
+		if i > 0 {
+			c.Advance(device.CostSlotProbe)
+		}
+		s = decodeSlot(b[(sub+i)%slotsPerLine*SlotSize:])
+		if s.Ref == 0 {
+			return Slot{}, false, false
+		}
+		if s.Hash == h {
+			return s, true, false
+		}
+	}
+	return Slot{}, false, true
 }
 
 // Iterate calls fn for every occupied slot without timing charges; callers
