@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -61,15 +62,68 @@ func TestABIInsertFailsLoudlyAtCap(t *testing.T) {
 	}
 }
 
+// TestABIGrowsPastFailedPlacements: hashes whose two buckets are 0 and 1 in
+// every two-choice table (low 32 bits 1, bits 32..49 zero) fill eight slots
+// of any fitted ABI, and no more. The ninth insert finds no room below the
+// cap, so abiInsert takes the next two-choice size up, and up again, until the
+// power-of-two cap holds it; a growth whose copy meets the same wall steps up
+// the same way. No entry is dropped and no error is returned below the cap.
+func TestABIGrowsPastFailedPlacements(t *testing.T) {
+	s := openTest(t, func(c *Config) { c.ABISlots = 128 })
+	sh := s.shards[0]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	c := simclock.New(0)
+	wall := func(i int) hashtable.Slot {
+		return hashtable.Slot{Hash: uint64(i+1)<<50 | 1, Ref: hashtable.MakeRef(int64(i+1), false)}
+	}
+	check := func(path string) {
+		t.Helper()
+		if sh.abi.Cap() != s.cfg.ABISlots || sh.abi.Len() != 9 {
+			t.Fatalf("%s: the ABI holds %d entries in %d slots, want 9 in its %d-slot cap", path, sh.abi.Len(), sh.abi.Cap(), s.cfg.ABISlots)
+		}
+		for i := range 9 {
+			if ref, _, ok := sh.abi.Get(wall(i).Hash); !ok || ref != wall(i).Ref {
+				t.Fatalf("%s: entry %d dropped", path, i)
+			}
+		}
+	}
+
+	if err := sh.moveABI(c, 80); err != nil || !sh.abi.TwoChoice() {
+		t.Fatalf("moving the ABI to 80 slots: %v, two-choice %v", err, sh.abi.TwoChoice())
+	}
+	for i := range 9 {
+		if err := sh.abiInsert(c, wall(i), false); err != nil {
+			t.Fatalf("insert %d into a %d-slot ABI: %v", i, sh.abi.Cap(), err)
+		}
+	}
+	check("insert")
+
+	sh.abi = hashtable.NewFittedMem(s.cfg.abiStartSlots())
+	for i := range 9 {
+		if err := sh.abiInsert(c, wall(i), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sh.abi.Cap() != s.cfg.abiStartSlots() || sh.abi.TwoChoice() {
+		t.Fatalf("nine entries grew the %d-slot start table to %d slots", s.cfg.abiStartSlots(), sh.abi.Cap())
+	}
+	if err := sh.growABI(c, 40); err != nil {
+		t.Fatal(err)
+	}
+	check("copy")
+}
+
 // TestABIGrowsToOccupancy: at the serving geometry (64 shards, 512-slot
 // MemTables, 32768-slot ABI cap) 200 k keys and as many updates leave no ABI
 // above 6112 slots. At the test geometry (8 shards, ABI cap 1024) a keyset
-// that outgrows the design keeps every ABI below its cap at most three
-// quarters full after every flush, makes every growth land at half full
-// within one line — at line-granular capacities, not only powers of two —
-// and takes no ABI past its cap; a crash starts them small again. (An ABI
-// need not reach its cap: a last-level compaction the upper levels force
-// clears it first.)
+// that outgrows the design keeps every fitted ABI below its cap at most nine
+// tenths full after every flush (a power-of-two one three quarters), makes
+// every growth land at three quarters full within one two-choice step — the
+// smallest line-granular two-choice capacity that holds the entries at
+// abiMaxFill — and takes no ABI past its cap; a crash starts them small
+// again. (An ABI need not reach its cap: a last-level compaction the upper
+// levels force clears it first.)
 func TestABIGrowsToOccupancy(t *testing.T) {
 	cfg := ScaledConfig(64, 200_000, 8)
 	s, err := Open(cfg)
@@ -99,7 +153,7 @@ func TestABIGrowsToOccupancy(t *testing.T) {
 	s = openTest(t) // 8 shards, ABI cap 1024, ~7 k keys designed
 	se = s.NewSession(simclock.New(0))
 	caps := abiCaps(s)
-	grown, lines := 0, 0
+	grown, lines, sized := 0, 0, 0
 	for i := 0; i < 20_000; i++ {
 		if err := se.Put(key(i), val(i)); err != nil {
 			t.Fatal(err)
@@ -110,15 +164,22 @@ func TestABIGrowsToOccupancy(t *testing.T) {
 			switch {
 			case c > s.cfg.ABISlots:
 				t.Fatalf("put %d: shard %d's ABI has %d slots, cap %d", i, id, c, s.cfg.ABISlots)
-			case c < s.cfg.ABISlots && 4*n > 3*c:
+			case c < s.cfg.ABISlots && abi.TwoChoice() && 10*n > 9*c:
+				t.Fatalf("put %d: shard %d's fitted ABI holds %d of %d slots, over nine tenths below its cap", i, id, n, c)
+			case c < s.cfg.ABISlots && !abi.TwoChoice() && 4*n > 3*c:
 				t.Fatalf("put %d: shard %d's ABI holds %d of %d slots, over three quarters below its cap", i, id, n, c)
 			}
 			if c == caps[id] {
 				continue
 			}
-			// Distinct keys: the ABI holds exactly the entries it grew for.
-			if c < s.cfg.ABISlots && (2*n > c || c-2*n >= 16) {
-				t.Fatalf("put %d: shard %d's ABI grew %d -> %d slots for %d entries, not half full within a line", i, id, caps[id], c, n)
+			// Distinct keys: the ABI holds exactly the entries it grew for,
+			// unless a last-level compaction in the same put has cleared it
+			// since.
+			if n > 0 && c < s.cfg.ABISlots {
+				if want := hashtable.FitTwoChoice(int(math.Ceil(float64(n) / abiMaxFill))); c != want {
+					t.Fatalf("put %d: shard %d's ABI grew %d -> %d slots for %d entries, want %d: three quarters full within a two-choice step", i, id, caps[id], c, n, want)
+				}
+				sized++
 			}
 			caps[id] = c
 			grown++
@@ -127,9 +188,9 @@ func TestABIGrowsToOccupancy(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d ABI growths, %d of them to a line-granular capacity; final capacities %v", grown, lines, caps)
-	if lines == 0 {
-		t.Fatal("no ABI grew to a capacity that is not a power of two")
+	t.Logf("%d ABI growths, %d of them to a line-granular capacity, %d checked for their fill; final capacities %v", grown, lines, sized, caps)
+	if lines == 0 || sized == 0 {
+		t.Fatal("no ABI grew to a capacity that is not a power of two, or no growth's fill was checked")
 	}
 	s.Crash()
 	for sh, c := range abiCaps(s) {
@@ -379,5 +440,70 @@ func TestDRAMBytesByPurposeSumExactly(t *testing.T) {
 		if b <= 0 {
 			t.Errorf("purpose %q held no bytes in either store", p)
 		}
+	}
+}
+
+// TestOnlyFittedABIsAreTwoChoice: the two-choice Mem layout is the fitted
+// ABI's alone. Through a load that takes every ABI to its cap and clears it
+// again, every MemTable and frozen MemTable, and every ABI at its cap, is a
+// power of two laid out for linear probing, while some ABI below its cap is
+// two-choice; so are compactions' staging tables, and PinK's pins of a
+// store without an ABI.
+func TestOnlyFittedABIsAreTwoChoice(t *testing.T) {
+	s := openTest(t, func(c *Config) { c.ABISlots = 256 })
+	se := s.NewSession(simclock.New(0))
+	atCap, fitted := 0, 0
+	for i := 0; i < 8000; i++ {
+		if err := se.Put(key(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+		for id, sh := range s.shards {
+			for _, tr := range sh.view.Load().tiers {
+				switch {
+				case tr.mem == nil:
+				case tr.src != srcABI && tr.mem.TwoChoice():
+					t.Fatalf("put %d: shard %d: a %d-slot %v table is two-choice", i, id, tr.mem.Cap(), tr.src)
+				case tr.src == srcABI && tr.mem.Cap() == s.cfg.ABISlots:
+					if tr.mem.TwoChoice() {
+						t.Fatalf("put %d: shard %d: the ABI at its %d-slot cap is two-choice", i, id, tr.mem.Cap())
+					}
+					atCap++
+				case tr.src == srcABI && tr.mem.TwoChoice():
+					fitted++
+				}
+			}
+		}
+	}
+	if atCap == 0 || fitted == 0 {
+		t.Fatalf("%d ABI samples at the cap, %d fitted: the load reached neither", atCap, fitted)
+	}
+	for _, n := range []int{10, 100, 1000, 5000} {
+		m := getStaging(needCap(n, 0.85, 16))
+		if m.TwoChoice() {
+			t.Fatalf("a %d-slot staging table is two-choice", m.Cap())
+		}
+		putStaging(m)
+	}
+
+	s = openTest(t, func(c *Config) { c.DisableABI, c.PinUppers = true, true })
+	se = s.NewSession(simclock.New(0))
+	for i := 0; i < 3000; i++ {
+		if err := se.Put(key(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pins := 0
+	for id, sh := range s.shards {
+		for _, lvl := range sh.levels {
+			for _, p := range lvl {
+				if p.pinned == nil || p.pinned.TwoChoice() {
+					t.Fatalf("shard %d: an upper table's pin is missing or two-choice", id)
+				}
+				pins++
+			}
+		}
+	}
+	if pins == 0 {
+		t.Fatal("no upper table was pinned")
 	}
 }

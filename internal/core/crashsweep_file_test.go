@@ -15,6 +15,18 @@ import (
 // allocator restore, log-directory rebuild) at every crash point, not the
 // in-process recovery the simulated sweep covers.
 func fileSweepOpen(t *testing.T, mutate func(*Config)) func() (kvstore.Store, error) {
+	return watchedFileSweepOpen(t, mutate, nil)
+}
+
+// watchedFileSweepOpen is fileSweepOpen whose every incarnation, when w is
+// not nil, records its ABIs at crash and after recovery (abiWatch).
+func watchedFileSweepOpen(t *testing.T, mutate func(*Config), w *abiWatched) func() (kvstore.Store, error) {
+	watch := func(s *Store) kvstore.Store {
+		if w == nil {
+			return s
+		}
+		return abiWatch{s, w}
+	}
 	return func() (kvstore.Store, error) {
 		cfg := sweepConfig()
 		if mutate != nil {
@@ -37,9 +49,9 @@ func fileSweepOpen(t *testing.T, mutate func(*Config)) func() (kvstore.Store, er
 				s.Close()
 				return nil, fmt.Errorf("reopen of %s found no durable state", dir)
 			}
-			return s, nil
+			return watch(s), nil
 		}
-		return storetest.NewReopening(s, reopen), nil
+		return storetest.NewReopening(watch(s), reopen), nil
 	}
 }
 
@@ -74,4 +86,24 @@ func TestCrashSweepFileBackendWIM(t *testing.T) {
 	storetest.RunCrashSweep(t, "ChameleonDB-File-WIM", fileSweepOpen(t, func(c *Config) {
 		c.WriteIntensive = true
 	}), fileSweepWorkload())
+}
+
+// TestCrashSweepFileBackendWriteIntensiveWideKeys is
+// TestCrashSweepWriteIntensiveWideKeys on the file backend, every Recover a
+// cold reopen, at a stride of 3: ABIs grown through two-choice capacities,
+// with displaced entries, at crash points, and recoveries that rebuild them
+// from reattached tables. It fails if no crash point or no recovery reaches
+// a line-granular ABI or a two-choice one that had displaced entries.
+func TestCrashSweepFileBackendWriteIntensiveWideKeys(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhaustive sweep")
+	}
+	wl := sweepWorkload()
+	wl.Keys = 216
+	wl.Stride = 3
+	w := &abiWatched{caps: map[int]bool{}}
+	storetest.RunCrashSweep(t, "ChameleonDB-File-WIM-Wide", watchedFileSweepOpen(t, func(c *Config) {
+		c.WriteIntensive = true
+	}, w), wl)
+	w.check(t, "ChameleonDB-File-WIM-Wide")
 }

@@ -90,8 +90,9 @@ func TestCrashSweepWriteIntensive(t *testing.T) {
 }
 
 // abiWatch is a store that records, at every crash and after every recovery,
-// whether an ABI held a capacity that is not a power of two, and which
-// capacities the ABIs held at the crashes.
+// whether an ABI held a capacity that is not a power of two, and whether one
+// such two-choice ABI had displaced entries; and which capacities the ABIs
+// held at the crashes.
 type abiWatch struct {
 	*Store
 	w *abiWatched
@@ -99,40 +100,75 @@ type abiWatch struct {
 
 type abiWatched struct {
 	crashes, lineCrashes, lineRecoveries int
+	movedCrashes, movedRecoveries        int
 	caps                                 map[int]bool
+}
+
+// abiState reports whether any of s's ABIs is line-granular, and whether any
+// is a two-choice table that has displaced entries.
+func abiState(s *Store) (line, moved bool) {
+	for _, sh := range s.shards {
+		abi := sh.view.Load().abi()
+		line = line || abi.Cap()&(abi.Cap()-1) != 0
+		moved = moved || abi.TwoChoice() && abi.Displacements() > 0
+	}
+	return line, moved
 }
 
 func (s abiWatch) Crash() {
 	s.w.crashes++
-	line := false
 	for _, c := range abiCaps(s.Store) {
 		s.w.caps[c] = true
-		line = line || c&(c-1) != 0
 	}
+	line, moved := abiState(s.Store)
 	if line {
 		s.w.lineCrashes++
+	}
+	if moved {
+		s.w.movedCrashes++
 	}
 	s.Store.Crash()
 }
 
 func (s abiWatch) Recover(c *simclock.Clock) error {
 	err := s.Store.Recover(c)
-	for _, c := range abiCaps(s.Store) {
-		if c&(c-1) != 0 {
-			s.w.lineRecoveries++
-			break
-		}
+	line, moved := abiState(s.Store)
+	if line {
+		s.w.lineRecoveries++
+	}
+	if moved {
+		s.w.movedRecoveries++
 	}
 	return err
+}
+
+// check fails the test when no crash point or no recovery held a
+// line-granular ABI, or a two-choice one that had displaced entries.
+func (w *abiWatched) check(t *testing.T, name string) {
+	t.Helper()
+	var caps []int
+	for c := range w.caps {
+		caps = append(caps, c)
+	}
+	slices.Sort(caps)
+	t.Logf("%s: of %d crashes, %d held a line-granular ABI and %d a two-choice ABI that had displaced entries; %d and %d recoveries; ABI capacities at the crashes: %v",
+		name, w.crashes, w.lineCrashes, w.movedCrashes, w.lineRecoveries, w.movedRecoveries, caps)
+	if w.lineCrashes == 0 || w.lineRecoveries == 0 || w.movedCrashes == 0 || w.movedRecoveries == 0 {
+		t.Fatalf("%s: line-granular ABIs at %d crashes and %d recoveries, displaced two-choice ABIs at %d and %d: the sweep no longer reaches them",
+			name, w.lineCrashes, w.lineRecoveries, w.movedCrashes, w.movedRecoveries)
+	}
 }
 
 // TestCrashSweepWriteIntensiveWideKeys widens the keyset until keys are
 // routinely spilled into the ABI, dumped, and then crashed over while an
 // upper table still holds their previous version: the rebuilt ABI must not
 // shadow the dump with it. At 216 keys the ABIs grow from 32 slots through
-// line-granular capacities to their 128-slot cap; the sweep counts the crash
-// points that held a line-granular ABI, and the recoveries that rebuilt one,
-// and fails if either count is zero.
+// two-choice capacities (48 to 112 slots), displacing entries on the way,
+// and are cleared before they need their 128-slot cap; the recovery rebuild
+// inserts newest first into such tables. The sweep
+// counts the crash points that held a line-granular ABI and a two-choice ABI
+// that had displaced entries, and the recoveries that ended with each, and
+// fails if any count is zero.
 func TestCrashSweepWriteIntensiveWideKeys(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive sweep")
@@ -148,16 +184,7 @@ func TestCrashSweepWriteIntensiveWideKeys(t *testing.T) {
 		}
 		return abiWatch{s.(*Store), w}, nil
 	}, wl)
-	var caps []int
-	for c := range w.caps {
-		caps = append(caps, c)
-	}
-	slices.Sort(caps)
-	t.Logf("%d of %d crashes held a line-granular ABI, %d recoveries rebuilt one; ABI capacities at the crashes: %v",
-		w.lineCrashes, w.crashes, w.lineRecoveries, caps)
-	if w.lineCrashes == 0 || w.lineRecoveries == 0 {
-		t.Fatalf("line-granular ABIs at %d crashes and %d recoveries: the sweep no longer reaches them", w.lineCrashes, w.lineRecoveries)
-	}
+	w.check(t, "ChameleonDB-WIM-Wide")
 }
 
 // TestCrashSweepAsync runs the sweep with the background maintenance pool

@@ -36,6 +36,9 @@ func (p *ptable) build(c *simclock.Clock, wantFilter, wantPin bool) {
 		})
 	}
 	if wantPin {
+		// A power of two at least the table's capacity: linear probing,
+		// which places every entry while a slot is free, and the table
+		// holds at most Cap distinct hashes — no Insert here can fail.
 		p.pinned = hashtable.NewMem(p.t.Cap())
 		p.t.Iterate(func(s hashtable.Slot) bool {
 			p.pinned.Insert(s.Hash, s.Ref)

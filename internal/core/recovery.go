@@ -149,7 +149,9 @@ func (sh *shard) rebuildABI(c *simclock.Clock) error {
 			continue
 		}
 		t.p.t.ChargeScan(c)
-		sh.growABI(c, t.p.t.Len())
+		if err = sh.growABI(c, t.p.t.Len()); err != nil {
+			break
+		}
 		t.p.t.Iterate(func(slot hashtable.Slot) bool {
 			// A newer version in a dump keeps the entry out of the ABI.
 			if d, ok := newestIn(c, v, srcDumped, slot.Hash); !ok || d.LSN() <= slot.LSN() {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -229,65 +230,108 @@ func (sh *shard) rotateABI() {
 	}
 }
 
-// abiMaxFill is the load factor an ABI below its cap is kept under: an ABI
-// that n more entries would fill past it grows to half full. The ABI is a
-// linear-probing Mem, which expects ½(1 + 1/(1−α)²) slots probed per new
-// key: 8.5 at ¾ against 22.7 at designFill (0.85). A designFill trigger
-// saves no more DRAM on the repo benchmark's workloads while it costs puts
-// the probes (DESIGN.md §3); the two-choice layout that lets persisted
-// tables run at fitFill is for tables built once, not inserted into.
+// abiMaxFill is the load factor an ABI grows to, and the one a
+// linear-probing ABI below its cap — the power-of-two table it starts at — is
+// kept under: such a table expects ½(1 + 1/(1−α)²) slots probed per new key,
+// 8.5 at ¾ against 50.5 at abiFullFraction. A fitted ABI (whole lines, not a
+// power of two) is a two-choice table in 64 B buckets, whose probes read at
+// most two buckets at any fill and whose placements first fail near 0.95, so
+// it is kept under abiFullFraction, the fill at which an ABI at its cap is
+// cleared (DESIGN.md §3).
 const abiMaxFill = 0.75
 
 // growABI makes room for n more ABI entries. While Len+n stays within
-// abiMaxFill of the capacity, or the ABI is at cfg.ABISlots, it does nothing;
-// otherwise the entries move into a fresh table of the whole lines that holds
-// Len+n at half full, capped at cfg.ABISlots. So below its cap an ABI is at
-// most three quarters full, and half full right after it grows. The move is
-// charged as a sequential read of the old bytes and write of the new; views
-// published before keep the old table, which is never written again, and the
-// caller publishes the new one. Called with sh.mu held.
-func (sh *shard) growABI(c *simclock.Clock, n int) {
+// abiFullFraction of a fitted ABI's capacity (abiMaxFill of a power of two's),
+// or the ABI is at cfg.ABISlots, it does nothing; otherwise the entries move
+// into a fresh table of the two-choice lines that hold Len+n at abiMaxFill,
+// capped at cfg.ABISlots (moveABI). So below its cap a fitted ABI is at most
+// nine tenths full, and three quarters full right after it grows. Called with
+// sh.mu held.
+func (sh *shard) growABI(c *simclock.Clock, n int) error {
 	old := sh.abi
 	if old == nil || old.Cap() >= sh.store.cfg.ABISlots {
-		return
+		return nil
 	}
-	need := old.Len() + n
-	if float64(need) <= abiMaxFill*float64(old.Cap()) {
-		return
+	need, keep := old.Len()+n, abiMaxFill
+	if old.TwoChoice() {
+		keep = abiFullFraction
 	}
-	sh.abi = hashtable.NewFittedMem(min(sh.store.cfg.ABISlots, hashtable.FitCapacity(2*need)))
-	old.Iterate(func(s hashtable.Slot) bool {
-		sh.abi.Insert(s.Hash, s.Ref)
-		return true
-	})
-	c.Advance(int64(float64(old.DRAMFootprint()+sh.abi.DRAMFootprint()) * device.CostDRAMSeqPerByte))
+	if float64(need) <= keep*float64(old.Cap()) {
+		return nil
+	}
+	return sh.moveABI(c, hashtable.FitTwoChoice(int(math.Ceil(float64(need)/abiMaxFill))))
+}
+
+// moveABI moves the ABI's entries into a fresh table of min(capacity,
+// cfg.ABISlots) slots. When an entry finds no room there — a two-choice
+// placement whose displacement failed — it starts over one two-choice size
+// up; the cap is a power of two larger than the old table, so there every
+// entry fits. Each copy is charged as a sequential read of the old bytes and
+// write of the new; views published before keep the old table, which is
+// never written again, and the caller publishes the new one. Called with
+// sh.mu held.
+func (sh *shard) moveABI(c *simclock.Clock, capacity int) error {
+	old, limit := sh.abi, sh.store.cfg.ABISlots
+	for {
+		t := hashtable.NewFittedMem(min(capacity, limit))
+		ok := true
+		old.Iterate(func(s hashtable.Slot) bool {
+			_, ok = t.Insert(s.Hash, s.Ref)
+			return ok
+		})
+		c.Advance(int64(float64(old.DRAMFootprint()+t.DRAMFootprint()) * device.CostDRAMSeqPerByte))
+		if ok {
+			sh.abi = t
+			return nil
+		}
+		if t.Cap() >= limit {
+			return sh.errABIFull()
+		}
+		capacity = hashtable.FitTwoChoice(t.Cap() + 1)
+	}
+}
+
+func (sh *shard) errABIFull() error {
+	return fmt.Errorf("core: shard %d: ABI full at its %d-slot cap", sh.id, sh.store.cfg.ABISlots)
 }
 
 // abiInsert indexes one entry in the ABI, charging its DRAM probes: the entry
 // replaces an older version of its hash, or with ifAbsent (the recovery
 // rebuild, which meets newer versions first) yields to one. The ABI grows
-// first if the entry would fill it past abiMaxFill (a no-op after growABI
-// sized it for the batch); an ABI full at its cap is an error, never a
-// dropped entry. Called with sh.mu held.
+// first if the entry would fill it past its bound (a no-op after growABI
+// sized it for the batch), and one two-choice size up when the entry finds
+// no room; an ABI full at its cap is an error, never a dropped entry. Called
+// with sh.mu held.
 func (sh *shard) abiInsert(c *simclock.Clock, s hashtable.Slot, ifAbsent bool) error {
-	sh.growABI(c, 1)
-	insert := sh.abi.Insert
-	if ifAbsent {
-		insert = sh.abi.InsertIfAbsent
+	if err := sh.growABI(c, 1); err != nil {
+		return err
 	}
-	probes, ok := insert(s.Hash, s.Ref)
-	c.Advance(device.DRAMProbeCost(probes))
-	if !ok {
-		return fmt.Errorf("core: shard %d: ABI full at its %d-slot cap", sh.id, sh.abi.Cap())
+	for {
+		insert := sh.abi.Insert
+		if ifAbsent {
+			insert = sh.abi.InsertIfAbsent
+		}
+		probes, ok := insert(s.Hash, s.Ref)
+		c.Advance(device.DRAMProbeCost(probes))
+		if ok {
+			return nil
+		}
+		if sh.abi.Cap() >= sh.store.cfg.ABISlots {
+			return sh.errABIFull()
+		}
+		if err := sh.moveABI(c, hashtable.FitTwoChoice(sh.abi.Cap()+1)); err != nil {
+			return err
+		}
 	}
-	return nil
 }
 
 // abiAbsorb indexes every entry of a frozen MemTable in the ABI, growing it
 // first to hold them. Called with sh.mu held; the caller publishes the view.
 func (sh *shard) abiAbsorb(c *simclock.Clock, m *hashtable.Mem) error {
-	sh.growABI(c, m.Len())
-	var err error
+	err := sh.growABI(c, m.Len())
+	if err != nil {
+		return err
+	}
 	m.Iterate(func(s hashtable.Slot) bool {
 		err = sh.abiInsert(c, s, false)
 		return err == nil

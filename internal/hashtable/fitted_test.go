@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
-	"testing/quick"
 
 	"chameleondb/internal/device"
 	"chameleondb/internal/pmem"
@@ -13,25 +13,22 @@ import (
 	"chameleondb/internal/xhash"
 )
 
-// hashWithHome returns a hash whose probe in a line-granular table of the
-// given capacity starts at slot home; salt varies the bits the placement does
-// not look at, so distinct salts give distinct hashes with one home.
-func hashWithHome(capacity, home int, salt uint64) uint64 {
-	low := (uint64(home)<<32 + uint64(capacity) - 1) / uint64(capacity)
-	return salt<<32 | low
-}
-
-// hashWithLines returns a hash whose candidate lines in a table of the given
-// number of lines are line1 and line1+1, starting at slot sub within either:
-// bits 32..49 are zero, salt fills bits 50 and up, which lineHomes never
-// reads, and low picks the low 32 bits within the range that keeps line1
+// hashWithBuckets returns a hash whose candidate buckets in a two-choice
+// table of n buckets of size slots are b1 and b1+1, starting at slot sub
+// within either: bits 32..49 are zero, salt fills bits 50 and up, which homes
+// never reads, and low picks the low 32 bits within the range that keeps b1
 // and sub.
-func hashWithLines(lines, line1, sub int, salt, low uint64) uint64 {
-	capacity := uint64(lines * slotsPerLine)
-	home := uint64(line1*slotsPerLine + sub)
+func hashWithBuckets(n, size, b1, sub int, salt, low uint64) uint64 {
+	capacity := uint64(n * size)
+	home := uint64(b1*size + sub)
 	first := (home<<32 + capacity - 1) / capacity
 	last := ((home+1)<<32 + capacity - 1) / capacity // exclusive
 	return salt<<50 | (first + low%(last-first))
+}
+
+// hashWithLines is hashWithBuckets for a two-choice PmemTable's lines.
+func hashWithLines(lines, line1, sub int, salt, low uint64) uint64 {
+	return hashWithBuckets(lines, slotsPerLine, line1, sub, salt, low)
 }
 
 // lineReads returns the random line reads a Get of h costs.
@@ -320,22 +317,51 @@ func TestFittedMemCapacity(t *testing.T) {
 	}
 }
 
-// TestFittedMemMatchesMapOracle drives line-granular Mems with random
-// Insert/InsertIfAbsent over more hashes than they hold, against a map: every
-// present hash reads back its newest reference (the first, for
-// InsertIfAbsent), Len and Iterate agree with the map, and once the table is
-// full a new hash is refused with ok=false after probing every slot.
+// checkBucketInvariant reads a two-choice Mem's slots and checks that every
+// entry sits in its first bucket, or in its second while the first is full.
+func checkBucketInvariant(t *testing.T, m *Mem) {
+	t.Helper()
+	for i := range m.slots {
+		s := m.slot(uint64(i))
+		if s.Ref == 0 {
+			continue
+		}
+		b1, b2, _ := m.g.homes(s.Hash)
+		switch at := uint64(i / memBucketSlots); {
+		case at == b1:
+		case at == b2 && m.full(b1):
+		default:
+			t.Fatalf("hash %#x sits in bucket %d; its buckets are %d (full: %v) and %d", s.Hash, at, b1, m.full(b1), b2)
+		}
+	}
+}
+
+// TestFittedMemMatchesMapOracle drives two-choice Mems with random
+// Insert/InsertIfAbsent — new hashes, versions of present ones, tombstones —
+// against a map, up to the first insert that finds no room. Until then every
+// insert succeeds; the one that fails is of an absent hash whose two buckets
+// were full, leaves every slot, Len and the seqlock as they were, and comes
+// above nine tenths full, so displacement made room before it. After it,
+// every present hash reads back its newest reference (the first, for
+// InsertIfAbsent) and absent hashes miss, each probe reading at most two
+// buckets; Len and Iterate agree with the map, and every entry keeps the
+// bucket invariant.
 func TestFittedMemMatchesMapOracle(t *testing.T) {
-	for _, capacity := range []int{48, 80, 1040} {
-		f := func(seed int64) bool {
-			r := rand.New(rand.NewSource(seed))
+	for _, capacity := range []int{48, 80, 1040, 5440} {
+		for seed := range 20 {
+			r := rand.New(rand.NewSource(int64(seed)))
 			m := NewFittedMem(capacity)
-			if m.Cap() != capacity {
-				return false
+			if m.Cap() != capacity || !m.TwoChoice() {
+				t.Fatalf("NewFittedMem(%d): %d slots, two-choice %v", capacity, m.Cap(), m.TwoChoice())
 			}
 			oracle := map[uint64]uint64{}
-			for i := 0; i < 2*capacity; i++ {
-				h := xhash.Uint64(uint64(r.Intn(capacity + capacity/2)))
+			universe := capacity + capacity/2
+			failed := false
+			for i := 0; !failed; i++ {
+				if i > 8*capacity {
+					t.Fatalf("cap %d seed %d: no insert failed in %d", capacity, seed, i)
+				}
+				h := xhash.Uint64(uint64(r.Intn(universe)))
 				ref := MakeRef(int64(i)+1, r.Intn(10) == 0)
 				want, present := oracle[h]
 				insert := m.Insert
@@ -344,82 +370,164 @@ func TestFittedMemMatchesMapOracle(t *testing.T) {
 				} else {
 					want = ref
 				}
-				probes, ok := insert(h, ref)
+				b1, b2, _ := m.g.homes(h)
+				crowded := !present && m.full(b1) && m.full(b2)
+				var before []Slot
+				if crowded {
+					for j := range m.slots {
+						before = append(before, m.slot(uint64(j)))
+					}
+				}
+				n, seq, moves := m.Len(), m.seq.Load(), m.Displacements()
+				_, ok := insert(h, ref)
 				switch {
-				case present:
-					if !ok {
-						return false
-					}
+				case ok && present:
 					oracle[h] = want
-				case len(oracle) == capacity:
-					if ok || probes != capacity {
-						return false
-					}
-				default:
-					if !ok {
-						return false
-					}
+				case ok:
 					oracle[h] = ref
+					if crowded && m.Displacements() != moves+1 {
+						t.Fatalf("cap %d seed %d: an insert into two full buckets succeeded without a displacement", capacity, seed)
+					}
+				case !crowded:
+					t.Fatalf("cap %d seed %d: insert %d refused (present %v) with a bucket free", capacity, seed, i, present)
+				default:
+					failed = true
+					for j, s := range before {
+						if m.slot(uint64(j)) != s {
+							t.Fatalf("cap %d seed %d: the refused insert changed slot %d", capacity, seed, j)
+						}
+					}
+					if m.Len() != n || m.seq.Load() != seq {
+						t.Fatalf("cap %d seed %d: the refused insert moved Len %d -> %d, seq %d -> %d", capacity, seed, n, m.Len(), seq, m.seq.Load())
+					}
+					if 10*n <= 9*capacity {
+						t.Fatalf("cap %d seed %d: the first insert refused at %d entries, not above nine tenths", capacity, seed, n)
+					}
 				}
 			}
 			for h, want := range oracle {
-				if got, _, ok := m.Get(h); !ok || got != want {
-					return false
+				if got, probes, ok := m.Get(h); !ok || got != want || probes > 2*memBucketSlots {
+					t.Fatalf("cap %d seed %d: get %#x = %#x, %v after %d probes; want %#x within two buckets", capacity, seed, h, got, ok, probes, want)
 				}
 			}
-			for i := capacity + capacity/2; i < 2*capacity; i++ {
-				if _, probes, ok := m.Get(xhash.Uint64(uint64(i))); ok || probes > capacity {
-					return false
+			for i := universe; i < 2*universe; i++ {
+				if _, probes, ok := m.Get(xhash.Uint64(uint64(i))); ok || probes > 2*memBucketSlots {
+					t.Fatalf("cap %d seed %d: absent hash %d found=%v after %d probes", capacity, seed, i, ok, probes)
 				}
 			}
-			seen := 0
+			yielded, got := 0, 0
 			m.Iterate(func(s Slot) bool {
+				yielded++
 				if oracle[s.Hash] == s.Ref {
-					seen++
+					got++
 				}
 				return true
 			})
-			return m.Len() == len(oracle) && seen == len(oracle)
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-			t.Fatalf("cap %d: %v", capacity, err)
+			if m.Len() != len(oracle) || yielded != len(oracle) || got != len(oracle) {
+				t.Fatalf("cap %d seed %d: Len %d, Iterate yielded %d slots, %d of them the oracle's %d entries", capacity, seed, m.Len(), yielded, got, len(oracle))
+			}
+			if m.Displacements() == 0 {
+				t.Fatalf("cap %d seed %d: no insert displaced an entry", capacity, seed)
+			}
+			checkBucketInvariant(t, m)
 		}
 	}
 }
 
-// TestFittedMemProbeWraps starts three probes in the last slot of a
-// line-granular Mem: the second and third land in slots 0 and 1, a miss with
-// the same home wraps to the first empty slot, and a full table's probes stop
-// after cap slots.
+// TestFittedMemProbeWraps places entries of hashes whose buckets are 5 and 6
+// of a twelve-bucket Mem, probing from the last slot of either. The first
+// three land in bucket 5's slots 3, 0 and 1 — the probe wraps inside the
+// bucket, not into the next — and a miss stops at the bucket's first empty
+// slot. Once bucket 5 is full, entries go to bucket 6 and a probe for them
+// reads both buckets, charged as two cache lines. With both full, an entry
+// of bucket 5 whose second bucket has room moves there to make room, and the
+// probe for it reads two buckets; when no entry can move, the insert is
+// refused and the table is left as it was, and a miss reads exactly the two
+// buckets' eight slots.
 func TestFittedMemProbeWraps(t *testing.T) {
-	const capacity = 48
+	const capacity, buckets = 48, 12
 	m := NewFittedMem(capacity)
-	var hs [3]uint64
+	hs := make([]uint64, 9)
 	for i := range hs {
-		hs[i] = hashWithHome(capacity, capacity-1, uint64(i)+1)
-		if _, ok := m.Insert(hs[i], MakeRef(int64(i)+1, false)); !ok {
-			t.Fatalf("insert %d failed", i)
+		hs[i] = hashWithBuckets(buckets, memBucketSlots, 5, memBucketSlots-1, uint64(i)+1, uint64(i))
+	}
+	// mover's first bucket is 5 and its second 7: bits 32..49 pick an
+	// offset of 2 out of 11.
+	mover := hashWithBuckets(buckets, memBucketSlots, 5, memBucketSlots-1, 99, 7) | 23832<<32
+	for _, h := range append(hs, mover) {
+		want := uint64(6)
+		if h == mover {
+			want = 7
+		}
+		if b1, b2, sub := m.g.homes(h); b1 != 5 || b2 != want || sub != memBucketSlots-1 {
+			t.Fatalf("hash %#x: buckets %d, %d from slot %d", h, b1, b2, sub)
 		}
 	}
-	for i, slot := range []int{capacity - 1, 0, 1} {
+	ref := func(i int) uint64 { return MakeRef(int64(i)+1, false) }
+	insert := func(i int, h uint64) {
+		t.Helper()
+		if _, ok := m.Insert(h, ref(i)); !ok {
+			t.Fatalf("insert %d refused", i)
+		}
+	}
+	get := func(i int, h uint64, wantProbes int) { // wantProbes < 0: any
+		t.Helper()
+		if got, probes, ok := m.Get(h); !ok || got != ref(i) || (wantProbes > 0 && probes != wantProbes) {
+			t.Fatalf("get %d = %#x, %v after %d probes; want %#x after %d", i, got, ok, probes, ref(i), wantProbes)
+		}
+	}
+	miss := func(wantProbes int) {
+		t.Helper()
+		if _, probes, ok := m.Get(hs[8]); ok || probes != wantProbes {
+			t.Fatalf("miss: found %v after %d probes, want a miss after %d", ok, probes, wantProbes)
+		}
+	}
+	for i := range 3 {
+		insert(i, hs[i])
+	}
+	for i, slot := range []int{23, 20, 21} {
 		if got := m.slots[slot].hash.Load(); got != hs[i] {
 			t.Fatalf("slot %d holds hash %#x, want entry %d (%#x)", slot, got, i, hs[i])
 		}
+		get(i, hs[i], i+1)
 	}
-	for i, h := range hs {
-		if ref, _, ok := m.Get(h); !ok || ref != MakeRef(int64(i)+1, false) {
-			t.Fatalf("get of wrapped entry %d = %#x, %v", i, ref, ok)
+	miss(4)
+	insert(9, mover) // slot 22: bucket 5 is full
+	insert(3, hs[3]) // bucket 6, slot 27
+	get(3, hs[3], 5)
+	if got, want := device.DRAMProbeCost(5), 2*int64(device.CostDRAMRandAccess)+10; got != want {
+		t.Fatalf("a probe of two buckets costs %d ns, want two cache lines' %d", got, want)
+	}
+	miss(6)
+	for i := 4; i < 7; i++ {
+		insert(i, hs[i])
+	}
+	miss(8)
+	insert(7, hs[7]) // both full: mover goes to bucket 7, hs[7] takes its slot
+	if m.Displacements() != 1 || m.slots[22].hash.Load() != hs[7] || m.slots[31].hash.Load() != mover {
+		t.Fatalf("after a displacement: %d displacements, slot 22 holds %#x, slot 31 %#x; want 1, %#x, %#x",
+			m.Displacements(), m.slots[22].hash.Load(), m.slots[31].hash.Load(), hs[7], mover)
+	}
+	get(7, hs[7], 4)
+	get(9, mover, 5)
+	snapshot := func() (out []Slot) {
+		for i := range m.slots {
+			out = append(out, m.slot(uint64(i)))
 		}
+		return out
 	}
-	if _, probes, ok := m.Get(hashWithHome(capacity, capacity-1, 9)); ok || probes != 4 {
-		t.Fatalf("miss at the last slot: found %v after %d probes, want a miss after 4", ok, probes)
+	before := snapshot()
+	if _, ok := m.Insert(hs[8], ref(8)); ok {
+		t.Fatal("an insert with no chain of moves was accepted")
 	}
-	for i := uint64(0); m.Len() < capacity; i++ {
-		m.Insert(xhash.Uint64(i), MakeRef(int64(i)+1, false))
+	if !slices.Equal(before, snapshot()) || m.Len() != 9 {
+		t.Fatal("a refused insert changed the table")
 	}
-	if _, probes, ok := m.Get(hashWithHome(capacity, capacity-1, 9)); ok || probes != capacity {
-		t.Fatalf("miss in a full table: found %v after %d probes, want a miss after %d", ok, probes, capacity)
+	miss(8)
+	for i := range 8 {
+		get(i, hs[i], -1)
 	}
+	checkBucketInvariant(t, m)
 }
 
 // TestMemPowerOfTwoLayoutUnchanged pins power-of-two Mems — MemTables,

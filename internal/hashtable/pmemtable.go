@@ -135,25 +135,15 @@ func (t *PmemTable) SizeBytes() int64 { return int64(t.cap) * SlotSize }
 // BlockBytes returns the size of the arena block the table was allocated in.
 func (t *PmemTable) BlockBytes() int64 { return int64(blockSlots(t.cap)) * SlotSize }
 
-// line2Bits is how many hash bits above the low 32 pick a hash's second
-// line: bits 32..49, which the shard router (the top log2(Shards) bits; the
-// engine allows at most 2^14 shards) never reaches.
-const line2Bits = 18
+// lineShift is log2(slotsPerLine): a two-choice PmemTable's buckets are its
+// lines.
+const lineShift = 4
 
-// lineHomes returns hash h's two candidate lines in a table of the given
-// number of lines (two or more), and the slot within either line its probe
-// starts at. The first line and the slot are the multiply-shift of the low
-// 32 hash bits onto the table's slots, at line grain and within it; the
-// second is the first plus an offset in [1, lines-1] taken from bits 32..49,
-// so it never is the first.
+// lineHomes returns hash h's two candidate lines in a two-choice table of
+// the given number of lines, and the slot within either its probe starts at
+// (buckets.homes).
 func lineHomes(h, lines uint64) (line1, line2, sub uint64) {
-	home := uint64(uint32(h)) * (lines * slotsPerLine) >> 32
-	line1, sub = home/slotsPerLine, home%slotsPerLine
-	line2 = line1 + 1 + (h>>32&(1<<line2Bits-1))*(lines-1)>>line2Bits
-	if line2 >= lines {
-		line2 -= lines
-	}
-	return line1, line2, sub
+	return buckets{n: lines, shift: lineShift}.homes(h)
 }
 
 // insertVolatile places a slot in a power-of-two table's volatile image
@@ -268,19 +258,8 @@ type lineBuild struct {
 	slots   []Slot  // the table's image, line after line
 	fill    []uint8 // entries per line
 	placed  int     // distinct entries placed
-	hops    []hop   // displace's search
+	hops    []hop   // the displacement search's
 }
-
-// hop is one line displace reached: the entry at index slot of line
-// hops[from] has this line as its second line and may move here.
-type hop struct {
-	line       uint64
-	from, slot int // from < 0: a candidate line of the entry being placed
-}
-
-// maxHops bounds displace's search; a search that reaches this many full
-// lines gives up and the build takes one more line.
-const maxHops = 64
 
 var lineBuilds sync.Pool
 
@@ -306,8 +285,9 @@ func (b *lineBuild) place(lines int) bool {
 	b.fill = slices.Grow(b.fill[:0], lines)[:lines]
 	clear(b.fill)
 	b.placed = 0
+	g := buckets{n: uint64(lines), shift: lineShift}
 	for _, e := range b.entries {
-		line1, line2, sub := lineHomes(e.Hash, uint64(lines))
+		line1, line2, sub := g.homes(e.Hash)
 		// A first line that is not full never was, so an older duplicate
 		// is not in the second: as in Get, the second line is looked at
 		// only when the first is full without e's hash.
@@ -315,8 +295,12 @@ func (b *lineBuild) place(lines int) bool {
 		if !added && !dup {
 			added, dup = b.insert(line2, sub, e)
 		}
-		if !added && !dup && !b.displace(e, line1, line2, uint64(lines)) {
-			return false
+		if !added && !dup {
+			hops, at, slot, _, ok := g.findMove(b, b.hops, line1, line2)
+			if b.hops = hops; !ok {
+				return false
+			}
+			g.move(b, hops, at, slot, e)
 		}
 		if !dup {
 			b.placed++
@@ -344,40 +328,12 @@ func (b *lineBuild) insert(line, sub uint64, e Slot) (added, dup bool) {
 	return false, false
 }
 
-// displace makes room for e, whose two lines are full, by a breadth-first
-// search of one-way moves: an entry sitting in its own first line moves to
-// its second. Every line on the chain gives one entry and takes one, in the
-// same slot, so it stays full — where a probe scans every slot — and the
-// invariant holds; the chain ends at a line with room.
-func (b *lineBuild) displace(e Slot, line1, line2, lines uint64) bool {
-	b.hops = append(b.hops[:0], hop{line: line1, from: -1}, hop{line: line2, from: -1})
-	for i := 0; i < len(b.hops); i++ {
-		x := b.hops[i].line
-		for j, m := range b.slots[x*slotsPerLine : (x+1)*slotsPerLine] {
-			m1, m2, sub := lineHomes(m.Hash, lines)
-			if m1 != x {
-				continue // already in its second line
-			}
-			if b.fill[m2] < slotsPerLine {
-				b.insert(m2, sub, m)
-				// Shift the chain back to its root, which takes e.
-				for k, at := i, j; ; {
-					h := b.hops[k]
-					if h.from < 0 {
-						b.slots[h.line*slotsPerLine+uint64(at)] = e
-						return true
-					}
-					b.slots[h.line*slotsPerLine+uint64(at)] = b.slots[b.hops[h.from].line*slotsPerLine+uint64(h.slot)]
-					k, at = h.from, h.slot
-				}
-			}
-			if len(b.hops) < maxHops && !slices.ContainsFunc(b.hops, func(h hop) bool { return h.line == m2 }) {
-				b.hops = append(b.hops, hop{line: m2, from: i, slot: j})
-			}
-		}
-	}
-	return false
-}
+// slot, setSlot, full and add are the image as a displacement sees it
+// (bucketImage).
+func (b *lineBuild) slot(i uint64) Slot           { return b.slots[i] }
+func (b *lineBuild) setSlot(i uint64, s Slot)     { b.slots[i] = s }
+func (b *lineBuild) full(line uint64) bool        { return b.fill[line] == slotsPerLine }
+func (b *lineBuild) add(line, sub uint64, s Slot) { b.insert(line, sub, s) }
 
 // Get probes for hash h, charging one random pmem read per 256 B line
 // touched and a small CPU cost per additional slot within a line — the probe

@@ -1,7 +1,10 @@
 package hashtable
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -18,7 +21,7 @@ func TestGetBlocksAcrossReset(t *testing.T) {
 
 	started := make(chan struct{})
 	release := make(chan struct{})
-	m.SetResetHook(func() {
+	m.SetWriteHook(func() {
 		close(started)
 		<-release
 	})
@@ -134,4 +137,116 @@ func TestConcurrentReadersSeeInsertedEntries(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestGetNeverTearsAcrossDisplacement: one writer fills a two-choice Mem
+// past nine tenths, where inserts displace entries, while readers Get every
+// hash already inserted and the one being inserted. A present hash must never
+// miss, and no hash may read back a reference other than its own. The write
+// hook parks the writer inside displacements — seq odd, a moved slot's hash
+// written and its reference not yet — and Gets the hash being inserted from
+// another goroutine meanwhile: a Get that did not wait out the displacement
+// would pair that hash with the reference its slot held before. Run with
+// -race.
+func TestGetNeverTearsAcrossDisplacement(t *testing.T) {
+	const capacity, readers, maxParks = 1040, 4, 200
+	m := NewFittedMem(capacity)
+	refOf := func(h uint64) uint64 { return h>>1 | 1 }
+	r := rand.New(rand.NewSource(1))
+	var hs []uint64
+	for seen := map[uint64]bool{}; len(hs) < capacity; {
+		if h := r.Uint64(); h != 0 && !seen[h] {
+			seen[h] = true
+			hs = append(hs, h)
+		}
+	}
+	var published atomic.Int64 // hs[:published] are present
+	var inflight atomic.Uint64 // the hash being inserted; 0 between inserts
+	errs := make(chan error, 1)
+	check := func(h uint64, present bool) bool {
+		ref, _, ok := m.Get(h)
+		var err error
+		switch {
+		case ok && ref != refOf(h):
+			err = fmt.Errorf("hash %#x read back reference %#x, want %#x", h, ref, refOf(h))
+		case !ok && present:
+			err = fmt.Errorf("present hash %#x missed", h)
+		}
+		if err != nil {
+			select {
+			case errs <- err:
+			default:
+			}
+		}
+		return err == nil
+	}
+
+	parks := 0
+	var parked sync.WaitGroup
+	m.SetWriteHook(func() {
+		if parks >= maxParks {
+			return
+		}
+		parks++
+		h := inflight.Load()
+		done := make(chan struct{})
+		parked.Add(1)
+		go func() {
+			defer parked.Done()
+			defer close(done)
+			check(h, false)
+		}()
+		select {
+		case <-done:
+		case <-time.After(time.Millisecond):
+		}
+	})
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				n := int(published.Load())
+				for _, h := range hs[:n] {
+					if !check(h, true) {
+						return
+					}
+				}
+				if h := inflight.Load(); h != 0 && !check(h, false) {
+					return
+				}
+			}
+		}()
+	}
+	for i, h := range hs {
+		if 100*m.Len() >= 93*capacity {
+			break
+		}
+		inflight.Store(h)
+		if _, ok := m.Insert(h, refOf(h)); !ok {
+			break
+		}
+		published.Store(int64(i + 1))
+		inflight.Store(0)
+	}
+	close(stop)
+	wg.Wait()
+	parked.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+	t.Logf("%d of %d slots filled, %d displacements, the writer parked %d times", m.Len(), capacity, m.Displacements(), parks)
+	if 10*m.Len() <= 9*capacity || m.Displacements() == 0 || parks == 0 {
+		t.Fatalf("the writer reached %d of %d slots with %d displacements and %d parks: the test no longer covers them", m.Len(), capacity, m.Displacements(), parks)
+	}
 }
