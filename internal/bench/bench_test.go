@@ -70,10 +70,10 @@ var update = flag.Bool("update", false, "rewrite testdata/golden_<id>.txt from t
 // printed text must equal testdata/golden_<id>.txt byte for byte. The reports
 // are functions of virtual time only, so no figure may move when the log, the
 // persist path, a baseline's code or the scanner change (the goldens are
-// `chameleon-bench -experiment <id> -keys 40000 -ops 40000 -threads 4`; every
-// one but fig1 and fig2 was last re-taken when the ABIs began to grow in
-// whole lines between half and three-quarters full). A change that means to
-// move virtual time regenerates them with
+// `chameleon-bench -experiment <id> -keys 40000 -ops 40000 -threads 4`; all
+// but fig1 and fig2 were last re-taken when the ABI became a two-choice table
+// in 64 B buckets, grown between three-quarters and nine-tenths full). A
+// change that means to move virtual time regenerates them with
 // `go test ./internal/bench -run TestVirtualTimeGolden -update` and says so.
 // Under -short only the two cheap ones, fig6 and scan, are compared.
 func TestVirtualTimeGolden(t *testing.T) {

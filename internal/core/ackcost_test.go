@@ -12,22 +12,27 @@ import (
 	"time"
 
 	"chameleondb/internal/core"
+	"chameleondb/internal/pmem"
 	"chameleondb/internal/resp"
 	"chameleondb/internal/server"
 	"chameleondb/internal/simclock"
 )
 
-// countingMedium is a pmem.Medium that keeps nothing and counts what a
-// durable acknowledgement is made of: barriers (an fdatasync per dirty file
-// each on the file backend) and host-metadata records (a manifest fdatasync
-// each).
+// countingMedium is a MemMedium that counts what a durable acknowledgement is
+// made of: barriers (an fdatasync per dirty file each on the file backend) and
+// host-metadata records (a manifest fdatasync each). It keeps the durable
+// image, so a store on it crashes and recovers like a simulated one.
 type countingMedium struct {
+	*pmem.MemMedium
 	barriers   atomic.Int64
 	metaWrites atomic.Int64
 	failing    atomic.Bool // barriers return an I/O error
 }
 
-func (m *countingMedium) WriteBack(off int64, data []byte) error { return nil }
+func newCountingMedium(cfg core.Config) *countingMedium {
+	return &countingMedium{MemMedium: pmem.NewMemMedium(cfg.ArenaBytes)}
+}
+
 func (m *countingMedium) Sync() error {
 	if m.failing.Load() {
 		return errors.New("injected EIO")
@@ -35,19 +40,18 @@ func (m *countingMedium) Sync() error {
 	m.barriers.Add(1)
 	return nil
 }
-func (m *countingMedium) ZeroDurable(off, size int64) error { return nil }
 func (m *countingMedium) WriteMeta(payload []byte, tear int64) error {
 	m.metaWrites.Add(1)
 	return nil
 }
-func (m *countingMedium) Close() error { return nil }
 
 // serveOnMedium boots a store on a counting medium and a server over it, with
 // the server's shipped defaults (durable acks) unless asyncAck is set.
 func serveOnMedium(t *testing.T, asyncAck bool) (*core.Store, *countingMedium, *server.Server, string) {
 	t.Helper()
-	med := &countingMedium{}
-	st, err := core.OpenOnMedium(core.TestConfig(), med)
+	cfg := core.TestConfig()
+	med := newCountingMedium(cfg)
+	st, err := core.OpenOnMedium(cfg, med)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +125,9 @@ func TestDurableAckCostsOneSync(t *testing.T) {
 // cold start is the ring: a size never seen in the last four windows may cost
 // one extra sync and a 4 KiB chunk, once.
 func TestVaryingWindowsCostOneSyncEach(t *testing.T) {
-	med := &countingMedium{}
-	st, err := core.OpenOnMedium(core.TestConfig(), med)
+	cfg := core.TestConfig()
+	med := newCountingMedium(cfg)
+	st, err := core.OpenOnMedium(cfg, med)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +171,9 @@ func TestVaryingWindowsCostOneSyncEach(t *testing.T) {
 // Flush, and exactly one there. The keys cycle through a handful so no
 // MemTable fills and no index checkpoint barriers in between.
 func TestSealedChunksCostNoBarrier(t *testing.T) {
-	med := &countingMedium{}
-	st, err := core.OpenOnMedium(core.TestConfig(), med)
+	cfg := core.TestConfig()
+	med := newCountingMedium(cfg)
+	st, err := core.OpenOnMedium(cfg, med)
 	if err != nil {
 		t.Fatal(err)
 	}

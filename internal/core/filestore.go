@@ -36,7 +36,7 @@ const (
 // OpenFile opens a ChameleonDB whose durable state lives in a real directory
 // (the `-backend=file` mode) instead of the simulated medium. The device
 // timing model still runs — stats and virtual-time accounting are identical —
-// but every persist is additionally written to segment files in dir, and
+// but every persist is written to segment files in dir, and
 // every point that promises durability — a session Flush, an index
 // checkpoint's manifest, a host record — fdatasyncs what was written before
 // it, so the store survives a process restart, SIGKILL and power cut
@@ -44,10 +44,11 @@ const (
 //
 // The returned bool reports whether dir held existing state. A fresh
 // directory is initialized and the store is immediately usable. An existing
-// directory is reattached cold — durable images loaded, allocator and log
-// directory restored from the backend's host-metadata record — and the store
-// comes back in the crashed state: the caller must run Recover (with a
-// clock) before opening sessions, exactly as after an in-process Crash.
+// directory is reattached cold — the arena image reloaded from the segment
+// files, allocator and log directory restored from the backend's
+// host-metadata record — and the store comes back in the crashed state: the
+// caller must run Recover (with a clock) before opening sessions, exactly as
+// after an in-process Crash.
 func OpenFile(cfg Config, dir string) (*Store, bool, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, false, err
@@ -63,27 +64,22 @@ func OpenFile(cfg Config, dir string) (*Store, bool, error) {
 		return nil, false, err
 	}
 	arena := pmem.NewArenaOn(dev, cfg.ArenaBytes, med)
-
-	if !med.Existing() {
-		s, err := bootOnMedium(cfg, dev, arena)
-		if err != nil {
-			med.Close()
-			return nil, false, err
-		}
-		s.spaceFlushes = true
-		return s, false, nil
+	var s *Store
+	if med.Existing() {
+		s, err = attachStore(cfg, dev, arena, med)
+	} else {
+		s, err = bootOnMedium(cfg, dev, arena)
 	}
-
-	s, err := attachStore(cfg, dev, arena, med)
 	if err != nil {
 		med.Close()
 		return nil, false, err
 	}
 	s.spaceFlushes = true
-	return s, true, nil
+	return s, med.Existing(), nil
 }
 
-// bootOnMedium boots a fresh store on an arena that mirrors onto a medium.
+// bootOnMedium boots a fresh store that keeps a host-metadata record on its
+// arena's medium.
 func bootOnMedium(cfg Config, dev *device.Device, arena *pmem.Arena) (*Store, error) {
 	s, err := openOnArena(cfg, dev, arena)
 	if err != nil {
@@ -122,7 +118,7 @@ func attachStore(cfg Config, dev *device.Device, arena *pmem.Arena, med *filedev
 			return nil, fmt.Errorf("core: host state manifest at %d outside arena", off)
 		}
 	}
-	if err := arena.LoadDurable(med.LoadInto); err != nil {
+	if err := arena.Reload(); err != nil {
 		return nil, err
 	}
 	// The allocator restarts at the persisted mark with an empty free list —

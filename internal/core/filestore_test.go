@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -387,6 +388,35 @@ func TestOpenFileRestartWithMaintenance(t *testing.T) {
 		got, ok, err := se2.Get([]byte(k))
 		if err != nil || !ok || !bytes.Equal(got, v) {
 			t.Fatalf("key %s after churny restart: got %q ok=%v err=%v", k, got, ok, err)
+		}
+	}
+}
+
+// TestOpenFileHoldsOneArenaImage: a file-backed store keeps one arena image in
+// heap, the volatile one; the durable bytes are the segment files. The heap a
+// fresh open and a cold reopen each leave live stays below 1.25 × ArenaBytes
+// (two images would be 2 ×).
+func TestOpenFileHoldsOneArenaImage(t *testing.T) {
+	cfg := fileTestConfig()
+	cfg.ArenaBytes = 256 << 20
+	dir := t.TempDir()
+	for _, phase := range []string{"fresh", "reopen"} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		s, _, err := OpenFile(cfg, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		if limit := cfg.ArenaBytes * 5 / 4; grew >= limit {
+			t.Errorf("%s OpenFile grew the heap by %d MiB, want < %d MiB (%d MiB arena)",
+				phase, grew>>20, limit>>20, cfg.ArenaBytes>>20)
 		}
 	}
 }

@@ -306,21 +306,20 @@ func (s *Store) Close() error {
 	if s.maint != nil {
 		s.maint.stop()
 	}
-	med := s.arena.Medium()
-	if med == nil || !first {
+	if !first {
 		return nil
 	}
-	// File-backed store: write a final host-metadata record — the only one
-	// that carries the log's exact tail, so the next open appends where this
-	// one stopped instead of at the next segment — and release the backend,
-	// which syncs the manifest and the directory entries on the way out. After
-	// a simulated power failure or a backend I/O error the durable state must
-	// stay exactly as the failure left it, so only the record write is
-	// skipped — Close still releases the descriptors.
+	// A store with a host-metadata record (file-backed) writes a final one —
+	// the only one that carries the log's exact tail, so the next open
+	// appends where this one stopped instead of at the next segment — and
+	// releases the medium, which syncs the manifest and the directory entries
+	// on the way out. After a simulated power failure or a backend I/O error
+	// the durable state must stay exactly as the failure left it, so only the
+	// record write is skipped — Close still releases the descriptors.
 	if !s.crashed.Load() && !s.dev.PowerFailed() && s.arena.MediumErr() == nil {
 		s.log.CloseMeta()
 	}
-	return med.Close()
+	return s.arena.Medium().Close()
 }
 
 // readable gates session operations on the store's lifecycle state.

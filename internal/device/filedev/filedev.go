@@ -715,28 +715,30 @@ func (d *Dev) WriteMeta(payload []byte, tear int64) error {
 	return nil
 }
 
-// LoadInto reads every existing segment file into durable at its span —
-// reattaching an arena's durable image after a process restart.
-func (d *Dev) LoadInto(durable []byte) error {
-	if int64(len(durable)) != d.opt.Capacity {
-		return fmt.Errorf("filedev: image %d bytes, directory capacity %d", len(durable), d.opt.Capacity)
+// LoadInto implements pmem.Medium: it reads the segment files over dst, a
+// prefix of the mirrored address space, and zeroes every span no file covers
+// — reattaching an arena's volatile image after a process restart, or
+// reloading it after an in-process crash.
+func (d *Dev) LoadInto(dst []byte) error {
+	if int64(len(dst)) > d.opt.Capacity {
+		return fmt.Errorf("filedev: image %d bytes, directory capacity %d", len(dst), d.opt.Capacity)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for idx, f := range d.segs {
-		base := idx * d.opt.SegmentBytes
-		span := d.segSpan(idx)
-		if base < 0 || span <= 0 || base+span > int64(len(durable)) {
-			return fmt.Errorf("filedev: segment %d outside capacity", idx)
-		}
-		n, err := f.ReadAt(durable[base:base+span], 0)
-		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-			return fmt.Errorf("filedev: segment %d: %w", idx, err)
+	for base := int64(0); base < int64(len(dst)); base += d.opt.SegmentBytes {
+		idx := base / d.opt.SegmentBytes
+		span := dst[base:min(base+d.segSpan(idx), int64(len(dst)))]
+		n := 0
+		if f := d.segs[idx]; f != nil {
+			var err error
+			if n, err = f.ReadAt(span, 0); err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+				return fmt.Errorf("filedev: segment %d: %w", idx, err)
+			}
 		}
 		// A short file is the crash image of an interrupted create: nothing
 		// past its length was ever durably acknowledged, so the remainder of
 		// the span reads as zero.
-		clear(durable[base+int64(n) : base+span])
+		clear(span[n:])
 	}
 	return nil
 }

@@ -174,6 +174,36 @@ func TestZeroDurableSkipsMissingSegments(t *testing.T) {
 	}
 }
 
+// TestLoadIntoZeroesMissingSegments: LoadInto overwrites every byte of its
+// buffer, a prefix of the address space or the whole of it. Spans with no
+// segment file read as zero whatever the buffer held (an arena reloads into
+// its live volatile image, not into a fresh slice).
+func TestLoadIntoZeroesMissingSegments(t *testing.T) {
+	opt := testOpts(t.TempDir())
+	d := mustOpen(t, opt)
+	defer d.Close()
+	data := bytes.Repeat([]byte("seg1"), 1000)
+	at := opt.SegmentBytes + 512 // segment 1 only
+	if err := d.WriteBack(at, data); err != nil {
+		t.Fatalf("WriteBack: %v", err)
+	}
+	for _, n := range []int64{opt.Capacity, at + 100, 3 * opt.SegmentBytes / 2} {
+		img := bytes.Repeat([]byte{0xff}, int(n))
+		if err := d.LoadInto(img); err != nil {
+			t.Fatalf("LoadInto(%d bytes): %v", n, err)
+		}
+		want := make([]byte, n)
+		copy(want[at:], data)
+		if !bytes.Equal(img, want) {
+			i := 0
+			for img[i] == want[i] {
+				i++
+			}
+			t.Fatalf("LoadInto(%d bytes): byte %d = %#x, want %#x", n, i, img[i], want[i])
+		}
+	}
+}
+
 // TestSegmentCreateSyncsDirectory: with the fix in place, a segment file's
 // directory entry is fsync'd at creation (UnsyncedCreates stays empty), so a
 // crash immediately after the creating persist cannot unlink it.

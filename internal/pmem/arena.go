@@ -1,15 +1,16 @@
 // Package pmem implements the simulated Optane persistent memory arena used
 // by every store in this repository.
 //
-// The arena keeps two images of the memory: a volatile image, which models
-// the CPU cache hierarchy plus the device and is what running code reads and
-// writes, and a durable image, which models the persistent media behind the
-// write pending queue. Writes land in the volatile image immediately;
-// Persist (clwb+sfence) and PersistNT (ntstore+sfence) copy byte ranges into
-// the durable image and charge the device model for the media traffic.
-// Crash discards the volatile image, so anything not persisted is lost —
-// exactly the failure semantics App Direct mode exposes — and Recover-time
-// code sees only what was fenced.
+// The arena holds one image of the memory in heap: the volatile image, which
+// models the CPU cache hierarchy plus the device and is what running code
+// reads and writes. The durable bytes, the persistent media behind the write
+// pending queue, live only behind the arena's Medium: a byte slice on the
+// simulated backend (MemMedium), segment files on the file backend. Writes
+// land in the volatile image immediately; Persist (clwb+sfence) writes byte
+// ranges back to the medium and charges the device model for the media
+// traffic. Crash reloads the volatile image from the medium, so anything not
+// persisted is lost — exactly the failure semantics App Direct mode exposes —
+// and Recover-time code sees only what was fenced.
 package pmem
 
 import (
@@ -31,8 +32,8 @@ var ErrOutOfSpace = errors.New("pmem: arena out of space")
 type Arena struct {
 	dev *device.Device
 
-	// med, when non-nil, is the real persistence backend mirrored behind the
-	// in-memory durable image (see Medium). The simulated default is nil.
+	// med holds the durable bytes (see Medium): a MemMedium unless the arena
+	// was built on another backend.
 	med Medium
 	// medErr latches the first Medium I/O error: once a persist has failed to
 	// reach stable storage the arena can no longer honour durability, so the
@@ -41,43 +42,48 @@ type Arena struct {
 
 	mu       sync.Mutex
 	volatile []byte
-	durable  []byte
 	next     int64
 	free     map[int64][]int64 // size class -> free offsets
+	// ahead is the end of the medium bytes above the allocator mark that the
+	// volatile image may not hold: a TamperDurable write's, or a medium whose
+	// content predates the arena. Above max(next, ahead) the two images are
+	// equal, because every volatile write lands in an allocation below the
+	// mark and Alloc zeroes fresh space, so Reload stops there.
+	ahead int64
 
-	crashMu sync.RWMutex // held for writing only during Crash
+	crashMu sync.RWMutex // held for writing only during Reload
 }
 
-// NewArena creates an arena of the given capacity in bytes on device dev.
-// Offset 0 is reserved (a zero offset means "nil" throughout the codebase),
-// so the first allocation starts at the device access unit boundary.
+// NewArena creates an arena of the given capacity in bytes on device dev, over
+// a fresh MemMedium. Offset 0 is reserved (a zero offset means "nil"
+// throughout the codebase), so the first allocation starts at the device
+// access unit boundary.
 func NewArena(dev *device.Device, capacity int64) *Arena {
-	a := &Arena{
+	a := NewArenaOn(dev, capacity, NewMemMedium(capacity))
+	a.ahead = 0 // a fresh MemMedium is all zeroes, like the volatile image
+	return a
+}
+
+// NewArenaOn creates an arena whose durable bytes live on med (a file-backed
+// persistence backend), so every Persist and Barrier reaches real stable
+// storage. The device timing model behaves exactly as on the simulated
+// backend. What med already holds is unknown until the first Reload, which
+// reads all of it.
+func NewArenaOn(dev *device.Device, capacity int64, med Medium) *Arena {
+	return &Arena{
 		dev:      dev,
+		med:      med,
 		volatile: make([]byte, capacity),
-		durable:  make([]byte, capacity),
 		next:     dev.Profile().AccessUnit,
 		free:     make(map[int64][]int64),
+		ahead:    capacity,
 	}
-	return a
-}
-
-// NewArenaOn creates an arena whose durable image is mirrored onto med (a
-// file-backed persistence backend). The in-memory durable image is still
-// maintained, so Crash/Recover and the device timing model behave exactly as
-// on the simulated backend; med additionally makes every Persist and Barrier
-// reach real stable storage.
-func NewArenaOn(dev *device.Device, capacity int64, med Medium) *Arena {
-	a := NewArena(dev, capacity)
-	a.med = med
-	return a
 }
 
 // Device returns the backing device model.
 func (a *Arena) Device() *device.Device { return a.dev }
 
-// Medium returns the installed persistence backend, or nil on the simulated
-// default.
+// Medium returns the persistence backend holding the durable bytes.
 func (a *Arena) Medium() Medium { return a.med }
 
 // MediumErr reports the first I/O error the persistence backend returned, or
@@ -129,18 +135,6 @@ func (a *Arena) ReserveFloor(floor int64) {
 	}
 }
 
-// LoadDurable fills the durable image by calling load on it (a reattach reads
-// the medium's segment files into it), then makes the volatile image identical
-// — the state a freshly restarted process observes. Must be called before any
-// session touches the arena.
-func (a *Arena) LoadDurable(load func(durable []byte) error) error {
-	if err := load(a.durable); err != nil {
-		return err
-	}
-	copy(a.volatile, a.durable)
-	return nil
-}
-
 // Capacity returns the arena size in bytes.
 func (a *Arena) Capacity() int64 { return int64(len(a.volatile)) }
 
@@ -187,9 +181,10 @@ func (a *Arena) Alloc(size int64) (int64, error) {
 }
 
 // Free returns an allocation of the given size to the arena's free list. The
-// contents are zeroed in both images so stale data cannot leak into the next
-// user of the block (the durable zeroing is not charged: real systems defer
-// it into the next table write, which we charge in full).
+// contents are zeroed in the volatile image and on the medium so stale data
+// cannot leak into the next user of the block (the durable zeroing is not
+// charged: real systems defer it into the next table write, which we charge
+// in full).
 func (a *Arena) Free(off, size int64) {
 	if off == 0 || size <= 0 {
 		return
@@ -198,17 +193,13 @@ func (a *Arena) Free(off, size int64) {
 	size = (size + unit - 1) / unit * unit
 	clear(a.volatile[off : off+size])
 	// After a simulated power failure the process is as good as dead: its
-	// deferred durable zeroing never happens, and the durable image must stay
-	// exactly as the crash left it for recovery to observe.
-	if !a.dev.PowerFailed() {
-		clear(a.durable[off : off+size])
-		if a.mirroring() {
-			// The zeroes need not be synced here: the medium guarantees they
-			// are durable by the next synced WriteMeta, which is always
-			// ordered before a durable mapping can make the region reachable
-			// again (see Medium.ZeroDurable).
-			a.failMedium(a.med.ZeroDurable(off, size))
-		}
+	// deferred durable zeroing never happens, and the medium must stay
+	// exactly as the crash left it for recovery to observe. The zeroes need
+	// not be synced here: the medium guarantees they are durable by the next
+	// synced WriteMeta, which is always ordered before a durable mapping can
+	// make the region reachable again (see Medium.ZeroDurable).
+	if !a.dev.PowerFailed() && a.mediumOK() {
+		a.failMedium(a.med.ZeroDurable(off, size))
 	}
 	a.mu.Lock()
 	a.free[size] = append(a.free[size], off)
@@ -223,7 +214,7 @@ func (a *Arena) Bytes(off, size int64) []byte {
 }
 
 // ReadRandom charges one random device read and returns the volatile view of
-// the range (identical to the durable view for persisted data).
+// the range (identical to the medium's bytes for persisted data).
 func (a *Arena) ReadRandom(c *simclock.Clock, off, size int64) []byte {
 	a.dev.ReadRandom(c, off, size)
 	return a.volatile[off : off+size]
@@ -235,8 +226,8 @@ func (a *Arena) ReadSeq(c *simclock.Clock, off, size int64) []byte {
 	return a.volatile[off : off+size]
 }
 
-// Persist flushes [off, off+size) from the volatile image to the durable
-// image (clwb + sfence). Partial-unit writes incur read-modify-write
+// Persist flushes [off, off+size) from the volatile image to the medium
+// (clwb + sfence). Partial-unit writes incur read-modify-write
 // charges in the device model. It returns the media bytes the device charged
 // (whole access units; zero for a persist a power failure cut short), which
 // callers add to their per-purpose byte counters. On a medium it is a
@@ -252,26 +243,26 @@ func (a *Arena) Persist(c *simclock.Clock, off, size int64) int64 {
 }
 
 // Barrier makes every earlier PersistLater durable on the medium. It is a
-// no-op without a medium, after a simulated power failure (the dead process
-// syncs nothing) and after a medium error.
+// no-op after a simulated power failure (the dead process syncs nothing) and
+// after a medium error.
 func (a *Arena) Barrier() {
-	if !a.mirroring() || a.dev.PowerFailed() {
+	if !a.mediumOK() || a.dev.PowerFailed() {
 		return
 	}
 	a.failMedium(a.med.Sync())
 }
 
-// mirroring reports whether writes still reach the medium: one is installed
-// and it has not failed. After the first medium error the store fails stop
-// and the backing store keeps the state the error left: a later write could
-// land without what it depends on (fdatasync need not report a lost page
-// twice), so none is issued.
-func (a *Arena) mirroring() bool { return a.med != nil && a.medErr.Load() == nil }
+// mediumOK reports whether writes still reach the medium: it has not failed.
+// After the first medium error the store fails stop and the backing store
+// keeps the state the error left: a later write could land without what it
+// depends on (fdatasync need not report a lost page twice), so none is
+// issued.
+func (a *Arena) mediumOK() bool { return a.medErr.Load() == nil }
 
 // PersistLater is Persist without the barriers: the same device charge, media
-// bytes and fault-plan event, but on a medium the range is only written back
-// — durable by the next Barrier or Persist, not before. Without a medium the
-// two are the same call.
+// bytes and fault-plan event, but the range is only written back — durable by
+// the next Barrier or Persist, not before. On a MemMedium the two are the
+// same call.
 func (a *Arena) PersistLater(c *simclock.Clock, off, size int64) int64 {
 	if size <= 0 {
 		return 0
@@ -282,40 +273,37 @@ func (a *Arena) PersistLater(c *simclock.Clock, off, size int64) int64 {
 			// The power failed on (or before) this persist: only the first
 			// keep bytes — a whole-line prefix of the touched range — reach
 			// media, and the device is not charged (the timeline ends here).
-			if keep > 0 {
-				a.crashMu.RLock()
-				copy(a.durable[off:off+keep], a.volatile[off:off+keep])
-				a.crashMu.RUnlock()
-				if a.mirroring() {
-					// The torn prefix is what a reopen from the backing
-					// store must observe; the dead process never syncs it.
-					a.failMedium(a.med.WriteBack(off, a.durable[off:off+keep]))
-				}
-			}
+			// The dead process never syncs the torn prefix.
+			a.writeBack(off, keep)
 			return 0
 		}
 	}
-	a.crashMu.RLock()
-	copy(a.durable[off:off+size], a.volatile[off:off+size])
-	a.crashMu.RUnlock()
-	if a.mirroring() {
-		a.failMedium(a.med.WriteBack(off, a.durable[off:off+size]))
-	}
+	a.writeBack(off, size)
 	return a.dev.WritePersist(c, off, size)
 }
 
+// writeBack writes [off, off+size) of the volatile image back to the medium,
+// unless a medium error has latched. It holds crashMu shared, so it never
+// runs inside a Reload.
+func (a *Arena) writeBack(off, size int64) {
+	if size <= 0 || !a.mediumOK() {
+		return
+	}
+	a.crashMu.RLock()
+	a.failMedium(a.med.WriteBack(off, a.volatile[off:off+size]))
+	a.crashMu.RUnlock()
+}
+
 // PersistMeta durably replaces the engine's host-metadata record on the
-// persistence backend (a no-op on the simulated default, whose host state
-// lives in the process). The write counts as a persist event against any
-// installed fault plan — on the file backend it is an fsync like any other
-// persist point — and a plan that fires on it tears the freshly framed record,
-// which the medium's record checksum must detect on reopen. No virtual time
+// persistence backend (a no-op on a MemMedium: the simulated store keeps its
+// host state in the process and never calls it). The write counts as a
+// persist event against any installed fault plan — on the file backend it is
+// an fsync like any other persist point — and a plan that fires on it tears
+// the freshly framed record, which the medium's record checksum must detect
+// on reopen. No virtual time
 // is charged: metadata persists exist only on the real backend, which the
 // deterministic virtual-time experiments never use.
 func (a *Arena) PersistMeta(payload []byte) {
-	if a.med == nil {
-		return
-	}
 	tear := int64(-1)
 	if p := a.dev.FaultPlan(); p != nil {
 		keep, normal := p.NotePersist(a.dev.Profile().AccessUnit, 0, int64(len(payload)))
@@ -328,7 +316,7 @@ func (a *Arena) PersistMeta(payload []byte) {
 			tear = keep
 		}
 	}
-	if a.mirroring() {
+	if a.mediumOK() {
 		a.failMedium(a.med.WriteMeta(payload, tear))
 	}
 }
@@ -349,38 +337,51 @@ func (a *Arena) StorePersist(c *simclock.Clock, off int64, data []byte) int64 {
 	return a.Persist(c, off, int64(len(data)))
 }
 
-// Crash simulates a power failure: the volatile image is replaced by the
-// durable image, discarding every write that was not persisted. The free list
-// is discarded too — it is host allocator state, and after a mid-operation
-// crash it can hold blocks the durable metadata still references (a table
-// released after a manifest persist that never committed); reusing those
-// would overwrite live recovered data. The post-recovery allocator instead
-// carves fresh space, modeling an allocator that rebuilds its metadata
-// conservatively. The caller must guarantee no concurrent access (stores stop
-// their workers first).
-func (a *Arena) Crash() {
+// Reload replaces the volatile image with what the medium holds, discarding
+// every write that was not persisted, and empties the free list: the state a
+// freshly started process observes. A reattach calls it once before any
+// session touches the arena, and Crash is a Reload in place. It reads only
+// below max(InUse(), the end of the highest TamperDurable write): above that
+// the two images already agree (see ahead). The caller must guarantee no
+// concurrent access (stores stop their workers first).
+func (a *Arena) Reload() error {
 	a.crashMu.Lock()
-	copy(a.volatile, a.durable)
-	a.crashMu.Unlock()
+	defer a.crashMu.Unlock()
 	a.mu.Lock()
+	defer a.mu.Unlock()
+	end := max(a.next, a.ahead)
+	a.ahead = 0
+	// The free list is host allocator state: after a mid-operation crash it
+	// can hold blocks the durable metadata still references (a table released
+	// after a manifest persist that never committed), and reusing those would
+	// overwrite live recovered data. The post-recovery allocator instead
+	// carves fresh space, modeling an allocator that rebuilds its metadata
+	// conservatively.
 	a.free = make(map[int64][]int64)
-	a.mu.Unlock()
+	return a.med.LoadInto(a.volatile[:end])
 }
 
-// TamperDurable overwrites bytes of the durable image directly, bypassing the
-// volatile image and the device model. It exists for fault-injection tests
-// (fuzzing recovery with corrupted durable state) and must not be used by
-// store code.
+// Crash simulates a power failure: a Reload, with a failure to read the
+// medium latched as a medium error. On the file backend the medium is the
+// segment files as the page cache holds them, which is what a killed process
+// leaves behind: every write-back survives, synced or not. After a medium
+// error has latched, no write reaches the files any more, so the image shows
+// what reached them before it.
+func (a *Arena) Crash() { a.failMedium(a.Reload()) }
+
+// TamperDurable overwrites bytes on the medium directly, bypassing the
+// volatile image and the device model; the next Crash makes them visible. It
+// exists for fault-injection tests (fuzzing recovery with corrupted durable
+// state) and must not be used by store code.
 func (a *Arena) TamperDurable(off int64, data []byte) {
-	if off < 0 || off+int64(len(data)) > int64(len(a.durable)) {
+	end := off + int64(len(data))
+	if off < 0 || end > a.Capacity() {
 		return
 	}
-	a.crashMu.Lock()
-	copy(a.durable[off:off+int64(len(data))], data)
-	a.crashMu.Unlock()
-	if a.med != nil {
-		a.failMedium(a.med.WriteBack(off, data))
-	}
+	a.mu.Lock()
+	a.ahead = max(a.ahead, end)
+	a.mu.Unlock()
+	a.failMedium(a.med.WriteBack(off, data))
 }
 
 // Stats returns the backing device's media counters.

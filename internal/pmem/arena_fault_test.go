@@ -106,9 +106,15 @@ func TestTamperDurableVisibleAfterCrash(t *testing.T) {
 	if got := string(a.Bytes(off, 8)); got != "original" {
 		t.Fatalf("tamper leaked into volatile image: %q", got)
 	}
+	// Above the allocator mark, where no allocation has reached yet.
+	above := a.InUse() + 4096
+	a.TamperDurable(above, []byte("beyond the mark"))
 	a.Crash()
 	if got := string(a.Bytes(off, 8)); got != "corrupt!" {
 		t.Fatalf("tamper not visible after crash: %q", got)
+	}
+	if got := string(a.Bytes(above, 15)); got != "beyond the mark" {
+		t.Fatalf("tamper above the allocator mark not visible after crash: %q", got)
 	}
 	// Out-of-range tampering is ignored, not a panic.
 	a.TamperDurable(a.Capacity()-4, []byte("overflow"))

@@ -1,27 +1,27 @@
 package pmem
 
-// Medium is the persistence backend behind the arena's durable image: where
-// bytes go when they are persisted, and where they come back from after a
-// real process restart.
+// Medium is the persistence backend that holds the arena's durable image:
+// where bytes go when they are persisted, and where they come back from after
+// a crash or a process restart. The arena keeps only the volatile image in
+// heap; every write-back, zeroing and reload goes through its Medium, so the
+// virtual-time device model, Crash and recovery code are the same on every
+// backend. MemMedium is the simulated one; internal/device/filedev is the
+// file-backed one.
 //
-// The arena always maintains its in-memory durable image (the simulated
-// media), so the virtual-time device model, Crash(), and recovery code are
-// identical on every backend. A Medium, when installed, is a mirror of that
-// image onto real storage with two operations at its boundary: a write-back
-// reaches the backing store but need not survive a power cut until the next
-// barrier, and a barrier makes every earlier write-back durable — the
-// clwb-freely, sfence-where-ordering-needs-it discipline of real persistent
-// memory. Only the places that promise durability (an acknowledgement, an
-// index checkpoint, a host record) issue a barrier, and replication ships
-// only what a barrier has covered. The nil Medium is the default simulated
-// backend: the durable image lives only in heap memory.
+// Two operations meet at its boundary: a write-back reaches the backing store
+// but need not survive a power cut until the next barrier, and a barrier
+// makes every earlier write-back durable — the clwb-freely,
+// sfence-where-ordering-needs-it discipline of real persistent memory. Only
+// the places that promise durability (an acknowledgement, an index
+// checkpoint, a host record) issue a barrier, and replication ships only what
+// a barrier has covered.
 //
 // Implementations must be safe for concurrent use; the arena may call
 // WriteBack and Sync from multiple sessions and ZeroDurable from background
 // reclamation at the same time (always for disjoint ranges).
 type Medium interface {
-	// WriteBack mirrors data (the bytes just copied into the durable image at
-	// [off, off+len(data))) onto the backing store: durable by the next
+	// WriteBack writes data, the volatile image's bytes at
+	// [off, off+len(data)), onto the backing store: durable by the next
 	// barrier, not before.
 	WriteBack(off int64, data []byte) error
 
@@ -33,6 +33,11 @@ type Medium interface {
 	// a power cut must never preserve such a record while rolling back the
 	// zeroes — the region's stale bytes would replay as live entries.
 	ZeroDurable(off, size int64) error
+
+	// LoadInto fills dst, a prefix of the address space, with what the
+	// backing store holds there: every write-back and zeroing issued so far,
+	// synced or not.
+	LoadInto(dst []byte) error
 
 	// Sync is the barrier: every write-back and zeroing issued before the
 	// call is durable when it returns.
@@ -52,3 +57,38 @@ type Medium interface {
 	// resources.
 	Close() error
 }
+
+// MemMedium is the simulated backend: the durable image is a byte slice in
+// heap, a write-back is a copy into it and a barrier is free. It keeps no host
+// record, so WriteMeta and Close do nothing.
+type MemMedium struct{ image []byte }
+
+// NewMemMedium returns a zeroed in-memory medium of capacity bytes.
+func NewMemMedium(capacity int64) *MemMedium { return &MemMedium{image: make([]byte, capacity)} }
+
+// WriteBack implements Medium.
+func (m *MemMedium) WriteBack(off int64, data []byte) error {
+	copy(m.image[off:], data)
+	return nil
+}
+
+// ZeroDurable implements Medium.
+func (m *MemMedium) ZeroDurable(off, size int64) error {
+	clear(m.image[off : off+size])
+	return nil
+}
+
+// LoadInto implements Medium.
+func (m *MemMedium) LoadInto(dst []byte) error {
+	copy(dst, m.image)
+	return nil
+}
+
+// Sync implements Medium: every write-back is already in the image.
+func (m *MemMedium) Sync() error { return nil }
+
+// WriteMeta implements Medium.
+func (m *MemMedium) WriteMeta(payload []byte, tear int64) error { return nil }
+
+// Close implements Medium.
+func (m *MemMedium) Close() error { return nil }

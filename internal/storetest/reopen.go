@@ -20,12 +20,12 @@ type ReopenFunc func() (kvstore.Store, error)
 // fresh store recovers from what the files actually hold. Running the crash
 // sweep through this wrapper therefore checks the real restart path — host
 // metadata persistence, manifest reattachment, allocator restore — under the
-// exact same fault plans the in-process sweep uses, not just the in-memory
-// durable image.
+// exact same fault plans the in-process sweep uses, not just an in-process
+// reload of the arena.
 //
 // Crash forwards to the inner store (the fault plan has already frozen the
-// durable state; Crash only discards the volatile half), and everything else
-// proxies to the current incarnation.
+// durable state; Crash only reloads the volatile image from it), and
+// everything else proxies to the current incarnation.
 type Reopening struct {
 	inner  kvstore.Store
 	reopen ReopenFunc

@@ -243,11 +243,12 @@ func (l *Log) SyncMeta() {
 // CloseMeta runs the meta hook with the exact tail and refuses every later
 // reservation, so a clean shutdown resumes appending where it stopped instead
 // of at the next segment. Appends into chunks reserved earlier still succeed:
-// they lie below the recorded tail.
+// they lie below the recorded tail. Without a meta hook there is no record to
+// close, and the log keeps taking reservations.
 func (l *Log) CloseMeta() {
 	l.mu.Lock()
-	l.closed = true
 	if l.metaHook != nil {
+		l.closed = true
 		l.metaHook(l.snapshotLocked())
 	}
 	l.mu.Unlock()
