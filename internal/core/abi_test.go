@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -153,7 +154,7 @@ func TestABIGrowsToOccupancy(t *testing.T) {
 	s = openTest(t) // 8 shards, ABI cap 1024, ~7 k keys designed
 	se = s.NewSession(simclock.New(0))
 	caps := abiCaps(s)
-	grown, lines, sized := 0, 0, 0
+	grown, lines, restarts, sized := 0, 0, 0, 0
 	for i := 0; i < 20_000; i++ {
 		if err := se.Put(key(i), val(i)); err != nil {
 			t.Fatal(err)
@@ -181,14 +182,18 @@ func TestABIGrowsToOccupancy(t *testing.T) {
 				}
 				sized++
 			}
-			caps[id] = c
-			grown++
-			if c&(c-1) != 0 {
-				lines++
+			if c < caps[id] {
+				restarts++ // cleared, and restarted small
+			} else {
+				grown++
+				if c&(c-1) != 0 {
+					lines++
+				}
 			}
+			caps[id] = c
 		}
 	}
-	t.Logf("%d ABI growths, %d of them to a line-granular capacity, %d checked for their fill; final capacities %v", grown, lines, sized, caps)
+	t.Logf("%d ABI growths, %d of them to a line-granular capacity, %d restarts after a clear, %d checked for their fill; final capacities %v", grown, lines, restarts, sized, caps)
 	if lines == 0 || sized == 0 {
 		t.Fatal("no ABI grew to a capacity that is not a power of two, or no growth's fill was checked")
 	}
@@ -206,40 +211,71 @@ func TestABIGrowsToOccupancy(t *testing.T) {
 	}
 }
 
-// TestRotateABIKeepsExactCapacity: an ABI grown to a line-granular capacity
-// keeps exactly that capacity across both clears — a Get-Protect dump and a
-// last-level compaction — instead of rounding up to the next power of two.
-func TestRotateABIKeepsExactCapacity(t *testing.T) {
+// TestClearedABIRestartsSmall: an ABI cleared by a Get-Protect dump, and
+// again by a last-level compaction, restarts empty at abiStartSlots() instead
+// of at the capacity it had grown to. A view pinned before each clear still
+// answers every hash its ABI held from that frozen table, and afterwards the
+// ABI grows again past a two-choice size.
+func TestClearedABIRestartsSmall(t *testing.T) {
 	s := openTest(t)
-	se := s.NewSession(simclock.New(0))
+	c := simclock.New(0)
+	se := s.NewSession(c)
 	sh := s.shards[0]
 	abi := func() *hashtable.Mem { return sh.view.Load().abi() }
-	for i := 0; abi().Len() == 0 || abi().Cap()&(abi().Cap()-1) == 0; i++ {
-		if i > 20_000 {
-			t.Fatalf("shard 0's ABI never took a line-granular capacity (%d slots)", abi().Cap())
+	next, after := 0, "boot"
+	regrow := func() {
+		t.Helper()
+		for start := next; !abi().TwoChoice(); next++ {
+			if next-start > 20_000 {
+				t.Fatalf("after %s: shard 0's ABI never grew past %d slots", after, abi().Cap())
+			}
+			if err := se.Put(key(next), val(next)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := se.Put(key(i), val(i)); err != nil {
+	}
+	for _, step := range []struct {
+		name string
+		run  func() error
+		done func() bool // the clear left what it writes
+	}{
+		{"a dump", func() error { return s.DumpABIs(c) }, func() bool { return len(sh.dumped) == 1 }},
+		{"a last-level compaction", func() error {
+			sh.mu.Lock()
+			defer sh.mu.Unlock()
+			return sh.lastLevelCompaction(c)
+		}, func() bool { return sh.last != nil && len(sh.dumped) == 0 }},
+	} {
+		regrow()
+		slot := s.em.register()
+		slot.pin(s.em) // the pinned view's tables stay allocated
+		v := sh.view.Load()
+		frozen := v.abi()
+		var held []uint64
+		frozen.Iterate(func(sl hashtable.Slot) bool {
+			held = append(held, sl.Hash)
+			return true
+		})
+		if err := step.run(); err != nil {
 			t.Fatal(err)
 		}
+		if !step.done() {
+			t.Fatalf("%s left %d dumps and last level %v", step.name, len(sh.dumped), sh.last != nil)
+		}
+		if got := abi(); got.Len() != 0 || got.Cap() != s.cfg.abiStartSlots() {
+			t.Fatalf("after %s: ABI holds %d of %d slots, want an empty %d-slot ABI (it held %d of %d)",
+				step.name, got.Len(), got.Cap(), s.cfg.abiStartSlots(), len(held), frozen.Cap())
+		}
+		for _, h := range held {
+			if _, src, ok := sh.lookupView(c, v, h, 0); !ok || src != srcABI {
+				t.Fatalf("after %s: hash %#x found %v in %v through a view pinned before it, want in its frozen ABI", step.name, h, ok, src)
+			}
+		}
+		slot.unpin()
+		s.em.unregister(slot)
+		after = step.name
 	}
-	want := abi().Cap()
-	c := simclock.New(0)
-	if err := s.DumpABIs(c); err != nil {
-		t.Fatal(err)
-	}
-	if len(sh.dumped) != 1 || abi().Len() != 0 || abi().Cap() != want {
-		t.Fatalf("after a dump: %d dumps, ABI %d of %d slots; want 1 dump and an empty %d-slot ABI",
-			len(sh.dumped), abi().Len(), abi().Cap(), want)
-	}
-	sh.mu.Lock()
-	err := sh.lastLevelCompaction(c)
-	sh.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sh.last == nil || len(sh.dumped) != 0 || abi().Cap() != want {
-		t.Fatalf("after a last-level compaction: ABI has %d slots, want %d", abi().Cap(), want)
-	}
+	regrow()
 }
 
 // TestABIGrowKeepsOldViews: a reader holding a view published before its
@@ -440,6 +476,79 @@ func TestDRAMBytesByPurposeSumExactly(t *testing.T) {
 		if b <= 0 {
 			t.Errorf("purpose %q held no bytes in either store", p)
 		}
+	}
+}
+
+// TestABIPurposeMatchesHeap referees the abi DRAM purpose against the Go
+// heap. A store of chameleondb.DefaultOptions' geometry (64-slot MemTables,
+// four levels, a derived 4096-slot ABI cap) at 16 shards takes updates until
+// last-level compactions have cleared its ABIs several times over. Every
+// 1 000 puts it runs runtime.GC() twice (the second empties the staging
+// pool's victim cache) and samples HeapAlloc beside the purpose. Between the
+// sample where the ABIs held the most and the one where they held the least,
+// HeapAlloc must move by what the purpose moves: no more than it plus an
+// eighth (Go rounds a small object up to its size class, at most 12.5 %) and
+// 32 KiB (the rest of the heap, which the run holds steady), and no less than
+// it minus 32 KiB. A footprint that under-reports a table by more than that
+// eighth fails. The run also reports the summed capacity against what it
+// would be if a cleared ABI kept its size.
+func TestABIPurposeMatchesHeap(t *testing.T) {
+	const keys, puts = 200_000, 240_000
+	cfg := ScaledConfig(16, puts/2, 8)
+	cfg.MemTableSlots, cfg.ABISlots = 64, 0
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	se := s.NewSession(simclock.New(0))
+	type sample struct{ heap, abi int64 }
+	var samples []sample
+	var ms runtime.MemStats
+	highWater := make([]int, len(s.shards))
+	var slotSum, keptSum int64
+	for u := 0; u < puts; u++ {
+		i := int(uint32(u) * 2654435761 % keys)
+		if err := se.Put(key(i), val(u)); err != nil {
+			t.Fatal(err)
+		}
+		if u%1000 != 999 {
+			continue
+		}
+		for id, c := range abiCaps(s) {
+			highWater[id] = max(highWater[id], c)
+			slotSum += int64(c)
+			keptSum += int64(highWater[id])
+		}
+		if u < puts/4 {
+			continue // until every ABI has been cleared once
+		}
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		samples = append(samples, sample{int64(ms.HeapAlloc), s.DRAMBytesByPurpose()["abi"]})
+	}
+	if st := s.Stats(); st.LastCompactions < 3*int64(cfg.Shards) {
+		t.Fatalf("%d last-level compactions over %d shards: the ABIs were not cleared repeatedly", st.LastCompactions, cfg.Shards)
+	}
+	hi, lo := samples[0], samples[0]
+	for _, x := range samples {
+		if x.abi > hi.abi {
+			hi = x
+		}
+		if x.abi < lo.abi {
+			lo = x
+		}
+	}
+	const slack = 32 << 10
+	dAbi, dHeap := hi.abi-lo.abi, hi.heap-lo.heap
+	t.Logf("abi purpose %d -> %d B, HeapAlloc %d -> %d B: purpose fell %d B, heap %d B; summed ABI slots %.0f%% of a never-shrinking ABI's",
+		hi.abi, lo.abi, hi.heap, lo.heap, dAbi, dHeap, 100*float64(slotSum)/float64(keptSum))
+	if capBytes := int64(cfg.Shards) * int64(s.cfg.ABISlots) * hashtable.SlotSize; 4*dAbi < capBytes {
+		t.Fatalf("the abi purpose moved %d B, under a quarter of the %d B the ABIs hold at their cap", dAbi, capBytes)
+	}
+	if dHeap > dAbi+dAbi/8+slack || dHeap < dAbi-slack {
+		t.Fatalf("the abi purpose fell %d B, the heap %d B: want the heap within [%d, %d]", dAbi, dHeap, dAbi-slack, dAbi+dAbi/8+slack)
 	}
 }
 

@@ -91,9 +91,10 @@ func TestCrashSweepFileBackendWIM(t *testing.T) {
 // TestCrashSweepFileBackendWriteIntensiveWideKeys is
 // TestCrashSweepWriteIntensiveWideKeys on the file backend, every Recover a
 // cold reopen, at a stride of 3: ABIs grown through two-choice capacities,
-// with displaced entries, at crash points, and recoveries that rebuild them
-// from reattached tables. It fails if no crash point or no recovery reaches
-// a line-granular ABI or a two-choice one that had displaced entries.
+// with displaced entries, and ABIs regrowing after a clear, at crash points,
+// and recoveries that rebuild them from reattached tables. It fails if no
+// crash point or no recovery reaches a line-granular ABI, a two-choice one
+// that had displaced entries, or one regrowing after a clear.
 func TestCrashSweepFileBackendWriteIntensiveWideKeys(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive sweep")

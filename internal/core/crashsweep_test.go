@@ -90,9 +90,10 @@ func TestCrashSweepWriteIntensive(t *testing.T) {
 }
 
 // abiWatch is a store that records, at every crash and after every recovery,
-// whether an ABI held a capacity that is not a power of two, and whether one
-// such two-choice ABI had displaced entries; and which capacities the ABIs
-// held at the crashes.
+// whether an ABI held a capacity that is not a power of two; whether one such
+// two-choice ABI had displaced entries; and whether an ABI was regrowing
+// after a clear. It also records which capacities the ABIs held at the
+// crashes.
 type abiWatch struct {
 	*Store
 	w *abiWatched
@@ -101,18 +102,39 @@ type abiWatch struct {
 type abiWatched struct {
 	crashes, lineCrashes, lineRecoveries int
 	movedCrashes, movedRecoveries        int
+	regrownCrashes, regrownRecoveries    int
 	caps                                 map[int]bool
 }
 
-// abiState reports whether any of s's ABIs is line-granular, and whether any
-// is a two-choice table that has displaced entries.
-func abiState(s *Store) (line, moved bool) {
+// abiState reports whether any of s's ABIs is line-granular; whether any is
+// a two-choice table that has displaced entries; and whether any has been
+// cleared — its shard has a last level or a dump, which only a clear leaves —
+// and has grown past the size every ABI restarts at.
+func abiState(s *Store) (line, moved, regrown bool) {
 	for _, sh := range s.shards {
-		abi := sh.view.Load().abi()
+		v := sh.view.Load()
+		abi := v.abi()
 		line = line || abi.Cap()&(abi.Cap()-1) != 0
 		moved = moved || abi.TwoChoice() && abi.Displacements() > 0
+		regrown = regrown || abi.Cap() > s.cfg.abiStartSlots() && slices.ContainsFunc(v.tiers, func(t tier) bool {
+			return t.src == srcLast || t.src == srcDumped
+		})
 	}
-	return line, moved
+	return line, moved, regrown
+}
+
+// countABIs adds one to each of line, moved and regrown whose state s is in.
+func countABIs(s *Store, line, moved, regrown *int) {
+	l, m, r := abiState(s)
+	if l {
+		*line++
+	}
+	if m {
+		*moved++
+	}
+	if r {
+		*regrown++
+	}
 }
 
 func (s abiWatch) Crash() {
@@ -120,30 +142,19 @@ func (s abiWatch) Crash() {
 	for _, c := range abiCaps(s.Store) {
 		s.w.caps[c] = true
 	}
-	line, moved := abiState(s.Store)
-	if line {
-		s.w.lineCrashes++
-	}
-	if moved {
-		s.w.movedCrashes++
-	}
+	countABIs(s.Store, &s.w.lineCrashes, &s.w.movedCrashes, &s.w.regrownCrashes)
 	s.Store.Crash()
 }
 
 func (s abiWatch) Recover(c *simclock.Clock) error {
 	err := s.Store.Recover(c)
-	line, moved := abiState(s.Store)
-	if line {
-		s.w.lineRecoveries++
-	}
-	if moved {
-		s.w.movedRecoveries++
-	}
+	countABIs(s.Store, &s.w.lineRecoveries, &s.w.movedRecoveries, &s.w.regrownRecoveries)
 	return err
 }
 
 // check fails the test when no crash point or no recovery held a
-// line-granular ABI, or a two-choice one that had displaced entries.
+// line-granular ABI, a two-choice one that had displaced entries, or one
+// regrowing after a clear.
 func (w *abiWatched) check(t *testing.T, name string) {
 	t.Helper()
 	var caps []int
@@ -151,11 +162,13 @@ func (w *abiWatched) check(t *testing.T, name string) {
 		caps = append(caps, c)
 	}
 	slices.Sort(caps)
-	t.Logf("%s: of %d crashes, %d held a line-granular ABI and %d a two-choice ABI that had displaced entries; %d and %d recoveries; ABI capacities at the crashes: %v",
-		name, w.crashes, w.lineCrashes, w.movedCrashes, w.lineRecoveries, w.movedRecoveries, caps)
-	if w.lineCrashes == 0 || w.lineRecoveries == 0 || w.movedCrashes == 0 || w.movedRecoveries == 0 {
-		t.Fatalf("%s: line-granular ABIs at %d crashes and %d recoveries, displaced two-choice ABIs at %d and %d: the sweep no longer reaches them",
-			name, w.lineCrashes, w.lineRecoveries, w.movedCrashes, w.movedRecoveries)
+	t.Logf("%s: of %d crashes, %d held a line-granular ABI, %d a two-choice ABI that had displaced entries and %d an ABI regrowing after a clear; %d, %d and %d recoveries; ABI capacities at the crashes: %v",
+		name, w.crashes, w.lineCrashes, w.movedCrashes, w.regrownCrashes, w.lineRecoveries, w.movedRecoveries, w.regrownRecoveries, caps)
+	for _, n := range []int{w.lineCrashes, w.lineRecoveries, w.movedCrashes, w.movedRecoveries, w.regrownCrashes, w.regrownRecoveries} {
+		if n == 0 {
+			t.Fatalf("%s: line-granular ABIs at %d crashes and %d recoveries, displaced two-choice ABIs at %d and %d, ABIs regrowing after a clear at %d and %d: the sweep no longer reaches them",
+				name, w.lineCrashes, w.lineRecoveries, w.movedCrashes, w.movedRecoveries, w.regrownCrashes, w.regrownRecoveries)
+		}
 	}
 }
 
@@ -163,11 +176,12 @@ func (w *abiWatched) check(t *testing.T, name string) {
 // routinely spilled into the ABI, dumped, and then crashed over while an
 // upper table still holds their previous version: the rebuilt ABI must not
 // shadow the dump with it. At 216 keys the ABIs grow from 32 slots through
-// two-choice capacities (48 to 112 slots), displacing entries on the way,
-// and are cleared before they need their 128-slot cap; the recovery rebuild
-// inserts newest first into such tables. The sweep
-// counts the crash points that held a line-granular ABI and a two-choice ABI
-// that had displaced entries, and the recoveries that ended with each, and
+// two-choice capacities (48 to 96 slots at the crash points), displacing
+// entries on the way, are cleared before they need their 128-slot cap, and
+// restart at 32 slots to grow again; the recovery rebuild inserts newest
+// first into such tables. The sweep counts the crash points that held a
+// line-granular ABI, a two-choice ABI that had displaced entries and an ABI
+// regrowing after a clear, and the recoveries that ended with each, and
 // fails if any count is zero.
 func TestCrashSweepWriteIntensiveWideKeys(t *testing.T) {
 	if testing.Short() {

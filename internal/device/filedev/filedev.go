@@ -27,6 +27,7 @@
 package filedev
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -718,29 +719,55 @@ func (d *Dev) WriteMeta(payload []byte, tear int64) error {
 // LoadInto implements pmem.Medium: it reads the segment files over dst, a
 // prefix of the mirrored address space, and zeroes every span no file covers
 // — reattaching an arena's volatile image after a process restart, or
-// reloading it after an in-process crash.
+// reloading it after an in-process crash. It reads through a small buffer and
+// writes only the pages of dst that differ from what the files hold: a
+// reattach's image is fresh, all zeroes, and on Linux reading a page nobody
+// wrote maps the shared zero page, so a reopen makes resident only what the
+// store holds, not its capacity.
 func (d *Dev) LoadInto(dst []byte) error {
 	if int64(len(dst)) > d.opt.Capacity {
 		return fmt.Errorf("filedev: image %d bytes, directory capacity %d", len(dst), d.opt.Capacity)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	buf := make([]byte, loadChunk)
 	for base := int64(0); base < int64(len(dst)); base += d.opt.SegmentBytes {
 		idx := base / d.opt.SegmentBytes
 		span := dst[base:min(base+d.segSpan(idx), int64(len(dst)))]
-		n := 0
-		if f := d.segs[idx]; f != nil {
-			var err error
-			if n, err = f.ReadAt(span, 0); err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-				return fmt.Errorf("filedev: segment %d: %w", idx, err)
+		f := d.segs[idx]
+		for off := 0; off < len(span); off += len(buf) {
+			chunk := span[off:min(off+len(buf), len(span))]
+			src, n := buf[:len(chunk)], 0
+			if f != nil {
+				var err error
+				if n, err = f.ReadAt(src, int64(off)); err != nil && err != io.EOF {
+					return fmt.Errorf("filedev: segment %d: %w", idx, err)
+				}
 			}
+			// A short file is the crash image of an interrupted create:
+			// nothing past its length was ever durably acknowledged, so the
+			// remainder of the span reads as zero.
+			clear(src[n:])
+			copyChangedPages(chunk, src)
 		}
-		// A short file is the crash image of an interrupted create: nothing
-		// past its length was ever durably acknowledged, so the remainder of
-		// the span reads as zero.
-		clear(span[n:])
 	}
 	return nil
+}
+
+// loadChunk is the read size of LoadInto, a whole number of pages.
+const loadChunk = 64 << 10
+
+// copyChangedPages copies src over dst, an equal-length slice, one 4 KiB page
+// at a time, skipping the pages that already hold the same bytes.
+func copyChangedPages(dst, src []byte) {
+	const page = 4 << 10
+	for len(dst) > 0 {
+		n := min(len(dst), page)
+		if !bytes.Equal(dst[:n], src[:n]) {
+			copy(dst[:n], src[:n])
+		}
+		dst, src = dst[n:], src[n:]
+	}
 }
 
 // Close implements pmem.Medium: it syncs the manifest, every segment file,

@@ -36,7 +36,9 @@ type Medium interface {
 
 	// LoadInto fills dst, a prefix of the address space, with what the
 	// backing store holds there: every write-back and zeroing issued so far,
-	// synced or not.
+	// synced or not. A medium that outlives the process should leave alone
+	// the pages of dst that already hold those bytes: a reattach loads into a
+	// fresh, all-zero image, most of which the store may hold nothing for.
 	LoadInto(dst []byte) error
 
 	// Sync is the barrier: every write-back and zeroing issued before the
