@@ -23,7 +23,7 @@ func factory(t *testing.T) kvstore.Store {
 }
 
 func TestConformance(t *testing.T) {
-	storetest.Run(t, "DramHash", factory, storetest.Options{Keys: 5000, SupportsRecovery: true})
+	storetest.Run(t, "DramHash", factory, storetest.Options{Keys: 5000})
 }
 
 func TestRecoveryScansWholeLog(t *testing.T) {

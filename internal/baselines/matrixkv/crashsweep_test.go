@@ -8,11 +8,11 @@ import (
 )
 
 func sweepOpen() (kvstore.Store, error) {
-	cfg := DefaultConfig()
-	cfg.MemTableBytes = 2 << 10
-	cfg.MaxRows = 4
-	cfg.ArenaBytes = 16 << 20
-	cfg.WALBytes = 1 << 20
+	cfg := Config{
+		MemTableBytes: 2 << 10,
+		ArenaBytes:    16 << 20,
+		WALBytes:      1 << 20,
+	}
 	return Open(cfg)
 }
 
@@ -44,6 +44,5 @@ func TestCrashSoak(t *testing.T) {
 		Keys:        40,
 		MaxValueLen: 64,
 		FlushEvery:  20,
-		ErrorProb:   0.01,
 	})
 }

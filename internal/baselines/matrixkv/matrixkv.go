@@ -24,40 +24,26 @@ import (
 	"chameleondb/internal/xhash"
 )
 
+// The geometry Figure 17 runs: four matrix rows trigger a column compaction
+// into L1, each level below is four times the one above, there are at most
+// four of them, and each KV item carries 36 B of RowTable metadata.
+const (
+	maxRows           = 4
+	ratio             = 4
+	maxLevels         = 4
+	metaBytesPerEntry = 36
+)
+
 // Config sizes the store.
 type Config struct {
-	// Stripes is the number of independent LSM instances.
-	Stripes int
 	// MemTableBytes triggers a flush into a matrix row.
 	MemTableBytes int64
-	// MaxRows is the matrix capacity before a column compaction into L1.
-	MaxRows int
-	// Ratio is the leveled size ratio below L0.
-	Ratio int
-	// MaxLevels bounds the level count (excluding the matrix L0).
-	MaxLevels int
-	// MetaBytesPerEntry models RowTable metadata per KV item.
-	MetaBytesPerEntry int
 	// ArenaBytes / WALBytes size the arena and the write-ahead log.
 	ArenaBytes int64
 	WALBytes   int64
 	// CacheBytes sizes the in-DRAM data cache (the paper grants MatrixKV
 	// 8 GB in Section 3.7; 0 disables it).
 	CacheBytes int64
-}
-
-// DefaultConfig returns a laptop-scale configuration.
-func DefaultConfig() Config {
-	return Config{
-		Stripes:           1,
-		MemTableBytes:     1 << 20,
-		MaxRows:           8,
-		Ratio:             10,
-		MaxLevels:         4,
-		MetaBytesPerEntry: 36,
-		ArenaBytes:        2 << 30,
-		WALBytes:          256 << 20,
-	}
 }
 
 type memEntry struct {
@@ -67,9 +53,14 @@ type memEntry struct {
 	seq   int64
 }
 
-type stripe struct {
-	shell.Lane
+// Store is a MatrixKV instance: one LSM, its MemTable, matrix, levels and
+// block cache behind one lane, as the paper's one compaction thread runs it.
+type Store struct {
+	*shell.Store
+	cfg Config
+	wal *wlog.Log
 
+	lane       shell.Lane // guards everything below
 	mem        map[uint64]*memEntry
 	memBytes   int64
 	memSeq     int64
@@ -78,18 +69,8 @@ type stripe struct {
 	rows   []*sstable.Run // matrix L0, oldest first
 	levels []*sstable.Run
 	cache  *blockcache.Cache
-}
 
-// Store is a MatrixKV instance.
-type Store struct {
-	*shell.Store
-	cfg Config
-	wal *wlog.Log
-
-	stripes []*stripe
-
-	// compactions is atomic: stripes compact independently under their own
-	// locks, so a plain counter would race when Stripes > 1.
+	// compactions is atomic: the metrics registry reads it outside the lane.
 	compactions atomic.Int64
 }
 
@@ -102,83 +83,61 @@ func Open(cfg Config) (*Store, error) {
 
 // OpenOn creates a MatrixKV store on an existing device.
 func OpenOn(cfg Config, dev *device.Device) (*Store, error) {
-	if cfg.Stripes <= 0 || cfg.Stripes&(cfg.Stripes-1) != 0 {
-		return nil, errors.New("matrixkv: Stripes must be a power of two")
-	}
-	if cfg.MaxLevels < 1 || cfg.Ratio < 2 || cfg.MaxRows < 2 || cfg.MemTableBytes < 1024 {
-		return nil, errors.New("matrixkv: invalid geometry")
+	if cfg.MemTableBytes < 1024 {
+		return nil, errors.New("matrixkv: MemTableBytes must be at least 1 KB")
 	}
 	sh := shell.New("MatrixKV", "matrixkv", dev, cfg.ArenaBytes)
 	wal, err := wlog.New(sh.Arena, cfg.WALBytes)
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{Store: sh, cfg: cfg, wal: wal}
+	s := &Store{
+		Store:      sh,
+		cfg:        cfg,
+		wal:        wal,
+		mem:        make(map[uint64]*memEntry),
+		levels:     make([]*sstable.Run, maxLevels),
+		flushedLSN: wal.Base(),
+		cache:      blockcache.New(cfg.CacheBytes),
+	}
 	obs.RegisterLog(s.Registry(), wal)
 	s.Registry().CounterFunc("compactions", s.compactions.Load)
-	s.stripes = make([]*stripe, cfg.Stripes)
-	for i := range s.stripes {
-		s.stripes[i] = &stripe{
-			mem:        make(map[uint64]*memEntry),
-			levels:     make([]*sstable.Run, cfg.MaxLevels),
-			flushedLSN: wal.Base(),
-			cache:      blockcache.New(cfg.CacheBytes / int64(cfg.Stripes)),
-		}
-	}
 	return s, nil
 }
 
 // Compactions reports how many compactions have run.
 func (s *Store) Compactions() int64 { return s.compactions.Load() }
 
-// DRAMFootprint implements kvstore.Store: the DRAM MemTables plus filters.
+// DRAMFootprint implements kvstore.Store: the DRAM MemTable plus filters.
 func (s *Store) DRAMFootprint() int64 {
-	var total int64
-	for _, st := range s.stripes {
-		st.Lock()
-		total += st.memBytes + int64(len(st.mem))*48 + st.cache.UsedBytes()
-		for _, r := range st.levels {
-			if r != nil {
-				total += r.DRAMFootprint()
-			}
+	s.lane.Lock()
+	defer s.lane.Unlock()
+	total := s.memBytes + int64(len(s.mem))*48 + s.cache.UsedBytes()
+	for _, r := range s.levels {
+		if r != nil {
+			total += r.DRAMFootprint()
 		}
-		st.Unlock()
 	}
 	return total
 }
 
-func (s *Store) stripeFor(h uint64) *stripe {
-	return s.stripes[(h>>8)&uint64(len(s.stripes)-1)]
-}
-
-// Crash implements kvstore.Store: DRAM MemTables are lost; the matrix, the
+// Crash implements kvstore.Store: the DRAM MemTable is lost; the matrix, the
 // levels, and the WAL survive.
 func (s *Store) Crash() {
 	s.Store.Crash()
-	for _, st := range s.stripes {
-		st.mem = make(map[uint64]*memEntry)
-		st.memBytes, st.memSeq = 0, 0
-		st.Lane.Reset()
-		st.cache.Reset()
-	}
+	s.mem = make(map[uint64]*memEntry)
+	s.memBytes, s.memSeq = 0, 0
+	s.lane.Reset()
+	s.cache.Reset()
 }
 
-// Recover implements kvstore.Store: replay the WAL tail into the MemTables.
+// Recover implements kvstore.Store: replay the WAL tail into the MemTable.
 func (s *Store) Recover(c *simclock.Clock) error {
-	min := s.wal.Tail()
-	for _, st := range s.stripes {
-		if st.flushedLSN < min {
-			min = st.flushedLSN
-		}
-	}
-	err := s.wal.Scan(c, min, func(e wlog.Entry) bool {
+	err := s.wal.Scan(c, min(s.wal.Tail(), s.flushedLSN), func(e wlog.Entry) bool {
 		c.Advance(device.CostHash64)
-		h := xhash.Sum64(e.Key)
-		st := s.stripeFor(h)
-		if e.LSN < st.flushedLSN {
-			return true
+		if e.LSN >= s.flushedLSN {
+			s.insertMem(c, xhash.Sum64(e.Key), e.Key, e.Value, e.Tombstone())
 		}
-		st.insertMem(c, h, e.Key, e.Value, e.Tombstone())
 		return true
 	})
 	if err != nil {
@@ -188,55 +147,55 @@ func (s *Store) Recover(c *simclock.Clock) error {
 	return nil
 }
 
-func (st *stripe) insertMem(c *simclock.Clock, h uint64, key, value []byte, tomb bool) {
+func (s *Store) insertMem(c *simclock.Clock, h uint64, key, value []byte, tomb bool) {
 	c.Advance(device.CostDRAMRandAccess)
-	if old, ok := st.mem[h]; ok {
-		st.memBytes -= int64(len(old.key) + len(old.value))
+	if old, ok := s.mem[h]; ok {
+		s.memBytes -= int64(len(old.key) + len(old.value))
 	}
-	st.memSeq++
-	st.mem[h] = &memEntry{
+	s.memSeq++
+	s.mem[h] = &memEntry{
 		key:   append([]byte(nil), key...),
 		value: append([]byte(nil), value...),
 		tomb:  tomb,
-		seq:   st.memSeq,
+		seq:   s.memSeq,
 	}
-	st.memBytes += int64(len(key) + len(value))
+	s.memBytes += int64(len(key) + len(value))
 }
 
 // flushLocked writes the MemTable as a new matrix row (data plus RowTable
 // metadata, no filter) and compacts the matrix when it is full.
-func (s *Store) flushLocked(c *simclock.Clock, st *stripe) error {
-	if len(st.mem) == 0 {
+func (s *Store) flushLocked(c *simclock.Clock) error {
+	if len(s.mem) == 0 {
 		return nil
 	}
-	entries := make([]sstable.Entry, 0, len(st.mem))
-	for h, e := range st.mem {
+	entries := make([]sstable.Entry, 0, len(s.mem))
+	for h, e := range s.mem {
 		entries = append(entries, sstable.Entry{Hash: h, Key: e.key, Value: e.value, Tombstone: e.tomb})
 	}
 	row, err := sstable.Build(c, s.Arena, entries, sstable.BuildOptions{
 		WithFilter:        false, // no filters in the matrix L0 (Section 3.7)
-		MetaBytesPerEntry: s.cfg.MetaBytesPerEntry,
+		MetaBytesPerEntry: metaBytesPerEntry,
 		SortCost:          true,
 	})
 	if err != nil {
 		return err
 	}
-	// The stripe's row/level directory plays the role of a durable manifest
-	// (it survives Crash): committing a row whose build was interrupted by
-	// power failure would present partially-written data as durable.
+	// The row/level directory plays the role of a durable manifest (it
+	// survives Crash): committing a row whose build was interrupted by power
+	// failure would present partially-written data as durable.
 	if s.Dev.PowerFailed() {
 		row.Release()
 		return device.ErrPowerFailed
 	}
-	st.rows = append(st.rows, row)
-	st.mem = make(map[uint64]*memEntry)
-	st.memBytes, st.memSeq = 0, 0
-	st.flushedLSN = s.wal.MinNextLSN()
-	if len(st.rows) >= s.cfg.MaxRows {
+	s.rows = append(s.rows, row)
+	s.mem = make(map[uint64]*memEntry)
+	s.memBytes, s.memSeq = 0, 0
+	s.flushedLSN = s.wal.MinNextLSN()
+	if len(s.rows) >= maxRows {
 		// A column compaction into L1; MatrixKV's fine-grained column
 		// compactions are modeled in aggregate.
-		l0Bytes := s.cfg.MemTableBytes * int64(s.cfg.MaxRows)
-		return sstable.CompactLeveled(c, s.Arena, &st.rows, st.levels, l0Bytes, s.cfg.Ratio, &s.compactions)
+		l0Bytes := s.cfg.MemTableBytes * maxRows
+		return sstable.CompactLeveled(c, s.Arena, &s.rows, s.levels, l0Bytes, ratio, &s.compactions)
 	}
 	return nil
 }
@@ -265,20 +224,20 @@ func (se *Session) write(key, value []byte, flags uint16) error {
 	c := se.clock
 	c.Advance(device.CostHash64)
 	h := xhash.Sum64(key)
-	st := se.store.stripeFor(h)
+	s := se.store
 	var err error
-	st.Do(c, func() {
+	s.lane.Do(c, func() {
 		if _, err = se.ap.AppendEntry(c, key, value, flags); err != nil {
 			return
 		}
-		st.cache.Invalidate(h)
-		st.insertMem(c, h, key, value, flags&wlog.FlagTombstone != 0)
-		if st.memBytes >= se.store.cfg.MemTableBytes {
-			err = se.store.flushLocked(c, st)
+		s.cache.Invalidate(h)
+		s.insertMem(c, h, key, value, flags&wlog.FlagTombstone != 0)
+		if s.memBytes >= s.cfg.MemTableBytes {
+			err = s.flushLocked(c)
 		}
 	})
 	if err == nil {
-		se.store.Ops.CountWrite(flags&wlog.FlagTombstone != 0)
+		s.Ops.CountWrite(flags&wlog.FlagTombstone != 0)
 	}
 	return err
 }
@@ -298,37 +257,37 @@ func (se *Session) Get(key []byte) ([]byte, bool, error) {
 	c := se.clock
 	c.Advance(device.CostHash64)
 	h := xhash.Sum64(key)
-	st := se.store.stripeFor(h)
+	s := se.store
 	var v []byte
 	var ok bool
-	st.Do(c, func() { v, ok = st.get(c, h, key) })
-	se.store.Ops.CountGet(ok)
+	s.lane.Do(c, func() { v, ok = s.get(c, h, key) })
+	s.Ops.CountGet(ok)
 	return v, ok, nil
 }
 
-func (st *stripe) get(c *simclock.Clock, h uint64, key []byte) ([]byte, bool) {
-	if v, ok := st.cache.Get(c, h); ok {
+func (s *Store) get(c *simclock.Clock, h uint64, key []byte) ([]byte, bool) {
+	if v, ok := s.cache.Get(c, h); ok {
 		return append([]byte(nil), v...), true
 	}
 	c.Advance(device.CostDRAMRandAccess)
-	if e, ok := st.mem[h]; ok {
+	if e, ok := s.mem[h]; ok {
 		if e.tomb || !bytes.Equal(e.key, key) {
 			return nil, false
 		}
 		return append([]byte(nil), e.value...), true
 	}
-	for i := len(st.rows) - 1; i >= 0; i-- {
-		k, v, tomb, ok := st.rows[i].GetHinted(c, h)
+	for i := len(s.rows) - 1; i >= 0; i-- {
+		k, v, tomb, ok := s.rows[i].GetHinted(c, h)
 		if !ok {
 			continue
 		}
 		if tomb || !bytes.Equal(k, key) {
 			return nil, false
 		}
-		st.cache.Put(h, v)
+		s.cache.Put(h, v)
 		return append([]byte(nil), v...), true
 	}
-	for _, r := range st.levels {
+	for _, r := range s.levels {
 		if r == nil {
 			continue
 		}
@@ -339,7 +298,7 @@ func (st *stripe) get(c *simclock.Clock, h uint64, key []byte) ([]byte, bool) {
 		if tomb || !bytes.Equal(k, key) {
 			return nil, false
 		}
-		st.cache.Put(h, v)
+		s.cache.Put(h, v)
 		return append([]byte(nil), v...), true
 	}
 	return nil, false

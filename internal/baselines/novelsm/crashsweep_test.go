@@ -8,9 +8,10 @@ import (
 )
 
 func sweepOpen() (kvstore.Store, error) {
-	cfg := DefaultConfig()
-	cfg.MemTableBytes = 4 << 10
-	cfg.ArenaBytes = 16 << 20
+	cfg := Config{
+		MemTableBytes: 4 << 10,
+		ArenaBytes:    16 << 20,
+	}
 	return Open(cfg)
 }
 
@@ -44,6 +45,5 @@ func TestCrashSoak(t *testing.T) {
 		Keys:        40,
 		MaxValueLen: 64,
 		FlushEvery:  20,
-		ErrorProb:   0.01,
 	})
 }

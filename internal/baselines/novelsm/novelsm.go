@@ -24,19 +24,18 @@ import (
 	"chameleondb/internal/xhash"
 )
 
+// The level geometry Figure 17 runs: four L0 runs trigger a compaction, each
+// level is four times the one above, and there are at most five levels.
+const (
+	l0Trigger = 4
+	ratio     = 4
+	maxLevels = 5
+)
+
 // Config sizes the store.
 type Config struct {
-	// Stripes is the number of independent LSM instances (the paper runs
-	// one compaction thread; 1 reproduces that).
-	Stripes int
 	// MemTableBytes triggers a flush (the paper configures 128 MB total).
 	MemTableBytes int64
-	// L0Trigger is the number of L0 runs that triggers a compaction.
-	L0Trigger int
-	// Ratio is the leveled size ratio (LevelDB's 10).
-	Ratio int
-	// MaxLevels bounds the level count.
-	MaxLevels int
 	// ArenaBytes sizes the pmem arena.
 	ArenaBytes int64
 	// CacheBytes sizes the in-DRAM data cache (the paper grants NoveLSM
@@ -44,38 +43,21 @@ type Config struct {
 	CacheBytes int64
 }
 
-// DefaultConfig returns a laptop-scale configuration.
-func DefaultConfig() Config {
-	return Config{
-		Stripes:       1,
-		MemTableBytes: 1 << 20,
-		L0Trigger:     4,
-		Ratio:         10,
-		MaxLevels:     5,
-		ArenaBytes:    2 << 30,
-	}
-}
-
-type stripe struct {
-	shell.Lane
-
-	mem      *skiplist.List
-	memBytes int64
-	l0       []*sstable.Run // oldest first
-	levels   []*sstable.Run // levels[k] is L(k+1): one run each, leveled
-	cache    *blockcache.Cache
-}
-
-// Store is a NoveLSM instance.
+// Store is a NoveLSM instance: one LSM, its MemTable, run directory and
+// block cache behind one lane, as the paper's one compaction thread runs it.
 type Store struct {
 	*shell.Store
 	cfg  Config
 	slab *pmem.Slab
 
-	stripes []*stripe
+	lane     shell.Lane // guards everything below
+	mem      *skiplist.List
+	memBytes int64
+	l0       []*sstable.Run // oldest first
+	levels   []*sstable.Run // levels[k] is L(k+1): one run each, leveled
+	cache    *blockcache.Cache
 
-	// compactions is atomic: stripes compact independently under their own
-	// locks, so a plain counter would race when Stripes > 1.
+	// compactions is atomic: the metrics registry reads it outside the lane.
 	compactions atomic.Int64
 }
 
@@ -88,27 +70,23 @@ func Open(cfg Config) (*Store, error) {
 
 // OpenOn creates a NoveLSM store on an existing device.
 func OpenOn(cfg Config, dev *device.Device) (*Store, error) {
-	if cfg.Stripes <= 0 || cfg.Stripes&(cfg.Stripes-1) != 0 {
-		return nil, errors.New("novelsm: Stripes must be a power of two")
-	}
-	if cfg.MaxLevels < 2 || cfg.Ratio < 2 || cfg.L0Trigger < 2 || cfg.MemTableBytes < 1024 {
-		return nil, errors.New("novelsm: invalid geometry")
+	if cfg.MemTableBytes < 1024 {
+		return nil, errors.New("novelsm: MemTableBytes must be at least 1 KB")
 	}
 	sh := shell.New("NoveLSM", "novelsm", dev, cfg.ArenaBytes)
-	s := &Store{Store: sh, cfg: cfg, slab: pmem.NewSlab(sh.Arena, 1<<20)}
-	s.Registry().CounterFunc("compactions", s.compactions.Load)
-	s.stripes = make([]*stripe, cfg.Stripes)
-	for i := range s.stripes {
-		l, err := skiplist.New(sh.Arena, s.slab, int64(i)+1)
-		if err != nil {
-			return nil, err
-		}
-		s.stripes[i] = &stripe{
-			mem:    l,
-			levels: make([]*sstable.Run, cfg.MaxLevels),
-			cache:  blockcache.New(cfg.CacheBytes / int64(cfg.Stripes)),
-		}
+	s := &Store{
+		Store:  sh,
+		cfg:    cfg,
+		slab:   pmem.NewSlab(sh.Arena, 1<<20),
+		levels: make([]*sstable.Run, maxLevels),
+		cache:  blockcache.New(cfg.CacheBytes),
 	}
+	s.Registry().CounterFunc("compactions", s.compactions.Load)
+	l, err := skiplist.New(sh.Arena, s.slab)
+	if err != nil {
+		return nil, err
+	}
+	s.mem = l
 	return s, nil
 }
 
@@ -116,27 +94,20 @@ func OpenOn(cfg Config, dev *device.Device) (*Store, error) {
 func (s *Store) Compactions() int64 { return s.compactions.Load() }
 
 // DRAMFootprint implements kvstore.Store: NoveLSM's structures are in Pmem;
-// only the bloom filters are volatile.
+// only the bloom filters and the block cache are volatile.
 func (s *Store) DRAMFootprint() int64 {
-	var total int64
-	for _, st := range s.stripes {
-		st.Lock()
-		for _, r := range st.l0 {
+	s.lane.Lock()
+	defer s.lane.Unlock()
+	total := s.cache.UsedBytes()
+	for _, r := range s.l0 {
+		total += r.DRAMFootprint()
+	}
+	for _, r := range s.levels {
+		if r != nil {
 			total += r.DRAMFootprint()
 		}
-		for _, r := range st.levels {
-			if r != nil {
-				total += r.DRAMFootprint()
-			}
-		}
-		total += st.cache.UsedBytes()
-		st.Unlock()
 	}
 	return total
-}
-
-func (s *Store) stripeFor(h uint64) *stripe {
-	return s.stripes[(h>>8)&uint64(len(s.stripes)-1)]
 }
 
 // Crash implements kvstore.Store. NoveLSM's design point is that everything
@@ -144,27 +115,23 @@ func (s *Store) stripeFor(h uint64) *stripe {
 // volatile is lost except the bloom filters.
 func (s *Store) Crash() {
 	s.Store.Crash()
-	for _, st := range s.stripes {
-		st.Lane.Reset()
-		st.cache.Reset()
-	}
+	s.lane.Reset()
+	s.cache.Reset()
 }
 
 // Recover implements kvstore.Store: reattach the persistent structures and
 // rebuild the volatile filters.
 func (s *Store) Recover(c *simclock.Clock) error {
-	for _, st := range s.stripes {
-		st.Lock()
-		for _, r := range st.l0 {
+	s.lane.Lock()
+	for _, r := range s.l0 {
+		r.ChargeScan(c)
+	}
+	for _, r := range s.levels {
+		if r != nil {
 			r.ChargeScan(c)
 		}
-		for _, r := range st.levels {
-			if r != nil {
-				r.ChargeScan(c)
-			}
-		}
-		st.Unlock()
 	}
+	s.lane.Unlock()
 	s.Recovered()
 	return nil
 }
@@ -203,36 +170,36 @@ func (s *Store) readPayload(c *simclock.Clock, off int64) (key, value []byte, to
 }
 
 // flushLocked turns the MemTable into an L0 run and cascades compactions.
-func (s *Store) flushLocked(c *simclock.Clock, st *stripe) error {
-	if st.mem.Len() == 0 {
+func (s *Store) flushLocked(c *simclock.Clock) error {
+	if s.mem.Len() == 0 {
 		return nil
 	}
-	entries := make([]sstable.Entry, 0, st.mem.Len())
-	st.mem.Iterate(func(h, ref uint64) bool {
+	entries := make([]sstable.Entry, 0, s.mem.Len())
+	s.mem.Iterate(func(h, ref uint64) bool {
 		key, val, tomb := s.readPayloadVolatile(ref)
 		entries = append(entries, sstable.Entry{Hash: h, Key: key, Value: val, Tombstone: tomb})
 		return true
 	})
 	// Reading the memtable out of Pmem for the flush.
-	s.Dev.ReadSeq(c, 0, st.memBytes)
+	s.Dev.ReadSeq(c, 0, s.memBytes)
 	run, err := sstable.Build(c, s.Arena, entries, sstable.BuildOptions{WithFilter: true})
 	if err != nil {
 		return err
 	}
-	// The stripe's run directory survives Crash (it models durable LSM
-	// metadata): never commit a run whose build a power failure interrupted,
-	// and never reset the persistent MemTable afterwards — its contents would
-	// be the only surviving copy.
+	// The run directory survives Crash (it models durable LSM metadata):
+	// never commit a run whose build a power failure interrupted, and never
+	// reset the persistent MemTable afterwards — its contents would be the
+	// only surviving copy.
 	if s.Dev.PowerFailed() {
 		run.Release()
 		return device.ErrPowerFailed
 	}
-	st.l0 = append(st.l0, run)
-	st.mem.Reset(c)
-	st.memBytes = 0
-	if len(st.l0) >= s.cfg.L0Trigger {
-		l0Bytes := s.cfg.MemTableBytes * int64(s.cfg.L0Trigger)
-		return sstable.CompactLeveled(c, s.Arena, &st.l0, st.levels, l0Bytes, s.cfg.Ratio, &s.compactions)
+	s.l0 = append(s.l0, run)
+	s.mem.Reset(c)
+	s.memBytes = 0
+	if len(s.l0) >= l0Trigger {
+		l0Bytes := s.cfg.MemTableBytes * l0Trigger
+		return sstable.CompactLeveled(c, s.Arena, &s.l0, s.levels, l0Bytes, ratio, &s.compactions)
 	}
 	return nil
 }
@@ -270,24 +237,24 @@ func (se *Session) write(key, value []byte, tomb bool) error {
 	c := se.clock
 	c.Advance(device.CostHash64)
 	h := xhash.Sum64(key)
-	st := se.store.stripeFor(h)
+	s := se.store
 	var err error
-	st.Do(c, func() {
+	s.lane.Do(c, func() {
 		var off int64
-		if off, err = se.store.writePayload(c, key, value, tomb); err != nil {
+		if off, err = s.writePayload(c, key, value, tomb); err != nil {
 			return
 		}
-		st.cache.Invalidate(h)
-		if err = st.mem.Insert(c, h, uint64(off)); err != nil {
+		s.cache.Invalidate(h)
+		if err = s.mem.Insert(c, h, uint64(off)); err != nil {
 			return
 		}
-		st.memBytes += int64(payloadHeader + len(key) + len(value))
-		if st.memBytes >= se.store.cfg.MemTableBytes {
-			err = se.store.flushLocked(c, st)
+		s.memBytes += int64(payloadHeader + len(key) + len(value))
+		if s.memBytes >= s.cfg.MemTableBytes {
+			err = s.flushLocked(c)
 		}
 	})
 	if err == nil {
-		se.store.Ops.CountWrite(tomb)
+		s.Ops.CountWrite(tomb)
 	}
 	return err
 }
@@ -308,19 +275,19 @@ func (se *Session) Get(key []byte) ([]byte, bool, error) {
 	c := se.clock
 	c.Advance(device.CostHash64)
 	h := xhash.Sum64(key)
-	st := se.store.stripeFor(h)
+	s := se.store
 	var v []byte
 	var ok bool
-	st.Do(c, func() { v, ok = se.store.get(c, st, h, key) })
-	se.store.Ops.CountGet(ok)
+	s.lane.Do(c, func() { v, ok = s.get(c, h, key) })
+	s.Ops.CountGet(ok)
 	return v, ok, nil
 }
 
-func (s *Store) get(c *simclock.Clock, st *stripe, h uint64, key []byte) ([]byte, bool) {
-	if v, ok := st.cache.Get(c, h); ok {
+func (s *Store) get(c *simclock.Clock, h uint64, key []byte) ([]byte, bool) {
+	if v, ok := s.cache.Get(c, h); ok {
 		return append([]byte(nil), v...), true
 	}
-	if ref, ok := st.mem.Get(c, h); ok {
+	if ref, ok := s.mem.Get(c, h); ok {
 		k, v, tomb := s.readPayload(c, int64(ref))
 		if !bytes.Equal(k, key) || tomb {
 			return nil, false
@@ -335,15 +302,15 @@ func (s *Store) get(c *simclock.Clock, st *stripe, h uint64, key []byte) ([]byte
 		if tomb || !bytes.Equal(k, key) {
 			return nil, false, true
 		}
-		st.cache.Put(h, v)
+		s.cache.Put(h, v)
 		return append([]byte(nil), v...), true, true
 	}
-	for i := len(st.l0) - 1; i >= 0; i-- {
-		if v, found, done := check(st.l0[i]); done {
+	for i := len(s.l0) - 1; i >= 0; i-- {
+		if v, found, done := check(s.l0[i]); done {
 			return v, found
 		}
 	}
-	for _, r := range st.levels {
+	for _, r := range s.levels {
 		if r == nil {
 			continue
 		}
@@ -360,5 +327,5 @@ func (se *Session) Flush() error { return se.store.Err() }
 
 // String implements fmt.Stringer.
 func (s *Store) String() string {
-	return fmt.Sprintf("NoveLSM(stripes=%d, memtable=%dB)", s.cfg.Stripes, s.cfg.MemTableBytes)
+	return fmt.Sprintf("NoveLSM(memtable=%dB)", s.cfg.MemTableBytes)
 }

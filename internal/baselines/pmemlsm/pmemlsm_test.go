@@ -22,15 +22,15 @@ func factory(v Variant) storetest.Factory {
 }
 
 func TestConformanceNF(t *testing.T) {
-	storetest.Run(t, "PmemLSM-NF", factory(NF), storetest.Options{Keys: 5000, SupportsRecovery: true})
+	storetest.Run(t, "PmemLSM-NF", factory(NF), storetest.Options{Keys: 5000})
 }
 
 func TestConformanceF(t *testing.T) {
-	storetest.Run(t, "PmemLSM-F", factory(F), storetest.Options{Keys: 5000, SupportsRecovery: true})
+	storetest.Run(t, "PmemLSM-F", factory(F), storetest.Options{Keys: 5000})
 }
 
 func TestConformancePinK(t *testing.T) {
-	storetest.Run(t, "PmemLSM-PinK", factory(PinK), storetest.Options{Keys: 5000, SupportsRecovery: true})
+	storetest.Run(t, "PmemLSM-PinK", factory(PinK), storetest.Options{Keys: 5000})
 }
 
 func load(t *testing.T, v Variant, n int) (*Store, kvstore.Session) {

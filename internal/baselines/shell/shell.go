@@ -1,8 +1,8 @@
 // Package shell is what the hand-written baseline stores share and none of
 // their designs is about: the device, arena and metrics plumbing, the gate
-// between Crash and Recover, and the lane — a stripe's lock booked on a
-// virtual-time timeline. Each baseline embeds a Store and keeps only its
-// design: its index, its append mode, its recovery, its stripe mapping and
+// between Crash and Recover, and the lane — a lock booked on a virtual-time
+// timeline. Each baseline embeds a Store and keeps only its design: its
+// index, its append mode, its recovery, its stripe mapping if it has one and
 // what its Crash loses. The paper compares stores that differ in their index
 // only (Sections 3.2 and 3.7); here that is also how the code is cut.
 package shell
@@ -86,10 +86,12 @@ func (s *Store) Recovered() {
 	s.mu.Unlock()
 }
 
-// Lane is a stripe's critical section: its mutex plus the timeline that books
-// how long the lock was held, so workers' virtual clocks serialize on the
-// stripe the way their threads would. Code that touches the stripe without
-// booking the lane (a footprint read, recovery) takes the mutex directly.
+// Lane is a critical section: a mutex plus the timeline that books how long
+// the lock was held, so workers' virtual clocks serialize on it the way their
+// threads would. Pmem-Hash and Dram-Hash hold one per stripe; NoveLSM and
+// MatrixKV hold one for the whole store. Code that touches the guarded state
+// without booking the lane (a footprint read, recovery) takes the mutex
+// directly.
 type Lane struct {
 	sync.Mutex
 	tl simclock.Timeline

@@ -23,44 +23,36 @@ func init() {
 func fig17Store(name string, totalBytes int64, valueSize int) (kvstore.Store, *device.Device, error) {
 	dev := device.New(device.OptanePmem)
 	arena := 8*totalBytes + (512 << 20)
-	switch name {
-	case "ChameleonDB":
+	if name == "ChameleonDB" {
 		keys := totalBytes / int64(valueSize+16)
 		cfg := chameleonConfig(keys, valueSize)
 		cfg.LogBytes = 4*totalBytes + (64 << 20)
 		cfg.ArenaBytes = cfg.LogBytes + 24*keys*16 + (128 << 20)
 		s, err := core.OpenOn(cfg, dev)
 		return s, dev, err
+	}
+	// NoveLSM and MatrixKV scale the memtable with the dataset so the leveled
+	// hierarchy cascades as deeply as at paper scale (64 GB through 128 MB
+	// memtables ~ 512 memtable generations), and get the paper's 8 GB data
+	// cache against 64 GB written: 1/8. Their level geometry is constants in
+	// their packages.
+	memTable := max(totalBytes/128, 64<<10)
+	cache := totalBytes / 8
+	switch name {
 	case "NoveLSM":
-		cfg := novelsm.DefaultConfig()
-		// Scale the memtable with the dataset so the leveled hierarchy
-		// cascades as deeply as at paper scale (64 GB through 128 MB
-		// memtables ~ 512 memtable generations).
-		cfg.MemTableBytes = totalBytes / 128
-		if cfg.MemTableBytes < 64<<10 {
-			cfg.MemTableBytes = 64 << 10
-		}
-		cfg.L0Trigger = 4
-		cfg.Ratio = 4
-		cfg.MaxLevels = 5
-		cfg.ArenaBytes = arena
-		// The paper grants an 8 GB data cache against 64 GB written: 1/8.
-		cfg.CacheBytes = totalBytes / 8
-		s, err := novelsm.OpenOn(cfg, dev)
+		s, err := novelsm.OpenOn(novelsm.Config{
+			MemTableBytes: memTable,
+			ArenaBytes:    arena,
+			CacheBytes:    cache,
+		}, dev)
 		return s, dev, err
 	case "MatrixKV":
-		cfg := matrixkv.DefaultConfig()
-		cfg.MemTableBytes = totalBytes / 128
-		if cfg.MemTableBytes < 64<<10 {
-			cfg.MemTableBytes = 64 << 10
-		}
-		cfg.MaxRows = 4
-		cfg.Ratio = 4
-		cfg.MaxLevels = 4
-		cfg.ArenaBytes = arena
-		cfg.CacheBytes = totalBytes / 8 // the paper's 8 GB / 64 GB ratio
-		cfg.WALBytes = 2*totalBytes + (64 << 20)
-		s, err := matrixkv.OpenOn(cfg, dev)
+		s, err := matrixkv.OpenOn(matrixkv.Config{
+			MemTableBytes: memTable,
+			ArenaBytes:    arena,
+			WALBytes:      2*totalBytes + (64 << 20),
+			CacheBytes:    cache,
+		}, dev)
 		return s, dev, err
 	}
 	return nil, nil, fmt.Errorf("bench: unknown fig17 store %s", name)

@@ -15,7 +15,7 @@ func TestConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 		return s
-	}, storetest.Options{Keys: 8000, SupportsRecovery: true})
+	}, storetest.Options{Keys: 8000})
 }
 
 func TestConformanceWriteIntensive(t *testing.T) {
@@ -28,5 +28,5 @@ func TestConformanceWriteIntensive(t *testing.T) {
 			t.Fatal(err)
 		}
 		return s
-	}, storetest.Options{Keys: 8000, SupportsRecovery: true})
+	}, storetest.Options{Keys: 8000})
 }

@@ -283,6 +283,5 @@ func TestCrashSoak(t *testing.T) {
 		Keys:        48,
 		MaxValueLen: 100,
 		FlushEvery:  20,
-		ErrorProb:   0.01,
 	})
 }

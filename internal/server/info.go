@@ -9,29 +9,6 @@ import (
 	"chameleondb/internal/obs"
 )
 
-// asciiEqualFold reports whether b equals s under ASCII case folding. The
-// section names INFO matches against are ASCII, so this avoids the
-// string(section) conversion a strings.EqualFold call would force on the
-// command path.
-func asciiEqualFold(b []byte, s string) bool {
-	if len(b) != len(s) {
-		return false
-	}
-	for i := 0; i < len(b); i++ {
-		cb, cs := b[i], s[i]
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if 'A' <= cs && cs <= 'Z' {
-			cs += 'a' - 'A'
-		}
-		if cb != cs {
-			return false
-		}
-	}
-	return true
-}
-
 // appendPrefixed appends the "name:value" lines of the metrics whose names
 // start with prefix, sorted by name.
 func appendPrefixed(b []byte, metrics map[string]int64, prefix string) []byte {
@@ -55,7 +32,7 @@ func appendPrefixed(b []byte, metrics map[string]int64, prefix string) []byte {
 // observability block /stats.json serves.
 func (s *Server) infoText(section []byte) []byte {
 	want := func(name string) bool {
-		return len(section) == 0 || asciiEqualFold(section, name)
+		return len(section) == 0 || equalFold(section, name)
 	}
 	m := s.metrics
 	var b []byte

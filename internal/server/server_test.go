@@ -499,6 +499,22 @@ func TestCommands(t *testing.T) {
 			t.Errorf("INFO missing %q:\n%s", want, info)
 		}
 	}
+	// A section name matches case-insensitively and selects only its
+	// section; an unknown name selects none.
+	rep, err = c.DoStrings("INFO", "Persistence")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Text(); !strings.HasPrefix(got, "# Persistence\r\n") || strings.Count(got, "# ") != 1 {
+		t.Errorf("INFO Persistence = %q, want the persistence section alone", got)
+	}
+	rep, err = c.DoStrings("INFO", "nosuch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Text() != "" {
+		t.Errorf("INFO nosuch = %q, want no section", rep.Text())
+	}
 	// Arity errors don't kill the connection.
 	rep, err = c.DoStrings("GET")
 	if err != nil {

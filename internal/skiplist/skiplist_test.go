@@ -12,7 +12,7 @@ import (
 func newList(t *testing.T) (*List, *pmem.Arena) {
 	t.Helper()
 	a := pmem.NewArena(device.New(device.OptanePmem), 1<<24)
-	l, err := New(a, pmem.NewSlab(a, 1<<16), 1)
+	l, err := New(a, pmem.NewSlab(a, 1<<16))
 	if err != nil {
 		t.Fatal(err)
 	}

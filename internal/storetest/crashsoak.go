@@ -9,6 +9,10 @@ import (
 	"chameleondb/internal/simclock"
 )
 
+// soakErrorProb is the per-allocation probability of a transient injected
+// failure during a soak iteration's error-tolerance run.
+const soakErrorProb = 0.01
+
 // SoakConfig sizes the randomized crash soak: each iteration generates a
 // fresh workload from a derived seed and exercises both transient-error
 // tolerance and a random torn crash point, so repeated runs cover workload
@@ -21,10 +25,6 @@ type SoakConfig struct {
 	Keys        int
 	MaxValueLen int
 	FlushEvery  int
-
-	// ErrorProb is the per-allocation probability of a transient injected
-	// failure during the error-tolerance run (0 disables that half).
-	ErrorProb float64
 
 	Logf func(format string, args ...any)
 }
@@ -39,11 +39,10 @@ type SoakResult struct {
 
 // CrashSoak runs cfg.Iterations independent rounds. Each round:
 //
-//  1. Error-tolerance run (if ErrorProb > 0): the scripted workload executes
-//     with transient allocation failures injected; every failed op is retried
-//     until it succeeds, and the final store state must exactly match the
-//     in-memory model — transient errors must never corrupt acknowledged
-//     state.
+//  1. Error-tolerance run: the scripted workload executes with transient
+//     allocation failures injected; every failed op is retried until it
+//     succeeds, and the final store state must exactly match the in-memory
+//     model — transient errors must never corrupt acknowledged state.
 //  2. Crash run: a clean count run measures the script's persist total, then
 //     one uniformly random crash point is replayed with a random tear
 //     (TearRandom) and checked with the full recovery oracle of CrashSweep.
@@ -63,13 +62,11 @@ func CrashSoak(newStore NewStoreFunc, cfg SoakConfig) (SoakResult, error) {
 		}
 		script := buildScript(sweepCfg)
 
-		if cfg.ErrorProb > 0 {
-			retries, err := errorToleranceRun(newStore, script, sweepCfg, cfg.ErrorProb)
-			if err != nil {
-				return res, fmt.Errorf("crashsoak: iteration %d (seed %d): error run: %w", it, seed, err)
-			}
-			res.Retries += retries
+		retries, err := errorToleranceRun(newStore, script, sweepCfg)
+		if err != nil {
+			return res, fmt.Errorf("crashsoak: iteration %d (seed %d): error run: %w", it, seed, err)
 		}
+		res.Retries += retries
 
 		total, err := countPersists(newStore, script, sweepCfg)
 		if err != nil {
@@ -89,10 +86,10 @@ func CrashSoak(newStore NewStoreFunc, cfg SoakConfig) (SoakResult, error) {
 }
 
 // errorToleranceRun executes the script with transient allocation errors
-// injected at prob, retrying each failed op (a failed op may have partially
-// applied; puts and deletes are idempotent, so the retry converges). The
-// final state must exactly match the model.
-func errorToleranceRun(newStore NewStoreFunc, script []scriptOp, cfg SweepConfig, prob float64) (int64, error) {
+// injected at soakErrorProb, retrying each failed op (a failed op may have
+// partially applied; puts and deletes are idempotent, so the retry
+// converges). The final state must exactly match the model.
+func errorToleranceRun(newStore NewStoreFunc, script []scriptOp, cfg SweepConfig) (int64, error) {
 	const maxRetries = 200
 	st, err := newStore()
 	if err != nil {
@@ -103,7 +100,7 @@ func errorToleranceRun(newStore NewStoreFunc, script []scriptOp, cfg SweepConfig
 	if err != nil {
 		return 0, err
 	}
-	plan := &device.FaultPlan{ErrorProb: prob, Seed: cfg.Seed ^ 0x7e57}
+	plan := &device.FaultPlan{ErrorProb: soakErrorProb, Seed: cfg.Seed ^ 0x7e57}
 	dev.InstallFaultPlan(plan)
 
 	se := st.NewSession(simclock.New(0))

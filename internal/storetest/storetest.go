@@ -19,15 +19,13 @@ type Factory func(t *testing.T) kvstore.Store
 
 // Options tune the suite per store.
 type Options struct {
-	// Keys is the data volume for the churn tests.
+	// Keys is the data volume for the churn and crash/recover tests.
 	Keys int
-	// SupportsRecovery runs the crash/recover suite. Stores whose recovery
-	// intentionally drops acknowledged-unflushed data still pass: the suite
-	// only requires explicitly Flushed data to survive.
-	SupportsRecovery bool
 }
 
-// Run executes the full conformance suite.
+// Run executes the full conformance suite. Its crash/recover test requires
+// only explicitly Flushed data to survive, so a store whose recovery drops
+// acknowledged-unflushed data still passes.
 func Run(t *testing.T, name string, f Factory, opt Options) {
 	if opt.Keys == 0 {
 		opt.Keys = 5000
@@ -37,9 +35,7 @@ func Run(t *testing.T, name string, f Factory, opt Options) {
 	t.Run(name+"/Churn", func(t *testing.T) { churn(t, f, opt.Keys) })
 	t.Run(name+"/OracleRandomOps", func(t *testing.T) { oracle(t, f) })
 	t.Run(name+"/TimeAdvances", func(t *testing.T) { timing(t, f) })
-	if opt.SupportsRecovery {
-		t.Run(name+"/CrashRecover", func(t *testing.T) { crash(t, f, opt.Keys) })
-	}
+	t.Run(name+"/CrashRecover", func(t *testing.T) { crash(t, f, opt.Keys) })
 }
 
 func k(i int) []byte { return []byte(fmt.Sprintf("key-%08d", i)) }
