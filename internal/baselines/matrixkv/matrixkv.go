@@ -50,7 +50,6 @@ type memEntry struct {
 	key   []byte
 	value []byte
 	tomb  bool
-	seq   int64
 }
 
 // Store is a MatrixKV instance: one LSM, its MemTable, matrix, levels and
@@ -63,7 +62,6 @@ type Store struct {
 	lane       shell.Lane // guards everything below
 	mem        map[uint64]*memEntry
 	memBytes   int64
-	memSeq     int64
 	flushedLSN int64 // WAL watermark: rows cover everything below
 
 	rows   []*sstable.Run // matrix L0, oldest first
@@ -126,7 +124,7 @@ func (s *Store) DRAMFootprint() int64 {
 func (s *Store) Crash() {
 	s.Store.Crash()
 	s.mem = make(map[uint64]*memEntry)
-	s.memBytes, s.memSeq = 0, 0
+	s.memBytes = 0
 	s.lane.Reset()
 	s.cache.Reset()
 }
@@ -152,12 +150,10 @@ func (s *Store) insertMem(c *simclock.Clock, h uint64, key, value []byte, tomb b
 	if old, ok := s.mem[h]; ok {
 		s.memBytes -= int64(len(old.key) + len(old.value))
 	}
-	s.memSeq++
 	s.mem[h] = &memEntry{
 		key:   append([]byte(nil), key...),
 		value: append([]byte(nil), value...),
 		tomb:  tomb,
-		seq:   s.memSeq,
 	}
 	s.memBytes += int64(len(key) + len(value))
 }
@@ -189,7 +185,7 @@ func (s *Store) flushLocked(c *simclock.Clock) error {
 	}
 	s.rows = append(s.rows, row)
 	s.mem = make(map[uint64]*memEntry)
-	s.memBytes, s.memSeq = 0, 0
+	s.memBytes = 0
 	s.flushedLSN = s.wal.MinNextLSN()
 	if len(s.rows) >= maxRows {
 		// A column compaction into L1; MatrixKV's fine-grained column

@@ -90,7 +90,7 @@ func TestABIGrowsPastFailedPlacements(t *testing.T) {
 		}
 	}
 
-	if err := sh.moveABI(c, 80); err != nil || !sh.abi.TwoChoice() {
+	if err := sh.moveABI(c, 80, &s.stats.ABIMovesGrown); err != nil || !sh.abi.TwoChoice() {
 		t.Fatalf("moving the ABI to 80 slots: %v, two-choice %v", err, sh.abi.TwoChoice())
 	}
 	for i := range 9 {
@@ -229,40 +229,54 @@ func TestABIGrowsToOccupancy(t *testing.T) {
 }
 
 // TestRecoveredABIKeepsItsSize: a recovery rebuild meets every upper-level
-// table, and the older ones hold versions the ABI already has. Growing ahead
-// for the newest table only, the rebuilt ABIs of a store loaded with 200 k
-// keys and 400 k updates take, summed, no more slots than before the crash,
-// allowing each shard one two-choice step above its pre-crash capacity.
+// table, and the older ones hold versions the ABI already has. Growing once
+// ahead of all of them and settling once they are in, the rebuild makes no
+// more growths, and no more settles, than there are shards, and the rebuilt
+// ABIs of a store loaded with 200 k keys and 400 k updates take, summed, no
+// more slots than the smallest two-choice tables that hold their entries at
+// abiFullFraction, plus one two-choice size for each placement that found no
+// room.
 func TestRecoveredABIKeepsItsSize(t *testing.T) {
 	s := servingLoad(t, 400_000)
 	before, entries, _ := abiSlotsPerEntry(s)
-	allowed := 0
-	for _, c := range abiCaps(s) {
-		allowed += hashtable.FitTwoChoice(c + 1)
-	}
 	s.Crash()
+	moves := s.Stats()
 	if err := s.Recover(simclock.New(0)); err != nil {
 		t.Fatal(err)
 	}
+	_, full := s.RecoverTimes()
+	st := s.Stats()
+	grown, failed := st.ABIMovesGrown-moves.ABIMovesGrown, st.ABIMovesFailed-moves.ABIMovesFailed
+	back, settled := st.ABIMovesBack-moves.ABIMovesBack, st.ABIMovesSettled-moves.ABIMovesSettled
 	after, rebuilt, _ := abiSlotsPerEntry(s)
-	t.Logf("ABI slots %d for %d entries before the crash, %d for %d after recovery (allowed %d)", before, entries, after, rebuilt, allowed)
-	if after > allowed {
-		t.Fatalf("recovery rebuilt the ABIs into %d slots, over the %d a step above their pre-crash %d", after, allowed, before)
+	fitted, steps := 0, int64(0)
+	for _, sh := range s.shards {
+		abi := sh.view.Load().abi()
+		fit := hashtable.FitTwoChoice(int(math.Ceil(float64(abi.Len()) / abiFullFraction)))
+		fitted += fit
+		for size := fit; size < abi.Cap(); size = hashtable.FitTwoChoice(size + 1) {
+			steps++
+		}
+	}
+	t.Logf("ABI slots %d for %d entries before the crash, %d for %d after recovery (settled sizes %d); rebuild moves: %d grown, %d failed placements, %d back, %d settled; full recovery %.2f ms virtual",
+		before, entries, after, rebuilt, fitted, grown, failed, back, settled, float64(full)/1e6)
+	shards := int64(len(s.shards))
+	if grown > shards || settled > shards || back != 0 {
+		t.Fatalf("the rebuild of %d shards grew their ABIs %d times, settled them %d times and moved them back %d times: more than two moves a shard", shards, grown, settled, back)
+	}
+	if steps > failed {
+		t.Fatalf("recovery rebuilt the ABIs into %d slots, %d two-choice sizes above their settled %d, with %d failed placements", after, steps, fitted, failed)
+	}
+	// 34.37 ms is the rebuild that grew ahead for every table in full,
+	// into ABIs 85 % larger.
+	if full > 34_370_000 {
+		t.Fatalf("full recovery took %.2f ms virtual, over 34.37 ms", float64(full)/1e6)
 	}
 }
 
-// TestABIUpdateBatchMovesBack: a frozen MemTable that follows batches of new
-// hashes is grown for in full before its first entry. When its entries turn
-// out to update hashes the ABI holds, the ABI moves back into the fitted
-// table it started in; the next batch of updates leaves the table as it is,
-// unmoved, and the next batch of new hashes grows it as it adds them.
-func TestABIUpdateBatchMovesBack(t *testing.T) {
-	s := openTest(t)
-	sh := s.shards[0]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	c := simclock.New(0)
-	const n = 40
+// absorbBatches returns a batch of n hashes numbered from, and a function
+// that absorbs one into shard 0's ABI; the caller holds its lock.
+func absorbBatches(t *testing.T, sh *shard, c *simclock.Clock, n int) func(from int) {
 	batch := func(from int) *hashtable.Mem {
 		m := hashtable.NewMem(2 * n)
 		for i := from; i < from+n; i++ {
@@ -270,12 +284,34 @@ func TestABIUpdateBatchMovesBack(t *testing.T) {
 		}
 		return m
 	}
-	absorb := func(from int) {
+	return func(from int) {
 		t.Helper()
 		if err := sh.abiAbsorb(c, batch(from)); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// abiMoves is the store's ABI moves so far, summed over their causes.
+func abiMoves(s *Store) int64 {
+	st := s.Stats()
+	return st.ABIMovesGrown + st.ABIMovesFailed + st.ABIMovesBack + st.ABIMovesSettled
+}
+
+// TestABIUpdateBatchMovesBack: a frozen MemTable that follows batches of new
+// hashes is grown for in full before its first entry. When its entries turn
+// out to update hashes the ABI holds, the ABI moves back into the fitted
+// table it started in; the next batch of updates, the second in a row,
+// settles it into the smallest two-choice table that holds it at
+// abiFullFraction; a third leaves the table as it is, unmoved; and the next
+// batch of new hashes grows it as it adds them.
+func TestABIUpdateBatchMovesBack(t *testing.T) {
+	s := openTest(t)
+	sh := s.shards[0]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	const n = 40
+	absorb := absorbBatches(t, sh, simclock.New(0), n)
 	next := 0
 	for !sh.abi.TwoChoice() || float64(sh.abi.Len()+n) <= abiFullFraction*float64(sh.abi.Cap()) {
 		absorb(next)
@@ -289,14 +325,61 @@ func TestABIUpdateBatchMovesBack(t *testing.T) {
 	if sh.abi.Cap() != start || sh.abi.Len() != held || sh.abiHeld != 1 {
 		t.Fatalf("a batch of updates left the ABI at %d of %d slots (abiHeld %v), want %d of %d (1)", sh.abi.Len(), sh.abi.Cap(), sh.abiHeld, held, start)
 	}
+	absorb(next - n)
+	fit := hashtable.FitTwoChoice(int(math.Ceil(float64(held) / abiFullFraction)))
+	if sh.abi.Cap() != fit || sh.abi.Len() != held || s.Stats().ABIMovesSettled != 1 {
+		t.Fatalf("a second batch of updates left the ABI at %d of %d slots after %d settles, want %d of %d after 1", sh.abi.Len(), sh.abi.Cap(), s.Stats().ABIMovesSettled, held, fit)
+	}
 	table := sh.abi
 	absorb(next - n)
 	if sh.abi != table {
-		t.Fatalf("a second batch of updates moved the ABI (%d slots, from %d)", sh.abi.Cap(), start)
+		t.Fatalf("a third batch of updates moved the ABI (%d slots, from %d)", sh.abi.Cap(), fit)
 	}
 	absorb(next)
-	if sh.abi.Len() != held+n || sh.abi.Cap() <= start || sh.abiHeld != 0 {
-		t.Fatalf("a batch of new hashes left the ABI at %d of %d slots (abiHeld %v), want %d entries in more than %d", sh.abi.Len(), sh.abi.Cap(), sh.abiHeld, held+n, start)
+	if sh.abi.Len() != held+n || sh.abi.Cap() <= fit || sh.abiHeld != 0 {
+		t.Fatalf("a batch of new hashes left the ABI at %d of %d slots (abiHeld %v), want %d entries in more than %d", sh.abi.Len(), sh.abi.Cap(), sh.abiHeld, held+n, fit)
+	}
+}
+
+// TestABISettles: an ABI that holds ten batches' worth of entries, fed
+// cycles of a batch of new hashes and two batches of updates, moves at most
+// twice a cycle — a growth for the new hashes and the settle after the second
+// batch of updates — and ends each cycle in the smallest two-choice table
+// that holds it at abiFullFraction. (Against a smaller ABI the first batch of
+// updates also grows ahead and moves back: four moves.) Fed batches that
+// alternate new hashes and updates, it never settles.
+func TestABISettles(t *testing.T) {
+	const n, cycles = 40, 8
+	for _, quiet := range []int{2, 1} {
+		s := openTest(t)
+		sh := s.shards[0]
+		sh.mu.Lock()
+		absorb := absorbBatches(t, sh, simclock.New(0), n)
+		next := 0
+		for sh.abi.Len() < 10*n {
+			absorb(next)
+			next += n
+		}
+		for cycle := range cycles {
+			moves := abiMoves(s)
+			absorb(next)
+			for range quiet {
+				absorb(next)
+			}
+			next += n
+			moved := abiMoves(s) - moves
+			fit := hashtable.FitTwoChoice(int(math.Ceil(float64(sh.abi.Len()) / abiFullFraction)))
+			switch {
+			case quiet == 2 && (moved > 2 || sh.abi.Cap() != fit):
+				t.Fatalf("cycle %d: new, quiet, quiet batches moved the ABI %d times and left it in %d slots for %d entries, want at most 2 and %d", cycle, moved, sh.abi.Cap(), sh.abi.Len(), fit)
+			case quiet == 1 && s.Stats().ABIMovesSettled != 0:
+				t.Fatalf("cycle %d: alternating new and quiet batches settled the ABI %d times", cycle, s.Stats().ABIMovesSettled)
+			}
+		}
+		st := s.Stats()
+		t.Logf("%d quiet batches a cycle: ABI moves grown %d, failed placement %d, back %d, settled %d; %d entries in %d slots",
+			quiet, st.ABIMovesGrown, st.ABIMovesFailed, st.ABIMovesBack, st.ABIMovesSettled, sh.abi.Len(), sh.abi.Cap())
+		sh.mu.Unlock()
 	}
 }
 

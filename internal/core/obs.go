@@ -43,6 +43,10 @@ func (s *Store) buildRegistry() {
 	r.CounterFunc("maint_jobs_compact", st.MaintJobsCompact.Load)
 	r.CounterFunc("maint_jobs_last_level", st.MaintJobsLastLevel.Load)
 	r.CounterFunc("maint_jobs_skipped", st.MaintJobsSkipped.Load)
+	r.CounterFunc("core_abi_moves_grown", st.ABIMovesGrown.Load)
+	r.CounterFunc("core_abi_moves_failed_placement", st.ABIMovesFailed.Load)
+	r.CounterFunc("core_abi_moves_back", st.ABIMovesBack.Load)
+	r.CounterFunc("core_abi_moves_settled", st.ABIMovesSettled.Load)
 	for p, name := range mediaPurposeNames {
 		r.CounterFunc("core_media_bytes_"+name, func() int64 { return s.mediaBytes(mediaPurpose(p)) })
 	}

@@ -2,9 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"chameleondb/internal/hashtable"
 	"chameleondb/internal/simclock"
 )
 
@@ -12,6 +15,45 @@ import (
 // map-backed oracle, optionally injecting crash/recover cycles and mode
 // flips, then verifies every key.
 func oracleCheck(t *testing.T, seed int64, crashes bool, mutate ...func(*Config)) {
+	t.Helper()
+	oracleWatched(t, seed, crashes, nil, mutate...)
+}
+
+// settleWatch follows which shards' live ABIs a settle made: a table that
+// replaced a shard's ABI in a step (an op, or a Recover) that settled, at the
+// settled size. It counts the crashes at which such an ABI was live and the
+// recoveries that ended with one.
+type settleWatch struct {
+	settles             int64
+	abis                []*hashtable.Mem
+	settled             []bool
+	points              int // crash-and-recover cycles
+	crashes, recoveries int
+}
+
+// step records what the last op or Recover did to each shard's ABI.
+func (w *settleWatch) step(s *Store) {
+	if w.abis == nil {
+		w.abis, w.settled = make([]*hashtable.Mem, len(s.shards)), make([]bool, len(s.shards))
+	}
+	n := s.Stats().ABIMovesSettled
+	for i, sh := range s.shards {
+		abi := sh.view.Load().abi()
+		if abi != w.abis[i] {
+			w.abis[i] = abi
+			fit := hashtable.FitTwoChoice(int(math.Ceil(float64(abi.Len()) / abiFullFraction)))
+			w.settled[i] = n > w.settles && abi.Cap() == fit
+		}
+	}
+	w.settles = n
+}
+
+// live reports whether any shard's ABI is one a settle made.
+func (w *settleWatch) live() bool { return slices.Contains(w.settled, true) }
+
+// oracleWatched is oracleCheck with its store's ABIs followed by w, when w is
+// not nil.
+func oracleWatched(t *testing.T, seed int64, crashes bool, w *settleWatch, mutate ...func(*Config)) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	cfg := TestConfig()
@@ -47,6 +89,9 @@ func oracleCheck(t *testing.T, seed int64, crashes bool, mutate ...func(*Config)
 
 	const ops = 30000
 	for i := 0; i < ops; i++ {
+		if w != nil {
+			w.step(s)
+		}
 		k := fmt.Sprintf("key-%06d", r.Intn(keyspace))
 		switch r.Intn(10) {
 		case 0, 1, 2, 3, 4, 5:
@@ -78,9 +123,20 @@ func oracleCheck(t *testing.T, seed int64, crashes bool, mutate ...func(*Config)
 				if r.Intn(2) == 0 {
 					syncDurable()
 				}
+				if w != nil {
+					w.points++
+					if w.live() {
+						w.crashes++
+					}
+				}
 				s.Crash()
 				if err := s.Recover(simclock.New(0)); err != nil {
 					t.Fatalf("op %d: recover: %v", i, err)
+				}
+				if w != nil {
+					if w.step(s); w.live() {
+						w.recoveries++
+					}
 				}
 				se = s.NewSession(simclock.New(0)).(*Session)
 				// After a crash the live state rolls back to the last
@@ -185,8 +241,18 @@ func TestOracleLevelByLevel(t *testing.T) {
 	oracleCheck(t, 3, true, func(c *Config) { c.CompactionMode = LevelByLevel })
 }
 
+// TestOracleWriteIntensive is the oracle in Write-Intensive Mode, where
+// spills feed the ABIs batches of updates to the keys they hold, so they
+// settle. It counts the crashes at which an ABI a settle made was live and
+// the recoveries that ended with one (every recovery's rebuild settles), and
+// fails if either count is zero: then the oracle no longer reaches them.
 func TestOracleWriteIntensive(t *testing.T) {
-	oracleCheck(t, 4, true, func(c *Config) { c.WriteIntensive = true })
+	w := &settleWatch{}
+	oracleWatched(t, 4, true, w, func(c *Config) { c.WriteIntensive = true })
+	t.Logf("%d ABI settles; of %d crash points, a settled ABI was live at %d crashes and after %d recoveries", w.settles, w.points, w.crashes, w.recoveries)
+	if w.crashes == 0 || w.recoveries == 0 {
+		t.Fatalf("a settled ABI was live at %d crashes and after %d recoveries: the oracle no longer reaches them", w.crashes, w.recoveries)
+	}
 }
 
 func TestOracleNoABI(t *testing.T) {

@@ -139,19 +139,26 @@ func (s *Store) Recover(c *simclock.Clock) error {
 
 // rebuildABI is one shard's step 3 of Recover: it walks the upper-level
 // tiers the view lists while the ABI is behind, and publishes the result.
-// The ABI grows ahead for the newest table only: older tables hold mostly
-// versions it already has (abiHeld). Called with sh.mu held.
+// The ABI grows once, ahead of every entry those tables hold; older tables
+// hold mostly versions it already has, so once they are in it settles to
+// what it holds (settleABI). Called with sh.mu held.
 func (sh *shard) rebuildABI(c *simclock.Clock) error {
 	v := sh.view.Load()
-	var err error
+	n := 0
 	for _, t := range v.tiers {
+		if t.src == srcUpper {
+			n += t.p.t.Len()
+		}
+	}
+	err := sh.growABI(c, n)
+	for _, t := range v.tiers {
+		if err != nil {
+			break
+		}
 		if t.src != srcUpper {
 			continue
 		}
 		t.p.t.ChargeScan(c)
-		if err = sh.growABI(c, int(float64(t.p.t.Len())*(1-sh.abiHeld))); err != nil {
-			break
-		}
 		sh.abiHeld = 1
 		t.p.t.Iterate(func(slot hashtable.Slot) bool {
 			// A newer version in a dump keeps the entry out of the ABI.
@@ -160,9 +167,9 @@ func (sh *shard) rebuildABI(c *simclock.Clock) error {
 			}
 			return err == nil
 		})
-		if err != nil {
-			break
-		}
+	}
+	if err == nil {
+		err = sh.settleABI(c)
 	}
 	sh.abiBehind = false
 	sh.publishView()

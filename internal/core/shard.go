@@ -262,20 +262,22 @@ func (sh *shard) growABI(c *simclock.Clock, n int) error {
 	if old.Cap() >= sh.store.cfg.ABISlots || float64(need) <= keep*float64(old.Cap()) {
 		return nil
 	}
-	return sh.moveABI(c, hashtable.FitTwoChoice(int(math.Ceil(float64(need)/abiMaxFill))))
+	return sh.moveABI(c, hashtable.FitTwoChoice(int(math.Ceil(float64(need)/abiMaxFill))), &sh.store.stats.ABIMovesGrown)
 }
 
 // moveABI moves the ABI's entries into a fresh table of min(capacity,
-// cfg.ABISlots) slots. When an entry finds no room there — a two-choice
-// placement whose displacement failed — it starts over one two-choice size
-// up; the cap is a power of two larger than the old table, so there every
-// entry fits. Each copy is charged as a sequential read of the old bytes and
-// write of the new; views published before keep the old table, which is
-// never written again, and the caller publishes the new one. Called with
-// sh.mu held.
-func (sh *shard) moveABI(c *simclock.Clock, capacity int) error {
+// cfg.ABISlots) slots, counting the copy under cause. When an entry finds no
+// room there — a two-choice placement whose displacement failed — it starts
+// over one two-choice size up, counted as a failed placement; the cap is a
+// power of two larger than the old table, so there every entry fits. Each
+// copy is charged as a sequential read of the old bytes and write of the
+// new; views published before keep the old table, which is never written
+// again, and the caller publishes the new one. Called with sh.mu held.
+func (sh *shard) moveABI(c *simclock.Clock, capacity int, cause *atomic.Int64) error {
 	old, limit := sh.abi, sh.store.cfg.ABISlots
 	for {
+		cause.Add(1)
+		cause = &sh.store.stats.ABIMovesFailed
 		t := hashtable.NewFittedMem(min(capacity, limit))
 		ok := true
 		old.Iterate(func(s hashtable.Slot) bool {
@@ -322,7 +324,7 @@ func (sh *shard) abiInsert(c *simclock.Clock, s hashtable.Slot, ifAbsent bool, a
 		if sh.abi.Cap() >= sh.store.cfg.ABISlots {
 			return sh.errABIFull()
 		}
-		if err := sh.moveABI(c, hashtable.FitTwoChoice(sh.abi.Cap()+1)); err != nil {
+		if err := sh.moveABI(c, hashtable.FitTwoChoice(sh.abi.Cap()+1), &sh.store.stats.ABIMovesFailed); err != nil {
 			return err
 		}
 	}
@@ -332,21 +334,41 @@ func (sh *shard) abiInsert(c *simclock.Clock, s hashtable.Slot, ifAbsent bool, a
 // first, at each entry, for the entries left times the share of the last
 // batch it did not hold (abiHeld). A batch that grew it yet updated held
 // entries moves back into the fitted table it started in if that holds them.
-// Called with sh.mu held; the caller publishes the view.
+// A batch that gained no entry after one that gained none either settles it
+// (settleABI). Called with sh.mu held; the caller publishes the view.
 func (sh *shard) abiAbsorb(c *simclock.Clock, m *hashtable.Mem) error {
 	var err error
-	rest, before, start := m.Len(), sh.abi.Len(), sh.abi.Cap()
+	rest, before, start, quiet := m.Len(), sh.abi.Len(), sh.abi.Cap(), sh.abiHeld == 1
 	m.Iterate(func(s hashtable.Slot) bool {
 		err = sh.abiInsert(c, s, false, int(math.Ceil(float64(rest)*(1-sh.abiHeld))))
 		rest--
 		return err == nil
 	})
 	sh.abiHeld = 1 - float64(sh.abi.Len()-before)/float64(m.Len())
-	if err != nil || sh.abiHeld == 0 || sh.abi.Cap() <= start || start&(start-1) == 0 ||
-		float64(sh.abi.Len()) > abiFullFraction*float64(start) {
+	switch {
+	case err != nil:
 		return err
+	case quiet && sh.abiHeld == 1:
+		return sh.settleABI(c)
+	case sh.abiHeld == 0 || sh.abi.Cap() <= start || start&(start-1) == 0 ||
+		float64(sh.abi.Len()) > abiFullFraction*float64(start):
+		return nil
 	}
-	return sh.moveABI(c, start)
+	return sh.moveABI(c, start, &sh.store.stats.ABIMovesBack)
+}
+
+// settleABI moves the ABI into the smallest two-choice table that holds what
+// it has at abiFullFraction, when that table is smaller than the current one:
+// an ABI that has stopped gaining entries gives back the room a growth left
+// it. It never settles into a power-of-two table (half a line or one), which
+// is kept under abiMaxFill. Called with sh.mu held; the caller publishes the
+// view.
+func (sh *shard) settleABI(c *simclock.Clock) error {
+	fit := hashtable.FitTwoChoice(int(math.Ceil(float64(sh.abi.Len()) / abiFullFraction)))
+	if fit >= sh.abi.Cap() || fit&(fit-1) == 0 {
+		return nil
+	}
+	return sh.moveABI(c, fit, &sh.store.stats.ABIMovesSettled)
 }
 
 // async brackets background work: it runs fn (charging c as usual) and

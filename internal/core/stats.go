@@ -47,6 +47,17 @@ type Stats struct {
 	MaintJobsCompact   atomic.Int64
 	MaintJobsLastLevel atomic.Int64
 	MaintJobsSkipped   atomic.Int64
+
+	// ABI moves by cause, each one copy of the ABI's entries into a fresh
+	// table: growing ahead of the entries a batch is expected to gain (or of
+	// the recovery rebuild), a placement that found no room (in an insert, or
+	// in a move's copy, which starts over one size up), moving back into the
+	// table a batch of updates started in, and settling into the table that
+	// holds the ABI at abiFullFraction (DESIGN.md §3).
+	ABIMovesGrown   atomic.Int64
+	ABIMovesFailed  atomic.Int64
+	ABIMovesBack    atomic.Int64
+	ABIMovesSettled atomic.Int64
 }
 
 // mediaPurpose names what a persist was for. Every persist a store issues is
@@ -184,6 +195,11 @@ type StatsSnapshot struct {
 	MaintJobsCompact   int64
 	MaintJobsLastLevel int64
 	MaintJobsSkipped   int64
+
+	ABIMovesGrown   int64
+	ABIMovesFailed  int64
+	ABIMovesBack    int64
+	ABIMovesSettled int64
 }
 
 // Stats returns a snapshot of the operation counters.
@@ -220,6 +236,11 @@ func (s *Store) Stats() StatsSnapshot {
 		MaintJobsCompact:   s.stats.MaintJobsCompact.Load(),
 		MaintJobsLastLevel: s.stats.MaintJobsLastLevel.Load(),
 		MaintJobsSkipped:   s.stats.MaintJobsSkipped.Load(),
+
+		ABIMovesGrown:   s.stats.ABIMovesGrown.Load(),
+		ABIMovesFailed:  s.stats.ABIMovesFailed.Load(),
+		ABIMovesBack:    s.stats.ABIMovesBack.Load(),
+		ABIMovesSettled: s.stats.ABIMovesSettled.Load(),
 	}
 }
 

@@ -143,11 +143,13 @@ func (s *Server) infoText(section []byte) []byte {
 	}
 	if want("memory") {
 		// What the DRAM is held for: the engine's per-purpose split of
-		// dram_footprint_bytes, and the ABIs' summed capacity.
+		// dram_footprint_bytes, the ABIs' summed capacity, and the copies
+		// that resized them, by cause.
 		b = append(b, "# Memory\r\n"...)
 		snap := s.reg.Snapshot()
 		b = appendPrefixed(b, snap.Gauges, "core_dram_bytes_")
 		b = appendPrefixed(b, snap.Gauges, "core_abi_slots")
+		b = appendPrefixed(b, snap.Counters, "core_abi_moves_")
 		b = append(b, "\r\n"...)
 	}
 	if want("commandstats") {

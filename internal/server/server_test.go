@@ -494,7 +494,8 @@ func TestCommands(t *testing.T) {
 	// section splits the DRAM the same way.
 	for _, want := range []string{"# Server", "store:", "# Stats", "total_commands_processed:",
 		"# Persistence", "core_media_bytes_log:", "core_media_bytes_last_compaction:0",
-		"# Memory", "core_dram_bytes_abi:", "core_dram_bytes_memtable:", "core_abi_slots:"} {
+		"# Memory", "core_dram_bytes_abi:", "core_dram_bytes_memtable:", "core_abi_slots:",
+		"core_abi_moves_grown:", "core_abi_moves_failed_placement:", "core_abi_moves_back:", "core_abi_moves_settled:"} {
 		if !strings.Contains(info, want) {
 			t.Errorf("INFO missing %q:\n%s", want, info)
 		}
