@@ -14,11 +14,9 @@ import (
 	"chameleondb/internal/baselines/shell"
 	"chameleondb/internal/device"
 	"chameleondb/internal/kvstore"
-	"chameleondb/internal/obs"
 	"chameleondb/internal/robinhood"
 	"chameleondb/internal/simclock"
 	"chameleondb/internal/wlog"
-	"chameleondb/internal/xhash"
 )
 
 // Config sizes the store.
@@ -33,9 +31,12 @@ type Config struct {
 	LogBytes   int64
 }
 
-// DefaultConfig returns a laptop-scale configuration.
+// DefaultConfig returns the geometry the experiments run. Few stripes: the
+// paper's Dram-Hash is one robin-hood map, whose whole-table rehashes produce
+// the multi-second worst-case put (Table 2). More stripes would dilute the
+// spike.
 func DefaultConfig() Config {
-	return Config{Stripes: 256, InitialCapacity: 1024, ArenaBytes: 1 << 30, LogBytes: 1<<30 - 1<<24}
+	return Config{Stripes: 16, InitialCapacity: 1024, ArenaBytes: 1 << 30, LogBytes: 1<<30 - 1<<24}
 }
 
 type stripe struct {
@@ -51,30 +52,23 @@ type Store struct {
 
 	stripes []*stripe
 	shift   uint
-
-	recoverNs int64
 }
 
 var _ kvstore.Store = (*Store)(nil)
 
 // Open creates a Dram-Hash store on a fresh device.
 func Open(cfg Config) (*Store, error) {
-	return OpenOn(cfg, device.New(device.OptanePmem))
-}
-
-// OpenOn creates a Dram-Hash store on an existing device.
-func OpenOn(cfg Config, dev *device.Device) (*Store, error) {
 	if cfg.Stripes <= 0 || cfg.Stripes&(cfg.Stripes-1) != 0 {
 		return nil, errors.New("dramhash: Stripes must be a power of two")
 	}
-	sh := shell.New("Dram-Hash", "dramhash", dev, cfg.ArenaBytes)
+	sh := shell.New("Dram-Hash", "dramhash", device.New(device.OptanePmem), cfg.ArenaBytes)
 	log, err := wlog.New(sh.Arena, cfg.LogBytes)
 	if err != nil {
 		return nil, err
 	}
 	// The stripe is the hash's top bits: shift is 64 minus log2(Stripes).
 	s := &Store{Store: sh, cfg: cfg, log: log, shift: 65 - uint(bits.Len(uint(cfg.Stripes)))}
-	obs.RegisterLog(s.Registry(), log)
+	s.Serve(log, s.write, s.lookup)
 	s.stripes = make([]*stripe, cfg.Stripes)
 	for i := range s.stripes {
 		s.stripes[i] = &stripe{rh: robinhood.New(cfg.InitialCapacity)}
@@ -110,8 +104,7 @@ func (s *Store) Crash() {
 func (s *Store) Recover(c *simclock.Clock) error {
 	start := c.Now()
 	err := s.log.Scan(c, s.log.Base(), func(e wlog.Entry) bool {
-		c.Advance(device.CostHash64)
-		h := xhash.Sum64(e.Key)
+		h := shell.Hash(c, e.Key)
 		st := s.stripeFor(h)
 		if e.Tombstone() {
 			probes, _ := st.rh.Delete(h)
@@ -125,44 +118,18 @@ func (s *Store) Recover(c *simclock.Clock) error {
 	if err != nil {
 		return err
 	}
-	s.Recovered()
-	s.recoverNs = c.Now() - start
+	s.Recovered(c, start)
 	return nil
 }
 
-// RecoverTime reports the virtual duration of the last Recover.
-func (s *Store) RecoverTime() int64 { return s.recoverNs }
-
-// Session is a per-worker handle.
-type Session struct {
-	store *Store
-	clock *simclock.Clock
-	ap    *wlog.Appender
-}
-
-var _ kvstore.Session = (*Session)(nil)
-
-// NewSession implements kvstore.Store.
-func (s *Store) NewSession(c *simclock.Clock) kvstore.Session {
-	return &Session{store: s, clock: c, ap: s.log.NewAppender()}
-}
-
-// Clock implements kvstore.Session.
-func (se *Session) Clock() *simclock.Clock { return se.clock }
-
-func (se *Session) write(key, value []byte, flags uint16) error {
-	if err := se.store.Err(); err != nil {
-		return err
-	}
-	c := se.clock
-	c.Advance(device.CostHash64)
-	h := xhash.Sum64(key)
+// write appends the entry, then updates the stripe's robin-hood index.
+func (s *Store) write(c *simclock.Clock, ap *wlog.Appender, h uint64, key, value []byte, flags uint16) error {
 	c.Advance(int64(float64(wlog.EntrySize(len(key), len(value))) * device.CostDRAMSeqPerByte))
-	st := se.store.stripeFor(h)
+	st := s.stripeFor(h)
 	var err error
 	st.Do(c, func() {
 		var lsn int64
-		if lsn, err = se.ap.AppendEntry(c, key, value, flags); err != nil {
+		if lsn, err = ap.AppendEntry(c, key, value, flags); err != nil {
 			return
 		}
 		if flags&wlog.FlagTombstone != 0 {
@@ -176,28 +143,13 @@ func (se *Session) write(key, value []byte, flags uint16) error {
 		// latency (Table 2).
 		c.Advance(device.DRAMProbeCost(probes) + int64(grown)*device.CostCompactionPerSlot)
 	})
-	if err == nil {
-		se.store.Ops.CountWrite(flags&wlog.FlagTombstone != 0)
-	}
 	return err
 }
 
-// Put implements kvstore.Session.
-func (se *Session) Put(key, value []byte) error { return se.write(key, value, 0) }
-
-// Delete implements kvstore.Session.
-func (se *Session) Delete(key []byte) error { return se.write(key, nil, wlog.FlagTombstone) }
-
-// Get implements kvstore.Session: one DRAM index lookup plus one Pmem log
-// read — the latency floor the other stores are measured against.
-func (se *Session) Get(key []byte) ([]byte, bool, error) {
-	if err := se.store.Err(); err != nil {
-		return nil, false, err
-	}
-	c := se.clock
-	c.Advance(device.CostHash64)
-	h := xhash.Sum64(key)
-	st := se.store.stripeFor(h)
+// lookup is one DRAM index lookup plus one Pmem log read — the latency floor
+// the other stores are measured against.
+func (s *Store) lookup(c *simclock.Clock, h uint64, key []byte) ([]byte, bool, error) {
+	st := s.stripeFor(h)
 	var ref uint64
 	var ok bool
 	st.Do(c, func() {
@@ -206,28 +158,14 @@ func (se *Session) Get(key []byte) ([]byte, bool, error) {
 		c.Advance(device.DRAMProbeCost(probes))
 	})
 	if !ok {
-		se.store.Ops.CountGet(false)
 		return nil, false, nil
 	}
-	e, err := se.store.log.Read(c, int64(ref))
+	e, err := s.log.Read(c, int64(ref))
 	if err != nil {
-		se.store.Ops.CountGet(false)
 		return nil, false, err
 	}
 	if !bytes.Equal(e.Key, key) {
-		se.store.Ops.CountGet(false)
 		return nil, false, nil // full hash collision; see core/session.go
 	}
-	val := make([]byte, len(e.Value))
-	copy(val, e.Value)
-	se.store.Ops.CountGet(true)
-	return val, true, nil
-}
-
-// Flush implements kvstore.Session.
-func (se *Session) Flush() error {
-	if err := se.store.Err(); err != nil {
-		return err
-	}
-	return se.ap.Flush(se.clock)
+	return bytes.Clone(e.Value), true, nil
 }

@@ -9,19 +9,14 @@
 package matrixkv
 
 import (
-	"bytes"
 	"errors"
-	"sync/atomic"
 
 	"chameleondb/internal/baselines/shell"
-	"chameleondb/internal/blockcache"
 	"chameleondb/internal/device"
 	"chameleondb/internal/kvstore"
-	"chameleondb/internal/obs"
 	"chameleondb/internal/simclock"
 	"chameleondb/internal/sstable"
 	"chameleondb/internal/wlog"
-	"chameleondb/internal/xhash"
 )
 
 // The geometry Figure 17 runs: four matrix rows trigger a column compaction
@@ -46,12 +41,6 @@ type Config struct {
 	CacheBytes int64
 }
 
-type memEntry struct {
-	key   []byte
-	value []byte
-	tomb  bool
-}
-
 // Store is a MatrixKV instance: one LSM, its MemTable, matrix, levels and
 // block cache behind one lane, as the paper's one compaction thread runs it.
 type Store struct {
@@ -59,17 +48,12 @@ type Store struct {
 	cfg Config
 	wal *wlog.Log
 
-	lane       shell.Lane // guards everything below
-	mem        map[uint64]*memEntry
-	memBytes   int64
-	flushedLSN int64 // WAL watermark: rows cover everything below
-
-	rows   []*sstable.Run // matrix L0, oldest first
-	levels []*sstable.Run
-	cache  *blockcache.Cache
-
-	// compactions is atomic: the metrics registry reads it outside the lane.
-	compactions atomic.Int64
+	lane           shell.Lane // guards everything below
+	*shell.Leveled            // levels below L0, block cache
+	mem            map[uint64]sstable.Entry
+	memBytes       int64
+	flushedLSN     int64          // WAL watermark: rows cover everything below
+	rows           []*sstable.Run // matrix L0, oldest first
 }
 
 var _ kvstore.Store = (*Store)(nil)
@@ -93,67 +77,58 @@ func OpenOn(cfg Config, dev *device.Device) (*Store, error) {
 		Store:      sh,
 		cfg:        cfg,
 		wal:        wal,
-		mem:        make(map[uint64]*memEntry),
-		levels:     make([]*sstable.Run, maxLevels),
+		Leveled:    sh.NewLeveled(maxLevels, cfg.CacheBytes),
+		mem:        make(map[uint64]sstable.Entry),
 		flushedLSN: wal.Base(),
-		cache:      blockcache.New(cfg.CacheBytes),
 	}
-	obs.RegisterLog(s.Registry(), wal)
-	s.Registry().CounterFunc("compactions", s.compactions.Load)
+	s.Serve(wal, s.write, s.lookup)
 	return s, nil
 }
-
-// Compactions reports how many compactions have run.
-func (s *Store) Compactions() int64 { return s.compactions.Load() }
 
 // DRAMFootprint implements kvstore.Store: the DRAM MemTable plus filters.
 func (s *Store) DRAMFootprint() int64 {
 	s.lane.Lock()
 	defer s.lane.Unlock()
-	total := s.memBytes + int64(len(s.mem))*48 + s.cache.UsedBytes()
-	for _, r := range s.levels {
-		if r != nil {
-			total += r.DRAMFootprint()
-		}
-	}
-	return total
+	return s.memBytes + int64(len(s.mem))*48 + s.Footprint(s.rows)
 }
 
 // Crash implements kvstore.Store: the DRAM MemTable is lost; the matrix, the
 // levels, and the WAL survive.
 func (s *Store) Crash() {
 	s.Store.Crash()
-	s.mem = make(map[uint64]*memEntry)
+	s.mem = make(map[uint64]sstable.Entry)
 	s.memBytes = 0
 	s.lane.Reset()
-	s.cache.Reset()
+	s.Cache.Reset()
 }
 
 // Recover implements kvstore.Store: replay the WAL tail into the MemTable.
 func (s *Store) Recover(c *simclock.Clock) error {
+	start := c.Now()
 	err := s.wal.Scan(c, min(s.wal.Tail(), s.flushedLSN), func(e wlog.Entry) bool {
-		c.Advance(device.CostHash64)
+		h := shell.Hash(c, e.Key)
 		if e.LSN >= s.flushedLSN {
-			s.insertMem(c, xhash.Sum64(e.Key), e.Key, e.Value, e.Tombstone())
+			s.insertMem(c, h, e.Key, e.Value, e.Tombstone())
 		}
 		return true
 	})
 	if err != nil {
 		return err
 	}
-	s.Recovered()
+	s.Recovered(c, start)
 	return nil
 }
 
 func (s *Store) insertMem(c *simclock.Clock, h uint64, key, value []byte, tomb bool) {
 	c.Advance(device.CostDRAMRandAccess)
 	if old, ok := s.mem[h]; ok {
-		s.memBytes -= int64(len(old.key) + len(old.value))
+		s.memBytes -= int64(len(old.Key) + len(old.Value))
 	}
-	s.mem[h] = &memEntry{
-		key:   append([]byte(nil), key...),
-		value: append([]byte(nil), value...),
-		tomb:  tomb,
+	s.mem[h] = sstable.Entry{
+		Hash:      h,
+		Key:       append([]byte(nil), key...),
+		Value:     append([]byte(nil), value...),
+		Tombstone: tomb,
 	}
 	s.memBytes += int64(len(key) + len(value))
 }
@@ -165,8 +140,8 @@ func (s *Store) flushLocked(c *simclock.Clock) error {
 		return nil
 	}
 	entries := make([]sstable.Entry, 0, len(s.mem))
-	for h, e := range s.mem {
-		entries = append(entries, sstable.Entry{Hash: h, Key: e.key, Value: e.value, Tombstone: e.tomb})
+	for _, e := range s.mem {
+		entries = append(entries, e)
 	}
 	row, err := sstable.Build(c, s.Arena, entries, sstable.BuildOptions{
 		WithFilter:        false, // no filters in the matrix L0 (Section 3.7)
@@ -184,126 +159,44 @@ func (s *Store) flushLocked(c *simclock.Clock) error {
 		return device.ErrPowerFailed
 	}
 	s.rows = append(s.rows, row)
-	s.mem = make(map[uint64]*memEntry)
+	s.mem = make(map[uint64]sstable.Entry)
 	s.memBytes = 0
 	s.flushedLSN = s.wal.MinNextLSN()
-	if len(s.rows) >= maxRows {
-		// A column compaction into L1; MatrixKV's fine-grained column
-		// compactions are modeled in aggregate.
-		l0Bytes := s.cfg.MemTableBytes * maxRows
-		return sstable.CompactLeveled(c, s.Arena, &s.rows, s.levels, l0Bytes, ratio, &s.compactions)
-	}
-	return nil
+	// A full matrix is one column compaction into L1: MatrixKV's
+	// fine-grained column compactions are modeled in aggregate.
+	return s.Compact(c, &s.rows, maxRows, s.cfg.MemTableBytes, ratio)
 }
 
-// Session is a per-worker handle.
-type Session struct {
-	store *Store
-	clock *simclock.Clock
-	ap    *wlog.Appender
-}
-
-var _ kvstore.Session = (*Session)(nil)
-
-// NewSession implements kvstore.Store.
-func (s *Store) NewSession(c *simclock.Clock) kvstore.Session {
-	return &Session{store: s, clock: c, ap: s.wal.NewAppender()}
-}
-
-// Clock implements kvstore.Session.
-func (se *Session) Clock() *simclock.Clock { return se.clock }
-
-func (se *Session) write(key, value []byte, flags uint16) error {
-	if err := se.store.Err(); err != nil {
-		return err
-	}
-	c := se.clock
-	c.Advance(device.CostHash64)
-	h := xhash.Sum64(key)
-	s := se.store
+// write is a WAL append plus a DRAM MemTable insert.
+func (s *Store) write(c *simclock.Clock, ap *wlog.Appender, h uint64, key, value []byte, flags uint16) error {
 	var err error
 	s.lane.Do(c, func() {
-		if _, err = se.ap.AppendEntry(c, key, value, flags); err != nil {
+		if _, err = ap.AppendEntry(c, key, value, flags); err != nil {
 			return
 		}
-		s.cache.Invalidate(h)
+		s.Cache.Invalidate(h)
 		s.insertMem(c, h, key, value, flags&wlog.FlagTombstone != 0)
 		if s.memBytes >= s.cfg.MemTableBytes {
 			err = s.flushLocked(c)
 		}
 	})
-	if err == nil {
-		s.Ops.CountWrite(flags&wlog.FlagTombstone != 0)
-	}
 	return err
 }
 
-// Put implements kvstore.Session: WAL append plus DRAM MemTable insert.
-func (se *Session) Put(key, value []byte) error { return se.write(key, value, 0) }
-
-// Delete implements kvstore.Session.
-func (se *Session) Delete(key []byte) error { return se.write(key, nil, wlog.FlagTombstone) }
-
-// Get implements kvstore.Session: DRAM MemTable, then the matrix rows one by
-// one (hint + probe each, newest first), then the filtered levels.
-func (se *Session) Get(key []byte) ([]byte, bool, error) {
-	if err := se.store.Err(); err != nil {
-		return nil, false, err
-	}
-	c := se.clock
-	c.Advance(device.CostHash64)
-	h := xhash.Sum64(key)
-	s := se.store
+// lookup searches the DRAM MemTable, then the matrix rows one by one (hint
+// and probe each, newest first), then the filtered levels.
+func (s *Store) lookup(c *simclock.Clock, h uint64, key []byte) ([]byte, bool, error) {
 	var v []byte
 	var ok bool
-	s.lane.Do(c, func() { v, ok = s.get(c, h, key) })
-	s.Ops.CountGet(ok)
+	s.lane.Do(c, func() { v, ok = s.Walk(c, h, key, s.memGet, s.rows, (*sstable.Run).GetHinted) })
 	return v, ok, nil
 }
 
-func (s *Store) get(c *simclock.Clock, h uint64, key []byte) ([]byte, bool) {
-	if v, ok := s.cache.Get(c, h); ok {
-		return append([]byte(nil), v...), true
-	}
+func (s *Store) memGet(c *simclock.Clock, h uint64) (key, value []byte, tomb, ok bool) {
 	c.Advance(device.CostDRAMRandAccess)
-	if e, ok := s.mem[h]; ok {
-		if e.tomb || !bytes.Equal(e.key, key) {
-			return nil, false
-		}
-		return append([]byte(nil), e.value...), true
+	e, ok := s.mem[h]
+	if !ok {
+		return nil, nil, false, false
 	}
-	for i := len(s.rows) - 1; i >= 0; i-- {
-		k, v, tomb, ok := s.rows[i].GetHinted(c, h)
-		if !ok {
-			continue
-		}
-		if tomb || !bytes.Equal(k, key) {
-			return nil, false
-		}
-		s.cache.Put(h, v)
-		return append([]byte(nil), v...), true
-	}
-	for _, r := range s.levels {
-		if r == nil {
-			continue
-		}
-		k, v, tomb, ok := r.Get(c, h)
-		if !ok {
-			continue
-		}
-		if tomb || !bytes.Equal(k, key) {
-			return nil, false
-		}
-		s.cache.Put(h, v)
-		return append([]byte(nil), v...), true
-	}
-	return nil, false
-}
-
-// Flush implements kvstore.Session: seals the WAL batch.
-func (se *Session) Flush() error {
-	if err := se.store.Err(); err != nil {
-		return err
-	}
-	return se.ap.Flush(se.clock)
+	return e.Key, e.Value, e.Tombstone, true
 }

@@ -8,20 +8,16 @@
 package novelsm
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
-	"sync/atomic"
 
 	"chameleondb/internal/baselines/shell"
-	"chameleondb/internal/blockcache"
 	"chameleondb/internal/device"
 	"chameleondb/internal/kvstore"
 	"chameleondb/internal/pmem"
 	"chameleondb/internal/simclock"
 	"chameleondb/internal/skiplist"
 	"chameleondb/internal/sstable"
-	"chameleondb/internal/xhash"
+	"chameleondb/internal/wlog"
 )
 
 // The level geometry Figure 17 runs: four L0 runs trigger a compaction, each
@@ -43,22 +39,18 @@ type Config struct {
 	CacheBytes int64
 }
 
-// Store is a NoveLSM instance: one LSM, its MemTable, run directory and
-// block cache behind one lane, as the paper's one compaction thread runs it.
+// Store is a NoveLSM instance: one LSM, its MemTable, runs and block cache
+// behind one lane, as the paper's one compaction thread runs it.
 type Store struct {
 	*shell.Store
 	cfg  Config
 	slab *pmem.Slab
 
-	lane     shell.Lane // guards everything below
-	mem      *skiplist.List
-	memBytes int64
-	l0       []*sstable.Run // oldest first
-	levels   []*sstable.Run // levels[k] is L(k+1): one run each, leveled
-	cache    *blockcache.Cache
-
-	// compactions is atomic: the metrics registry reads it outside the lane.
-	compactions atomic.Int64
+	lane           shell.Lane // guards everything below
+	*shell.Leveled            // levels below L0, block cache
+	mem            *skiplist.List
+	memBytes       int64
+	l0             []*sstable.Run // oldest first
 }
 
 var _ kvstore.Store = (*Store)(nil)
@@ -75,13 +67,12 @@ func OpenOn(cfg Config, dev *device.Device) (*Store, error) {
 	}
 	sh := shell.New("NoveLSM", "novelsm", dev, cfg.ArenaBytes)
 	s := &Store{
-		Store:  sh,
-		cfg:    cfg,
-		slab:   pmem.NewSlab(sh.Arena, 1<<20),
-		levels: make([]*sstable.Run, maxLevels),
-		cache:  blockcache.New(cfg.CacheBytes),
+		Store:   sh,
+		cfg:     cfg,
+		slab:    pmem.NewSlab(sh.Arena, 1<<20),
+		Leveled: sh.NewLeveled(maxLevels, cfg.CacheBytes),
 	}
-	s.Registry().CounterFunc("compactions", s.compactions.Load)
+	s.Serve(nil, s.write, s.lookup)
 	l, err := skiplist.New(sh.Arena, s.slab)
 	if err != nil {
 		return nil, err
@@ -90,24 +81,12 @@ func OpenOn(cfg Config, dev *device.Device) (*Store, error) {
 	return s, nil
 }
 
-// Compactions reports how many compactions have run.
-func (s *Store) Compactions() int64 { return s.compactions.Load() }
-
 // DRAMFootprint implements kvstore.Store: NoveLSM's structures are in Pmem;
 // only the bloom filters and the block cache are volatile.
 func (s *Store) DRAMFootprint() int64 {
 	s.lane.Lock()
 	defer s.lane.Unlock()
-	total := s.cache.UsedBytes()
-	for _, r := range s.l0 {
-		total += r.DRAMFootprint()
-	}
-	for _, r := range s.levels {
-		if r != nil {
-			total += r.DRAMFootprint()
-		}
-	}
-	return total
+	return s.Footprint(s.l0)
 }
 
 // Crash implements kvstore.Store. NoveLSM's design point is that everything
@@ -116,23 +95,19 @@ func (s *Store) DRAMFootprint() int64 {
 func (s *Store) Crash() {
 	s.Store.Crash()
 	s.lane.Reset()
-	s.cache.Reset()
+	s.Cache.Reset()
 }
 
 // Recover implements kvstore.Store: reattach the persistent structures and
 // rebuild the volatile filters.
 func (s *Store) Recover(c *simclock.Clock) error {
+	start := c.Now()
 	s.lane.Lock()
-	for _, r := range s.l0 {
+	for _, r := range s.Runs(s.l0) {
 		r.ChargeScan(c)
 	}
-	for _, r := range s.levels {
-		if r != nil {
-			r.ChargeScan(c)
-		}
-	}
 	s.lane.Unlock()
-	s.Recovered()
+	s.Recovered(c, start)
 	return nil
 }
 
@@ -159,14 +134,18 @@ func (s *Store) writePayload(c *simclock.Clock, key, value []byte, tomb bool) (i
 	return off, nil
 }
 
+// readPayload decodes the payload at off. A get charges its random read to
+// c; a flush, which charges the whole MemTable as one sequential read,
+// passes nil.
 func (s *Store) readPayload(c *simclock.Clock, off int64) (key, value []byte, tomb bool) {
 	hdr := s.Arena.Bytes(off, payloadHeader)
 	keyLen := int(hdr[0]) | int(hdr[1])<<8
-	tomb = hdr[2]&1 != 0
 	valLen := int(hdr[4]) | int(hdr[5])<<8 | int(hdr[6])<<16 | int(hdr[7])<<24
-	sz := int64(payloadHeader+keyLen+valLen+7) &^ 7
-	buf := s.Arena.ReadRandom(c, off, sz)
-	return buf[payloadHeader : payloadHeader+keyLen], buf[payloadHeader+keyLen : payloadHeader+keyLen+valLen], tomb
+	if c != nil {
+		s.Dev.ReadRandom(c, off, int64(payloadHeader+keyLen+valLen+7)&^7)
+	}
+	buf := s.Arena.Bytes(off, int64(payloadHeader+keyLen+valLen))
+	return buf[payloadHeader : payloadHeader+keyLen], buf[payloadHeader+keyLen:], hdr[2]&1 != 0
 }
 
 // flushLocked turns the MemTable into an L0 run and cascades compactions.
@@ -176,7 +155,7 @@ func (s *Store) flushLocked(c *simclock.Clock) error {
 	}
 	entries := make([]sstable.Entry, 0, s.mem.Len())
 	s.mem.Iterate(func(h, ref uint64) bool {
-		key, val, tomb := s.readPayloadVolatile(ref)
+		key, val, tomb := s.readPayload(nil, int64(ref))
 		entries = append(entries, sstable.Entry{Hash: h, Key: key, Value: val, Tombstone: tomb})
 		return true
 	})
@@ -197,54 +176,18 @@ func (s *Store) flushLocked(c *simclock.Clock) error {
 	s.l0 = append(s.l0, run)
 	s.mem.Reset(c)
 	s.memBytes = 0
-	if len(s.l0) >= l0Trigger {
-		l0Bytes := s.cfg.MemTableBytes * l0Trigger
-		return sstable.CompactLeveled(c, s.Arena, &s.l0, s.levels, l0Bytes, ratio, &s.compactions)
-	}
-	return nil
+	return s.Compact(c, &s.l0, l0Trigger, s.cfg.MemTableBytes, ratio)
 }
 
-func (s *Store) readPayloadVolatile(ref uint64) (key, value []byte, tomb bool) {
-	off := int64(ref)
-	hdr := s.Arena.Bytes(off, payloadHeader)
-	keyLen := int(hdr[0]) | int(hdr[1])<<8
-	tomb = hdr[2]&1 != 0
-	valLen := int(hdr[4]) | int(hdr[5])<<8 | int(hdr[6])<<16 | int(hdr[7])<<24
-	buf := s.Arena.Bytes(off, int64(payloadHeader+keyLen+valLen))
-	return buf[payloadHeader : payloadHeader+keyLen], buf[payloadHeader+keyLen:], tomb
-}
-
-// Session is a per-worker handle.
-type Session struct {
-	store *Store
-	clock *simclock.Clock
-}
-
-var _ kvstore.Session = (*Session)(nil)
-
-// NewSession implements kvstore.Store.
-func (s *Store) NewSession(c *simclock.Clock) kvstore.Session {
-	return &Session{store: s, clock: c}
-}
-
-// Clock implements kvstore.Session.
-func (se *Session) Clock() *simclock.Clock { return se.clock }
-
-func (se *Session) write(key, value []byte, tomb bool) error {
-	if err := se.store.Err(); err != nil {
-		return err
-	}
-	c := se.clock
-	c.Advance(device.CostHash64)
-	h := xhash.Sum64(key)
-	s := se.store
+// write is a skip-list insert directly in the Pmem.
+func (s *Store) write(c *simclock.Clock, _ *wlog.Appender, h uint64, key, value []byte, flags uint16) error {
 	var err error
 	s.lane.Do(c, func() {
 		var off int64
-		if off, err = s.writePayload(c, key, value, tomb); err != nil {
+		if off, err = s.writePayload(c, key, value, flags&wlog.FlagTombstone != 0); err != nil {
 			return
 		}
-		s.cache.Invalidate(h)
+		s.Cache.Invalidate(h)
 		if err = s.mem.Insert(c, h, uint64(off)); err != nil {
 			return
 		}
@@ -253,79 +196,24 @@ func (se *Session) write(key, value []byte, tomb bool) error {
 			err = s.flushLocked(c)
 		}
 	})
-	if err == nil {
-		s.Ops.CountWrite(tomb)
-	}
 	return err
 }
 
-// Put implements kvstore.Session: a skip-list insert directly in the Pmem.
-func (se *Session) Put(key, value []byte) error { return se.write(key, value, false) }
-
-// Delete implements kvstore.Session.
-func (se *Session) Delete(key []byte) error { return se.write(key, nil, true) }
-
-// Get implements kvstore.Session: the in-Pmem MemTable (random Pmem reads),
-// then L0 runs newest-first, then the levels — filters, binary searches,
-// and block reads all the way down (Section 3.7).
-func (se *Session) Get(key []byte) ([]byte, bool, error) {
-	if err := se.store.Err(); err != nil {
-		return nil, false, err
-	}
-	c := se.clock
-	c.Advance(device.CostHash64)
-	h := xhash.Sum64(key)
-	s := se.store
+// lookup searches the in-Pmem MemTable (random Pmem reads), then L0 runs
+// newest-first, then the levels — filters, binary searches, and block reads
+// all the way down (Section 3.7).
+func (s *Store) lookup(c *simclock.Clock, h uint64, key []byte) ([]byte, bool, error) {
 	var v []byte
 	var ok bool
-	s.lane.Do(c, func() { v, ok = s.get(c, h, key) })
-	s.Ops.CountGet(ok)
+	s.lane.Do(c, func() { v, ok = s.Walk(c, h, key, s.memGet, s.l0, (*sstable.Run).Get) })
 	return v, ok, nil
 }
 
-func (s *Store) get(c *simclock.Clock, h uint64, key []byte) ([]byte, bool) {
-	if v, ok := s.cache.Get(c, h); ok {
-		return append([]byte(nil), v...), true
+func (s *Store) memGet(c *simclock.Clock, h uint64) (key, value []byte, tomb, ok bool) {
+	ref, ok := s.mem.Get(c, h)
+	if !ok {
+		return nil, nil, false, false
 	}
-	if ref, ok := s.mem.Get(c, h); ok {
-		k, v, tomb := s.readPayload(c, int64(ref))
-		if !bytes.Equal(k, key) || tomb {
-			return nil, false
-		}
-		return append([]byte(nil), v...), true
-	}
-	check := func(r *sstable.Run) ([]byte, bool, bool) {
-		k, v, tomb, ok := r.Get(c, h)
-		if !ok {
-			return nil, false, false
-		}
-		if tomb || !bytes.Equal(k, key) {
-			return nil, false, true
-		}
-		s.cache.Put(h, v)
-		return append([]byte(nil), v...), true, true
-	}
-	for i := len(s.l0) - 1; i >= 0; i-- {
-		if v, found, done := check(s.l0[i]); done {
-			return v, found
-		}
-	}
-	for _, r := range s.levels {
-		if r == nil {
-			continue
-		}
-		if v, found, done := check(r); done {
-			return v, found
-		}
-	}
-	return nil, false
-}
-
-// Flush implements kvstore.Session: NoveLSM persists every put in place, so
-// there is nothing buffered.
-func (se *Session) Flush() error { return se.store.Err() }
-
-// String implements fmt.Stringer.
-func (s *Store) String() string {
-	return fmt.Sprintf("NoveLSM(memtable=%dB)", s.cfg.MemTableBytes)
+	key, value, tomb = s.readPayload(c, int64(ref))
+	return key, value, tomb, true
 }

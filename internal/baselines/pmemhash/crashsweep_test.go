@@ -7,8 +7,10 @@ import (
 	"chameleondb/internal/storetest"
 )
 
-// sweepOpen keeps the arena small: Crash copies the whole arena image at
-// every crash point, and Pmem-Hash persists on every put.
+// sweepOpen keeps the arena small: Crash reloads the arena below its
+// allocator mark at every crash point, and Pmem-Hash persists on every put.
+// Its 48 keys in 8 192 slots never split a CCEH segment; cceh's
+// TestCrashInSplit crashes inside a split.
 func sweepOpen() (kvstore.Store, error) {
 	cfg := DefaultConfig()
 	cfg.Stripes = 4

@@ -17,10 +17,8 @@ import (
 	"chameleondb/internal/cceh"
 	"chameleondb/internal/device"
 	"chameleondb/internal/kvstore"
-	"chameleondb/internal/obs"
 	"chameleondb/internal/simclock"
 	"chameleondb/internal/wlog"
-	"chameleondb/internal/xhash"
 )
 
 // Config sizes the store.
@@ -34,9 +32,9 @@ type Config struct {
 	LogBytes     int64
 }
 
-// DefaultConfig returns a laptop-scale configuration.
+// DefaultConfig returns the geometry the experiments run.
 func DefaultConfig() Config {
-	return Config{Stripes: 64, InitialDepth: 1, ArenaBytes: 2 << 30, LogBytes: 1 << 30}
+	return Config{Stripes: 64, InitialDepth: 2, ArenaBytes: 2 << 30, LogBytes: 1 << 30}
 }
 
 type stripe struct {
@@ -50,29 +48,22 @@ type Store struct {
 	log *wlog.Log
 
 	stripes []*stripe
-
-	recoverNs int64
 }
 
 var _ kvstore.Store = (*Store)(nil)
 
 // Open creates a Pmem-Hash store on a fresh device.
 func Open(cfg Config) (*Store, error) {
-	return OpenOn(cfg, device.New(device.OptanePmem))
-}
-
-// OpenOn creates a Pmem-Hash store on an existing device.
-func OpenOn(cfg Config, dev *device.Device) (*Store, error) {
 	if cfg.Stripes <= 0 || cfg.Stripes&(cfg.Stripes-1) != 0 {
 		return nil, errors.New("pmemhash: Stripes must be a power of two")
 	}
-	sh := shell.New("Pmem-Hash", "pmemhash", dev, cfg.ArenaBytes)
+	sh := shell.New("Pmem-Hash", "pmemhash", device.New(device.OptanePmem), cfg.ArenaBytes)
 	log, err := wlog.New(sh.Arena, cfg.LogBytes)
 	if err != nil {
 		return nil, err
 	}
 	s := &Store{Store: sh, log: log}
-	obs.RegisterLog(s.Registry(), log)
+	s.Serve(log, s.write, s.lookup)
 	s.stripes = make([]*stripe, cfg.Stripes)
 	for i := range s.stripes {
 		t, err := cceh.New(sh.Arena, cfg.InitialDepth)
@@ -124,45 +115,18 @@ func (s *Store) Recover(c *simclock.Clock) error {
 			s.Dev.ReadRandom(c, 0, 64)
 		}
 	}
-	s.Recovered()
-	s.recoverNs = c.Now() - start
+	s.Recovered(c, start)
 	return nil
 }
 
-// RecoverTime reports the virtual duration of the last Recover.
-func (s *Store) RecoverTime() int64 { return s.recoverNs }
-
-// Session is a per-worker handle.
-type Session struct {
-	store *Store
-	clock *simclock.Clock
-	ap    *wlog.Appender
-}
-
-var _ kvstore.Session = (*Session)(nil)
-
-// NewSession implements kvstore.Store.
-func (s *Store) NewSession(c *simclock.Clock) kvstore.Session {
-	return &Session{store: s, clock: c, ap: s.log.NewAppender()}
-}
-
-// Clock implements kvstore.Session.
-func (se *Session) Clock() *simclock.Clock { return se.clock }
-
-func (se *Session) write(key, value []byte, flags uint16) error {
-	if err := se.store.Err(); err != nil {
-		return err
-	}
-	c := se.clock
-	c.Advance(device.CostHash64)
-	h := xhash.Sum64(key)
-	st := se.store.stripeFor(h)
+// write persists the log entry and then the index slot, each on its own —
+// no batching (Section 3.3's explanation of Pmem-Hash's put latency).
+func (s *Store) write(c *simclock.Clock, ap *wlog.Appender, h uint64, key, value []byte, flags uint16) error {
+	st := s.stripeFor(h)
 	var err error
 	st.Do(c, func() {
-		// Individual persisted writes, no batching (Section 3.3's
-		// explanation of Pmem-Hash's put latency).
 		var lsn int64
-		if lsn, err = se.ap.AppendSync(c, key, value, flags); err != nil {
+		if lsn, err = ap.AppendSync(c, key, value, flags); err != nil {
 			return
 		}
 		if flags&wlog.FlagTombstone != 0 {
@@ -171,57 +135,24 @@ func (se *Session) write(key, value []byte, flags uint16) error {
 		}
 		err = st.t.Insert(c, h, uint64(lsn))
 	})
-	if err == nil {
-		se.store.Ops.CountWrite(flags&wlog.FlagTombstone != 0)
-	}
 	return err
 }
 
-// Put implements kvstore.Session.
-func (se *Session) Put(key, value []byte) error { return se.write(key, value, 0) }
-
-// Delete implements kvstore.Session.
-func (se *Session) Delete(key []byte) error { return se.write(key, nil, wlog.FlagTombstone) }
-
-// Get implements kvstore.Session: directory lookup, segment probe in Pmem,
-// then the log read.
-func (se *Session) Get(key []byte) ([]byte, bool, error) {
-	if err := se.store.Err(); err != nil {
-		return nil, false, err
-	}
-	c := se.clock
-	c.Advance(device.CostHash64)
-	h := xhash.Sum64(key)
-	st := se.store.stripeFor(h)
+// lookup is the directory lookup, the segment probe in Pmem, then the log
+// read.
+func (s *Store) lookup(c *simclock.Clock, h uint64, key []byte) ([]byte, bool, error) {
+	st := s.stripeFor(h)
 	var ref uint64
 	var ok bool
 	st.Do(c, func() { ref, ok = st.t.Get(c, h) })
 	if !ok {
-		se.store.Ops.CountGet(false)
 		return nil, false, nil
 	}
-	e, err := se.store.log.Read(c, int64(ref))
-	if err != nil {
-		// Dangling slot: the index persisted ahead of a log entry that a
-		// crash erased. Treat as missing.
-		se.store.Ops.CountGet(false)
+	// A failed read is a dangling slot: the index persisted ahead of a log
+	// entry that a crash erased. It reads as a miss.
+	e, err := s.log.Read(c, int64(ref))
+	if err != nil || !bytes.Equal(e.Key, key) {
 		return nil, false, nil
 	}
-	if !bytes.Equal(e.Key, key) {
-		se.store.Ops.CountGet(false)
-		return nil, false, nil
-	}
-	val := make([]byte, len(e.Value))
-	copy(val, e.Value)
-	se.store.Ops.CountGet(true)
-	return val, true, nil
-}
-
-// Flush implements kvstore.Session: Pmem-Hash has no write buffer (every
-// put is already persisted), so only the appender chunk seal remains.
-func (se *Session) Flush() error {
-	if err := se.store.Err(); err != nil {
-		return err
-	}
-	return se.ap.Flush(se.clock)
+	return bytes.Clone(e.Value), true, nil
 }

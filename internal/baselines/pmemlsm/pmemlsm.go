@@ -25,7 +25,6 @@ import (
 	"fmt"
 
 	"chameleondb/internal/core"
-	"chameleondb/internal/device"
 	"chameleondb/internal/kvstore"
 )
 
@@ -61,30 +60,16 @@ type Store struct {
 
 var _ kvstore.Store = (*Store)(nil)
 
-// Config returns the core configuration for a variant, starting from the
-// given ChameleonDB-shaped geometry.
-func Config(base core.Config, v Variant) (core.Config, error) {
+// Open creates a Pmem-LSM store of the given variant on a fresh device,
+// from a ChameleonDB-shaped geometry.
+func Open(base core.Config, v Variant) (*Store, error) {
 	base.DisableABI = true
 	base.BloomFilters = v == F
 	base.PinUppers = v == PinK
 	// Modes that depend on the ABI are not part of this baseline.
 	base.WriteIntensive = false
 	base.GetProtect = core.GPMConfig{}
-	return base, nil
-}
-
-// Open creates a Pmem-LSM store of the given variant on a fresh device.
-func Open(base core.Config, v Variant) (*Store, error) {
-	return OpenOn(base, v, device.New(device.OptanePmem))
-}
-
-// OpenOn creates a Pmem-LSM store on an existing device.
-func OpenOn(base core.Config, v Variant, dev *device.Device) (*Store, error) {
-	cfg, err := Config(base, v)
-	if err != nil {
-		return nil, err
-	}
-	s, err := core.OpenOn(cfg, dev)
+	s, err := core.Open(base)
 	if err != nil {
 		return nil, err
 	}

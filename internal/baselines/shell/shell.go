@@ -1,10 +1,12 @@
 // Package shell is what the hand-written baseline stores share and none of
 // their designs is about: the device, arena and metrics plumbing, the gate
-// between Crash and Recover, and the lane — a lock booked on a virtual-time
-// timeline. Each baseline embeds a Store and keeps only its design: its
-// index, its append mode, its recovery, its stripe mapping if it has one and
-// what its Crash loses. The paper compares stores that differ in their index
-// only (Sections 3.2 and 3.7); here that is also how the code is cut.
+// between Crash and Recover, the lane (a lock booked on a virtual-time
+// timeline), the one Session all four serve through, and the leveled part
+// below L0 that NoveLSM and MatrixKV share. Each baseline embeds a Store and
+// keeps only its design: its index (its locked write and its lookup), its
+// append mode, its recovery, its stripe mapping if it has one and what its
+// Crash loses. The paper compares stores that differ in their index only
+// (Sections 3.2 and 3.7); here that is also how the code is cut.
 package shell
 
 import (
@@ -12,9 +14,12 @@ import (
 	"sync"
 
 	"chameleondb/internal/device"
+	"chameleondb/internal/kvstore"
 	"chameleondb/internal/obs"
 	"chameleondb/internal/pmem"
 	"chameleondb/internal/simclock"
+	"chameleondb/internal/wlog"
+	"chameleondb/internal/xhash"
 )
 
 // ErrCrashed is returned between Crash and Recover.
@@ -29,8 +34,13 @@ type Store struct {
 	Ops   obs.OpCounters
 	reg   *obs.Registry
 
-	mu      sync.Mutex
-	crashed bool
+	log    *wlog.Log
+	write  WriteFunc
+	lookup LookupFunc
+
+	mu        sync.Mutex
+	crashed   bool
+	recoverNs int64
 }
 
 // New builds the shell of the store called name on dev, with an arena of
@@ -79,11 +89,104 @@ func (s *Store) Crash() {
 	s.Dev.ResetTimelines()
 }
 
-// Recovered opens the gate again; a baseline's Recover calls it last.
-func (s *Store) Recovered() {
+// Recovered opens the gate again and records how long the Recover that
+// began at start took; a baseline's Recover calls it last.
+func (s *Store) Recovered(c *simclock.Clock, start int64) {
 	s.mu.Lock()
 	s.crashed = false
 	s.mu.Unlock()
+	s.recoverNs = c.Now() - start
+}
+
+// RecoverTime reports the virtual duration of the last Recover.
+func (s *Store) RecoverTime() int64 { return s.recoverNs }
+
+// WriteFunc applies one write of key, whose hash h the session has charged,
+// through the baseline's index under its lock: a put, or with
+// wlog.FlagTombstone in flags a delete. ap is the session's appender on the
+// store's log, nil when the store has none.
+type WriteFunc func(c *simclock.Clock, ap *wlog.Appender, h uint64, key, value []byte, flags uint16) error
+
+// LookupFunc finds key, whose hash h the session has charged, through the
+// baseline's index and returns a copy of its value.
+type LookupFunc func(c *simclock.Clock, h uint64, key []byte) ([]byte, bool, error)
+
+// Serve hands the shell the baseline's write and lookup, and its log (nil
+// for a store without one). It must be called before the first NewSession.
+func (s *Store) Serve(log *wlog.Log, write WriteFunc, lookup LookupFunc) {
+	s.log, s.write, s.lookup = log, write, lookup
+	if log != nil {
+		obs.RegisterLog(s.reg, log)
+	}
+}
+
+// Session is the one kvstore.Session of every hand-written baseline: the
+// crash gate, the key hash, op counting and the appender's flush around the
+// baseline's own write and lookup.
+type Session struct {
+	s  *Store
+	c  *simclock.Clock
+	ap *wlog.Appender
+}
+
+var _ kvstore.Session = (*Session)(nil)
+
+// NewSession implements kvstore.Store.
+func (s *Store) NewSession(c *simclock.Clock) kvstore.Session {
+	se := &Session{s: s, c: c}
+	if s.log != nil {
+		se.ap = s.log.NewAppender()
+	}
+	return se
+}
+
+// Clock implements kvstore.Session.
+func (se *Session) Clock() *simclock.Clock { return se.c }
+
+func (se *Session) write(key, value []byte, flags uint16) error {
+	if err := se.s.Err(); err != nil {
+		return err
+	}
+	err := se.s.write(se.c, se.ap, Hash(se.c, key), key, value, flags)
+	if err == nil {
+		se.s.Ops.CountWrite(flags&wlog.FlagTombstone != 0)
+	}
+	return err
+}
+
+// Put implements kvstore.Session.
+func (se *Session) Put(key, value []byte) error { return se.write(key, value, 0) }
+
+// Delete implements kvstore.Session.
+func (se *Session) Delete(key []byte) error { return se.write(key, nil, wlog.FlagTombstone) }
+
+// Get implements kvstore.Session.
+func (se *Session) Get(key []byte) ([]byte, bool, error) {
+	if err := se.s.Err(); err != nil {
+		return nil, false, err
+	}
+	v, ok, err := se.s.lookup(se.c, Hash(se.c, key), key)
+	se.s.Ops.CountGet(ok)
+	return v, ok, err
+}
+
+// Flush implements kvstore.Session: it seals the session's appender chunk.
+// A store without a log buffers nothing, so only the gate remains.
+func (se *Session) Flush() error {
+	if err := se.s.Err(); err != nil {
+		return err
+	}
+	if se.ap == nil {
+		return nil
+	}
+	return se.ap.Flush(se.c)
+}
+
+// Hash charges and computes the 64-bit hash of key that every baseline
+// indexes by.
+func Hash(c *simclock.Clock, key []byte) uint64 {
+	c.Advance(device.CostHash64)
+	return xhash.Sum64(key)
 }
 
 // Lane is a critical section: a mutex plus the timeline that books how long

@@ -167,8 +167,6 @@ func OpenStore(kind StoreKind, opt Options) (kvstore.Store, error) {
 		return pmemlsm.Open(chameleonConfig(opt.Keys, opt.ValueSize), pmemlsm.F)
 	case PmemHash:
 		cfg := pmemhash.DefaultConfig()
-		cfg.Stripes = 64
-		cfg.InitialDepth = 2
 		entry := int64(40 + opt.ValueSize)
 		cfg.LogBytes = 6 * opt.Keys * entry
 		if cfg.LogBytes < 16<<20 {
@@ -178,11 +176,6 @@ func OpenStore(kind StoreKind, opt Options) (kvstore.Store, error) {
 		return pmemhash.Open(cfg)
 	case DramHash:
 		cfg := dramhash.DefaultConfig()
-		// Few stripes: the paper's Dram-Hash is one robin-hood map, whose
-		// whole-table rehashes produce the multi-second worst-case put
-		// (Table 2). More stripes would dilute the spike.
-		cfg.Stripes = 16
-		cfg.InitialCapacity = 1024
 		entry := int64(40 + opt.ValueSize)
 		cfg.LogBytes = 6 * opt.Keys * entry
 		if cfg.LogBytes < 16<<20 {

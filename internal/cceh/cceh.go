@@ -181,6 +181,11 @@ func (t *Table) split(c *simclock.Clock, seg *segment) error {
 	// Persist both new segments as bulk writes.
 	t.arena.Persist(c, offA, segBytes)
 	t.arena.Persist(c, offB, segBytes)
+	// The directory is host state that survives Crash: never point it at
+	// segments whose persists a power failure dropped.
+	if t.arena.Device().PowerFailed() {
+		return device.ErrPowerFailed
+	}
 
 	// Update every directory entry that pointed at the old segment. The
 	// entries form one contiguous, aligned group of `stride` slots, so the

@@ -135,3 +135,68 @@ func TestFootprint(t *testing.T) {
 		t.Fatal("footprint should be positive")
 	}
 }
+
+// TestCrashInSplit cuts the power at each persist of a table's first split
+// (the directory copy and both new segments), whole and torn, and checks
+// that every insert acknowledged before the cut reads back after Crash, and
+// that the table then takes the rest. The directory is host state that
+// survives Crash, so a split must not repoint it at segments whose persists
+// the power failure dropped.
+func TestCrashInSplit(t *testing.T) {
+	key := func(i int) uint64 { return xhash.Uint64(uint64(i)) }
+	// fill inserts keys until the first split has run, or until plan cuts
+	// the power, and returns how many inserts were acknowledged before.
+	fill := func(plan *device.FaultPlan) (*Table, *pmem.Arena, int) {
+		tb, a := newTable(t, 0, 1<<22)
+		a.Device().InstallFaultPlan(plan)
+		c := simclock.New(0)
+		for i := 0; tb.Splits() == 0; i++ {
+			err := tb.Insert(c, key(i), uint64(i)+1)
+			if plan.Triggered() {
+				return tb, a, i
+			}
+			if err != nil {
+				t.Fatalf("insert %d: %v", i, err)
+			}
+		}
+		return tb, a, -1
+	}
+
+	// A clean run numbers the persists: the insert that splits makes four,
+	// the directory copy, segment A, segment B and its own slot.
+	count := &device.FaultPlan{}
+	tb, _, _ := fill(count)
+	total := count.Persists()
+	if tb.DirSize() != 2 {
+		t.Fatalf("first split left %d directory entries, want 2", tb.DirSize())
+	}
+	splitFirst := total - 3
+	for point := splitFirst; point < total; point++ {
+		for _, tear := range []device.TearMode{device.TearNone, device.TearFirstLine, device.TearHalf} {
+			plan := &device.FaultPlan{CrashAtPersist: point, Tear: tear}
+			tb, a, acked := fill(plan)
+			if acked != int(splitFirst)-1 {
+				t.Fatalf("point %d cut insert %d, not the one that splits", point, acked)
+			}
+			a.Device().InstallFaultPlan(nil)
+			a.Crash()
+			c := simclock.New(0)
+			for i := 0; i < acked; i++ {
+				if ref, ok := tb.Get(c, key(i)); !ok || ref != uint64(i)+1 {
+					t.Fatalf("point %d/%d tear %d: acknowledged insert %d lost (%d, %v)", point, total, tear, i, ref, ok)
+				}
+			}
+			const n = 3000
+			for i := acked; i < n; i++ {
+				if err := tb.Insert(c, key(i), uint64(i)+1); err != nil {
+					t.Fatalf("point %d tear %d: insert %d after recovery: %v", point, tear, i, err)
+				}
+			}
+			for i := 0; i < n; i++ {
+				if ref, ok := tb.Get(c, key(i)); !ok || ref != uint64(i)+1 {
+					t.Fatalf("point %d tear %d: entry %d lost after recovery", point, tear, i)
+				}
+			}
+		}
+	}
+}

@@ -71,10 +71,10 @@ type Config struct {
 	LoadFactorMin float64
 	LoadFactorMax float64
 	// ABISlots is the capacity in slots each shard's Auxiliary Bypass Index
-	// grows to (Table 1: 512 KB = 32768 slots; a power of two). An ABI starts
-	// at one MemTable's worth and, filled past three quarters, moves into a
-	// table of whole 256 B lines that holds it half full, never shrinking.
-	// Zero derives the cap from the upper-level geometry.
+	// grows to (Table 1: 512 KB = 32768 slots; a power of two). Below it, an
+	// ABI grows for what each batch is expected to gain and settles to what
+	// it holds once it stops gaining (DESIGN §3). Zero derives the cap from
+	// the upper-level geometry.
 	ABISlots int
 
 	// ArenaBytes sizes the simulated pmem arena; LogBytes the value-log
